@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race fuzz bench bench-quick bench-json bench-gate report ablate examples service-check stress-check ingest-check fmt vet lint lint-baseline clean
+.PHONY: all build test race fuzz bench bench-quick bench-json bench-gate report ablate examples service-check stress-check ingest-check fmt vet lint lint-baseline loc clean
 
 all: build test
 
@@ -14,8 +14,11 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz pass over every text codec, including the differential targets
-# that hold the byte-level parsers to their historical oracles.
+# that hold the byte-level parsers to their historical oracles, and the
+# Stage I engine's line-at-a-time vs chunked equivalence in both modes.
 fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzExtract$$' -fuzztime 10s ./internal/syslog/
+	$(GO) test -run '^$$' -fuzz '^FuzzExtractLenient$$' -fuzztime 10s ./internal/syslog/
 	$(GO) test -fuzz '^FuzzParseLine$$' -fuzztime 15s ./internal/syslog/
 	$(GO) test -fuzz '^FuzzParseLineEquivalence$$' -fuzztime 15s ./internal/syslog/
 	$(GO) test -fuzz '^FuzzParsePlacement$$' -fuzztime 10s ./internal/slurmsim/
@@ -131,6 +134,11 @@ lint:
 # this for bootstrapping a newly added analyzer.
 lint-baseline:
 	$(GO) run ./cmd/gpulint -write-baseline ./...
+
+# Net non-test Go line count (the benchmark harness excluded), the size
+# figure the simplification work is tracked by.
+loc:
+	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^cmd/gpubench/' | grep -v '/testdata/' | xargs cat | wc -l
 
 clean:
 	$(GO) clean -testcache

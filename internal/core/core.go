@@ -24,7 +24,6 @@ import (
 	"gpuresilience/internal/coalesce"
 	"gpuresilience/internal/impact"
 	"gpuresilience/internal/ingest"
-	"gpuresilience/internal/intern"
 	"gpuresilience/internal/obs"
 	"gpuresilience/internal/parallel"
 	"gpuresilience/internal/slurmsim"
@@ -80,11 +79,16 @@ type PipelineConfig struct {
 	Obs *obs.Registry `json:"-"`
 }
 
-// lenientOptions maps the pipeline's lenient settings onto Stage I options.
-func (c PipelineConfig) lenientOptions() syslog.LenientOptions {
-	return syslog.LenientOptions{
-		MaxBadLines: c.MaxBadLines,
-		MaxBadFrac:  c.MaxBadFrac,
+// ingestOptions maps the pipeline's Stage I settings onto the front end's.
+func (c PipelineConfig) ingestOptions() ingest.Options {
+	return ingest.Options{
+		Workers: c.Workers,
+		Lenient: c.Lenient,
+		LenientOptions: syslog.LenientOptions{
+			MaxBadLines: c.MaxBadLines,
+			MaxBadFrac:  c.MaxBadFrac,
+		},
+		Obs: c.Obs,
 	}
 }
 
@@ -392,90 +396,6 @@ func (r *Results) Row(g xid.Group) (TableIRow, bool) {
 	return TableIRow{}, false
 }
 
-// ExtractEvents runs Stage I over a raw log stream sequentially.
-func ExtractEvents(r io.Reader) ([]xid.Event, syslog.ExtractStats, error) {
-	return ExtractEventsParallel(r, 1)
-}
-
-// ExtractEventsParallel runs Stage I over a raw log stream with the sharded
-// extractor. The ordered fan-in keeps the event slice (and stats) identical
-// to the sequential scan at any worker count.
-func ExtractEventsParallel(r io.Reader, workers int) ([]xid.Event, syslog.ExtractStats, error) {
-	var events []xid.Event
-	st, err := syslog.ExtractParallel(r, workers, func(ev xid.Event) error {
-		events = append(events, ev)
-		return nil
-	})
-	return events, st, err
-}
-
-// ExtractEventsLenient runs the corruption-tolerant Stage I: damaged lines
-// are classified and skipped under the configured error budgets, and the
-// structured ingestion report comes back alongside the recovered events.
-// The report is non-nil even when extraction fails.
-func ExtractEventsLenient(r io.Reader, workers int, opt syslog.LenientOptions) ([]xid.Event, *syslog.IngestionReport, error) {
-	var events []xid.Event
-	rep, err := syslog.ExtractLenientParallel(r, workers, opt, func(ev xid.Event) error {
-		events = append(events, ev)
-		return nil
-	})
-	return events, rep, err
-}
-
-// runStage1 is the pipeline's instrumented Stage I entry point: it runs the
-// strict or lenient extractor per cfg, and when cfg.Obs is enabled it
-// records the stage span — wall time, lines in, events out, bytes read, and
-// per-worker utilization of the sharded extractor's pool. The span is named
-// stage1.extract for strict runs and stage1.lenient for corruption-tolerant
-// ones, so a run's mode is visible in its metrics.
-func runStage1(r io.Reader, cfg PipelineConfig) ([]xid.Event, syslog.ExtractStats, *syslog.IngestionReport, error) {
-	var (
-		sp    *obs.Span
-		meter parallel.WorkerMeter
-		alloc *intern.Stats
-	)
-	if cfg.Obs.Enabled() {
-		name := "stage1.extract"
-		if cfg.Lenient {
-			name = "stage1.lenient"
-		}
-		sp = cfg.Obs.StartSpan(name)
-		sp.SetWorkers(parallel.Resolve(cfg.Workers))
-		meter = sp.ObserveWorker
-		cr := obs.NewCountingReader(r)
-		r = cr
-		alloc = new(intern.Stats)
-		defer func() {
-			sp.AddBytes(cr.N())
-			sp.End()
-			// Stage I allocation behavior: interner traffic and the bytes
-			// actually copied out of the scan buffers (cache misses).
-			cfg.Obs.Counter("intern.hits").Add(alloc.Hits)
-			cfg.Obs.Counter("intern.misses").Add(alloc.Misses)
-			cfg.Obs.Counter("stage1.alloc_bytes").Add(alloc.Bytes)
-		}()
-	}
-	var events []xid.Event
-	collect := func(ev xid.Event) error {
-		events = append(events, ev)
-		return nil
-	}
-	var (
-		st  syslog.ExtractStats
-		rep *syslog.IngestionReport
-		err error
-	)
-	if cfg.Lenient {
-		rep, err = syslog.ExtractLenientParallelAlloc(r, cfg.Workers, cfg.lenientOptions(), meter, alloc, collect)
-		st = ingestStats(rep)
-	} else {
-		st, err = syslog.ExtractParallelAlloc(r, cfg.Workers, meter, alloc, collect)
-	}
-	sp.AddIn(int64(st.Lines))
-	sp.AddOut(int64(len(events)))
-	return events, st, rep, err
-}
-
 // IngestConfig selects the multi-file front end's cache behavior.
 type IngestConfig struct {
 	// CacheDir enables the columnar event-shard cache rooted there; ""
@@ -497,15 +417,27 @@ func AnalyzeLogFiles(patterns []string, jobDB io.Reader, repairs []time.Duration
 	if err != nil {
 		return nil, err
 	}
-	opt := ingest.Options{
-		Workers:        cfg.Workers,
-		Lenient:        cfg.Lenient,
-		LenientOptions: cfg.lenientOptions(),
-		Obs:            cfg.Obs,
-	}
+	opt := cfg.ingestOptions()
 	if ing.CacheDir != "" {
 		opt.Cache = ingest.NewCache(ing.CacheDir)
 	}
+	return analyzeRaw(func() (*ingest.Result, error) { return ingest.Extract(plan, opt) },
+		jobDB, repairs, cpu, cfg)
+}
+
+// AnalyzeLogs runs the full pipeline from raw inputs: a syslog stream and a
+// sacct-style job database dump.
+func AnalyzeLogs(logs io.Reader, jobDB io.Reader, repairs []time.Duration,
+	cpu workload.CPURecord, cfg PipelineConfig) (*Results, error) {
+	return analyzeRaw(func() (*ingest.Result, error) { return ingest.ExtractReader(logs, cfg.ingestOptions()) },
+		jobDB, repairs, cpu, cfg)
+}
+
+// analyzeRaw is the one body behind AnalyzeLogs and AnalyzeLogFiles, which
+// differ only in their Stage I call. The raw logs and the job database are
+// independent inputs, so they load concurrently when cfg.Workers allows.
+func analyzeRaw(stage1 func() (*ingest.Result, error), jobDB io.Reader, repairs []time.Duration,
+	cpu workload.CPURecord, cfg PipelineConfig) (*Results, error) {
 	var (
 		ext  *ingest.Result
 		jobs []*slurmsim.Job
@@ -513,7 +445,7 @@ func AnalyzeLogFiles(patterns []string, jobDB io.Reader, repairs []time.Duration
 	loaders := []func() error{
 		func() error {
 			var err error
-			ext, err = ingest.Extract(plan, opt)
+			ext, err = stage1()
 			if err != nil {
 				return fmt.Errorf("core: stage I: %w", err)
 			}
@@ -534,6 +466,13 @@ func AnalyzeLogFiles(patterns []string, jobDB io.Reader, repairs []time.Duration
 	if err := parallel.ForEach(len(loaders), cfg.Workers, func(i int) error { return loaders[i]() }); err != nil {
 		return nil, err
 	}
+	return analyzeExtracted(ext, jobs, repairs, cpu, cfg)
+}
+
+// analyzeExtracted runs Stages II-III over a Stage I result and carries its
+// statistics, lenient report and shard records into the results.
+func analyzeExtracted(ext *ingest.Result, jobs []*slurmsim.Job, repairs []time.Duration,
+	cpu workload.CPURecord, cfg PipelineConfig) (*Results, error) {
 	res, err := Analyze(ext.Events, jobs, repairs, cpu, cfg)
 	if err != nil {
 		return nil, err
@@ -542,64 +481,6 @@ func AnalyzeLogFiles(patterns []string, jobDB io.Reader, repairs []time.Duration
 	res.Ingestion = ext.Ingestion
 	res.Shards = ext.Shards
 	return res, nil
-}
-
-// AnalyzeLogs runs the full pipeline from raw inputs: a syslog stream and a
-// sacct-style job database dump. The two inputs are independent streams, so
-// they load concurrently when cfg.Workers allows.
-func AnalyzeLogs(logs io.Reader, jobDB io.Reader, repairs []time.Duration,
-	cpu workload.CPURecord, cfg PipelineConfig) (*Results, error) {
-	var (
-		events []xid.Event
-		st     syslog.ExtractStats
-		ingest *syslog.IngestionReport
-		jobs   []*slurmsim.Job
-	)
-	loaders := []func() error{
-		func() error {
-			var err error
-			events, st, ingest, err = runStage1(logs, cfg)
-			if err != nil {
-				return fmt.Errorf("core: stage I: %w", err)
-			}
-			return nil
-		},
-		func() error {
-			if jobDB == nil {
-				return nil
-			}
-			var err error
-			jobs, err = slurmsim.LoadDB(jobDB)
-			if err != nil {
-				return fmt.Errorf("core: load job DB: %w", err)
-			}
-			return nil
-		},
-	}
-	if err := parallel.ForEach(len(loaders), cfg.Workers, func(i int) error { return loaders[i]() }); err != nil {
-		return nil, err
-	}
-	res, err := Analyze(events, jobs, repairs, cpu, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res.Extract = st
-	res.Ingestion = ingest
-	return res, nil
-}
-
-// ingestStats projects a lenient ingestion report onto the strict-mode
-// stat shape, so downstream summaries read the same either way.
-func ingestStats(rep *syslog.IngestionReport) syslog.ExtractStats {
-	if rep == nil {
-		return syslog.ExtractStats{}
-	}
-	return syslog.ExtractStats{
-		Lines:     rep.Lines,
-		XIDLines:  rep.Records,
-		Skipped:   rep.Noise,
-		Malformed: rep.BadTotal,
-	}
 }
 
 // EndToEndConfig couples a simulation with pipeline settings.
@@ -666,21 +547,18 @@ func EndToEnd(cfg EndToEndConfig) (*EndToEndResult, error) {
 	})
 
 	type extractOut struct {
-		events []xid.Event
-		stats  syslog.ExtractStats
-		ingest *syslog.IngestionReport
-		err    error
+		res *ingest.Result
+		err error
 	}
 	done := make(chan extractOut, 1)
 	go func() {
-		var out extractOut
-		out.events, out.stats, out.ingest, out.err = runStage1(pr, cfg.Pipeline)
-		if out.err != nil {
+		res, err := ingest.ExtractReader(pr, cfg.Pipeline.ingestOptions())
+		if err != nil {
 			// Unblock the writer side: an early abort (e.g. an exceeded
 			// error budget) must not deadlock the simulation's pipe writes.
-			_ = pr.CloseWithError(out.err)
+			_ = pr.CloseWithError(err)
 		}
-		done <- out
+		done <- extractOut{res, err}
 	}()
 
 	truth, runErr := sim.Run()
@@ -706,12 +584,10 @@ func EndToEnd(cfg EndToEndConfig) (*EndToEndResult, error) {
 	for _, d := range truth.Downtimes {
 		repairs = append(repairs, d.Duration())
 	}
-	res, err := Analyze(ext.events, truth.Jobs, repairs, truth.CPU, cfg.Pipeline)
+	res, err := analyzeExtracted(ext.res, truth.Jobs, repairs, truth.CPU, cfg.Pipeline)
 	if err != nil {
 		return nil, err
 	}
-	res.Extract = ext.stats
-	res.Ingestion = ext.ingest
 	cfg.Pipeline.Obs.Gauge("sim.rawlines").Set(int64(writer.Lines()))
 	out := &EndToEndResult{
 		Results:     res,
@@ -719,7 +595,7 @@ func EndToEnd(cfg EndToEndConfig) (*EndToEndResult, error) {
 		RawLogLines: writer.Lines(),
 	}
 	if cfg.KeepRawEvents {
-		out.RawEvents = ext.events
+		out.RawEvents = ext.res.Events
 	}
 	return out, nil
 }

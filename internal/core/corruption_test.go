@@ -8,6 +8,7 @@ import (
 
 	"gpuresilience/internal/calib"
 	"gpuresilience/internal/core"
+	"gpuresilience/internal/ingest"
 	"gpuresilience/internal/logfuzz"
 	"gpuresilience/internal/report"
 	"gpuresilience/internal/slurmsim"
@@ -81,31 +82,30 @@ func TestCorruptionRecoveryInvariant(t *testing.T) {
 
 	// Ground truth: strict extraction and rendering over the surviving
 	// subset of the clean log.
-	cleanEvents, _, err := core.ExtractEvents(bytes.NewReader(surviving))
+	clean, err := ingest.ExtractReader(bytes.NewReader(surviving), ingest.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantEvents := multiset(cleanEvents)
+	wantEvents := multiset(clean.Events)
 	wantTables := renderTables(t, surviving, jobsDB.Bytes(), core.PipelineConfig{})
 
 	var baseRep *syslog.IngestionReport
 	for _, workers := range []int{1, 4, 16} {
-		events, ingest, err := core.ExtractEventsLenient(
-			bytes.NewReader(corrupted), workers, syslog.LenientOptions{})
+		ext, err := ingest.ExtractReader(bytes.NewReader(corrupted), ingest.Options{Workers: workers, Lenient: true})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if got := multiset(events); !reflect.DeepEqual(got, wantEvents) {
+		if got := multiset(ext.Events); !reflect.DeepEqual(got, wantEvents) {
 			t.Fatalf("workers=%d: recovered %d events, want the %d surviving records exactly",
-				workers, len(events), len(cleanEvents))
+				workers, len(ext.Events), len(clean.Events))
 		}
 		if baseRep == nil {
-			baseRep = ingest
-			if ingest.BadTotal == 0 {
+			baseRep = ext.Ingestion
+			if baseRep.BadTotal == 0 {
 				t.Fatal("corruption produced no bad lines; test is vacuous")
 			}
-		} else if !reflect.DeepEqual(ingest, baseRep) {
-			t.Fatalf("workers=%d: ingestion report diverges:\n%+v\nvs\n%+v", workers, ingest, baseRep)
+		} else if !reflect.DeepEqual(ext.Ingestion, baseRep) {
+			t.Fatalf("workers=%d: ingestion report diverges:\n%+v\nvs\n%+v", workers, ext.Ingestion, baseRep)
 		}
 
 		lcfg := core.PipelineConfig{Lenient: true, Workers: workers}

@@ -14,12 +14,13 @@ import (
 	"gpuresilience/internal/xid"
 )
 
-// Options configures a sharded Stage I run.
+// Options configures a Stage I run over files (Extract) or a stream
+// (ExtractReader).
 type Options struct {
-	// Workers bounds the run's total parallelism: with one shard it is the
-	// chunk-level worker count of the existing sharded extractor, with
-	// many shards it is how many files parse concurrently. 0 means
-	// GOMAXPROCS, 1 is fully sequential.
+	// Workers bounds the run's total parallelism: for a stream or a single
+	// shard it is the engine's chunk-level worker count, with many shards
+	// it is how many files parse concurrently. 0 means GOMAXPROCS, 1 is
+	// fully sequential.
 	Workers int
 	// Lenient switches every shard to the corruption-tolerant extractor.
 	// Lenient runs bypass the cache (quarantine state is not persisted).
@@ -49,8 +50,8 @@ type ShardInfo struct {
 	Outcome CacheOutcome
 }
 
-// Result is a sharded Stage I run's output: the merged event stream,
-// aggregate scan statistics, and the per-shard records.
+// Result is a Stage I run's output: the merged event stream, aggregate
+// scan statistics, and the per-shard records (nil for a stream).
 type Result struct {
 	// Events is the merged stream, ordered by (timestamp, shard ordinal,
 	// source line).
@@ -185,7 +186,7 @@ func Extract(plan Plan, opt Options) (*Result, error) {
 	}
 	res.Events = mergeShards(streams)
 	if opt.Lenient {
-		rep, err := mergeReports(reports, opt.LenientOptions)
+		rep, err := syslog.MergeReports(reports, opt.LenientOptions)
 		res.Ingestion = rep
 		if err != nil {
 			return res, err
@@ -194,50 +195,120 @@ func Extract(plan Plan, opt Options) (*Result, error) {
 	return res, nil
 }
 
+// ExtractReader runs Stage I over one stream — a pipe, an in-memory log —
+// with the same engine and instrumentation as Extract, chunk-parallel up to
+// opt.Workers. A stream has no path or digest to key a cache entry on, so
+// it bypasses the cache: opt.Cache is ignored, and neither the cache
+// counters nor the ingest.shards gauge move. The result is non-nil even
+// alongside an error.
+func ExtractReader(r io.Reader, opt Options) (*Result, error) {
+	s1 := startStage1(opt)
+	var st shardState
+	_, err := s1.parse(r, opt.engine(opt.Workers, s1.meter(), s1.alloc, opt.LenientOptions), &st)
+	s1.end(int64(st.stats.Lines), int64(len(st.events)))
+	return &Result{Events: st.events, Stats: st.stats, Ingestion: st.report}, err
+}
+
+// engine maps the run's settings onto one engine call; lopt is the budget
+// set for that call, used only when the run is lenient.
+func (o Options) engine(workers int, meter parallel.WorkerMeter, alloc *intern.Stats, lopt syslog.LenientOptions) syslog.Options {
+	eo := syslog.Options{Workers: workers, Meter: meter, Alloc: alloc}
+	if o.Lenient {
+		eo.Lenient = &lopt
+	}
+	return eo
+}
+
+// stage1 is the instrumentation of one Stage I run, shared by files and
+// streams so it is written in one place: the stage1.extract span
+// (stage1.lenient for lenient runs) with its lines in, events out, bytes
+// read and per-worker utilization, plus the intern.hits, intern.misses and
+// stage1.alloc_bytes counters. The zero value, for a disabled registry,
+// records nothing.
+type stage1 struct {
+	reg   *obs.Registry
+	sp    *obs.Span
+	alloc *intern.Stats
+}
+
+// startStage1 opens the run's span when opt.Obs is enabled.
+func startStage1(opt Options) stage1 {
+	if !opt.Obs.Enabled() {
+		return stage1{}
+	}
+	name := "stage1.extract"
+	if opt.Lenient {
+		name = "stage1.lenient"
+	}
+	sp := opt.Obs.StartSpan(name)
+	sp.SetWorkers(parallel.Resolve(opt.Workers))
+	return stage1{reg: opt.Obs, sp: sp, alloc: new(intern.Stats)}
+}
+
+// meter is the span's per-worker meter, nil when instrumentation is off.
+func (s stage1) meter() parallel.WorkerMeter {
+	if s.sp == nil {
+		return nil
+	}
+	return s.sp.ObserveWorker
+}
+
+// parse runs the engine over one source into st and adds the bytes it
+// read to the span, returning that count for a per-shard span.
+func (s stage1) parse(src io.Reader, eo syslog.Options, st *shardState) (int64, error) {
+	var cr *obs.CountingReader
+	if s.sp != nil {
+		cr = obs.NewCountingReader(src)
+		src = cr
+	}
+	var err error
+	st.stats, st.report, err = syslog.Extract(src, eo, func(ev xid.Event) error {
+		st.events = append(st.events, ev)
+		return nil
+	})
+	if cr == nil {
+		return 0, err
+	}
+	s.sp.AddBytes(cr.N())
+	return cr.N(), err
+}
+
+// end closes the span with the run's totals and publishes the interner's:
+// its traffic, and the bytes actually copied out of the scan buffers
+// (cache misses).
+func (s stage1) end(lines, events int64) {
+	if s.sp == nil {
+		return
+	}
+	s.sp.AddIn(lines)
+	s.sp.AddOut(events)
+	s.sp.End()
+	s.reg.Counter("intern.hits").Add(s.alloc.Hits)
+	s.reg.Counter("intern.misses").Add(s.alloc.Misses)
+	s.reg.Counter("stage1.alloc_bytes").Add(s.alloc.Bytes)
+}
+
 // parseShards runs Stage I over the listed shards. A single-shard plan
 // keeps the whole worker budget for chunk-level parallelism inside the
 // file (the pre-sharding fast path); a multi-shard plan parallelizes
-// across files with sequential per-file scans, which keeps every shard's
-// output and statistics chunking-independent.
+// across files with line-at-a-time per-file scans, which keeps every
+// shard's output and statistics chunking-independent.
 func parseShards(plan Plan, states []shardState, toParse []int, opt Options) error {
-	var (
-		sp        *obs.Span
-		meter     parallel.WorkerMeter
-		alloc     *intern.Stats
-		shardSpan func(ordinal int) *obs.Span
-	)
-	reg := opt.Obs
-	if reg.Enabled() {
-		name := "stage1.extract"
-		if opt.Lenient {
-			name = "stage1.lenient"
-		}
-		sp = reg.StartSpan(name)
-		sp.SetWorkers(parallel.Resolve(opt.Workers))
-		meter = sp.ObserveWorker
-		alloc = new(intern.Stats)
-		defer func() {
-			sp.End()
-			reg.Counter("intern.hits").Add(alloc.Hits)
-			reg.Counter("intern.misses").Add(alloc.Misses)
-			reg.Counter("stage1.alloc_bytes").Add(alloc.Bytes)
-		}()
-		shardSpan = func(ordinal int) *obs.Span {
-			return reg.StartSpan(fmt.Sprintf("stage1.shard.%03d", ordinal))
-		}
-	}
-
-	single := len(plan.Shards) == 1
+	s1 := startStage1(opt)
+	meter := s1.meter()
 	innerWorkers, outerWorkers := 1, opt.Workers
 	var outerMeter parallel.WorkerMeter
-	if single {
+	if len(plan.Shards) == 1 {
 		// One file: chunk-level parallelism inside the scan, metered per
-		// chunk exactly like the pre-sharding pipeline.
+		// chunk exactly like a stream.
 		innerWorkers, outerWorkers = opt.Workers, 1
 	} else {
-		outerMeter = meter
-		meter = nil
+		outerMeter, meter = meter, nil
 	}
+	// The absolute budget also fails a single shard fast; the fractional
+	// one applies to the merged stream only.
+	lopt := opt.LenientOptions
+	lopt.MaxBadFrac = 0
 
 	allocs := make([]intern.Stats, len(toParse))
 	err := parallel.ForEachMeter(len(toParse), outerWorkers, outerMeter, func(k int) error {
@@ -258,30 +329,7 @@ func parseShards(plan Plan, states []shardState, toParse []int, opt Options) err
 			hr = obs.NewHashingReader(f)
 			src = hr
 		}
-		var cr *obs.CountingReader
-		if sp != nil {
-			cr = obs.NewCountingReader(src)
-			src = cr
-		}
-		collect := func(ev xid.Event) error {
-			st.events = append(st.events, ev)
-			return nil
-		}
-		if opt.Lenient {
-			lopt := opt.LenientOptions
-			lopt.MaxBadFrac = 0 // fractional budget applies to the merged stream only
-			st.report, err = syslog.ExtractLenientParallelAlloc(src, innerWorkers, lopt, meter, &allocs[k], collect)
-			if st.report != nil {
-				st.stats = syslog.ExtractStats{
-					Lines:     st.report.Lines,
-					XIDLines:  st.report.Records,
-					Skipped:   st.report.Noise,
-					Malformed: st.report.BadTotal,
-				}
-			}
-		} else {
-			st.stats, err = syslog.ExtractParallelAlloc(src, innerWorkers, meter, &allocs[k], collect)
-		}
+		n, err := s1.parse(src, opt.engine(innerWorkers, meter, &allocs[k], lopt), st)
 		if err != nil {
 			return fmt.Errorf("ingest: shard %s: %w", shard.Path, err)
 		}
@@ -293,102 +341,30 @@ func parseShards(plan Plan, states []shardState, toParse []int, opt Options) err
 				copy(st.digest[:], sum)
 			}
 		}
-		if ssp := shardSpan; ssp != nil {
-			s := ssp(shard.Ordinal)
-			s.AddIn(int64(st.stats.Lines))
-			s.AddOut(int64(len(st.events)))
-			if cr != nil {
-				s.AddBytes(cr.N())
-			}
-			s.End()
-		}
-		if sp != nil && cr != nil {
-			sp.AddBytes(cr.N())
+		if s1.sp != nil {
+			ssp := opt.Obs.StartSpan(fmt.Sprintf("stage1.shard.%03d", shard.Ordinal))
+			ssp.AddIn(int64(st.stats.Lines))
+			ssp.AddOut(int64(len(st.events)))
+			ssp.AddBytes(n)
+			ssp.End()
 		}
 		if opt.Cache != nil && !opt.Lenient {
 			p := &Payload{SourceDigest: st.digest, SourcePath: shard.Path, Stats: st.stats, Events: st.events}
 			if err := opt.Cache.Store(shard.Path, p); err != nil {
 				return err
 			}
-			reg.Counter("cache.write").Add(1)
+			opt.Obs.Counter("cache.write").Add(1)
 		}
 		return nil
 	})
-	if err != nil {
-		return err
-	}
-	for i := range allocs {
-		if alloc != nil {
-			alloc.Add(allocs[i])
+	var lines, events int64
+	for k, i := range toParse {
+		if s1.alloc != nil {
+			s1.alloc.Add(allocs[k])
 		}
+		lines += int64(states[i].stats.Lines)
+		events += int64(len(states[i].events))
 	}
-	if sp != nil {
-		var lines, events int64
-		for _, i := range toParse {
-			lines += int64(states[i].stats.Lines)
-			events += int64(len(states[i].events))
-		}
-		sp.AddIn(lines)
-		sp.AddOut(events)
-	}
-	return nil
-}
-
-// mergeReports folds per-shard lenient reports into one run-wide report:
-// counts sum, quarantine samples concatenate in plan order with line
-// numbers rebased to the concatenated stream (re-trimmed to the per-class
-// cap), and the run-wide error budgets are enforced over the merged
-// totals. The returned error, if any, is the same *syslog.BudgetError a
-// single-stream run would fail with.
-func mergeReports(reports []*syslog.IngestionReport, opt syslog.LenientOptions) (*syslog.IngestionReport, error) {
-	merged := &syslog.IngestionReport{}
-	perClass := opt.QuarantinePerClass
-	if perClass <= 0 {
-		perClass = 4 // defaultQuarantinePerClass in internal/syslog
-	}
-	var kept [syslog.NumLineClasses]int
-	offset := 0
-	for _, r := range reports {
-		merged.Records += r.Records
-		merged.Noise += r.Noise
-		for c := 0; c < syslog.NumLineClasses; c++ {
-			merged.Bad[c] += r.Bad[c]
-		}
-		merged.BadTotal += r.BadTotal
-		for _, q := range r.Quarantine {
-			if kept[q.Class] >= perClass {
-				continue
-			}
-			kept[q.Class]++
-			q.Line += offset
-			merged.Quarantine = append(merged.Quarantine, q)
-		}
-		offset += r.Lines
-		merged.Lines += r.Lines
-	}
-	// Dominant is stamped only on failure, matching the single-stream
-	// report (a clean run leaves Budget.Dominant at its zero value).
-	merged.Budget = syslog.BudgetStatus{
-		MaxBadLines: opt.MaxBadLines,
-		MaxBadFrac:  opt.MaxBadFrac,
-	}
-	if opt.MaxBadLines > 0 && merged.BadTotal > opt.MaxBadLines {
-		dom, _ := merged.Dominant()
-		merged.Budget.Exceeded = true
-		merged.Budget.Dominant = dom
-		return merged, &syslog.BudgetError{
-			Kind: syslog.BudgetLines, BadTotal: merged.BadTotal,
-			Lines: merged.Lines, Limit: float64(opt.MaxBadLines), Dominant: dom,
-		}
-	}
-	if opt.MaxBadFrac > 0 && merged.BadFrac() > opt.MaxBadFrac {
-		dom, _ := merged.Dominant()
-		merged.Budget.Exceeded = true
-		merged.Budget.Dominant = dom
-		return merged, &syslog.BudgetError{
-			Kind: syslog.BudgetFraction, BadTotal: merged.BadTotal,
-			Lines: merged.Lines, Limit: opt.MaxBadFrac, Dominant: dom,
-		}
-	}
-	return merged, nil
+	s1.end(lines, events)
+	return err
 }

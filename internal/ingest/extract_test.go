@@ -135,15 +135,11 @@ func writeShards(t *testing.T, parts [][]byte) (string, Plan) {
 // referenceExtract runs the unsharded Stage I over the whole stream.
 func referenceExtract(t *testing.T, data []byte, workers int) ([]xid.Event, syslog.ExtractStats) {
 	t.Helper()
-	var events []xid.Event
-	st, err := syslog.ExtractParallelAlloc(bytes.NewReader(data), workers, nil, nil, func(ev xid.Event) error {
-		events = append(events, ev)
-		return nil
-	})
+	ext, err := ExtractReader(bytes.NewReader(data), Options{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return events, st
+	return ext.Events, ext.Stats
 }
 
 // sameEvents compares two event streams field by field with Time.Equal, so
@@ -238,6 +234,51 @@ func TestExtractMessyWriterLog(t *testing.T) {
 func TestExtractEmptyPlan(t *testing.T) {
 	if _, err := Extract(Plan{}, Options{}); err == nil {
 		t.Fatal("want error for empty plan")
+	}
+}
+
+// TestExtractReaderMatchesSingleShard: a stream runs the same engine and
+// instrumentation as a one-shard plan over the same bytes, and bypasses the
+// cache — no cache counters, no ingest.shards gauge, no entries written.
+func TestExtractReaderMatchesSingleShard(t *testing.T) {
+	data := messyLog(t, 60, 4)
+	_, plan := writeShards(t, [][]byte{data})
+	for _, lenient := range []bool{false, true} {
+		cacheDir := t.TempDir()
+		fileReg, streamReg := obs.New(), obs.New()
+		want, err := Extract(plan, Options{Workers: 4, Lenient: lenient, Obs: fileReg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ExtractReader(bytes.NewReader(data), Options{Workers: 4, Lenient: lenient,
+			Cache: NewCache(cacheDir), Obs: streamReg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := fmt.Sprintf("lenient=%v", lenient)
+		sameEvents(t, got.Events, want.Events, ctx)
+		if got.Stats != want.Stats || !reflect.DeepEqual(got.Ingestion, want.Ingestion) || got.Shards != nil {
+			t.Fatalf("%s: stream result %+v, want %+v without shards", ctx, got, want)
+		}
+		snap, fileSnap := streamReg.Snapshot(), fileReg.Snapshot()
+		span := "stage1.extract"
+		if lenient {
+			span = "stage1.lenient"
+		}
+		if names := spanNames(snap); len(names) != 1 || names[0] != span {
+			t.Fatalf("%s: stream spans %v, want only %s", ctx, names, span)
+		}
+		for name, v := range snap.Counters {
+			if strings.HasPrefix(name, "cache.") || v != fileSnap.Counters[name] {
+				t.Fatalf("%s: stream counter %s=%d, file run has %d", ctx, name, v, fileSnap.Counters[name])
+			}
+		}
+		if _, ok := snap.Gauges["ingest.shards"]; ok {
+			t.Fatalf("%s: stream set the ingest.shards gauge", ctx)
+		}
+		if entries, _ := filepath.Glob(filepath.Join(cacheDir, "*")); len(entries) != 0 {
+			t.Fatalf("%s: stream wrote cache entries: %v", ctx, entries)
+		}
 	}
 }
 
@@ -478,12 +519,8 @@ func TestLenientRunsBypassCache(t *testing.T) {
 // referenceLenient runs the single-stream lenient extractor.
 func referenceLenient(t *testing.T, data []byte, opt syslog.LenientOptions) ([]xid.Event, *syslog.IngestionReport, error) {
 	t.Helper()
-	var events []xid.Event
-	rep, err := syslog.ExtractLenientParallelAlloc(bytes.NewReader(data), 1, opt, nil, nil, func(ev xid.Event) error {
-		events = append(events, ev)
-		return nil
-	})
-	return events, rep, err
+	ext, err := ExtractReader(bytes.NewReader(data), Options{Workers: 1, Lenient: true, LenientOptions: opt})
+	return ext.Events, ext.Ingestion, err
 }
 
 // TestLenientShardedMatchesSingle: a logfuzz-corrupted log split at line

@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"gpuresilience/internal/logfuzz"
-	"gpuresilience/internal/syslog"
-	"gpuresilience/internal/xid"
 )
 
 // fuzzSeedLogs builds the corpus inputs: a clean time-ordered log plus
@@ -37,22 +35,16 @@ func FuzzEvshardRoundTrip(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var events []xid.Event
-		rep, err := syslog.ExtractLenientParallelAlloc(bytes.NewReader(data), 1,
-			syslog.LenientOptions{}, nil, nil, func(ev xid.Event) error {
-				events = append(events, ev)
-				return nil
-			})
-		if err != nil || rep == nil {
+		ext, err := ExtractReader(bytes.NewReader(data), Options{Workers: 1, Lenient: true})
+		if err != nil {
 			t.Skip() // budget-free lenient extraction only fails on reader errors
 		}
 		p := &Payload{
 			SourceDigest: [digestLen]byte{1, 2, 3},
 			ConfigDigest: DefaultCacheKey().digest(),
 			SourcePath:   "fuzz.log",
-			Stats: syslog.ExtractStats{Lines: rep.Lines, XIDLines: rep.Records,
-				Skipped: rep.Noise, Malformed: rep.BadTotal},
-			Events: events,
+			Stats:        ext.Stats,
+			Events:       ext.Events,
 		}
 		got, err := DecodeShard(EncodeShard(p))
 		if err != nil {
@@ -83,20 +75,11 @@ func FuzzEvshardDecode(f *testing.F) {
 	// variants, and assorted truncations/bit flips, so the fuzzer starts at
 	// the format's decision boundaries.
 	for _, log := range fuzzSeedLogs(f) {
-		var events []xid.Event
-		rep, err := syslog.ExtractLenientParallelAlloc(bytes.NewReader(log), 1,
-			syslog.LenientOptions{}, nil, nil, func(ev xid.Event) error {
-				events = append(events, ev)
-				return nil
-			})
-		if err != nil || rep == nil {
+		ext, err := ExtractReader(bytes.NewReader(log), Options{Workers: 1, Lenient: true})
+		if err != nil {
 			continue
 		}
-		img := EncodeShard(&Payload{
-			SourcePath: "seed.log",
-			Stats:      syslog.ExtractStats{Lines: rep.Lines, XIDLines: rep.Records},
-			Events:     events,
-		})
+		img := EncodeShard(&Payload{SourcePath: "seed.log", Stats: ext.Stats, Events: ext.Events})
 		f.Add(img)
 		f.Add(img[:len(img)/2])
 		mangled, _, err := logfuzz.Corrupt(img, logfuzz.Config{Seed: 7, Rate: 0.3})

@@ -318,7 +318,7 @@ type flowClosure struct {
 // arguments run on pool goroutines.
 var parallelSpawnFuncs = map[string]bool{
 	"ForEach": true, "ForEachMeter": true, "Map": true,
-	"NewOrdered": true, "NewOrderedMeter": true,
+	"NewOrdered": true,
 }
 
 // parallelSpawnName resolves call to the internal/parallel pool entry

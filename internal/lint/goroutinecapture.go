@@ -28,7 +28,7 @@ var GoroutineCapture = &Analyzer{
 
 // streamingPoolFuncs are the internal/parallel entry points whose workers
 // outlive the call, so the spawner keeps executing concurrently with them.
-var streamingPoolFuncs = map[string]bool{"NewOrdered": true, "NewOrderedMeter": true}
+var streamingPoolFuncs = map[string]bool{"NewOrdered": true}
 
 func runGoroutineCapture(p *Pass) {
 	_, guarded := collectGuardsQuiet(p)

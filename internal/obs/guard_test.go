@@ -116,7 +116,7 @@ func TestExtractOverheadGuard(t *testing.T) {
 	data := buildLog(t, 3000)
 	run := func(meter parallel.WorkerMeter) func() {
 		return func() {
-			_, err := syslog.ExtractParallelMeter(bytes.NewReader(data), guardWorkers, meter,
+			_, _, err := syslog.Extract(bytes.NewReader(data), syslog.Options{Workers: guardWorkers, Meter: meter},
 				func(xid.Event) error { return nil })
 			if err != nil {
 				t.Fatal(err)

@@ -154,15 +154,10 @@ type Ordered[T, R any] struct {
 }
 
 // NewOrdered starts a pool of workers running fn. depth bounds the number
-// of in-flight items (it is raised to the worker count when smaller).
-func NewOrdered[T, R any](workers, depth int, fn func(T) (R, error)) *Ordered[T, R] {
-	return NewOrderedMeter(workers, depth, nil, fn)
-}
-
-// NewOrderedMeter is NewOrdered with per-worker instrumentation: when meter
-// is non-nil, each item's transform is timed and reported against the
-// worker that ran it. A nil meter starts the exact unmetered workers.
-func NewOrderedMeter[T, R any](workers, depth int, meter WorkerMeter, fn func(T) (R, error)) *Ordered[T, R] {
+// of in-flight items (it is raised to the worker count when smaller). When
+// meter is non-nil, each item's transform is timed and reported against the
+// worker that ran it; a nil meter starts the exact unmetered workers.
+func NewOrdered[T, R any](workers, depth int, meter WorkerMeter, fn func(T) (R, error)) *Ordered[T, R] {
 	workers = Resolve(workers)
 	if depth < workers {
 		depth = workers

@@ -95,7 +95,7 @@ func TestMapError(t *testing.T) {
 
 func TestOrderedPreservesSubmissionOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
-		o := NewOrdered[int, int](workers, 4, func(v int) (int, error) { return v + 1, nil })
+		o := NewOrdered[int, int](workers, 4, nil, func(v int) (int, error) { return v + 1, nil })
 		const n = 2000
 		go func() {
 			for i := 0; i < n; i++ {
@@ -121,7 +121,7 @@ func TestOrderedPreservesSubmissionOrder(t *testing.T) {
 }
 
 func TestOrderedWorkerErrorSurfaces(t *testing.T) {
-	o := NewOrdered[int, int](4, 4, func(v int) (int, error) {
+	o := NewOrdered[int, int](4, 4, nil, func(v int) (int, error) {
 		if v == 5 {
 			return 0, errors.New("worker failed")
 		}
@@ -153,7 +153,7 @@ func TestOrderedWorkerErrorSurfaces(t *testing.T) {
 // An aborting consumer must unblock a producer stuck on a full pool and
 // still be able to drain cleanly.
 func TestOrderedAbortUnblocksProducer(t *testing.T) {
-	o := NewOrdered[int, int](2, 2, func(v int) (int, error) { return v, nil })
+	o := NewOrdered[int, int](2, 2, nil, func(v int) (int, error) { return v, nil })
 	prodDone := make(chan struct{})
 	go func() {
 		defer close(prodDone)
@@ -249,7 +249,7 @@ func TestForEachMeterNilMeter(t *testing.T) {
 // TestOrderedMeterObservesEveryItem does the same for the streaming pool.
 func TestOrderedMeterObservesEveryItem(t *testing.T) {
 	rec := newMeterRecorder()
-	pool := NewOrderedMeter(3, 6, rec.observe, func(x int) (int, error) { return x * x, nil })
+	pool := NewOrdered(3, 6, rec.observe, func(x int) (int, error) { return x * x, nil })
 	go func() {
 		defer pool.CloseSubmit()
 		for i := 0; i < 25; i++ {

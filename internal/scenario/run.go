@@ -10,6 +10,7 @@ import (
 	"gpuresilience/internal/cluster"
 	"gpuresilience/internal/coalesce"
 	"gpuresilience/internal/core"
+	"gpuresilience/internal/ingest"
 	"gpuresilience/internal/logfuzz"
 	"gpuresilience/internal/obs"
 	"gpuresilience/internal/report"
@@ -96,27 +97,22 @@ func parsesHook(line []byte) bool {
 // extractBatch runs Stage I over a log in the compiled mode. A tripped
 // lenient budget comes back as budgetErr with the other returns nil.
 func extractBatch(data []byte, pcfg core.PipelineConfig) (events []xid.Event, stage1 BatchReport, budgetErr *syslog.BudgetError, err error) {
-	if pcfg.Lenient {
-		ev, rep, lerr := core.ExtractEventsLenient(bytes.NewReader(data), pcfg.Workers, syslog.LenientOptions{
+	ext, err := ingest.ExtractReader(bytes.NewReader(data), ingest.Options{
+		Workers: pcfg.Workers,
+		Lenient: pcfg.Lenient,
+		LenientOptions: syslog.LenientOptions{
 			MaxBadLines: pcfg.MaxBadLines,
 			MaxBadFrac:  pcfg.MaxBadFrac,
-		})
-		if lerr != nil {
-			var be *syslog.BudgetError
-			if errors.As(lerr, &be) {
-				return nil, BatchReport{}, be, nil
-			}
-			return nil, BatchReport{}, nil, lerr
+		},
+	})
+	if err != nil {
+		if errors.As(err, &budgetErr) {
+			return nil, BatchReport{}, budgetErr, nil
 		}
-		return ev, BatchReport{
-			Lines: rep.Lines, XIDLines: rep.Records, Noise: rep.Noise, BadLines: rep.BadTotal,
-		}, nil, nil
+		return nil, BatchReport{}, nil, err
 	}
-	ev, st, serr := core.ExtractEventsParallel(bytes.NewReader(data), pcfg.Workers)
-	if serr != nil {
-		return nil, BatchReport{}, nil, serr
-	}
-	return ev, BatchReport{
+	st := ext.Stats
+	return ext.Events, BatchReport{
 		Lines: st.Lines, XIDLines: st.XIDLines, Noise: st.Skipped, BadLines: st.Malformed,
 	}, nil, nil
 }
@@ -315,11 +311,11 @@ func Run(c *Compiled, opts Options) (*Report, error) {
 	// skipped.
 	cleanRes := res
 	if damagePresent {
-		cleanEvents, _, serr := core.ExtractEventsParallel(bytes.NewReader(cleanLog), pcfg.Workers)
+		clean, serr := ingest.ExtractReader(bytes.NewReader(cleanLog), ingest.Options{Workers: pcfg.Workers})
 		if serr != nil {
 			return nil, fmt.Errorf("scenario %s: clean extract: %w", sc.Name, serr)
 		}
-		cleanRes, err = core.Analyze(cleanEvents, truth.Jobs, repairs, truth.CPU, pcfg)
+		cleanRes, err = core.Analyze(clean.Events, truth.Jobs, repairs, truth.CPU, pcfg)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: clean analyze: %w", sc.Name, err)
 		}

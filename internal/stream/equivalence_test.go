@@ -11,6 +11,7 @@ import (
 	"gpuresilience/internal/calib"
 	"gpuresilience/internal/cluster"
 	"gpuresilience/internal/core"
+	"gpuresilience/internal/ingest"
 	"gpuresilience/internal/report"
 	"gpuresilience/internal/slurmsim"
 	"gpuresilience/internal/stats"
@@ -79,15 +80,15 @@ func (f *fixture) streamConfig() stream.Config {
 func batchDocs(t *testing.T, f *fixture) map[string]string {
 	t.Helper()
 	logs := strings.NewReader(strings.Join(f.lines, "\n") + "\n")
-	events, st, err := core.ExtractEvents(logs)
+	ext, err := ingest.ExtractReader(logs, ingest.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Analyze(events, f.jobs, cluster.Durations(f.downtimes), f.cpu, f.cfg)
+	res, err := core.Analyze(ext.Events, f.jobs, cluster.Durations(f.downtimes), f.cpu, f.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res.Extract = st
+	res.Extract = ext.Stats
 
 	docs := make(map[string]string, 3)
 	var buf bytes.Buffer

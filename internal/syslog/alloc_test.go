@@ -109,7 +109,7 @@ func buildPoolLog(tb testing.TB, lines int) []byte {
 func TestPooledChunkReuse(t *testing.T) {
 	data := buildPoolLog(t, 8000) // ~8 MiB: several defaultChunkBytes chunks
 	var wantEvents []xid.Event
-	wantStats, err := Extract(bytes.NewReader(data), func(ev xid.Event) error {
+	wantStats, err := ExtractParallel(bytes.NewReader(data), 1, func(ev xid.Event) error {
 		wantEvents = append(wantEvents, ev)
 		return nil
 	})
@@ -136,9 +136,9 @@ func TestPooledChunkReuse(t *testing.T) {
 
 func TestPooledChunkReuseLenient(t *testing.T) {
 	data := buildPoolLog(t, 8000)
-	opt := LenientOptions{}
+	opt := Options{Workers: 1, Lenient: &LenientOptions{}}
 	var wantEvents []xid.Event
-	wantRep, err := ExtractLenient(bytes.NewReader(data), opt, func(ev xid.Event) error {
+	_, wantRep, err := Extract(bytes.NewReader(data), opt, func(ev xid.Event) error {
 		wantEvents = append(wantEvents, ev)
 		return nil
 	})
@@ -147,7 +147,8 @@ func TestPooledChunkReuseLenient(t *testing.T) {
 	}
 	for pass := 0; pass < 2; pass++ {
 		var got []xid.Event
-		rep, err := ExtractLenientParallel(bytes.NewReader(data), 4, opt, func(ev xid.Event) error {
+		opt.Workers = 4
+		_, rep, err := Extract(bytes.NewReader(data), opt, func(ev xid.Event) error {
 			got = append(got, ev)
 			return nil
 		})
@@ -170,7 +171,7 @@ func TestExtractAllocStats(t *testing.T) {
 	data := buildPoolLog(t, 4000)
 	run := func(workers int) intern.Stats {
 		var st intern.Stats
-		if _, err := ExtractParallelAlloc(bytes.NewReader(data), workers, nil, &st,
+		if _, _, err := Extract(bytes.NewReader(data), Options{Workers: workers, Alloc: &st},
 			func(xid.Event) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
@@ -182,5 +183,43 @@ func TestExtractAllocStats(t *testing.T) {
 	}
 	if a.Hits == 0 || a.Misses == 0 {
 		t.Fatalf("interner saw no traffic: %+v", a)
+	}
+}
+
+// TestScanAllocsIndependentOfLength: the line-at-a-time scan parses every
+// line in place, in both modes, so a clean log allocates the same at 1k and
+// at 10k lines — per-run set-up and interner misses only, nothing per line.
+func TestScanAllocsIndependentOfLength(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	base := time.Date(2023, 6, 1, 0, 0, 0, 0, time.UTC)
+	build := func(lines int) []byte {
+		var buf bytes.Buffer
+		for i := 0; i < lines; i++ {
+			at := base.Add(time.Duration(i) * time.Second)
+			if i%5 == 0 {
+				buf.WriteString(FormatNoise(at, "gpub001", i))
+			} else {
+				buf.WriteString(FormatLine(xid.Event{Time: at, Node: fmt.Sprintf("gpub%03d", i%8),
+					GPU: i % 4, Code: xid.MMU, Detail: "fault"}, 1000+i, "python"))
+			}
+			buf.WriteByte('\n')
+		}
+		return buf.Bytes()
+	}
+	small, large := build(1000), build(10000)
+	for _, lenient := range []*LenientOptions{nil, {}} {
+		opt := Options{Workers: 1, Lenient: lenient}
+		allocs := func(data []byte) float64 {
+			return testing.AllocsPerRun(20, func() {
+				if _, _, err := Extract(bytes.NewReader(data), opt, discard); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if a, b := allocs(small), allocs(large); a != b {
+			t.Errorf("lenient=%v: %v allocs at 1k lines, %v at 10k", lenient != nil, a, b)
+		}
 	}
 }

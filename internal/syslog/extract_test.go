@@ -45,7 +45,7 @@ func buildLog(t *testing.T, events int, seed uint64) []byte {
 func collectSequential(t *testing.T, data []byte) ([]xid.Event, ExtractStats) {
 	t.Helper()
 	var events []xid.Event
-	st, err := Extract(bytes.NewReader(data), func(ev xid.Event) error {
+	st, err := ExtractParallel(bytes.NewReader(data), 1, func(ev xid.Event) error {
 		events = append(events, ev)
 		return nil
 	})
@@ -55,8 +55,9 @@ func collectSequential(t *testing.T, data []byte) ([]xid.Event, ExtractStats) {
 	return events, st
 }
 
-// Property: ExtractParallel yields the same event sequence and stats as
-// Extract, for several worker counts, with and without a trailing newline.
+// Property: the chunked path yields the same event sequence and stats as
+// the line-at-a-time scan, for several worker counts, with and without a
+// trailing newline.
 func TestExtractParallelEquivalence(t *testing.T) {
 	data := buildLog(t, 3000, 1)
 	for _, trim := range []bool{false, true} {
@@ -145,7 +146,7 @@ func TestExtractRejectsOverlongLine(t *testing.T) {
 	}, 1, "p")
 	input := good + "\n" + strings.Repeat("A", MaxLineBytes+1) + "\n" + good + "\n"
 
-	_, seqErr := Extract(strings.NewReader(input), func(xid.Event) error { return nil })
+	_, seqErr := ExtractParallel(strings.NewReader(input), 1, func(xid.Event) error { return nil })
 	if seqErr == nil {
 		t.Fatal("sequential Extract accepted an overlong line")
 	}
@@ -172,7 +173,7 @@ func TestExtractReadErrorContext(t *testing.T) {
 	fail := errors.New("disk gone")
 	for name, extract := range map[string]func() (ExtractStats, error){
 		"sequential": func() (ExtractStats, error) {
-			return Extract(&failingReader{data: []byte(brokenAfter), err: fail}, discard)
+			return ExtractParallel(&failingReader{data: []byte(brokenAfter), err: fail}, 1, discard)
 		},
 		"parallel": func() (ExtractStats, error) {
 			return ExtractParallel(&failingReader{data: []byte(brokenAfter), err: fail}, 4, discard)

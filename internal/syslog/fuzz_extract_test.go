@@ -45,8 +45,9 @@ func fuzzSeeds(f *testing.F) [][]byte {
 // input size past a few chunks, and unbounded inputs just slow the engine.
 const fuzzMaxInput = 1 << 20
 
-// FuzzExtract feeds arbitrary bytes through both strict extraction paths:
-// neither may panic, and when both succeed they must agree exactly.
+// FuzzExtract feeds arbitrary bytes through strict Extract on the
+// line-at-a-time scan and on the chunked path: neither may panic, and when
+// both succeed they must agree exactly.
 func FuzzExtract(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
@@ -56,7 +57,7 @@ func FuzzExtract(f *testing.F) {
 			return
 		}
 		var seq, par []xid.Event
-		stSeq, errSeq := syslog.Extract(bytes.NewReader(data), func(ev xid.Event) error {
+		stSeq, errSeq := syslog.ExtractParallel(bytes.NewReader(data), 1, func(ev xid.Event) error {
 			seq = append(seq, ev)
 			return nil
 		})
@@ -78,36 +79,34 @@ func FuzzExtract(f *testing.F) {
 	})
 }
 
-// FuzzExtractParallel feeds arbitrary bytes through the lenient extractor at
+// FuzzExtractLenient feeds arbitrary bytes through lenient Extract at
 // several worker counts: no panics, no budget surprises (budgets unlimited),
 // and the ingestion report plus recovered events must be identical on the
-// sequential and sharded paths.
-func FuzzExtractParallel(f *testing.F) {
+// line-at-a-time scan and the chunked path.
+func FuzzExtractLenient(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
 	}
-	opt := syslog.LenientOptions{MaxLineBytes: 64 << 10}
+	lopt := &syslog.LenientOptions{MaxLineBytes: 64 << 10}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > fuzzMaxInput {
 			return
 		}
-		var seq []xid.Event
-		repSeq, err := syslog.ExtractLenient(bytes.NewReader(data), opt, func(ev xid.Event) error {
-			seq = append(seq, ev)
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("lenient sequential failed (budgets unlimited): %v", err)
-		}
-		for _, workers := range []int{2, 5} {
-			var par []xid.Event
-			repPar, err := syslog.ExtractLenientParallel(bytes.NewReader(data), workers, opt, func(ev xid.Event) error {
-				par = append(par, ev)
-				return nil
-			})
+		run := func(workers int) ([]xid.Event, *syslog.IngestionReport) {
+			var events []xid.Event
+			_, rep, err := syslog.Extract(bytes.NewReader(data), syslog.Options{Workers: workers, Lenient: lopt},
+				func(ev xid.Event) error {
+					events = append(events, ev)
+					return nil
+				})
 			if err != nil {
-				t.Fatalf("lenient workers=%d failed: %v", workers, err)
+				t.Fatalf("lenient workers=%d failed (budgets unlimited): %v", workers, err)
 			}
+			return events, rep
+		}
+		seq, repSeq := run(1)
+		for _, workers := range []int{2, 5} {
+			par, repPar := run(workers)
 			if !reflect.DeepEqual(repSeq, repPar) {
 				t.Fatalf("workers=%d: reports diverge:\n%+v\nvs\n%+v", workers, repSeq, repPar)
 			}

@@ -1,10 +1,8 @@
 package syslog
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"unicode/utf8"
 
 	"gpuresilience/internal/intern"
@@ -253,33 +251,33 @@ const (
 )
 
 // classifyLine classifies one complete (not overlong) line, straight off
-// the reader's byte slice. Order matters and is identical on the
-// sequential and chunked paths: parse first — a well-shaped record is
+// the reader's byte slice, storing a record's event in *ev (passed in
+// rather than returned, so the hot loop does not copy each event through
+// every layer). Order matters: parse first — a well-shaped record is
 // accepted even if its free-text detail carries damaged bytes — then flag
-// unreadable non-matching lines as non-UTF-8, and only then fall through
-// to noise. Event strings come from the interner, so the caller may reuse
+// unreadable non-matching lines as non-UTF-8, and only then fall through to
+// noise. Event strings come from the interner, so the caller may reuse
 // line's backing array immediately.
-func classifyLine(line []byte, in *intern.Interner) (xid.Event, LineClass, lineKind) {
-	ev, ok, err := parseLineBytes(line, in)
+func classifyLine(line []byte, in *intern.Interner, ev *xid.Event) (LineClass, lineKind) {
+	var (
+		ok  bool
+		err error
+	)
+	*ev, ok, err = parseLineBytes(line, in)
 	if err != nil {
 		var pe *ParseError
 		if errors.As(err, &pe) {
-			return xid.Event{}, pe.Class, lineBad
+			return pe.Class, lineBad
 		}
-		return xid.Event{}, ClassBadTimestamp, lineBad
+		return ClassBadTimestamp, lineBad
 	}
 	if ok {
-		return ev, 0, lineRecord
+		return 0, lineRecord
 	}
 	if !utf8.Valid(line) {
-		return xid.Event{}, ClassNonUTF8, lineBad
+		return ClassNonUTF8, lineBad
 	}
-	return xid.Event{}, 0, lineNoise
-}
-
-// sampleOf truncates a corrupt line to its quarantine sample.
-func sampleOf(line []byte) string {
-	return string(truncateSample(line))
+	return 0, lineNoise
 }
 
 // truncateSample bounds a line to the quarantine sample size.
@@ -290,7 +288,7 @@ func truncateSample(line []byte) []byte {
 	return line
 }
 
-// trimCR drops one trailing carriage return, mirroring bufio.ScanLines so
+// trimCR drops one trailing carriage return, as bufio.ScanLines does, so
 // CR-LF logs classify identically on every path.
 func trimCR(line []byte) []byte {
 	if n := len(line); n > 0 && line[n-1] == '\r' {
@@ -299,54 +297,128 @@ func trimCR(line []byte) []byte {
 	return line
 }
 
-// reportState accumulates an IngestionReport plus the per-class quarantine
-// fill levels (which are not part of the report itself).
-type reportState struct {
-	rep IngestionReport
-	qn  [NumLineClasses]int
-	opt LenientOptions
+// stats projects the report onto the ExtractStats shape, in both modes.
+// Lenient stats count every corrupt line as Malformed and only clean
+// non-Xid lines as Skipped. Strict mode holds that a line which does not
+// look like a record is noise however unreadable it is, so there non-UTF-8
+// lines move from Malformed to Skipped.
+func (r *IngestionReport) stats(strict bool) ExtractStats {
+	st := ExtractStats{
+		Lines:     r.Lines,
+		XIDLines:  r.Records,
+		Skipped:   r.Noise,
+		Malformed: r.BadTotal,
+	}
+	if strict {
+		st.Skipped += r.Bad[ClassNonUTF8]
+		st.Malformed -= r.Bad[ClassNonUTF8]
+	}
+	return st
 }
 
-func newReportState(opt LenientOptions) *reportState {
+// reportState is one scan's running accounting, in either mode: the
+// report, the per-class quarantine fill levels (which are not part of the
+// report itself), and the resolved line policy.
+type reportState struct {
+	rep     IngestionReport
+	qn      [NumLineClasses]int
+	opt     LenientOptions // resolved; in strict mode no budgets and no quarantine
+	lenient bool
+}
+
+// newReportState resolves a run's line policy. Strict mode (lopt nil) has
+// the fixed MaxLineBytes ceiling, no budgets, and keeps no samples.
+func newReportState(lopt *LenientOptions) *reportState {
+	if lopt == nil {
+		return &reportState{opt: LenientOptions{MaxLineBytes: MaxLineBytes}}
+	}
+	opt := lopt.withDefaults()
 	return &reportState{
 		rep: IngestionReport{Budget: BudgetStatus{
 			MaxBadLines: opt.MaxBadLines,
 			MaxBadFrac:  opt.MaxBadFrac,
 		}},
-		opt: opt,
+		opt:     opt,
+		lenient: true,
 	}
 }
 
-// bad records one corrupt line (1-based line number) and returns a
-// *BudgetError when the absolute budget is now exceeded.
-func (s *reportState) bad(class LineClass, line int, sample string) error {
-	s.record(class, line, sample)
-	return s.checkAbs()
+// fresh returns an empty state with s's policy, for one chunk's share.
+func (s *reportState) fresh() reportState {
+	return reportState{opt: s.opt, lenient: s.lenient}
 }
 
-// record counts and quarantines one corrupt line without a budget check —
-// the chunked path records per worker but budgets only at the ordered
-// fan-in, so the decision is identical at any worker count.
-func (s *reportState) record(class LineClass, line int, sample string) {
+// line accounts one physical line (newline stripped) and stores its event
+// in *ev when it is a record. Records are counted where events are
+// delivered.
+func (s *reportState) line(line []byte, in *intern.Interner, ev *xid.Event) lineKind {
+	s.rep.Lines++
+	if len(line) > s.opt.MaxLineBytes {
+		s.record(ClassOverlong, line)
+		return lineBad
+	}
+	line = trimCR(line)
+	class, kind := classifyLine(line, in, ev)
+	switch kind {
+	case lineNoise:
+		s.rep.Noise++
+	case lineBad:
+		s.record(class, line)
+	}
+	return kind
+}
+
+// record counts the current line as corrupt and quarantines its sample
+// while the class is under the cap. The budgets are checked by the caller
+// — the chunked path counts per worker but budgets only at the ordered
+// fan-in, so the verdict is identical at any worker count.
+func (s *reportState) record(class LineClass, line []byte) {
 	s.rep.Bad[class]++
 	s.rep.BadTotal++
 	if s.qn[class] < s.opt.QuarantinePerClass {
 		s.qn[class]++
 		s.rep.Quarantine = append(s.rep.Quarantine, Quarantined{
-			Line: line, Class: class, Sample: sample,
+			Line: s.rep.Lines, Class: class, Sample: string(truncateSample(line)),
 		})
 	}
 }
 
-// checkAbs enforces the absolute bad-line budget.
-func (s *reportState) checkAbs() error {
+// merge appends part, the report of the stretch of stream that follows
+// everything merged so far: counts add up, and part's quarantine samples
+// are rebased past the lines already merged and kept while their class is
+// under the cap.
+func (s *reportState) merge(part *IngestionReport) {
+	for _, q := range part.Quarantine {
+		if s.qn[q.Class] < s.opt.QuarantinePerClass {
+			s.qn[q.Class]++
+			q.Line += s.rep.Lines
+			s.rep.Quarantine = append(s.rep.Quarantine, q)
+		}
+	}
+	s.rep.Lines += part.Lines
+	s.rep.Records += part.Records
+	s.rep.Noise += part.Noise
+	for c := range part.Bad {
+		s.rep.Bad[c] += part.Bad[c]
+	}
+	s.rep.BadTotal += part.BadTotal
+}
+
+// checkBudgets enforces the absolute budget and, once the whole stream is
+// in (atEOF), the fractional one: a running fraction is not monotone, so
+// checking it mid-stream would make the outcome depend on chunking.
+func (s *reportState) checkBudgets(atEOF bool) error {
 	if s.opt.MaxBadLines > 0 && s.rep.BadTotal > s.opt.MaxBadLines {
 		return s.fail(BudgetLines)
+	}
+	if atEOF && s.opt.MaxBadFrac > 0 && s.rep.BadFrac() > s.opt.MaxBadFrac {
+		return s.fail(BudgetFraction)
 	}
 	return nil
 }
 
-// fail marks the budget as exceeded and builds the typed error.
+// fail marks the budget as exceeded and builds the typed error. Dominant
+// is stamped only here, so a clean run leaves Budget.Dominant zero.
 func (s *reportState) fail(kind BudgetKind) error {
 	dom, _ := s.rep.Dominant()
 	s.rep.Budget.Exceeded = true
@@ -364,110 +436,16 @@ func (s *reportState) fail(kind BudgetKind) error {
 	}
 }
 
-// finish runs the EOF-time fractional budget check.
-func (s *reportState) finish() error {
-	if s.opt.MaxBadFrac > 0 && s.rep.BadFrac() > s.opt.MaxBadFrac {
-		return s.fail(BudgetFraction)
+// MergeReports folds the lenient reports of consecutive stretches of one
+// stream — the shards of a plan, in plan order — into the report a single
+// run over their concatenation would produce: counts sum, quarantine line
+// numbers are rebased and re-capped, and opt's budgets are enforced over
+// the merged totals. The report is non-nil even alongside the
+// *BudgetError.
+func MergeReports(parts []*IngestionReport, opt LenientOptions) (*IngestionReport, error) {
+	s := newReportState(&opt)
+	for _, p := range parts {
+		s.merge(p)
 	}
-	return nil
-}
-
-// ExtractLenient is the corruption-tolerant Stage I (sequential path):
-// instead of treating a damaged line as fatal, it classifies the damage
-// (LineClass), quarantines a bounded sample, and keeps scanning — until an
-// error budget says the log as a whole cannot be trusted. On a nil-error
-// run the report equals ExtractLenientParallel's at any worker count.
-//
-// The returned report is always non-nil, including alongside an error.
-func ExtractLenient(r io.Reader, opt LenientOptions, fn func(xid.Event) error) (*IngestionReport, error) {
-	return extractLenientSeq(r, opt, nil, fn)
-}
-
-// extractLenientSeq is ExtractLenient with interner accounting: a non-nil
-// alloc receives the whole-stream interner's hit/miss totals.
-func extractLenientSeq(r io.Reader, opt LenientOptions, alloc *intern.Stats, fn func(xid.Event) error) (*IngestionReport, error) {
-	opt = opt.withDefaults()
-	st := newReportState(opt)
-	in := getInterner()
-	defer releaseInterner(in, alloc)
-	br := bufio.NewReaderSize(r, scanBufBytes)
-	for {
-		line, overlong, err := readLenientLine(br, opt.MaxLineBytes)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return &st.rep, fmt.Errorf("syslog: read failed at line %d: %w", st.rep.Lines+1, err)
-		}
-		st.rep.Lines++
-		if overlong {
-			if berr := st.bad(ClassOverlong, st.rep.Lines, sampleOf(line)); berr != nil {
-				return &st.rep, berr
-			}
-			continue
-		}
-		line = trimCR(line)
-		ev, class, kind := classifyLine(line, in)
-		switch kind {
-		case lineRecord:
-			st.rep.Records++
-			if err := fn(ev); err != nil {
-				return &st.rep, err
-			}
-		case lineNoise:
-			st.rep.Noise++
-		case lineBad:
-			if berr := st.bad(class, st.rep.Lines, sampleOf(line)); berr != nil {
-				return &st.rep, berr
-			}
-		}
-	}
-	if err := st.finish(); err != nil {
-		return &st.rep, err
-	}
-	return &st.rep, nil
-}
-
-// readLenientLine returns the next physical line (newline stripped). When
-// the line exceeds max bytes it reports overlong=true, returns only the
-// leading sample-sized prefix, and discards the rest of the line so the
-// scan can continue — the recovery move the strict scanner refuses to make.
-// err is io.EOF once the stream is exhausted.
-func readLenientLine(br *bufio.Reader, max int) (line []byte, overlong bool, err error) {
-	var buf []byte
-	for {
-		frag, err := br.ReadSlice('\n')
-		buf = append(buf, frag...)
-		switch err {
-		case nil, io.EOF:
-			complete := len(buf) > 0 && buf[len(buf)-1] == '\n'
-			if complete {
-				buf = buf[:len(buf)-1]
-			}
-			if err == io.EOF && len(buf) == 0 && !complete {
-				return nil, false, io.EOF
-			}
-			if len(buf) > max {
-				return truncateSample(buf), true, nil
-			}
-			return buf, false, nil
-		case bufio.ErrBufferFull:
-			if len(buf) > max {
-				// Already past the ceiling: discard the rest of the line.
-				sample := truncateSample(buf)
-				for {
-					switch _, err := br.ReadSlice('\n'); err {
-					case nil, io.EOF:
-						return sample, true, nil
-					case bufio.ErrBufferFull:
-						// keep discarding
-					default:
-						return nil, false, err
-					}
-				}
-			}
-		default:
-			return nil, false, err
-		}
-	}
+	return &s.rep, s.checkBudgets(true)
 }

@@ -32,7 +32,7 @@ func record(i int) string {
 func extractLenient(t *testing.T, input []byte, workers int, opt syslog.LenientOptions) ([]xid.Event, *syslog.IngestionReport, error) {
 	t.Helper()
 	var events []xid.Event
-	rep, err := syslog.ExtractLenientParallel(bytes.NewReader(input), workers, opt, func(ev xid.Event) error {
+	_, rep, err := syslog.Extract(bytes.NewReader(input), syslog.Options{Workers: workers, Lenient: &opt}, func(ev xid.Event) error {
 		events = append(events, ev)
 		return nil
 	})
@@ -105,7 +105,7 @@ func TestLenientMatchesStrictOnCleanLog(t *testing.T) {
 		}
 	}
 	var strictEvents []xid.Event
-	st, err := syslog.Extract(bytes.NewReader(buf.Bytes()), func(ev xid.Event) error {
+	st, err := syslog.ExtractParallel(bytes.NewReader(buf.Bytes()), 1, func(ev xid.Event) error {
 		strictEvents = append(strictEvents, ev)
 		return nil
 	})
@@ -253,7 +253,7 @@ func TestChunkBoundaryCorruptLineStrict(t *testing.T) {
 		return "9999-99-99T99:99:99.000000Z" + line[len("2023-06-01T12:30:45.123456Z"):]
 	})
 	var seq, par []xid.Event
-	stSeq, err := syslog.Extract(bytes.NewReader(input), func(ev xid.Event) error {
+	stSeq, err := syslog.ExtractParallel(bytes.NewReader(input), 1, func(ev xid.Event) error {
 		seq = append(seq, ev)
 		return nil
 	})
@@ -324,7 +324,7 @@ func TestOverlongLineAtChunkBoundary(t *testing.T) {
 	wantLine := before + 1
 
 	// Strict: both paths fail, naming the same line.
-	_, seqErr := syslog.Extract(bytes.NewReader(input), func(xid.Event) error { return nil })
+	_, seqErr := syslog.ExtractParallel(bytes.NewReader(input), 1, func(xid.Event) error { return nil })
 	_, parErr := syslog.ExtractParallel(bytes.NewReader(input), 4, func(xid.Event) error { return nil })
 	wantMsg := fmt.Sprintf("line %d longer than", wantLine)
 	if seqErr == nil || !strings.Contains(seqErr.Error(), wantMsg) {
@@ -393,6 +393,58 @@ func TestLenientParallelEquivalenceUnderCorruption(t *testing.T) {
 		}
 		if !reflect.DeepEqual(events, base) {
 			t.Fatalf("workers=%d events differ", workers)
+		}
+	}
+}
+
+// TestStrictLenientDifferOnlyAsDocumented pins the two modes' only
+// differences on a damaged log without overlong lines: both recover the
+// same events, and the strict stats are the lenient report with non-UTF-8
+// lines moved from corrupt to skipped.
+func TestStrictLenientDifferOnlyAsDocumented(t *testing.T) {
+	var clean bytes.Buffer
+	for i := 0; i < 4000; i++ {
+		clean.WriteString(record(i))
+		clean.WriteByte('\n')
+		if i%9 == 0 {
+			clean.WriteString(syslog.FormatNoise(at, "gpub001", i))
+			clean.WriteByte('\n')
+		}
+	}
+	damaged, _, err := logfuzz.Corrupt(clean.Bytes(), logfuzz.Config{
+		Seed: 7, Rate: 0.05, OversizeBytes: 16 << 10, // far below the 4 MiB ceiling
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		var strictEvents []xid.Event
+		st, err := syslog.ExtractParallel(bytes.NewReader(damaged), workers, func(ev xid.Event) error {
+			strictEvents = append(strictEvents, ev)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("workers=%d strict: %v", workers, err)
+		}
+		events, rep, err := extractLenient(t, damaged, workers, syslog.LenientOptions{})
+		if err != nil {
+			t.Fatalf("workers=%d lenient: %v", workers, err)
+		}
+		nonUTF8 := rep.Bad[syslog.ClassNonUTF8]
+		if nonUTF8 == 0 || rep.BadTotal == nonUTF8 || rep.Bad[syslog.ClassOverlong] != 0 {
+			t.Fatalf("workers=%d: damage mix %+v does not exercise both differences", workers, rep.Bad)
+		}
+		want := syslog.ExtractStats{
+			Lines:     rep.Lines,
+			XIDLines:  rep.Records,
+			Skipped:   rep.Noise + nonUTF8,
+			Malformed: rep.BadTotal - nonUTF8,
+		}
+		if st != want {
+			t.Fatalf("workers=%d: strict %+v, want lenient report projected %+v", workers, st, want)
+		}
+		if !reflect.DeepEqual(events, strictEvents) {
+			t.Fatalf("workers=%d: lenient and strict events differ", workers)
 		}
 	}
 }

@@ -12,14 +12,12 @@ package syslog
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
 	"time"
 
-	"gpuresilience/internal/intern"
 	"gpuresilience/internal/randx"
 	"gpuresilience/internal/xid"
 )
@@ -235,7 +233,8 @@ func (w *Writer) Flush() error { return w.bw.Flush() }
 // treated as log corruption rather than data, so a pathological unterminated
 // line fails loudly (with its line number) instead of stalling the scan.
 const (
-	// scanBufBytes is the initial scanner buffer.
+	// scanBufBytes is the line-at-a-time scan's read buffer: lines up to
+	// this long are parsed in place.
 	scanBufBytes = 64 << 10
 	// MaxLineBytes is the longest raw log line Extract accepts (4 MiB).
 	MaxLineBytes = 4 << 20
@@ -247,56 +246,6 @@ type ExtractStats struct {
 	XIDLines  int // lines matching the Xid pattern
 	Malformed int // Xid-looking lines that failed field parsing
 	Skipped   int // non-Xid lines (noise)
-}
-
-// Extract streams raw log lines from r, parses the Xid records, and calls fn
-// for each. It is the pipeline's Stage I (sequential path; ExtractParallel
-// is the sharded equivalent and produces identical events and stats).
-func Extract(r io.Reader, fn func(xid.Event) error) (ExtractStats, error) {
-	return extractSeq(r, nil, fn)
-}
-
-// extractSeq is the sequential Stage I scan. It parses straight off
-// sc.Bytes() — no per-line string copy, even for skipped noise lines — and
-// runs one whole-stream interner so repeated node names and details cost a
-// single allocation each. A non-nil alloc receives the interner totals.
-func extractSeq(r io.Reader, alloc *intern.Stats, fn func(xid.Event) error) (ExtractStats, error) {
-	var st ExtractStats
-	in := getInterner()
-	defer releaseInterner(in, alloc)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, scanBufBytes), MaxLineBytes)
-	for sc.Scan() {
-		st.Lines++
-		ev, ok, err := parseLineBytes(sc.Bytes(), in)
-		if err != nil {
-			st.Malformed++
-			continue
-		}
-		if !ok {
-			st.Skipped++
-			continue
-		}
-		st.XIDLines++
-		if err := fn(ev); err != nil {
-			return st, err
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return st, scanError(err, st.Lines)
-	}
-	return st, nil
-}
-
-// scanError attaches line context to a raw-log read failure. scanned is how
-// many complete lines were consumed before the failure, so the bad line is
-// scanned+1.
-func scanError(err error, scanned int) error {
-	if errors.Is(err, bufio.ErrTooLong) {
-		return fmt.Errorf("syslog: line %d longer than %d bytes (corrupt log?): %w",
-			scanned+1, MaxLineBytes, err)
-	}
-	return fmt.Errorf("syslog: read failed at line %d: %w", scanned+1, err)
 }
 
 // maxXIDCode bounds the accepted XID code. The driver's code table tops out

@@ -98,7 +98,7 @@ func TestWriterDuplication(t *testing.T) {
 	}
 	// All duplicate lines parse back to the same coalescing key.
 	events := 0
-	st, err := Extract(&buf, func(ev xid.Event) error {
+	st, _, err := Extract(&buf, Options{Workers: 1}, func(ev xid.Event) error {
 		if ev.Code != xid.MMU || ev.Node != "gpub001" || ev.GPU != 1 {
 			t.Fatalf("bad extracted event %+v", ev)
 		}
@@ -131,7 +131,7 @@ func TestWriterNoiseInterleaving(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Extract(&buf, func(xid.Event) error { return nil })
+	st, _, err := Extract(&buf, Options{Workers: 1}, func(xid.Event) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestExtractMalformedCounted(t *testing.T) {
 	bad := strings.Replace(good, "PCI:0000:07:00", "PCI:ffff:ff", 1)
 	input := good + "\n" + bad + "\nnot a log line\n"
 	var events int
-	st, err := Extract(strings.NewReader(input), func(xid.Event) error { events++; return nil })
+	st, _, err := Extract(strings.NewReader(input), Options{Workers: 1}, func(xid.Event) error { events++; return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestExtractMalformedCounted(t *testing.T) {
 func TestExtractCallbackErrorPropagates(t *testing.T) {
 	line := FormatLine(xid.Event{Time: at, Node: "n", GPU: 0, Code: xid.MMU}, 1, "x")
 	wantErr := strings.NewReader(line + "\n")
-	_, err := Extract(wantErr, func(xid.Event) error { return bytes.ErrTooLarge })
+	_, _, err := Extract(wantErr, Options{Workers: 1}, func(xid.Event) error { return bytes.ErrTooLarge })
 	if err != bytes.ErrTooLarge {
 		t.Fatalf("err = %v", err)
 	}
