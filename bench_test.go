@@ -29,6 +29,7 @@ import (
 
 	"gpuresilience/internal/calib"
 	"gpuresilience/internal/checkpoint"
+	"gpuresilience/internal/cluster"
 	"gpuresilience/internal/coalesce"
 	"gpuresilience/internal/core"
 	"gpuresilience/internal/correlation"
@@ -356,6 +357,26 @@ func BenchmarkEndToEnd(b *testing.B) {
 		}
 		if out.Results.CoalescedEvents == 0 {
 			b.Fatal("no events")
+		}
+	}
+}
+
+// BenchmarkClusterRun is the sim-loop layer of BenchmarkEndToEnd: build and
+// run the calibrated seed-1 fleet at the shared benchmark scale with no
+// event sink, so no raw log is written.
+func BenchmarkClusterRun(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sim, err := cluster.New(calib.NewScenario(1, benchScale()).Cluster)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := sim.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Jobs) == 0 {
+			b.Fatal("no jobs")
 		}
 	}
 }

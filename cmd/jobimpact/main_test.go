@@ -46,11 +46,11 @@ func writeDataset(t *testing.T, dir string) {
 		{ID: 1, Name: "victim", User: "u", Partition: "gpuA100x4", GPUs: 1,
 			Submit: start.Add(-time.Minute), Start: start, End: end,
 			State: slurmsim.StateNodeFail, ExitCode: 1,
-			Place: slurmsim.Placement{"gpub001": {0}}},
+			Place: slurmsim.Placement{{Node: "gpub001", GPUs: []int{0}}}},
 		{ID: 2, Name: "train_model", User: "u", Partition: "gpuA100x4", GPUs: 4,
 			Submit: start, Start: start, End: start.Add(time.Hour),
 			State: slurmsim.StateCompleted,
-			Place: slurmsim.Placement{"gpub002": {0, 1, 2, 3}}, ML: true},
+			Place: slurmsim.Placement{{Node: "gpub002", GPUs: []int{0, 1, 2, 3}}}, ML: true},
 	}
 	jf, err := os.Create(filepath.Join(dir, dataset.JobsFile))
 	if err != nil {

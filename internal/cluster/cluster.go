@@ -270,9 +270,10 @@ func New(cfg Config) (*Cluster, error) {
 				return
 			}
 			// The dying application raises a graphics-engine exception on
-			// one of its GPUs moments before Slurm records the failure.
-			for node, idxs := range j.Place {
-				if len(idxs) == 0 {
+			// one of its GPUs, on its first node in name order, moments
+			// before Slurm records the failure.
+			for _, e := range j.Place {
+				if len(e.GPUs) == 0 {
 					continue
 				}
 				code := xid.GPUSoftware
@@ -280,7 +281,7 @@ func New(cfg Config) (*Cluster, error) {
 					code = xid.ResetChannel
 				}
 				c.emit(xid.Event{
-					Time: j.End, Node: node, GPU: idxs[swRNG.Intn(len(idxs))],
+					Time: j.End, Node: e.Node, GPU: e.GPUs[swRNG.Intn(len(e.GPUs))],
 					Code: code, Detail: "graphics engine exception raised by user process",
 				})
 				break

@@ -495,6 +495,9 @@ func TestDeterminism(t *testing.T) {
 			{Kind: faults.KindMMU, Episodes: 40, MeanSize: 2, MeanGap: time.Minute},
 			{Kind: faults.KindNVLink, Episodes: 10, MeanSize: 3, MeanGap: time.Minute},
 		}
+		// Software Xids land on a failed job's GPUs, so multi-node jobs
+		// exercise the placement's node order.
+		cfg.SoftwareXIDProb = 1
 		wl := workload.DefaultConfig(10, op, 0.0005)
 		cfg.Workload = &wl
 		return run(t, cfg)
@@ -504,10 +507,11 @@ func TestDeterminism(t *testing.T) {
 		t.Fatalf("runs differ: %d/%d events, %d/%d jobs",
 			len(a.Events), len(b.Events), len(a.Jobs), len(b.Jobs))
 	}
-	for i := range a.Events {
-		if !a.Events[i].Time.Equal(b.Events[i].Time) || a.Events[i].Code != b.Events[i].Code ||
-			a.Events[i].Node != b.Events[i].Node {
-			t.Fatalf("event %d differs", i)
+	for i, ea := range a.Events {
+		eb := b.Events[i]
+		if !ea.Time.Equal(eb.Time) || ea.Code != eb.Code || ea.Node != eb.Node ||
+			ea.GPU != eb.GPU || ea.Detail != eb.Detail {
+			t.Fatalf("event %d differs: %+v vs %+v", i, ea, eb)
 		}
 	}
 }

@@ -168,9 +168,9 @@ func correlateJobs(jobs []*slurmsim.Job, index map[gpuKey][]xid.Event, cfg Confi
 		encountered := make(map[xid.Code]bool)
 		attributed := make(map[xid.Code]bool)
 		windowStart := j.End.Add(-cfg.AttributionWindow)
-		for node, idxs := range j.Place {
-			for _, gi := range idxs {
-				evs := index[gpuKey{node: node, gpu: gi}]
+		for _, e := range j.Place {
+			for _, gi := range e.GPUs {
+				evs := index[gpuKey{node: e.Node, gpu: gi}]
 				// First event at or after job start.
 				lo := sort.Search(len(evs), func(i int) bool {
 					return !evs[i].Time.Before(j.Start)
@@ -243,9 +243,9 @@ func LostCompute(jobs []*slurmsim.Job, events []xid.Event, cfg Config) ([]LostCo
 		}
 		windowStart := j.End.Add(-cfg.AttributionWindow)
 		attributed := make(map[xid.Code]bool)
-		for node, idxs := range j.Place {
-			for _, gi := range idxs {
-				evs := index[gpuKey{node: node, gpu: gi}]
+		for _, e := range j.Place {
+			for _, gi := range e.GPUs {
+				evs := index[gpuKey{node: e.Node, gpu: gi}]
 				lo := sort.Search(len(evs), func(i int) bool {
 					return !evs[i].Time.Before(windowStart)
 				})

@@ -23,7 +23,7 @@ func runJob(id int, node string, gpus []int, start time.Time, dur time.Duration,
 	return &slurmsim.Job{
 		ID: id, Name: "job", GPUs: len(gpus),
 		Submit: start.Add(-time.Minute), Start: start, End: start.Add(dur),
-		State: state, Place: slurmsim.Placement{node: gpus},
+		State: state, Place: slurmsim.Placement{{Node: node, GPUs: gpus}},
 	}
 }
 

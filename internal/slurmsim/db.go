@@ -66,31 +66,24 @@ const jobArenaSize = 1024
 
 // dbLoader carries the allocation state of one LoadDB run: an interner for
 // the small recurring vocabularies (names, users, partitions, node names), a
-// Job arena so rows don't allocate one object each, and an int arena for
-// placement GPU-index slices.
+// Job arena so rows don't allocate one object each, and placement and int
+// arenas for the placement entries and their GPU-index slices.
 type dbLoader struct {
-	in    *intern.Interner
-	arena []Job
-	ints  []int
+	in     *intern.Interner
+	arena  []Job
+	places []NodeGPUs
+	ints   []int
 }
 
-func (ld *dbLoader) newJob() *Job {
-	if len(ld.arena) == 0 {
-		ld.arena = make([]Job, jobArenaSize)
+// carve cuts an n-element slice off the front of *arena, refilling the arena
+// with a block of at least block elements when it runs short. The slice is
+// capacity-capped so a later append cannot scribble over a neighbor's slice.
+func carve[T any](arena *[]T, n, block int) []T {
+	if n > len(*arena) {
+		*arena = make([]T, max(n, block))
 	}
-	j := &ld.arena[0]
-	ld.arena = ld.arena[1:]
-	return j
-}
-
-// takeInts carves an n-int slice out of the arena, capacity-capped so a later
-// append cannot scribble over a neighbor's slice.
-func (ld *dbLoader) takeInts(n int) []int {
-	if n > len(ld.ints) {
-		ld.ints = make([]int, max(n, 4096))
-	}
-	s := ld.ints[:n:n]
-	ld.ints = ld.ints[n:]
+	s := (*arena)[:n:n]
+	*arena = (*arena)[n:]
 	return s
 }
 
@@ -253,7 +246,7 @@ func (ld *dbLoader) parseRow(line []byte) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	j := ld.newJob()
+	j := &carve(&ld.arena, 1, jobArenaSize)[0]
 	*j = Job{
 		ID:        id,
 		Name:      ld.in.Intern(f[1]),
@@ -274,29 +267,31 @@ func (ld *dbLoader) parseRow(line []byte) (*Job, error) {
 var placementSemi = []byte{';'}
 
 // parsePlacement parses the canonical Placement.String encoding —
-// "node:i,j;node:k" with plain digit runs — straight off the bytes. Any
-// deviation restarts the whole field through the exported ParsePlacement, so
-// the loader keeps its Sscanf-level tolerance (signed indices, leading
-// spaces) and its exact errors.
+// "node:i,j;node:k" with plain digit runs and strictly ascending node names —
+// straight off the bytes, backing the entries and index lists from the
+// loader's arenas. Any deviation restarts the whole field through the
+// exported ParsePlacement, so the loader keeps its Sscanf-level tolerance
+// (signed indices, leading spaces, any part order) and its exact errors.
 func (ld *dbLoader) parsePlacement(b []byte) (Placement, error) {
 	if len(b) == 0 {
-		return make(Placement), nil
+		return nil, nil
 	}
-	p := make(Placement, bytes.Count(b, placementSemi)+1)
-	rest := b
-	for {
+	p := Placement(carve(&ld.places, bytes.Count(b, placementSemi)+1, 1024))
+	rest, prev := b, []byte(nil)
+	for n := range p {
 		var part []byte
 		if i := bytes.IndexByte(rest, ';'); i >= 0 {
 			part, rest = rest[:i], rest[i+1:]
 		} else {
-			part, rest = rest, nil
+			part = rest
 		}
 		ci := bytes.IndexByte(part, ':')
-		if ci <= 0 {
+		if ci <= 0 || n > 0 && bytes.Compare(part[:ci], prev) <= 0 {
 			return ParsePlacement(string(b)) //lint:allow hotalloc cold corrupt-input fallback; the hot path parses in place
 		}
 		node, list := part[:ci], part[ci+1:]
-		idxs := ld.takeInts(bytes.Count(list, []byte{','}) + 1)
+		prev = node
+		idxs := carve(&ld.ints, bytes.Count(list, []byte{','})+1, 4096)
 		k := 0
 		for {
 			var seg []byte
@@ -315,10 +310,7 @@ func (ld *dbLoader) parsePlacement(b []byte) (Placement, error) {
 				break
 			}
 		}
-		p[ld.in.Intern(node)] = idxs
-		if rest == nil {
-			break
-		}
+		p[n] = NodeGPUs{Node: ld.in.Intern(node), GPUs: idxs}
 	}
 	return p, nil
 }

@@ -102,6 +102,7 @@ func dbRowCorpus() []string {
 		"19|j|u|p|1|2023-01-01T00:00:00Z|||PENDING|0:0|n1:-1|0", // Sscanf accepts the sign
 		"20|j|u|p|1|2023-01-01T00:00:00Z|||PENDING|0:0|n1:0x|0", // trailing garbage
 		"21|j|u|p|1|2023-01-01T00:00:00Z|||PENDING|0:0|n1:0,1;n1:2|0",
+		"22|j|u|p|2|2023-01-01T00:00:00Z|||PENDING|0:0|n2:1;n1:0|0", // loads name-ordered
 		// Field-count errors, including the >12 report.
 		"not|enough|fields",
 		"1|2|3|4|5|6|7|8|9|10|11|12|13",

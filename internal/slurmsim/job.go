@@ -6,7 +6,8 @@ package slurmsim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -107,53 +108,51 @@ func (s JobState) Terminal() bool {
 	}
 }
 
-// Placement maps a node name to the GPU indices allocated on it.
-type Placement map[string][]int
-
-// Nodes returns the sorted node names of the placement.
-func (p Placement) Nodes() []string {
-	out := make([]string, 0, len(p))
-	for n := range p {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+// NodeGPUs is one node's share of a placement.
+type NodeGPUs struct {
+	Node string // node host name
+	GPUs []int  // GPU indices allocated on the node
 }
+
+// Placement lists the nodes a job ran on and the GPU indices it held on
+// each, one entry per node in ascending node-name order.
+type Placement []NodeGPUs
 
 // TotalGPUs returns the number of GPUs in the placement.
 func (p Placement) TotalGPUs() int {
 	total := 0
-	for _, idxs := range p {
-		total += len(idxs)
+	for _, e := range p {
+		total += len(e.GPUs)
 	}
 	return total
 }
 
-// String encodes the placement as "node:i,j;node:k". Deterministic order.
+// String encodes the placement as "node:i,j;node:k".
 func (p Placement) String() string {
-	var b strings.Builder
-	for i, node := range p.Nodes() {
+	var b []byte
+	for i, e := range p {
 		if i > 0 {
-			b.WriteByte(';')
+			b = append(b, ';')
 		}
-		b.WriteString(node)
-		b.WriteByte(':')
-		for j, idx := range p[node] {
+		b = append(b, e.Node...)
+		b = append(b, ':')
+		for j, idx := range e.GPUs {
 			if j > 0 {
-				b.WriteByte(',')
+				b = append(b, ',')
 			}
-			fmt.Fprintf(&b, "%d", idx)
+			b = strconv.AppendInt(b, int64(idx), 10)
 		}
 	}
-	return b.String()
+	return string(b)
 }
 
-// ParsePlacement inverts Placement.String.
+// ParsePlacement inverts Placement.String. Parts may come in any order; the
+// result is name-ordered, and a node listed twice keeps its last list.
 func ParsePlacement(s string) (Placement, error) {
-	p := make(Placement)
 	if s == "" {
-		return p, nil
+		return nil, nil
 	}
+	var p Placement
 	for _, part := range strings.Split(s, ";") {
 		node, list, ok := strings.Cut(part, ":")
 		if !ok || node == "" {
@@ -167,10 +166,20 @@ func ParsePlacement(s string) (Placement, error) {
 			}
 			idxs = append(idxs, v)
 		}
-		p[node] = idxs
+		p = append(p, NodeGPUs{Node: node, GPUs: idxs})
 	}
-	return p, nil
+	slices.SortStableFunc(p, compareNode)
+	out := p[:0]
+	for i, e := range p {
+		if i+1 < len(p) && p[i+1].Node == e.Node {
+			continue // a later part for the same node wins
+		}
+		out = append(out, e)
+	}
+	return out, nil
 }
+
+func compareNode(a, b NodeGPUs) int { return strings.Compare(a.Node, b.Node) }
 
 // Job is one batch job. Fields through ExitCode mirror the Slurm accounting
 // database columns the study relies on (§III-A): submit/start/end times,
@@ -218,9 +227,9 @@ func (j *Job) GPUHours() float64 {
 
 // UsesGPU reports whether the job's placement includes the GPU.
 func (j *Job) UsesGPU(node string, gpu int) bool {
-	for _, idx := range j.Place[node] {
-		if idx == gpu {
-			return true
+	for _, e := range j.Place {
+		if e.Node == node {
+			return slices.Contains(e.GPUs, gpu)
 		}
 	}
 	return false

@@ -3,7 +3,9 @@ package slurmsim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"gpuresilience/internal/simclock"
@@ -57,7 +59,7 @@ type Scheduler struct {
 	cfg    Config
 	engine *simclock.Engine
 
-	hosts     []*host
+	hosts     []*host // in ascending name order, the placement scan order
 	hostIndex map[string]*host
 
 	pending  []*Job
@@ -66,6 +68,7 @@ type Scheduler struct {
 	capacity int // total GPUs across all hosts
 
 	passQueued bool
+	passFn     func() // s.pass, bound once so queuePass does not allocate
 
 	// OnTerminal, if set, is called once per job when it reaches a terminal
 	// state.
@@ -85,17 +88,19 @@ func NewScheduler(cfg Config, engine *simclock.Engine) (*Scheduler, error) {
 	if cfg.ScanLimit <= 0 {
 		cfg.ScanLimit = 4000
 	}
-	return &Scheduler{
+	s := &Scheduler{
 		cfg:        cfg,
 		engine:     engine,
 		hostIndex:  make(map[string]*host),
 		nextID:     1,
 		endHandles: make(map[int]*simclock.Handle),
-	}, nil
+	}
+	s.passFn = s.pass
+	return s, nil
 }
 
-// AddHost registers a node with the given GPU count. Host order is the
-// placement scan order, so registration order is part of determinism.
+// AddHost registers a node with the given GPU count. Placement breaks ties
+// by host name, so registration order does not matter.
 func (s *Scheduler) AddHost(name string, gpus int) error {
 	if _, dup := s.hostIndex[name]; dup {
 		return fmt.Errorf("slurmsim: duplicate host %q", name)
@@ -115,7 +120,10 @@ func (s *Scheduler) AddHost(name string, gpus int) error {
 	for i := range h.free {
 		h.free[i] = true
 	}
-	s.hosts = append(s.hosts, h)
+	at, _ := slices.BinarySearchFunc(s.hosts, name, func(h *host, name string) int {
+		return strings.Compare(h.name, name)
+	})
+	s.hosts = slices.Insert(s.hosts, at, h)
 	s.hostIndex[name] = h
 	s.capacity += gpus
 	return nil
@@ -153,7 +161,7 @@ func (s *Scheduler) queuePass() {
 	}
 	s.passQueued = true
 	// Priority 100 sorts the pass after same-time submissions and frees.
-	if _, err := s.engine.SchedulePri(s.engine.Now(), 100, s.pass); err != nil {
+	if _, err := s.engine.SchedulePri(s.engine.Now(), 100, s.passFn); err != nil {
 		s.passQueued = false
 	}
 }
@@ -201,66 +209,59 @@ func (s *Scheduler) pass() {
 }
 
 // tryPlace finds GPUs for a job, preferring the fullest-fitting hosts
-// (best-fit decreasing over free counts) so whole nodes stay available for
-// wide jobs. Returns nil when capacity is insufficient right now.
+// (best-fit decreasing over free counts, ties by name) so whole nodes stay
+// available for wide jobs. Hosts are visited by scanning the name-ordered
+// list once per free-count level, from the fullest level down, so the only
+// allocations are the returned placement and its indexes. The placement is
+// returned in name order. Returns nil when capacity is insufficient right
+// now.
 func (s *Scheduler) tryPlace(gpus int) Placement {
-	totalFree := 0
+	totalFree, top := 0, 0
 	for _, h := range s.hosts {
 		if h.schedulable && h.online {
 			totalFree += h.freeCount
+			top = max(top, h.freeCount)
 		}
 	}
 	if totalFree < gpus {
 		return nil
 	}
-	// Candidate hosts sorted by descending free count, then name for
-	// determinism.
-	cands := make([]*host, 0, len(s.hosts))
-	for _, h := range s.hosts {
-		if h.schedulable && h.online && h.freeCount > 0 {
-			cands = append(cands, h)
-		}
-	}
-	sort.Slice(cands, func(i, k int) bool {
-		if cands[i].freeCount != cands[k].freeCount {
-			return cands[i].freeCount > cands[k].freeCount
-		}
-		return cands[i].name < cands[k].name
-	})
-	place := make(Placement)
+	place := make(Placement, 0, 1)
+	idxBuf := make([]int, gpus)
 	need := gpus
-	for _, h := range cands {
-		if need == 0 {
-			break
-		}
-		take := h.freeCount
-		if take > need {
-			take = need
-		}
-		idxs := make([]int, 0, take)
-		for i := 0; i < h.numGPUs && len(idxs) < take; i++ {
-			if h.free[i] {
-				idxs = append(idxs, i)
+	for level := top; level > 0 && need > 0; level-- {
+		for _, h := range s.hosts {
+			if h.freeCount != level || !h.schedulable || !h.online {
+				continue
+			}
+			take := min(level, need)
+			idxs := idxBuf[:0:take]
+			idxBuf = idxBuf[take:]
+			for i := 0; i < h.numGPUs && len(idxs) < take; i++ {
+				if h.free[i] {
+					idxs = append(idxs, i)
+				}
+			}
+			place = append(place, NodeGPUs{Node: h.name, GPUs: idxs})
+			need -= take
+			if need == 0 {
+				break
 			}
 		}
-		place[h.name] = idxs
-		need -= take
 	}
-	if need > 0 {
-		return nil
-	}
+	slices.SortFunc(place, compareNode)
 	return place
 }
 
 // start allocates the placement and schedules the job's natural end.
 func (s *Scheduler) start(j *Job, place Placement, now time.Time) {
-	for node, idxs := range place {
-		h := s.hostIndex[node]
-		for _, i := range idxs {
+	for _, e := range place {
+		h := s.hostIndex[e.Node]
+		for _, i := range e.GPUs {
 			h.free[i] = false
 			h.running[i] = j
 		}
-		h.freeCount -= len(idxs)
+		h.freeCount -= len(e.GPUs)
 	}
 	j.Place = place
 	j.Start = now
@@ -302,12 +303,12 @@ func (s *Scheduler) naturalEnd(j *Job, timeout bool) {
 
 // release frees the job's GPUs on hosts that are still online.
 func (s *Scheduler) release(j *Job) {
-	for node, idxs := range j.Place {
-		h := s.hostIndex[node]
+	for _, e := range j.Place {
+		h := s.hostIndex[e.Node]
 		if h == nil {
 			continue
 		}
-		for _, i := range idxs {
+		for _, i := range e.GPUs {
 			if h.running[i] == j {
 				delete(h.running, i)
 				if !h.free[i] {

@@ -149,7 +149,7 @@ func TestMultiNodePlacement(t *testing.T) {
 	if j.State != StateRunning {
 		t.Fatalf("state = %s", j.State)
 	}
-	if j.Place.TotalGPUs() != 10 || len(j.Place.Nodes()) != 3 {
+	if j.Place.TotalGPUs() != 10 || len(j.Place) != 3 {
 		t.Fatalf("placement = %v", j.Place)
 	}
 	eng.RunAll()
@@ -162,7 +162,7 @@ func TestKillByGPUError(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Run(t0.Add(time.Hour))
-	victim := s.JobOnGPU("gpub001", j.Place["gpub001"][0])
+	victim := s.JobOnGPU("gpub001", j.Place[0].GPUs[0])
 	if victim != j {
 		t.Fatal("JobOnGPU did not find the job")
 	}
@@ -192,7 +192,7 @@ func TestFailNodeKillsAndRestoreRecovers(t *testing.T) {
 		}
 	}
 	eng.Run(t0.Add(time.Minute))
-	nodeA := a.Place.Nodes()[0]
+	nodeA := a.Place[0].Node
 	s.FailNode(nodeA)
 	if a.State != StateNodeFail {
 		t.Fatalf("a = %s", a.State)
@@ -430,7 +430,7 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 func TestUsesGPUAndLink(t *testing.T) {
-	j := &Job{Place: Placement{"n1": {0, 2}}}
+	j := &Job{Place: Placement{{Node: "n1", GPUs: []int{0, 2}}}}
 	if !j.UsesGPU("n1", 0) || j.UsesGPU("n1", 1) || j.UsesGPU("n2", 0) {
 		t.Fatal("UsesGPU wrong")
 	}
@@ -440,7 +440,7 @@ func TestUsesGPUAndLink(t *testing.T) {
 }
 
 func TestPlacementRoundTrip(t *testing.T) {
-	p := Placement{"gpub002": {1, 3}, "gpub001": {0, 1, 2, 3}}
+	p := Placement{{Node: "gpub001", GPUs: []int{0, 1, 2, 3}}, {Node: "gpub002", GPUs: []int{1, 3}}}
 	s := p.String()
 	if s != "gpub001:0,1,2,3;gpub002:1,3" {
 		t.Fatalf("encoded = %q", s)
@@ -452,12 +452,23 @@ func TestPlacementRoundTrip(t *testing.T) {
 	if back.String() != s {
 		t.Fatalf("round trip = %q", back.String())
 	}
+	// Parts in any order come back name-ordered; a repeated node keeps its
+	// last list.
+	for in, want := range map[string]string{
+		"gpub002:1,3;gpub001:0,1,2,3":           s,
+		"gpub002:0;gpub001:0,1,2,3;gpub002:1,3": s,
+	} {
+		got, err := ParsePlacement(in)
+		if err != nil || got.String() != want {
+			t.Errorf("ParsePlacement(%q) = %q, %v; want %q", in, got, err, want)
+		}
+	}
 	if _, err := ParsePlacement("bad"); err == nil {
 		t.Fatal("bad placement parsed")
 	}
 	empty, err := ParsePlacement("")
 	if err != nil || len(empty) != 0 {
-		t.Fatal("empty placement should parse to empty map")
+		t.Fatal("empty placement should parse to an empty placement")
 	}
 }
 

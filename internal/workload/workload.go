@@ -174,8 +174,9 @@ func warpTimeOfDay(u, a, peak float64) float64 {
 		u = 1 - 1e-12
 	}
 	omega := 2 * math.Pi / 24
+	k, sinPeak := a/(2*math.Pi), math.Sin(omega*peak) // loop-invariant terms
 	cdf := func(tau float64) float64 {
-		return tau/24 + a/(2*math.Pi)*(math.Sin(omega*(tau-peak))+math.Sin(omega*peak))
+		return tau/24 + k*(math.Sin(omega*(tau-peak))+sinPeak)
 	}
 	lo, hi := 0.0, 24.0
 	for i := 0; i < 50; i++ {
