@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"gpuresilience/internal/intern"
 	"gpuresilience/internal/obs"
@@ -261,17 +262,28 @@ func (s stage1) parse(src io.Reader, eo syslog.Options, st *shardState) (int64, 
 		cr = obs.NewCountingReader(src)
 		src = cr
 	}
+	// Events gather in fixed-size blocks, then one exact-size copy: about
+	// twice the final slice's bytes, where append's regrow-and-copy of one
+	// slice costs about five times.
+	var full [][]xid.Event
+	var cur []xid.Event
 	var err error
 	st.stats, st.report, err = syslog.Extract(src, eo, func(ev xid.Event) error {
-		st.events = append(st.events, ev)
+		if len(cur) == blockLen {
+			full, cur = append(full, cur), make([]xid.Event, 0, blockLen)
+		}
+		cur = append(cur, ev)
 		return nil
 	})
+	st.events = slices.Concat(append(full, cur)...)
 	if cr == nil {
 		return 0, err
 	}
 	s.sp.AddBytes(cr.N())
 	return cr.N(), err
 }
+
+const blockLen = 2048 // events per Stage I collection block
 
 // end closes the span with the run's totals and publishes the interner's:
 // its traffic, and the bytes actually copied out of the scan buffers

@@ -628,3 +628,55 @@ func TestLenientMergedBudgets(t *testing.T) {
 		}
 	})
 }
+
+// TestEventBlockBoundaries: Stage I collects events in blockLen-sized
+// blocks. Streams just short of, exactly at, just past and several blocks
+// past a block boundary must come out whole and in the order the engine's
+// own callback yields them — through ExtractReader, and through a
+// three-shard Extract whose every shard holds the boundary count, cold and
+// then served from the cache.
+func TestEventBlockBoundaries(t *testing.T) {
+	for _, n := range []int{blockLen - 1, blockLen, blockLen + 1, 3*blockLen + 7} {
+		data := orderedLog(3*n, uint64(n))
+		var want []xid.Event
+		if _, _, err := syslog.Extract(bytes.NewReader(data), syslog.Options{Workers: 1}, func(ev xid.Event) error {
+			want = append(want, ev)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(want) != 3*n {
+			t.Fatalf("n=%d: log holds %d events, want %d", n, len(want), 3*n)
+		}
+
+		// Record i's lines start at the first line carrying its detail, so
+		// cutting there gives shards of exactly n events each.
+		cut := func(i int) int {
+			at := bytes.Index(data, []byte(fmt.Sprintf("fault at 0x%08x", i)))
+			return bytes.LastIndexByte(data[:at], '\n') + 1
+		}
+		part := data[:cut(n)]
+		for _, workers := range []int{1, 4} {
+			got, err := ExtractReader(bytes.NewReader(part), Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameEvents(t, got.Events, want[:n], fmt.Sprintf("n=%d stream workers=%d", n, workers))
+		}
+
+		_, plan := writeShards(t, [][]byte{part, data[cut(n):cut(2*n)], data[cut(2*n):]})
+		cache := NewCache(t.TempDir())
+		for _, pass := range []string{"cold", "warm"} {
+			got, err := Extract(plan, Options{Workers: 2, Cache: cache})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sh := range got.Shards {
+				if sh.Events != n || (pass == "warm") != (sh.Outcome == CacheHit) {
+					t.Fatalf("n=%d %s: shard %+v", n, pass, sh)
+				}
+			}
+			sameEvents(t, got.Events, want, fmt.Sprintf("n=%d %s shards", n, pass))
+		}
+	}
+}

@@ -5,9 +5,9 @@
 package simclock
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -15,24 +15,59 @@ import (
 // simulation time.
 var ErrPastEvent = errors.New("simclock: event scheduled in the past")
 
-// Handle identifies a scheduled event and allows cancellation.
+// Handle identifies a scheduled event and allows cancellation. It names a
+// slot in the engine's slot table plus the generation the slot had when the
+// event was scheduled; firing or cancelling the event bumps the generation,
+// so a stale handle (including the zero Handle) never cancels anything.
 type Handle struct {
-	seq   uint64
-	index int // heap index; -1 once popped or cancelled
-	at    time.Time
-	pri   int
-	fn    func()
+	slot uint32
+	gen  uint32
 }
 
-// Time returns the time the event is scheduled to fire.
-func (h *Handle) Time() time.Time { return h.at }
+// slot holds what the heap need not move: the exact scheduled time, the
+// callback, and the event's current heap index. gen starts at 1, so the
+// zero Handle matches no slot (a generation wraps only after 2^32 reuses
+// of one slot).
+type slot struct {
+	at   time.Time
+	fn   func()
+	heap int
+	gen  uint32
+}
+
+// entry is one queued event. (sec, nsec) is the scheduled time's Unix
+// instant, so ordering compares integers instead of calling time.Time
+// methods; the exact time.Time lives in the entry's slot.
+type entry struct {
+	sec  int64
+	nsec int32
+	slot uint32
+	pri  int
+	seq  uint64
+}
+
+// less orders by (time, priority, sequence), keeping runs deterministic.
+func (a *entry) less(b *entry) bool {
+	if a.sec != b.sec {
+		return a.sec < b.sec
+	}
+	if a.nsec != b.nsec {
+		return a.nsec < b.nsec
+	}
+	if a.pri != b.pri {
+		return a.pri < b.pri
+	}
+	return a.seq < b.seq
+}
 
 // Engine is a single-threaded discrete-event executor. It is not safe for
 // concurrent use; the simulation model is deterministic and single-threaded
 // by design.
 type Engine struct {
 	now     time.Time
-	queue   eventHeap
+	queue   []entry // binary min-heap under entry.less
+	slots   []slot
+	free    []uint32 // recycled slot indexes
 	nextSeq uint64
 	steps   uint64
 }
@@ -52,7 +87,7 @@ func (e *Engine) Steps() uint64 { return e.steps }
 func (e *Engine) Pending() int { return len(e.queue) }
 
 // Schedule enqueues fn to run at time at with priority 0.
-func (e *Engine) Schedule(at time.Time, fn func()) (*Handle, error) {
+func (e *Engine) Schedule(at time.Time, fn func()) (Handle, error) {
 	return e.SchedulePri(at, 0, fn)
 }
 
@@ -60,33 +95,39 @@ func (e *Engine) Schedule(at time.Time, fn func()) (*Handle, error) {
 // in ascending priority order; equal (time, priority) events run in
 // scheduling order. Scheduling at exactly the current time is allowed and the
 // event runs before the clock advances further.
-func (e *Engine) SchedulePri(at time.Time, pri int, fn func()) (*Handle, error) {
+func (e *Engine) SchedulePri(at time.Time, pri int, fn func()) (Handle, error) {
 	if at.Before(e.now) {
-		return nil, fmt.Errorf("%w: at=%s now=%s", ErrPastEvent, at, e.now)
+		return Handle{}, fmt.Errorf("%w: at=%s now=%s", ErrPastEvent, at, e.now)
 	}
 	if fn == nil {
-		return nil, errors.New("simclock: nil event function")
+		return Handle{}, errors.New("simclock: nil event function")
 	}
-	h := &Handle{seq: e.nextSeq, at: at, pri: pri, fn: fn}
+	if len(e.free) == 0 {
+		e.free = append(e.free, uint32(len(e.slots)))
+		e.slots = append(e.slots, slot{gen: 1})
+	}
+	s := e.free[len(e.free)-1]
+	e.free = e.free[:len(e.free)-1]
+	sl := &e.slots[s]
+	sl.at, sl.fn, sl.heap = at, fn, len(e.queue)
+	e.queue = append(e.queue, entry{sec: at.Unix(), nsec: int32(at.Nanosecond()), slot: s, pri: pri, seq: e.nextSeq})
 	e.nextSeq++
-	heap.Push(&e.queue, h)
-	return h, nil
+	e.fix(len(e.queue) - 1)
+	return Handle{slot: s, gen: sl.gen}, nil
 }
 
 // After enqueues fn to run d after the current time.
-func (e *Engine) After(d time.Duration, fn func()) (*Handle, error) {
+func (e *Engine) After(d time.Duration, fn func()) (Handle, error) {
 	return e.Schedule(e.now.Add(d), fn)
 }
 
 // Cancel removes a scheduled event. Cancelling an already-fired or
 // already-cancelled event is a no-op and returns false.
-func (e *Engine) Cancel(h *Handle) bool {
-	if h == nil || h.index < 0 {
+func (e *Engine) Cancel(h Handle) bool {
+	if int(h.slot) >= len(e.slots) || e.slots[h.slot].gen != h.gen {
 		return false
 	}
-	heap.Remove(&e.queue, h.index)
-	h.index = -1
-	h.fn = nil
+	e.remove(h.slot)
 	return true
 }
 
@@ -96,16 +137,10 @@ func (e *Engine) Step() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
-	h, ok := heap.Pop(&e.queue).(*Handle)
-	if !ok {
-		return false
-	}
-	h.index = -1
-	e.now = h.at
+	ev := e.remove(e.queue[0].slot)
+	e.now = ev.at
 	e.steps++
-	fn := h.fn
-	h.fn = nil
-	fn()
+	ev.fn()
 	return true
 }
 
@@ -113,7 +148,9 @@ func (e *Engine) Step() bool {
 // until. The clock is left at until (or at the last event time if that is
 // later than until, which cannot happen by construction).
 func (e *Engine) Run(until time.Time) {
-	for len(e.queue) > 0 && !e.queue[0].at.After(until) {
+	// bound sorts after every event at until: an event is due unless after it.
+	bound := entry{sec: until.Unix(), nsec: int32(until.Nanosecond()), pri: math.MaxInt, seq: math.MaxUint64}
+	for len(e.queue) > 0 && !bound.less(&e.queue[0]) {
 		e.Step()
 	}
 	if e.now.Before(until) {
@@ -127,47 +164,49 @@ func (e *Engine) RunAll() {
 	}
 }
 
-// eventHeap orders by (time, priority, sequence).
-type eventHeap []*Handle
-
-// Len implements heap.Interface.
-func (h eventHeap) Len() int { return len(h) }
-
-// Less implements heap.Interface: earliest time first, ties broken by
-// priority then insertion sequence, keeping runs deterministic.
-func (h eventHeap) Less(i, j int) bool {
-	if !h[i].at.Equal(h[j].at) {
-		return h[i].at.Before(h[j].at)
+// remove takes slot s's event out of the heap and retires the slot: its
+// generation moves on, so every handle to the event goes stale, and the
+// slot joins the free list. It returns the event as it was.
+func (e *Engine) remove(s uint32) slot {
+	sl := &e.slots[s]
+	i, last := sl.heap, len(e.queue)-1
+	e.queue[i] = e.queue[last]
+	e.slots[e.queue[i].slot].heap = i
+	e.queue = e.queue[:last]
+	if i < last {
+		e.fix(i)
 	}
-	if h[i].pri != h[j].pri {
-		return h[i].pri < h[j].pri
-	}
-	return h[i].seq < h[j].seq
-}
-
-// Swap implements heap.Interface and keeps handle indexes current.
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-// Push implements heap.Interface.
-func (h *eventHeap) Push(x any) {
-	ev, ok := x.(*Handle)
-	if !ok {
-		return
-	}
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-
-// Pop implements heap.Interface.
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
+	ev := *sl
+	sl.fn = nil
+	sl.gen++
+	e.free = append(e.free, s)
 	return ev
+}
+
+// swap exchanges heap positions i and j and keeps their slots' indexes.
+func (e *Engine) swap(i, j int) {
+	q := e.queue
+	q[i], q[j] = q[j], q[i]
+	e.slots[q[i].slot].heap = i
+	e.slots[q[j].slot].heap = j
+}
+
+// fix restores the heap order around position i: the entry there sifts
+// toward the root, and when it cannot rise, toward the leaves.
+func (e *Engine) fix(i int) {
+	for i > 0 && e.queue[i].less(&e.queue[(i-1)/2]) {
+		e.swap(i, (i-1)/2)
+		i = (i - 1) / 2
+	}
+	for n := len(e.queue); 2*i+1 < n; {
+		c := 2*i + 1
+		if c+1 < n && e.queue[c+1].less(&e.queue[c]) {
+			c++
+		}
+		if !e.queue[c].less(&e.queue[i]) {
+			break
+		}
+		e.swap(i, c)
+		i = c
+	}
 }

@@ -107,8 +107,8 @@ func TestCancel(t *testing.T) {
 	if ran {
 		t.Fatal("cancelled event ran")
 	}
-	if e.Cancel(nil) {
-		t.Fatal("Cancel(nil) returned true")
+	if e.Cancel(Handle{}) {
+		t.Fatal("Cancel(Handle{}) returned true")
 	}
 }
 

@@ -74,7 +74,7 @@ type Scheduler struct {
 	// state.
 	OnTerminal func(*Job)
 
-	endHandles map[int]*simclock.Handle
+	endHandles map[int]simclock.Handle
 }
 
 // NewScheduler returns a scheduler driven by engine.
@@ -93,7 +93,7 @@ func NewScheduler(cfg Config, engine *simclock.Engine) (*Scheduler, error) {
 		engine:     engine,
 		hostIndex:  make(map[string]*host),
 		nextID:     1,
-		endHandles: make(map[int]*simclock.Handle),
+		endHandles: make(map[int]simclock.Handle),
 	}
 	s.passFn = s.pass
 	return s, nil

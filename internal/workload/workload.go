@@ -203,14 +203,27 @@ var nonMLNames = []string{
 	"gromacs_npt", "openfoam_les", "amber_equil", "cactus_bns", "su2_cfd",
 }
 
+// userNames are the job owners "user000".."user399", formatted once.
+var userNames = func() (names [400]string) {
+	for i := range names {
+		names[i] = fmt.Sprintf("user%03d", i)
+	}
+	return names
+}()
+
 // Jobs generates the full job population, sorted by submission time.
 // Submission times are uniform order statistics over the period (a Poisson
 // arrival process conditioned on the total count).
 func (g *Generator) Jobs() []*slurmsim.Job {
 	rng := randx.Derive(g.cfg.Seed, "workload")
-	var jobs []*slurmsim.Job
+	counts, total := make([]int, len(g.cfg.Buckets)), 0
 	for bi, b := range g.cfg.Buckets {
-		n := int(math.Round(float64(b.Count) * g.cfg.Scale))
+		counts[bi] = int(math.Round(float64(b.Count) * g.cfg.Scale))
+		total += counts[bi]
+	}
+	jobs := make([]*slurmsim.Job, 0, total)
+	for bi, b := range g.cfg.Buckets {
+		n := counts[bi]
 		if n == 0 {
 			continue
 		}
@@ -248,7 +261,7 @@ func (g *Generator) makeJob(bi int, b BucketSpec, rng *randx.Stream, submit time
 	}
 	j := &slurmsim.Job{
 		Name:        name,
-		User:        fmt.Sprintf("user%03d", rng.Intn(400)),
+		User:        userNames[rng.Intn(len(userNames))],
 		Partition:   "gpuA100x4",
 		GPUs:        gpus,
 		Submit:      submit,
