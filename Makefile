@@ -92,12 +92,14 @@ stress-check:
 	rm -f stress-a1.json stress-a2.json stress-b1.json stress-b2.json
 
 # Sharded-ingestion gate: the differential battery in internal/ingest
-# (split-log vs single-stream equivalence, merge property trials, evshard
-# round-trip, cache invalidation) plus an end-to-end determinism check —
-# deltasim writes a dataset, its syslog is split in two, and xidstat runs
-# single-file, sharded-cold, and sharded-warm; all three reports must be
-# byte-identical and the warm run must hit the cache without re-running
-# Stage I. Mirrors the CI ingest job; docs/ingest.md has the contracts.
+# (split-log vs single-stream equivalence, per-node splits, concatenation
+# property trials, evshard round-trip, cache invalidation) plus an
+# end-to-end determinism check — deltasim writes a dataset, its syslog is
+# split in two and, separately, into one file per node (time-ordered files
+# that interleave in time), and xidstat runs single-file, sharded-cold, and
+# sharded-warm; all reports must be byte-identical and the warm run must
+# hit the cache without re-running Stage I. Mirrors the CI ingest job;
+# docs/ingest.md has the contracts.
 ingest-check:
 	$(GO) test -count=1 ./internal/ingest/ ./internal/cliflags/
 	$(GO) build -o bin/xidstat ./cmd/xidstat
@@ -112,6 +114,12 @@ ingest-check:
 	bin/xidstat -logs 'ingest-tmp/part_*.log' -cache-dir ingest-tmp/cache > ingest-tmp/warm.txt
 	cmp ingest-tmp/single.txt ingest-tmp/cold.txt
 	cmp ingest-tmp/cold.txt ingest-tmp/warm.txt
+	mkdir -p ingest-tmp/nodes
+	awk -v dir=ingest-tmp/nodes '{print > (dir "/" $$2 ".log")}' ingest-tmp/syslog.txt
+	bin/xidstat -logs 'ingest-tmp/nodes/*.log' -cache-dir ingest-tmp/cache > ingest-tmp/nodes-cold.txt
+	bin/xidstat -logs 'ingest-tmp/nodes/*.log' -cache-dir ingest-tmp/cache > ingest-tmp/nodes-warm.txt
+	cmp ingest-tmp/single.txt ingest-tmp/nodes-cold.txt
+	cmp ingest-tmp/single.txt ingest-tmp/nodes-warm.txt
 	bin/xidstat -logs 'ingest-tmp/part_*.log' -cache-dir ingest-tmp/cache -metrics > ingest-tmp/warm-metrics.txt
 	grep -q 'cache.hit' ingest-tmp/warm-metrics.txt
 	! grep -q 'stage1.extract' ingest-tmp/warm-metrics.txt

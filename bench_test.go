@@ -6,7 +6,7 @@
 // rendering stages over it, so `-bench Table` re-derives each artifact from
 // raw data every iteration. BenchmarkEndToEnd measures the whole
 // simulate->log->extract->analyze path at the shared scale (perf-gated at
-// 5%); BenchmarkEndToEndScaled is the same path pinned at 2% scale.
+// 5%); GPURESIL_BENCH_SCALE=0.02 -bench 'EndToEnd$' runs it at 2% scale.
 //
 // Run with:
 //
@@ -381,24 +381,6 @@ func BenchmarkClusterRun(b *testing.B) {
 	}
 }
 
-// BenchmarkEndToEndScaled measures the whole reproduction path — simulate,
-// emit raw logs, extract, coalesce, characterize — at 2% scale.
-func BenchmarkEndToEndScaled(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sc := calib.NewScenario(uint64(i+1), 0.02)
-		out, err := core.EndToEnd(core.EndToEndConfig{
-			Cluster:  sc.Cluster,
-			Pipeline: pipelineCfg(),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if out.Results.CoalescedEvents == 0 {
-			b.Fatal("no events")
-		}
-	}
-}
-
 // BenchmarkQuotaVsRateVariance is the quota-vs-rate sampling ablation:
 // across seeds, quota mode reproduces the calibrated error total exactly
 // (up to cascade randomness), while rate mode adds Poisson count variance.
@@ -523,10 +505,10 @@ func BenchmarkExtractParallel(b *testing.B) {
 
 // BenchmarkShardedExtract measures the multi-file front end over the raw
 // dataset split into 8 shard files. /cold parses every shard through the
-// pooled Stage I scanners and merges the streams; /warm replays the same
-// plan against a populated .evshard cache, so its cost is dominated by
-// columnar decode plus the k-way merge — the ratio to /cold is the payoff
-// of the cache on repeat analyses.
+// pooled Stage I scanners and concatenates the streams; /warm replays the
+// same plan against a populated .evshard cache, so its cost is dominated
+// by columnar decode — the ratio to /cold is the payoff of the cache on
+// repeat analyses.
 func BenchmarkShardedExtract(b *testing.B) {
 	logs, _ := rawDataset(b)
 	dir := b.TempDir()

@@ -126,10 +126,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	// The rendering is shared with the streaming daemon's availability
 	// endpoint (report.WriteAvailability), so the two stay byte-identical.
-	downByNode := make(map[string]float64)
-	for _, d := range downtimes {
-		downByNode[d.Node] += d.Duration().Hours()
-	}
+	downByNode := report.DownHoursByNode(downtimes, nil)
 	if err := report.WriteAvailability(stdout, a, downByNode, full, errorCount > 0); err != nil {
 		return err
 	}

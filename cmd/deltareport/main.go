@@ -150,12 +150,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		for i := range fleet {
 			fleet[i] = fmt.Sprintf("gpub%03d", i+1)
 		}
-		downByNode := make(map[string]float64)
-		for _, d := range out.Truth.Downtimes {
-			if sc.Cluster.Op.Contains(d.Start) { // spread over the op period
-				downByNode[d.Node] += d.Duration().Hours()
-			}
-		}
 		fmt.Fprintln(stdout)
 		if err := report.WriteExtensions(stdout, report.ExtensionsInput{
 			Events:           events,
@@ -163,7 +157,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			Period:           sc.Cluster.Op,
 			FleetSize:        nodes,
 			PerNodeMTBEHours: out.Results.OpSummary.PerNodeMTBE,
-			DownHoursByNode:  downByNode,
+			DownHoursByNode:  report.DownHoursByNode(out.Truth.Downtimes, sc.Cluster.Op.Contains),
 			Fleet:            fleet,
 		}); err != nil {
 			return err

@@ -10,7 +10,7 @@
 //	               [-listen ADDR] [-horizon D] [-window D] [-attr D]
 //	               [-poll D] [-refresh D] [-idle-seal D]
 //	               [-checkpoint FILE] [-checkpoint-every D]
-//	               [-workers N] [-lenient] [-max-bad-lines N] [-max-bad-frac F]
+//	               [-workers N]
 //	               [-metrics] [-metrics-json FILE] [-pprof ADDR]
 //	gpuresilienced -data DIR [same flags]
 //
@@ -73,7 +73,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		cpPath      = fs.String("checkpoint", "", "checkpoint file: resumed from on start, written on shutdown")
 		cpEvery     = fs.Duration("checkpoint-every", 0, "also write periodic checkpoints at this interval (0 = shutdown only)")
 		workers     = cliflags.Workers(fs)
-		lenient     = cliflags.Lenient(fs)
 		obsFl       = cliflags.Obs(fs)
 	)
 	if err := fs.Parse(args); err != nil {
@@ -134,7 +133,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	pipeCfg.CoalesceWindow = *window
 	pipeCfg.AttributionWindow = *attr
 	pipeCfg.Workers = *workers
-	lenient.Apply(&pipeCfg)
 	pipeCfg.Obs = reg
 	man.Pipeline = pipeCfg
 

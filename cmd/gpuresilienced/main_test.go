@@ -81,6 +81,32 @@ func writeLog(t *testing.T, path string) {
 	}
 }
 
+// waitSealed polls /healthz until the published snapshot has sealed raw
+// events and holds none pending, and reports whether that happened within
+// the deadline.
+func waitSealed(base string, raw int) bool {
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		r, err := http.Get(base + "/healthz")
+		if err == nil {
+			var hz struct {
+				Status struct {
+					SealedRawEvents int `json:"sealedRawEvents"`
+					PendingEvents   int `json:"pendingEvents"`
+				} `json:"status"`
+			}
+			decErr := json.NewDecoder(r.Body).Decode(&hz)
+			r.Body.Close()
+			if decErr == nil && r.StatusCode == http.StatusOK &&
+				hz.Status.SealedRawEvents == raw && hz.Status.PendingEvents == 0 {
+				return true
+			}
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	return false
+}
+
 // TestDaemonSmoke is the end-to-end command check: start against a real log
 // file, wait for the tables to fill, exercise the ETag cycle, shut down
 // cleanly, and verify the checkpoint enables a quiet restart.
@@ -98,24 +124,11 @@ func TestDaemonSmoke(t *testing.T) {
 	}
 	base, shutdown := startDaemon(t, args)
 
-	// Wait for the idle seal to publish a snapshot with all three events.
-	var resp *http.Response
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		r, err := http.Get(base + "/healthz")
-		if err == nil && r.StatusCode == http.StatusOK {
-			resp = r
-			break
-		}
-		if err == nil {
-			r.Body.Close()
-		}
-		time.Sleep(5 * time.Millisecond)
+	// Wait for the idle seal to publish a snapshot with all three events:
+	// the last rebuild, so the ETag below stays current.
+	if !waitSealed(base, 3) {
+		t.Fatal("daemon never published a snapshot with every event sealed")
 	}
-	if resp == nil {
-		t.Fatal("healthz never turned 200")
-	}
-	resp.Body.Close()
 
 	r, err := http.Get(base + "/v1/tables/xidstat")
 	if err != nil {
@@ -149,26 +162,7 @@ func TestDaemonSmoke(t *testing.T) {
 
 	// Restart against the same log: the checkpoint must skip re-ingestion.
 	base2, shutdown2 := startDaemon(t, args)
-	deadline = time.Now().Add(10 * time.Second)
-	ok := false
-	for time.Now().Before(deadline) {
-		r, err := http.Get(base2 + "/healthz")
-		if err == nil {
-			var hz struct {
-				Status struct {
-					SealedRawEvents int `json:"sealedRawEvents"`
-				} `json:"status"`
-			}
-			decErr := json.NewDecoder(r.Body).Decode(&hz)
-			r.Body.Close()
-			if decErr == nil && r.StatusCode == http.StatusOK && hz.Status.SealedRawEvents == 3 {
-				ok = true
-				break
-			}
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if !ok {
+	if !waitSealed(base2, 3) {
 		t.Fatal("restarted daemon never reported the checkpointed events")
 	}
 	if err := shutdown2(); err != nil {

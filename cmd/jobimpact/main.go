@@ -115,11 +115,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 		fmt.Fprintln(stdout)
 	}
-	if err := report.WriteTableII(stdout, res); err != nil {
-		return err
-	}
-	fmt.Fprintln(stdout)
-	if err := report.WriteTableIII(stdout, res); err != nil {
+	if err := report.WriteJobImpact(stdout, res); err != nil {
 		return err
 	}
 	return obsFl.Emit(stdout, man)

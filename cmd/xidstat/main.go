@@ -1,8 +1,8 @@
 // Command xidstat runs Stages I-II of the pipeline over raw system logs
 // and prints Table I (GPU resilience statistics). -logs is repeatable and
 // accepts globs and directories; multiple files are sharded across workers
-// and k-way merged, and -cache-dir reuses parsed shards across runs (see
-// docs/ingest.md).
+// and their events concatenated in plan order, and -cache-dir reuses
+// parsed shards across runs (see docs/ingest.md).
 //
 // Usage:
 //
@@ -86,9 +86,9 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	cliflags.AddShardFiles(man, res.Shards)
-	fmt.Fprintf(stdout, "scanned %d lines: %d XID lines, %d noise, %d malformed -> %d coalesced errors\n\n",
-		res.Extract.Lines, res.Extract.XIDLines, res.Extract.Skipped,
-		res.Extract.Malformed, res.CoalescedEvents)
+	if err := report.WriteScanSummary(stdout, res); err != nil {
+		return err
+	}
 	if res.Ingestion != nil {
 		if err := report.WriteIngestion(stdout, res); err != nil {
 			return err

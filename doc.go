@@ -24,12 +24,12 @@
 //
 // Stage I also ingests many files at once: internal/ingest expands the
 // batch CLIs' repeatable -logs flag (paths, globs, directories) into a
-// deterministic shard plan, parses the shards concurrently, and k-way
-// merges the streams so the tables are byte-identical to a single
-// concatenated-file run. A columnar .evshard cache (-cache-dir) persists
+// deterministic shard plan, parses the shards concurrently, and
+// concatenates their events in plan order, which is exactly Stage I over
+// the concatenated files. A columnar .evshard cache (-cache-dir) persists
 // each shard's parsed events keyed by source digest and parser
 // configuration, so warm re-analyses skip Stage I entirely; docs/ingest.md
-// has the merge invariant, the cache format, and the differential test
+// has the concatenation rule, the cache format, and the differential test
 // battery that enforces both.
 //
 // Stage I runs strict by default (the first malformed read fails the run);

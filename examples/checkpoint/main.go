@@ -44,19 +44,13 @@ func run() error {
 	for i := range fleet {
 		fleet[i] = fmt.Sprintf("gpub%03d", i+1)
 	}
-	downByNode := make(map[string]float64)
-	for _, d := range out.Truth.Downtimes {
-		if calib.Op().Contains(d.Start) {
-			downByNode[d.Node] += d.Duration().Hours()
-		}
-	}
 	return report.WriteExtensions(os.Stdout, report.ExtensionsInput{
 		Events:           events,
 		Jobs:             out.Truth.Jobs,
 		Period:           calib.Op(),
 		FleetSize:        calib.Nodes,
 		PerNodeMTBEHours: out.Results.OpSummary.PerNodeMTBE,
-		DownHoursByNode:  downByNode,
+		DownHoursByNode:  report.DownHoursByNode(out.Truth.Downtimes, calib.Op().Contains),
 		Fleet:            fleet,
 	})
 }

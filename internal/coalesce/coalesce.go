@@ -7,8 +7,12 @@
 package coalesce
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 	"sort"
+	"strings"
+	"sync"
 	"time"
 
 	"gpuresilience/internal/xid"
@@ -151,60 +155,67 @@ func Restore(window time.Duration, entries []KeyState, raw, kept int) (*Coalesce
 	return c, nil
 }
 
-// Less is the canonical Stage II event order: (time, node, gpu, code), with
-// input order breaking full ties (the sorts using it are stable). Both the
-// sequential and the sharded coalescing paths order events with it, which is
-// what makes their outputs identical.
-func Less(a, b xid.Event) bool {
-	if !a.Time.Equal(b.Time) {
-		return a.Time.Before(b.Time)
+// Compare is the canonical Stage II event order: (time, node, gpu, code).
+// Input order breaks full ties, because every sort using it is stable.
+// Sorting by it is the only ordering in the pipeline: Stage I hands events
+// over in source order, and Events and the streaming engine's seal both
+// sort with it (through AddBatch).
+func Compare(a, b xid.Event) int {
+	if c := a.Time.Compare(b.Time); c != 0 {
+		return c
 	}
-	if a.Node != b.Node {
-		return a.Node < b.Node
+	if c := strings.Compare(a.Node, b.Node); c != 0 {
+		return c
 	}
-	if a.GPU != b.GPU {
-		return a.GPU < b.GPU
+	if c := cmp.Compare(a.GPU, b.GPU); c != 0 {
+		return c
 	}
-	return a.Code < b.Code
+	return cmp.Compare(a.Code, b.Code)
 }
 
-// Events coalesces a batch: it stably sorts a copy by (time, node, gpu,
-// code) and returns the kept events in order.
+// AddBatch stably sorts events in place by Compare, offers them to the
+// coalescer in that order, and compacts the kept events to the front of
+// events, returning that prefix. Batches fed one after another coalesce as
+// one batch when every event of a batch is later than every event of the
+// batches before it, which is the streaming watermark's guarantee.
+func (c *Coalescer) AddBatch(events []xid.Event) []xid.Event {
+	slices.SortStableFunc(events, Compare)
+	kept := events[:0]
+	for _, ev := range events {
+		if c.Add(ev) {
+			kept = append(kept, ev)
+		}
+	}
+	return kept
+}
+
+// scratchPool recycles Events' working copy, so the pipeline's repeated
+// Stage II runs do not allocate a full copy of their input each time.
+var scratchPool = sync.Pool{New: func() any { return new([]xid.Event) }}
+
+// Events is Stage II over a batch: it stably sorts a copy of events by
+// Compare, coalesces it, and returns the kept events in that order. events
+// itself is not modified, and the result shares no memory with it.
 func Events(events []xid.Event, window time.Duration) ([]xid.Event, error) {
 	c, err := newSized(window, len(events))
 	if err != nil {
 		return nil, err
 	}
-	sorted := make([]xid.Event, len(events))
-	copy(sorted, events)
-	sort.SliceStable(sorted, func(i, k int) bool { return Less(sorted[i], sorted[k]) })
-	out := make([]xid.Event, 0, len(sorted))
-	for _, ev := range sorted {
-		if c.Add(ev) {
-			out = append(out, ev)
-		}
-	}
+	sp := scratchPool.Get().(*[]xid.Event)
+	buf := append((*sp)[:0], events...)
+	kept := c.AddBatch(buf)
+	out := make([]xid.Event, len(kept))
+	copy(out, kept)
+	// Drop the events' strings before pooling, so the pool never pins a
+	// finished run's node and detail strings.
+	clear(buf)
+	*sp = buf[:0]
+	scratchPool.Put(sp)
 	return out, nil
 }
 
-// CountByCode tallies events per XID code. The map is presized for the
-// driver's code table, which bounds the distinct codes any run produces.
-func CountByCode(events []xid.Event) map[xid.Code]int {
-	out := make(map[xid.Code]int, 32)
-	for _, ev := range events {
-		out[ev.Code]++
-	}
-	return out
-}
-
-// CountByGroup tallies events per Table I row group, skipping codes with no
-// row (the excluded software XIDs).
-func CountByGroup(events []xid.Event) map[xid.Group]int {
-	out := make(map[xid.Group]int, 8)
-	for _, ev := range events {
-		if g, ok := xid.GroupOf(ev.Code); ok {
-			out[g]++
-		}
-	}
-	return out
+// EventsParallel is Events with a worker count, which is ignored: Stage II
+// runs sequentially.
+func EventsParallel(events []xid.Event, window time.Duration, workers int) ([]xid.Event, error) {
+	return Events(events, window)
 }

@@ -144,26 +144,6 @@ func TestBurstCoalescing(t *testing.T) {
 	}
 }
 
-func TestCountHelpers(t *testing.T) {
-	events := []xid.Event{
-		ev(0, "n", 0, xid.MMU),
-		ev(1, "n", 0, xid.GSPRPCTimeout),
-		ev(2, "n", 0, xid.GSPError),
-		ev(3, "n", 0, xid.GPUSoftware), // no Table I group
-	}
-	byCode := CountByCode(events)
-	if byCode[xid.MMU] != 1 || byCode[xid.GSPRPCTimeout] != 1 {
-		t.Fatalf("byCode = %v", byCode)
-	}
-	byGroup := CountByGroup(events)
-	if byGroup[xid.GroupGSP] != 2 {
-		t.Fatalf("GSP group = %d, want 2 (codes 119+120 merged)", byGroup[xid.GroupGSP])
-	}
-	if _, present := byGroup[""]; present {
-		t.Fatal("software code leaked into groups")
-	}
-}
-
 // Property: coalescing is idempotent — coalescing an already-coalesced
 // stream keeps every event.
 func TestIdempotenceProperty(t *testing.T) {

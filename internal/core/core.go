@@ -54,11 +54,11 @@ type PipelineConfig struct {
 	// OutlierMinCount is the absolute floor below which a stream is never
 	// an outlier, guarding small datasets.
 	OutlierMinCount int
-	// Workers bounds each pipeline stage's parallelism: sharded Stage I
-	// extraction, key-sharded Stage II coalescing, and the Stage III
-	// fan-out each use at most this many goroutines. 0 means GOMAXPROCS,
-	// 1 forces the sequential path. Every table and figure is
-	// worker-count-invariant — see docs/pipeline.md for the argument.
+	// Workers bounds the pipeline's parallelism: sharded Stage I
+	// extraction and the Stage III fan-out each use at most this many
+	// goroutines; Stage II is sequential. 0 means GOMAXPROCS, 1 forces
+	// the sequential path. Every table and figure is worker-count-invariant
+	// — see docs/pipeline.md for the argument.
 	Workers int
 	// Lenient switches Stage I to corruption-tolerant extraction: damaged
 	// lines are classified, quarantined, and skipped instead of failing the
@@ -183,20 +183,33 @@ func Analyze(events []xid.Event, jobs []*slurmsim.Job, repairs []time.Duration,
 		return nil, err
 	}
 	sp2 := cfg.Obs.StartSpan("stage2.coalesce")
-	var meter parallel.WorkerMeter
-	if cfg.Obs.Enabled() {
-		sp2.SetWorkers(parallel.Resolve(cfg.Workers))
-		meter = sp2.ObserveWorker
-	}
-	coalesced, err := coalesce.EventsParallelMeter(events, cfg.CoalesceWindow, cfg.Workers, meter)
+	coalesced, err := coalesce.Events(events, cfg.CoalesceWindow)
 	if err != nil {
 		return nil, err
 	}
 	sp2.AddIn(int64(len(events)))
 	sp2.AddOut(int64(len(coalesced)))
 	sp2.End()
+	res, err := AnalyzeCoalesced(coalesced, jobs, repairs, cpu, cfg)
+	if err != nil {
+		return nil, err
+	}
+	res.RawEvents = len(events)
+	return res, nil
+}
+
+// AnalyzeCoalesced runs Stage III over Stage II's output: coalesced events
+// in the canonical order of coalesce.Compare. Analyze calls it after Stage
+// II; a caller that coalesces on its own, such as the streaming engine,
+// calls it directly. It sets Results.RawEvents to len(coalesced), which
+// such a caller replaces with its own Stage II input count.
+func AnalyzeCoalesced(coalesced []xid.Event, jobs []*slurmsim.Job, repairs []time.Duration,
+	cpu workload.CPURecord, cfg PipelineConfig) (*Results, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	res := &Results{
-		RawEvents:       len(events),
+		RawEvents:       len(coalesced),
 		CoalescedEvents: len(coalesced),
 	}
 
@@ -407,7 +420,8 @@ type IngestConfig struct {
 // the patterns expand to a deterministic shard plan (globs, directories,
 // repeated -logs flags), every shard runs Stage I concurrently on the
 // pooled byte parsers — or loads from the event-shard cache and skips the
-// parse — and the merged stream feeds Stages II-III. Tables I-III and the
+// parse — and the shards' events, concatenated in plan order, feed
+// Stages II-III. Tables I-III and the
 // availability analysis are byte-identical to a single AnalyzeLogs run
 // over the files' concatenation in plan order, at any worker count, warm
 // or cold. Results.Shards carries each file's digest and cache outcome.

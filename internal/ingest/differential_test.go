@@ -11,13 +11,16 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
 	"gpuresilience/internal/calib"
+	"gpuresilience/internal/cluster"
 	"gpuresilience/internal/core"
 	"gpuresilience/internal/obs"
 	"gpuresilience/internal/report"
+	"gpuresilience/internal/slurmsim"
 	"gpuresilience/internal/syslog"
 	"gpuresilience/internal/workload"
 	"gpuresilience/internal/xid"
@@ -178,5 +181,89 @@ func TestCacheWarmPipelineByteIdentical(t *testing.T) {
 	want, got := renderAll(t, cold), renderAll(t, warm)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("warm report diverges from cold:\n--- warm ---\n%s\n--- cold ---\n%s", got, want)
+	}
+}
+
+// splitByNode writes one file per node (the line's second field) under a
+// fresh directory and returns the files in name order. Each file keeps its
+// node's lines in log order, but the files interleave in time, so
+// concatenating them in any order gives a log far from time order.
+func splitByNode(t *testing.T, data []byte) []string {
+	t.Helper()
+	parts := make(map[string][]byte)
+	for _, line := range bytes.SplitAfter(data, []byte("\n")) {
+		if f := bytes.Fields(line); len(f) > 1 {
+			parts[string(f[1])] = append(parts[string(f[1])], line...)
+		}
+	}
+	dir := t.TempDir()
+	var paths []string
+	for node, part := range parts {
+		path := filepath.Join(dir, node+".log")
+		if err := os.WriteFile(path, part, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+	slices.Sort(paths)
+	return paths
+}
+
+// TestTablesIgnorePerNodeSplit is the metamorphic relation behind the
+// concatenating front end: a simulated log split into per-node files,
+// analyzed in plan order or in reverse, renders every table byte-identical
+// to the original single log, at workers 1 and 4, cold and cache-warm.
+func TestTablesIgnorePerNodeSplit(t *testing.T) {
+	var logs, jobDB bytes.Buffer
+	sc := calib.NewScenario(23, 0.005)
+	out, err := core.EndToEnd(core.EndToEndConfig{
+		Cluster:     sc.Cluster,
+		Pipeline:    core.DefaultPipelineConfig(calib.PreOp(), calib.Op(), calib.Nodes),
+		KeepRawLogs: &logs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := slurmsim.DumpDB(&jobDB, out.Truth.Jobs); err != nil {
+		t.Fatal(err)
+	}
+	repairs, cpu := cluster.Durations(out.Truth.Downtimes), out.Truth.CPU
+	paths := splitByNode(t, logs.Bytes())
+	if len(paths) < 8 {
+		t.Fatalf("only %d per-node files", len(paths))
+	}
+	reversed := slices.Clone(paths)
+	slices.Reverse(reversed)
+
+	for _, workers := range []int{1, 4} {
+		cfg := core.DefaultPipelineConfig(calib.PreOp(), calib.Op(), calib.Nodes)
+		cfg.Workers = workers
+		single, err := core.AnalyzeLogs(bytes.NewReader(logs.Bytes()), bytes.NewReader(jobDB.Bytes()),
+			repairs, cpu, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := renderAll(t, single)
+		for _, order := range []struct {
+			name  string
+			paths []string
+		}{{"plan", paths}, {"reversed", reversed}} {
+			cacheDir := t.TempDir()
+			for _, run := range []string{"cold", "warm"} {
+				split, err := core.AnalyzeLogFiles(order.paths, bytes.NewReader(jobDB.Bytes()), repairs, cpu,
+					cfg, core.IngestConfig{CacheDir: cacheDir})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := renderAll(t, split); !bytes.Equal(got, want) {
+					t.Fatalf("workers=%d %s order, %s: per-node split diverges from the single log\n--- split ---\n%s\n--- single ---\n%s",
+						workers, order.name, run, got, want)
+				}
+				if split.Extract != single.Extract || split.RawEvents != single.RawEvents {
+					t.Fatalf("workers=%d %s order, %s: extract %+v raw %d, single log %+v raw %d",
+						workers, order.name, run, split.Extract, split.RawEvents, single.Extract, single.RawEvents)
+				}
+			}
+		}
 	}
 }

@@ -28,7 +28,7 @@ type Options struct {
 	Lenient bool
 	// LenientOptions carries the run-wide error budgets. The absolute
 	// budget also fails any single shard fast; the fractional budget is
-	// evaluated once over the merged totals, matching the single-stream
+	// evaluated once over the summed totals, matching the single-stream
 	// rule that a running fraction is never checked mid-stream.
 	LenientOptions syslog.LenientOptions
 	// Cache enables the event-shard cache when non-nil.
@@ -51,11 +51,13 @@ type ShardInfo struct {
 	Outcome CacheOutcome
 }
 
-// Result is a Stage I run's output: the merged event stream, aggregate
-// scan statistics, and the per-shard records (nil for a stream).
+// Result is a Stage I run's output: the event stream, aggregate scan
+// statistics, and the per-shard records (nil for a stream).
 type Result struct {
-	// Events is the merged stream, ordered by (timestamp, shard ordinal,
-	// source line).
+	// Events is every shard's events concatenated in plan order, each
+	// shard's in source-line order: exactly Stage I over the files'
+	// concatenation, whether or not the files are time-ordered. Stage II
+	// puts events in time order.
 	Events []xid.Event
 	// Stats sums every shard's scan statistics.
 	Stats syslog.ExtractStats
@@ -93,12 +95,12 @@ func hashFile(path string) ([digestLen]byte, int64, error) {
 	return sum, n, nil
 }
 
-// Extract runs Stage I over every shard in the plan and merges the
-// results. Cached shards load without parsing; the rest parse concurrently
-// on the pooled byte parsers (bounded by opt.Workers) and are written back
-// to the cache. The merged stream and statistics are identical at any
-// worker count, and produce Tables I-III byte-identical to a single run
-// over the shards' concatenation in plan order.
+// Extract runs Stage I over every shard in the plan and concatenates the
+// results in plan order. Cached shards load without parsing; the rest parse
+// concurrently on the pooled byte parsers (bounded by opt.Workers) and are
+// written back to the cache. The event stream and statistics are identical
+// at any worker count, and equal a single run over the shards'
+// concatenation in plan order.
 //
 // When opt.Obs is enabled the run records the ingest.shards gauge, the
 // cache.{hit,miss,invalidated,bypass,write} counters, a per-shard
@@ -185,7 +187,7 @@ func Extract(plan Plan, opt Options) (*Result, error) {
 			Outcome: st.outcome,
 		}
 	}
-	res.Events = mergeShards(streams)
+	res.Events = concatShards(streams)
 	if opt.Lenient {
 		rep, err := syslog.MergeReports(reports, opt.LenientOptions)
 		res.Ingestion = rep
@@ -194,6 +196,22 @@ func Extract(plan Plan, opt Options) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// concatShards joins the shards' events in plan order. A single non-empty
+// shard is returned as it is, without a copy.
+func concatShards(shards [][]xid.Event) []xid.Event {
+	var only []xid.Event
+	for _, s := range shards {
+		if len(s) == 0 {
+			continue
+		}
+		if only != nil {
+			return slices.Concat(shards...)
+		}
+		only = s
+	}
+	return only
 }
 
 // ExtractReader runs Stage I over one stream — a pipe, an in-memory log —
@@ -318,7 +336,7 @@ func parseShards(plan Plan, states []shardState, toParse []int, opt Options) err
 		outerMeter, meter = meter, nil
 	}
 	// The absolute budget also fails a single shard fast; the fractional
-	// one applies to the merged stream only.
+	// one applies to the whole run only.
 	lopt := opt.LenientOptions
 	lopt.MaxBadFrac = 0
 

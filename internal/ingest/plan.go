@@ -1,13 +1,12 @@
 // Package ingest is the multi-file Stage I front end: it expands the CLIs'
 // -logs arguments (paths, globs, directories) into a deterministic shard
 // plan, runs the existing pooled byte parsers concurrently per shard, and
-// k-way merges the per-shard event streams by (timestamp, shard ordinal,
-// line) so Tables I-III are byte-identical to a single concatenated-file
-// run at any worker count. A compact columnar event-shard cache (.evshard
-// files) persists each shard's parsed events keyed by the source file's
-// SHA-256 and the parser configuration, so re-analysis skips Stage I
-// entirely. See docs/ingest.md for the merge invariant and the cache
-// format.
+// concatenates the per-shard event streams in plan order, so its output is
+// Stage I over the concatenated files at any worker count. A compact
+// columnar event-shard cache (.evshard files) persists each shard's parsed
+// events keyed by the source file's SHA-256 and the parser configuration,
+// so re-analysis skips Stage I entirely. See docs/ingest.md for the
+// concatenation rule and the cache format.
 package ingest
 
 import (
@@ -19,9 +18,8 @@ import (
 )
 
 // Shard is one planned unit of Stage I work: a single log file plus its
-// position in the deterministic plan order. The ordinal breaks timestamp
-// ties in the k-way merge, which is what makes the merged stream agree
-// with a concatenation of the planned files in plan order.
+// position in the deterministic plan order, the order the shards' events
+// are concatenated in.
 type Shard struct {
 	// Path is the log file, cleaned but not made absolute (the plan is
 	// reproducible from the same working directory).
@@ -34,7 +32,7 @@ type Shard struct {
 
 // Plan is a deterministic expansion of log patterns into per-file shards.
 type Plan struct {
-	// Shards lists the planned files in merge-tie order.
+	// Shards lists the planned files in concatenation order.
 	Shards []Shard
 }
 

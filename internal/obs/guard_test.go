@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"gpuresilience/internal/coalesce"
 	"gpuresilience/internal/obs"
 	"gpuresilience/internal/parallel"
 	"gpuresilience/internal/syslog"
@@ -14,8 +13,8 @@ import (
 )
 
 // The overhead guard holds the instrumentation to its zero-cost promise:
-// the metered Stage I and Stage II hot paths must run within guardMaxOver
-// of the unmetered ones. Samples are tightly paired (off then on,
+// the metered Stage I hot path must run within guardMaxOver of the
+// unmetered one. Samples are tightly paired (off then on,
 // back-to-back) and the comparison is min-of-N — the standard defenses
 // against one-sided scheduler and GC noise, which on a loaded CI box
 // dwarfs the effect being measured.
@@ -52,21 +51,6 @@ func buildLog(tb testing.TB, events int) []byte {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-// buildEvents returns a pre-coalescing event stream with realistic
-// duplication (80% duplicates).
-func buildEvents(n int) []xid.Event {
-	base := time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC)
-	events := make([]xid.Event, n)
-	for i := range events {
-		at := base.Add(time.Duration(i/5) * 50 * time.Second)
-		if i%5 == 0 {
-			at = base.Add(time.Duration(i) * 10 * time.Second)
-		}
-		events[i] = xid.Event{Time: at, Node: []string{"gpub001", "gpub002"}[i%2], GPU: i % 4, Code: xid.MMU}
-	}
-	return events
 }
 
 // minOver times off and on back-to-back guardSamples times and returns
@@ -129,31 +113,6 @@ func TestExtractOverheadGuard(t *testing.T) {
 	t.Logf("ExtractParallel metered overhead: %+.2f%%", 100*over)
 	if over > guardMaxOver {
 		t.Errorf("metered ExtractParallel is %.1f%% slower than unmetered (budget %.0f%%)",
-			100*over, 100*guardMaxOver)
-	}
-}
-
-func TestCoalesceOverheadGuard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark comparison; skipped in -short mode")
-	}
-	if raceEnabled {
-		t.Skip("timing comparison is meaningless under the race detector")
-	}
-	events := buildEvents(50000)
-	run := func(meter parallel.WorkerMeter) func() {
-		return func() {
-			if _, err := coalesce.EventsParallelMeter(events, coalesce.DefaultWindow, guardWorkers, meter); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	reg := obs.New()
-	sp := reg.StartSpan("guard.coalesce")
-	over := minOver(t, run(nil), run(sp.ObserveWorker))
-	t.Logf("EventsParallel metered overhead: %+.2f%%", 100*over)
-	if over > guardMaxOver {
-		t.Errorf("metered EventsParallel is %.1f%% slower than unmetered (budget %.0f%%)",
 			100*over, 100*guardMaxOver)
 	}
 }

@@ -5,10 +5,25 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"time"
 
 	"gpuresilience/internal/avail"
+	"gpuresilience/internal/cluster"
 	"gpuresilience/internal/stats"
 )
+
+// DownHoursByNode sums each node's down hours over the downtimes whose
+// start keep accepts; a nil keep accepts every downtime. The result feeds
+// WriteAvailability's worst-node list and the extensions' per-node spread.
+func DownHoursByNode(downtimes []cluster.NodeDowntime, keep func(time.Time) bool) map[string]float64 {
+	out := make(map[string]float64, len(downtimes))
+	for _, d := range downtimes {
+		if keep == nil || keep(d.Start) {
+			out[d.Node] += d.Duration().Hours()
+		}
+	}
+	return out
+}
 
 // WriteAvailability renders the §V-C availability analysis the way the
 // availability CLI always has: the repair/MTTR summary line, the MTTF line

@@ -125,6 +125,27 @@ func WriteTableIII(w io.Writer, res *core.Results) error {
 	return err
 }
 
+// WriteScanSummary renders the xidstat document's header: Stage I's line
+// accounting and the coalesced error count, then a blank line.
+func WriteScanSummary(w io.Writer, res *core.Results) error {
+	_, err := fmt.Fprintf(w, "scanned %d lines: %d XID lines, %d noise, %d malformed -> %d coalesced errors\n\n",
+		res.Extract.Lines, res.Extract.XIDLines, res.Extract.Skipped,
+		res.Extract.Malformed, res.CoalescedEvents)
+	return err
+}
+
+// WriteJobImpact renders the jobimpact document: Table II, a blank line,
+// and Table III.
+func WriteJobImpact(w io.Writer, res *core.Results) error {
+	if err := WriteTableII(w, res); err != nil {
+		return err
+	}
+	if _, err := fmt.Fprintln(w); err != nil {
+		return err
+	}
+	return WriteTableIII(w, res)
+}
+
 // WriteFigure2 renders the unavailability-time distribution as a text
 // histogram plus the §V-C summary numbers.
 func WriteFigure2(w io.Writer, res *core.Results) error {

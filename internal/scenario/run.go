@@ -169,20 +169,13 @@ func renderTables(res *core.Results, downtimes []cluster.NodeDowntime, pcfg core
 	out["xidstat"] = b.String()
 
 	b.Reset()
-	if err := report.WriteTableII(&b, res); err != nil {
-		return nil, err
-	}
-	fmt.Fprintln(&b)
-	if err := report.WriteTableIII(&b, res); err != nil {
+	if err := report.WriteJobImpact(&b, res); err != nil {
 		return nil, err
 	}
 	out["jobimpact"] = b.String()
 
 	b.Reset()
-	downByNode := make(map[string]float64, len(downtimes))
-	for _, d := range downtimes {
-		downByNode[d.Node] += d.Duration().Hours()
-	}
+	downByNode := report.DownHoursByNode(downtimes, nil)
 	full := stats.Period{Name: "characterization", Start: pcfg.PreOp.Start, End: pcfg.Op.End}
 	errorCount := res.PreSummary.TotalExclOutliers + res.OpSummary.TotalExclOutliers
 	if err := report.WriteAvailability(&b, res.Avail, downByNode, full, errorCount > 0); err != nil {

@@ -163,7 +163,7 @@ func (e *Engine) FlushAll() int {
 //
 // The equivalence argument: pending holds arrival order; the stable
 // partition below keeps that order within the sealed batch; the stable sort
-// by coalesce.Less then produces exactly the order the batch pipeline's
+// by coalesce.Compare then produces exactly the order the batch pipeline's
 // global stable sort gives those events, because every event in this batch
 // precedes every event still pending or yet to arrive (all strictly after
 // cutoff) and follows every previously sealed event (all at or before the
@@ -187,12 +187,7 @@ func (e *Engine) sealThrough(cutoff time.Time) int {
 	e.hasWatermark = true
 	e.gen++
 	if len(sealNow) > 0 {
-		sort.SliceStable(sealNow, func(i, j int) bool { return coalesce.Less(sealNow[i], sealNow[j]) })
-		for _, ev := range sealNow {
-			if e.co.Add(ev) {
-				e.sealed = append(e.sealed, ev)
-			}
-		}
+		e.sealed = append(e.sealed, e.co.AddBatch(sealNow)...)
 		e.sealedRaw += len(sealNow)
 	}
 	// Keys whose window fell behind the watermark can never suppress a
@@ -242,9 +237,9 @@ func (e *Engine) Status() Status {
 // Results runs the Stage III analysis over the sealed store and returns the
 // same Results the batch pipeline produces for the sealed prefix of the
 // stream. The sealed slice is copied under the lock and analyzed outside
-// it, so a long Stage III never stalls ingest. Re-coalescing the already
-// coalesced store inside core.Analyze is a no-op: consecutive kept events
-// of the same key are at least a window apart by construction.
+// it, so a long Stage III never stalls ingest. The store is already Stage
+// II's output, coalesced and in canonical order, so Stage III reads it
+// directly.
 func (e *Engine) Results() (*core.Results, error) {
 	e.mu.Lock()
 	sealed := e.sealed[:len(e.sealed):len(e.sealed)]
@@ -252,12 +247,10 @@ func (e *Engine) Results() (*core.Results, error) {
 	sealedRaw := e.sealedRaw
 	e.mu.Unlock()
 
-	res, err := core.Analyze(sealed, e.cfg.Jobs, cluster.Durations(e.cfg.Downtimes), e.cfg.CPU, e.cfg.Pipeline)
+	res, err := core.AnalyzeCoalesced(sealed, e.cfg.Jobs, cluster.Durations(e.cfg.Downtimes), e.cfg.CPU, e.cfg.Pipeline)
 	if err != nil {
 		return nil, err
 	}
-	// Analyze counted its input slice; the stream's true Stage I/II
-	// accounting lives in the engine's counters.
 	res.Extract = extract
 	res.RawEvents = sealedRaw
 	return res, nil

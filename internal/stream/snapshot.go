@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"time"
 
 	"gpuresilience/internal/core"
@@ -184,9 +183,9 @@ func BuildSnapshot(e *Engine) (*Snapshot, error) {
 
 	// xidstat: the batch CLI's summary line plus Table I, byte-identical.
 	var text bytes.Buffer
-	fmt.Fprintf(&text, "scanned %d lines: %d XID lines, %d noise, %d malformed -> %d coalesced errors\n\n",
-		res.Extract.Lines, res.Extract.XIDLines, res.Extract.Skipped,
-		res.Extract.Malformed, res.CoalescedEvents)
+	if err := report.WriteScanSummary(&text, res); err != nil {
+		return nil, err
+	}
 	if err := report.WriteTableI(&text, res); err != nil {
 		return nil, err
 	}
@@ -206,11 +205,7 @@ func BuildSnapshot(e *Engine) (*Snapshot, error) {
 
 	// jobimpact: Tables II and III exactly as the batch CLI prints them.
 	text.Reset()
-	if err := report.WriteTableII(&text, res); err != nil {
-		return nil, err
-	}
-	fmt.Fprintln(&text)
-	if err := report.WriteTableIII(&text, res); err != nil {
+	if err := report.WriteJobImpact(&text, res); err != nil {
 		return nil, err
 	}
 	jsonBody, err = marshalDoc(jobimpactView{
@@ -229,10 +224,7 @@ func BuildSnapshot(e *Engine) (*Snapshot, error) {
 	// availability: the shared renderer the batch CLI uses, so the daemon's
 	// text body matches `availability -repairs ... -logs ...` byte for byte.
 	text.Reset()
-	downByNode := make(map[string]float64, len(cfg.Downtimes))
-	for _, d := range cfg.Downtimes {
-		downByNode[d.Node] += d.Duration().Hours()
-	}
+	downByNode := report.DownHoursByNode(cfg.Downtimes, nil)
 	full := stats.Period{Name: "characterization", Start: cfg.Pipeline.PreOp.Start, End: cfg.Pipeline.Op.End}
 	errorCount := res.PreSummary.TotalExclOutliers + res.OpSummary.TotalExclOutliers
 	if err := report.WriteAvailability(&text, res.Avail, downByNode, full, errorCount > 0); err != nil {
