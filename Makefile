@@ -71,10 +71,13 @@ examples:
 
 # Build the streaming daemon and run the service test suite: streaming/batch
 # equivalence, watermark edge cases, checkpoint resume, tailer rotation, and
-# the HTTP smoke tests (200 + ETag 304). Mirrors the CI service job.
+# the HTTP smoke tests (200 + ETag 304), then the same suite under the race
+# detector (the repo-wide race job runs -short, which skips the resume
+# tests). Mirrors the CI service job.
 service-check:
 	$(GO) build -o bin/gpuresilienced ./cmd/gpuresilienced
 	$(GO) test ./internal/stream/ ./cmd/gpuresilienced/
+	$(GO) test -race -count=1 ./internal/stream/ ./cmd/gpuresilienced/
 
 # Run two seeded library campaigns through the stress harness — one
 # batch-only, one replaying the log through the streaming engine under

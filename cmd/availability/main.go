@@ -27,7 +27,6 @@ import (
 	"gpuresilience/internal/dataset"
 	"gpuresilience/internal/obs"
 	"gpuresilience/internal/report"
-	"gpuresilience/internal/stats"
 	"gpuresilience/internal/workload"
 )
 
@@ -116,10 +115,9 @@ func run(args []string, stdout io.Writer) error {
 		errorCount = res.PreSummary.TotalExclOutliers + res.OpSummary.TotalExclOutliers
 	}
 
-	full := stats.Period{Name: "characterization", Start: calib.PreOp().Start, End: calib.Op().End}
 	sp := obsFl.Registry().StartSpan("stage3.availability")
 	sp.AddIn(int64(len(downtimes)))
-	a, err := avail.Analyze(cluster.Durations(downtimes), avail.DefaultConfig(full, calib.Nodes, errorCount))
+	a, err := avail.Analyze(cluster.Durations(downtimes), avail.DefaultConfig(calib.Full(), calib.Nodes, errorCount))
 	sp.End()
 	if err != nil {
 		return err
@@ -127,7 +125,7 @@ func run(args []string, stdout io.Writer) error {
 	// The rendering is shared with the streaming daemon's availability
 	// endpoint (report.WriteAvailability), so the two stay byte-identical.
 	downByNode := report.DownHoursByNode(downtimes, nil)
-	if err := report.WriteAvailability(stdout, a, downByNode, full, errorCount > 0); err != nil {
+	if err := report.WriteAvailability(stdout, a, downByNode); err != nil {
 		return err
 	}
 	return obsFl.Emit(stdout, man)

@@ -34,6 +34,10 @@ type Analysis struct {
 	DowntimePerDay time.Duration
 	// Histogram buckets the repair durations in hours for Figure 2.
 	Histogram *stats.Histogram
+	// Period and ErrorCount are the Config values the analysis ran with;
+	// a zero ErrorCount leaves MTTF and availability unset.
+	Period     stats.Period
+	ErrorCount int // see Period
 }
 
 // Config parameterizes the analysis.
@@ -145,6 +149,8 @@ func Analyze(repairs []time.Duration, cfg Config) (Analysis, error) {
 		P99Hours:      s.P99,
 		LostNodeHours: s.Sum,
 		Histogram:     hist,
+		Period:        cfg.Period,
+		ErrorCount:    cfg.ErrorCount,
 	}
 	if cfg.ErrorCount > 0 {
 		mtbe, err := stats.ComputeMTBE(cfg.ErrorCount, cfg.Period, cfg.Nodes)

@@ -501,8 +501,6 @@ func analyzeExtracted(ext *ingest.Result, jobs []*slurmsim.Job, repairs []time.D
 type EndToEndConfig struct {
 	Cluster  cluster.Config // the simulated fleet to generate logs from
 	Pipeline PipelineConfig // analysis settings applied to the emitted logs
-	// LogWriterConfig controls raw-line emission; zero value uses defaults.
-	LogWriter syslog.WriterConfig
 	// KeepRawLogs routes the raw log bytes through w when non-nil (e.g. to
 	// persist the dataset); otherwise lines stream straight into Stage I.
 	KeepRawLogs io.Writer
@@ -547,11 +545,7 @@ func EndToEnd(cfg EndToEndConfig) (*EndToEndResult, error) {
 	if cfg.KeepRawLogs != nil {
 		logDst = io.MultiWriter(pw, cfg.KeepRawLogs)
 	}
-	wcfg := cfg.LogWriter
-	if wcfg.DefaultDupMean == 0 {
-		wcfg = syslog.DefaultWriterConfig()
-	}
-	writer, err := syslog.NewWriter(logDst, wcfg, cfg.Cluster.Seed)
+	writer, err := syslog.NewWriter(logDst, syslog.DefaultWriterConfig(), cfg.Cluster.Seed)
 	if err != nil {
 		return nil, err
 	}

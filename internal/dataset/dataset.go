@@ -6,15 +6,13 @@
 package dataset
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
+	"gpuresilience/internal/obs"
 	"gpuresilience/internal/parallel"
 )
 
@@ -26,38 +24,17 @@ const (
 	ManifestFile = "manifest.json"
 )
 
-// FileInfo records one artifact's size and digest.
-type FileInfo struct {
-	Bytes  int64  `json:"bytes"`  // file size on disk
-	SHA256 string `json:"sha256"` // hex content digest
-}
-
 // Manifest describes a dataset.
 type Manifest struct {
-	FormatVersion int                 `json:"formatVersion"`         // manifest schema version
-	Seed          uint64              `json:"seed"`                  // simulation seed the artifacts came from
-	Scale         float64             `json:"scale"`                 // fleet-size multiplier of the run
-	Description   string              `json:"description,omitempty"` // free-form provenance note
-	Files         map[string]FileInfo `json:"files"`                 // per-artifact sizes and digests
+	FormatVersion int                       `json:"formatVersion"`         // manifest schema version
+	Seed          uint64                    `json:"seed"`                  // simulation seed the artifacts came from
+	Scale         float64                   `json:"scale"`                 // fleet-size multiplier of the run
+	Description   string                    `json:"description,omitempty"` // free-form provenance note
+	Files         map[string]obs.FileDigest `json:"files"`                 // per-artifact sizes and digests
 }
 
 // currentFormat is the manifest format this package writes.
 const currentFormat = 1
-
-// hashFile returns the size and SHA-256 of a file.
-func hashFile(path string) (FileInfo, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return FileInfo{}, err
-	}
-	defer f.Close()
-	h := sha256.New()
-	n, err := io.Copy(h, f)
-	if err != nil {
-		return FileInfo{}, err
-	}
-	return FileInfo{Bytes: n, SHA256: hex.EncodeToString(h.Sum(nil))}, nil
-}
 
 // WriteManifest hashes the dataset artifacts present in dir and writes the
 // manifest. At least the syslog must exist; jobs and repairs are optional
@@ -76,7 +53,7 @@ func WriteManifestWorkers(dir string, seed uint64, scale float64, description st
 		Seed:          seed,
 		Scale:         scale,
 		Description:   description,
-		Files:         make(map[string]FileInfo),
+		Files:         make(map[string]obs.FileDigest),
 	}
 	var present []string
 	for _, name := range []string{SyslogFile, JobsFile, RepairsFile} {
@@ -87,10 +64,10 @@ func WriteManifestWorkers(dir string, seed uint64, scale float64, description st
 	if len(present) == 0 {
 		return Manifest{}, errors.New("dataset: no artifacts in directory")
 	}
-	infos, err := parallel.Map(present, workers, func(name string) (FileInfo, error) {
-		info, err := hashFile(filepath.Join(dir, name))
+	infos, err := parallel.Map(present, workers, func(name string) (obs.FileDigest, error) {
+		info, err := obs.HashFile(filepath.Join(dir, name))
 		if err != nil {
-			return FileInfo{}, fmt.Errorf("dataset: hash %s: %w", name, err)
+			return obs.FileDigest{}, fmt.Errorf("dataset: hash %s: %w", name, err)
 		}
 		return info, nil
 	})
@@ -133,7 +110,7 @@ func Verify(dir string) (Manifest, error) {
 		return Manifest{}, err
 	}
 	for name, want := range m.Files {
-		got, err := hashFile(filepath.Join(dir, name))
+		got, err := obs.HashFile(filepath.Join(dir, name))
 		if err != nil {
 			return Manifest{}, fmt.Errorf("dataset: %s: %w", name, err)
 		}

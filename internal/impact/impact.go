@@ -64,16 +64,16 @@ type gpuKey struct {
 	gpu  int
 }
 
-// Correlate joins job records with coalesced error events.
-func Correlate(jobs []*slurmsim.Job, events []xid.Event, cfg Config) (Correlation, error) {
+// deviceIndex validates cfg and indexes the in-period, studied events per
+// device, sorted by time: the one view of the error stream that Table II
+// and the lost-compute breakdown both join jobs against.
+func deviceIndex(events []xid.Event, cfg Config) (map[gpuKey][]xid.Event, error) {
 	if cfg.AttributionWindow <= 0 {
-		return Correlation{}, errors.New("impact: non-positive attribution window")
+		return nil, errors.New("impact: non-positive attribution window")
 	}
 	if err := cfg.Period.Validate(); err != nil {
-		return Correlation{}, err
+		return nil, err
 	}
-
-	// Index events per device, sorted by time.
 	index := make(map[gpuKey][]xid.Event)
 	for _, ev := range events {
 		if !cfg.Period.Contains(ev.Time) || !ev.Code.InStats() {
@@ -84,6 +84,48 @@ func Correlate(jobs []*slurmsim.Job, events []xid.Event, cfg Config) (Correlatio
 	}
 	for _, evs := range index {
 		sort.Slice(evs, func(i, j int) bool { return evs[i].Time.Before(evs[j].Time) })
+	}
+	return index, nil
+}
+
+// inScope reports whether a job takes part in the join: it ran, ended, and
+// overlaps the period.
+func inScope(j *slurmsim.Job, period stats.Period) bool {
+	return !j.Start.IsZero() && j.State.Terminal() &&
+		(period.Contains(j.Start) || period.Contains(j.End))
+}
+
+// scanJob adds to encountered the codes seen on the job's GPUs while it ran
+// and, if the job failed, adds to attributed those of them seen within the
+// attribution window before its end. An error before the job started is
+// neither, however close to the failure.
+func scanJob(j *slurmsim.Job, index map[gpuKey][]xid.Event, window time.Duration, encountered, attributed map[xid.Code]bool) {
+	windowStart := j.End.Add(-window)
+	for _, e := range j.Place {
+		for _, gi := range e.GPUs {
+			evs := index[gpuKey{node: e.Node, gpu: gi}]
+			// First event at or after job start.
+			lo := sort.Search(len(evs), func(i int) bool {
+				return !evs[i].Time.Before(j.Start)
+			})
+			for _, ev := range evs[lo:] {
+				if ev.Time.After(j.End) {
+					break
+				}
+				encountered[ev.Code] = true
+				if !j.State.Succeeded() && !ev.Time.Before(windowStart) {
+					attributed[ev.Code] = true
+				}
+			}
+		}
+	}
+}
+
+// Correlate joins job records with coalesced error events.
+func Correlate(jobs []*slurmsim.Job, events []xid.Event, cfg Config) (Correlation, error) {
+	index, err := deviceIndex(events, cfg)
+	if err != nil {
+		return Correlation{}, err
 	}
 
 	// The per-job classification is embarrassingly parallel over the (read
@@ -96,7 +138,7 @@ func Correlate(jobs []*slurmsim.Job, events []xid.Event, cfg Config) (Correlatio
 		workers = 1
 	}
 	parts := make([]corTally, workers)
-	err := parallel.ForEach(workers, workers, func(s int) error {
+	err = parallel.ForEach(workers, workers, func(s int) error {
 		lo, hi := s*len(jobs)/workers, (s+1)*len(jobs)/workers
 		parts[s] = correlateJobs(jobs[lo:hi], index, cfg)
 		return nil
@@ -158,34 +200,15 @@ func correlateJobs(jobs []*slurmsim.Job, index map[gpuKey][]xid.Event, cfg Confi
 		encounters: make(map[xid.Code]int),
 		gpuFailed:  make(map[xid.Code]int),
 	}
+	encountered := make(map[xid.Code]bool)
+	attributed := make(map[xid.Code]bool)
 	for _, j := range jobs {
-		if j.Start.IsZero() || !j.State.Terminal() {
+		if !inScope(j, cfg.Period) {
 			continue
 		}
-		if !cfg.Period.Contains(j.Start) && !cfg.Period.Contains(j.End) {
-			continue
-		}
-		encountered := make(map[xid.Code]bool)
-		attributed := make(map[xid.Code]bool)
-		windowStart := j.End.Add(-cfg.AttributionWindow)
-		for _, e := range j.Place {
-			for _, gi := range e.GPUs {
-				evs := index[gpuKey{node: e.Node, gpu: gi}]
-				// First event at or after job start.
-				lo := sort.Search(len(evs), func(i int) bool {
-					return !evs[i].Time.Before(j.Start)
-				})
-				for _, ev := range evs[lo:] {
-					if ev.Time.After(j.End) {
-						break
-					}
-					encountered[ev.Code] = true
-					if !j.State.Succeeded() && !ev.Time.Before(windowStart) {
-						attributed[ev.Code] = true
-					}
-				}
-			}
-		}
+		clear(encountered)
+		clear(attributed)
+		scanJob(j, index, cfg.AttributionWindow, encountered, attributed)
 		if len(encountered) > 0 {
 			tally.encounteredAny++
 		}
@@ -210,53 +233,28 @@ type LostComputeRow struct {
 }
 
 // LostCompute breaks down the GPU hours destroyed by GPU-failed jobs per
-// attributed error code (§V-C's "compute time lost to failed jobs"). A job
+// attributed error code (§V-C's "compute time lost to failed jobs"). Its
+// jobs and codes are exactly Correlate's GPU-failed jobs and attributions:
+// both go through scanJob over the same device index. A job
 // attributed to several codes (e.g. a PMU error and its propagated MMU
 // error) is counted under each, so rows are not additive; TotalGPUHours
 // counts each job once.
 func LostCompute(jobs []*slurmsim.Job, events []xid.Event, cfg Config) ([]LostComputeRow, float64, error) {
-	if cfg.AttributionWindow <= 0 {
-		return nil, 0, errors.New("impact: non-positive attribution window")
-	}
-	if err := cfg.Period.Validate(); err != nil {
+	index, err := deviceIndex(events, cfg)
+	if err != nil {
 		return nil, 0, err
-	}
-	index := make(map[gpuKey][]xid.Event)
-	for _, ev := range events {
-		if !cfg.Period.Contains(ev.Time) || !ev.Code.InStats() {
-			continue
-		}
-		k := gpuKey{node: ev.Node, gpu: ev.GPU}
-		index[k] = append(index[k], ev)
-	}
-	for _, evs := range index {
-		sort.Slice(evs, func(i, j int) bool { return evs[i].Time.Before(evs[j].Time) })
 	}
 	perCode := make(map[xid.Code]*LostComputeRow)
 	var total float64
+	encountered := make(map[xid.Code]bool)
+	attributed := make(map[xid.Code]bool)
 	for _, j := range jobs {
-		if j.Start.IsZero() || !j.State.Terminal() || j.State.Succeeded() {
+		if !inScope(j, cfg.Period) || j.State.Succeeded() {
 			continue
 		}
-		if !cfg.Period.Contains(j.Start) && !cfg.Period.Contains(j.End) {
-			continue
-		}
-		windowStart := j.End.Add(-cfg.AttributionWindow)
-		attributed := make(map[xid.Code]bool)
-		for _, e := range j.Place {
-			for _, gi := range e.GPUs {
-				evs := index[gpuKey{node: e.Node, gpu: gi}]
-				lo := sort.Search(len(evs), func(i int) bool {
-					return !evs[i].Time.Before(windowStart)
-				})
-				for _, ev := range evs[lo:] {
-					if ev.Time.After(j.End) {
-						break
-					}
-					attributed[ev.Code] = true
-				}
-			}
-		}
+		clear(encountered)
+		clear(attributed)
+		scanJob(j, index, cfg.AttributionWindow, encountered, attributed)
 		if len(attributed) == 0 {
 			continue
 		}

@@ -172,6 +172,30 @@ func TestLostCompute(t *testing.T) {
 	}
 }
 
+// TestLostComputeAgreesWithTableII: an error on a short job's GPU just
+// before the job started lies inside the attribution window before its
+// failure but outside its run, so it is not attributed — in Table II and
+// in the lost-compute breakdown alike.
+func TestLostComputeAgreesWithTableII(t *testing.T) {
+	j := runJob(1, "n1", []int{0}, base, 5*time.Second, slurmsim.StateNodeFail)
+	events := []xid.Event{ev(base.Add(-10*time.Second), "n1", 0, xid.MMU)}
+	jobs := []*slurmsim.Job{j}
+	cor, err := Correlate(jobs, events, DefaultConfig(opPeriod))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, total, err := LostCompute(jobs, events, DefaultConfig(opPeriod))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cor.TotalGPUFailedJobs != 0 || cor.EncounteredAny != 0 {
+		t.Fatalf("Table II: %d GPU-failed, %d encountering; want 0 and 0", cor.TotalGPUFailedJobs, cor.EncounteredAny)
+	}
+	if len(rows) != 0 || total != 0 {
+		t.Fatalf("lost compute = %+v, total %v; want none, as in Table II", rows, total)
+	}
+}
+
 func TestLostComputeValidation(t *testing.T) {
 	if _, _, err := LostCompute(nil, nil, Config{AttributionWindow: 0, Period: opPeriod}); err == nil {
 		t.Fatal("zero window accepted")

@@ -1,7 +1,6 @@
 package ingest
 
 import (
-	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"io"
@@ -70,29 +69,19 @@ type Result struct {
 
 // shardState is the per-shard scratch the extraction phases fill in.
 type shardState struct {
-	digest  [digestLen]byte
-	size    int64
+	file    obs.FileDigest // the shard's size and content hash; zero until hashed
 	events  []xid.Event
 	stats   syslog.ExtractStats
 	report  *syslog.IngestionReport
 	outcome CacheOutcome
 }
 
-// hashFile streams one file through SHA-256 without retaining its bytes.
-func hashFile(path string) ([digestLen]byte, int64, error) {
+// sourceDigest is the shard's content hash in the form cache entries are
+// keyed on.
+func (st *shardState) sourceDigest() [digestLen]byte {
 	var sum [digestLen]byte
-	f, err := os.Open(path)
-	if err != nil {
-		return sum, 0, err
-	}
-	defer f.Close()
-	h := sha256.New()
-	n, err := io.Copy(h, f)
-	if err != nil {
-		return sum, 0, fmt.Errorf("ingest: hash %s: %w", path, err)
-	}
-	copy(sum[:], h.Sum(nil))
-	return sum, n, nil
+	_, _ = hex.Decode(sum[:], []byte(st.file.SHA256)) // obs digests are always 64 hex digits
+	return sum
 }
 
 // Extract runs Stage I over every shard in the plan and concatenates the
@@ -133,12 +122,12 @@ func Extract(plan Plan, opt Options) (*Result, error) {
 		err := parallel.ForEach(n, opt.Workers, func(i int) error {
 			st := &states[i]
 			var err error
-			st.digest, st.size, err = hashFile(plan.Shards[i].Path)
+			st.file, err = obs.HashFile(plan.Shards[i].Path)
 			if err != nil {
-				return err
+				return fmt.Errorf("ingest: hash %s: %w", plan.Shards[i].Path, err)
 			}
 			var p *Payload
-			p, st.outcome = opt.Cache.Load(plan.Shards[i].Path, st.digest)
+			p, st.outcome = opt.Cache.Load(plan.Shards[i].Path, st.sourceDigest())
 			if st.outcome == CacheHit {
 				st.events, st.stats = p.Events, p.Stats
 			}
@@ -182,7 +171,7 @@ func Extract(plan Plan, opt Options) (*Result, error) {
 		}
 		res.Shards[i] = ShardInfo{
 			Path:    plan.Shards[i].Path,
-			Digest:  obs.FileDigest{Bytes: st.size, SHA256: hex.EncodeToString(st.digest[:])},
+			Digest:  st.file,
 			Events:  len(st.events),
 			Outcome: st.outcome,
 		}
@@ -355,7 +344,7 @@ func parseShards(plan Plan, states []shardState, toParse []int, opt Options) err
 		// did not already digest the file.
 		var src io.Reader = f
 		var hr *obs.HashingReader
-		if st.size == 0 && st.digest == [digestLen]byte{} {
+		if st.file.SHA256 == "" {
 			hr = obs.NewHashingReader(f)
 			src = hr
 		}
@@ -364,12 +353,7 @@ func parseShards(plan Plan, states []shardState, toParse []int, opt Options) err
 			return fmt.Errorf("ingest: shard %s: %w", shard.Path, err)
 		}
 		if hr != nil {
-			d := hr.Digest()
-			st.size = d.Bytes
-			sum, derr := hex.DecodeString(d.SHA256)
-			if derr == nil {
-				copy(st.digest[:], sum)
-			}
+			st.file = hr.Digest()
 		}
 		if s1.sp != nil {
 			ssp := opt.Obs.StartSpan(fmt.Sprintf("stage1.shard.%03d", shard.Ordinal))
@@ -379,7 +363,7 @@ func parseShards(plan Plan, states []shardState, toParse []int, opt Options) err
 			ssp.End()
 		}
 		if opt.Cache != nil && !opt.Lenient {
-			p := &Payload{SourceDigest: st.digest, SourcePath: shard.Path, Stats: st.stats, Events: st.events}
+			p := &Payload{SourceDigest: st.sourceDigest(), SourcePath: shard.Path, Stats: st.stats, Events: st.events}
 			if err := opt.Cache.Store(shard.Path, p); err != nil {
 				return err
 			}

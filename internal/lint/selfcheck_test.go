@@ -79,10 +79,10 @@ func Stamp() time.Time {
 }
 
 // TestInjectedUnguardedAccessIsCaught proves the lockguard gate bites on
-// the real annotations: a method reading Engine.pending without e.mu,
-// planted via overlay into internal/stream — the package whose `// guarded
-// by mu` fields protect the watermark state machine — must surface as
-// exactly one lockguard finding.
+// the real annotations: a method reading the Engine's state record (e.st)
+// without e.mu, planted via overlay into internal/stream — the package
+// whose `// guarded by mu` fields protect the watermark state machine —
+// must surface as exactly one lockguard finding.
 func TestInjectedUnguardedAccessIsCaught(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks internal/stream; skipped in -short")
@@ -92,7 +92,7 @@ func TestInjectedUnguardedAccessIsCaught(t *testing.T) {
 // PeekPending deliberately reads a guarded field without taking e.mu so
 // the self-test can prove the lockguard analyzer would gate it.
 func (e *Engine) PeekPending() int {
-	return len(e.pending)
+	return len(e.st.Pending)
 }
 `
 	m, err := Load(LoadConfig{
@@ -115,7 +115,7 @@ func (e *Engine) PeekPending() int {
 	if len(injected) != 1 {
 		t.Fatalf("want exactly 1 finding in the injected file, got %d: %+v", len(injected), injected)
 	}
-	if !strings.Contains(injected[0].Message, "unguarded read of pending") || injected[0].Analyzer != "lockguard" {
+	if !strings.Contains(injected[0].Message, "unguarded read of st") || injected[0].Analyzer != "lockguard" {
 		t.Fatalf("unexpected finding for the injected unguarded access: %+v", injected[0])
 	}
 }

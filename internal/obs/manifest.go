@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash"
 	"io"
+	"os"
 	"runtime"
 	"sort"
 	"sync/atomic"
@@ -138,6 +139,22 @@ func (h *HashingReader) Digest() FileDigest {
 		return FileDigest{}
 	}
 	return FileDigest{Bytes: h.n, SHA256: hex.EncodeToString(h.h.Sum(nil))}
+}
+
+// HashFile streams one file through SHA-256, without retaining its bytes,
+// and returns its digest.
+func HashFile(path string) (FileDigest, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return FileDigest{}, err
+	}
+	defer f.Close()
+	h := sha256.New()
+	n, err := io.Copy(h, f)
+	if err != nil {
+		return FileDigest{}, err
+	}
+	return FileDigest{Bytes: n, SHA256: hex.EncodeToString(h.Sum(nil))}, nil
 }
 
 // CountingReader wraps a stream and atomically counts the bytes read — the

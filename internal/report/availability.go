@@ -9,7 +9,6 @@ import (
 
 	"gpuresilience/internal/avail"
 	"gpuresilience/internal/cluster"
-	"gpuresilience/internal/stats"
 )
 
 // DownHoursByNode sums each node's down hours over the downtimes whose
@@ -33,15 +32,15 @@ func DownHoursByNode(downtimes []cluster.NodeDowntime, keep func(time.Time) bool
 // the two are byte-identical by construction.
 //
 // downByNode maps node name to total down hours; pass nil to omit the
-// worst-node section. showMTTF gates the MTTF/availability line (the batch
-// CLI only prints it when a system log supplied an error count).
-func WriteAvailability(w io.Writer, a avail.Analysis, downByNode map[string]float64,
-	full stats.Period, showMTTF bool) error {
+// worst-node section, whose per-node availability is over a.Period. The
+// MTTF/availability line is printed only when the analysis had an error
+// count (the batch CLI has one only when a system log supplied it).
+func WriteAvailability(w io.Writer, a avail.Analysis, downByNode map[string]float64) error {
 	if _, err := fmt.Fprintf(w, "Repairs: %d  MTTR %.2f h (median %.2f, p99 %.2f)  lost node-hours %.0f\n",
 		a.Repairs, a.MTTRHours, a.MedianHours, a.P99Hours, a.LostNodeHours); err != nil {
 		return err
 	}
-	if showMTTF {
+	if a.ErrorCount > 0 {
 		if _, err := fmt.Fprintf(w, "MTTF %.0f h  availability %.2f%%  downtime/day %s\n",
 			a.MTTFHours, 100*a.Availability, a.DowntimePerDay.Round(0)); err != nil {
 			return err
@@ -79,7 +78,7 @@ func WriteAvailability(w io.Writer, a avail.Analysis, downByNode map[string]floa
 	if len(fleet) == 0 {
 		return nil
 	}
-	rows, err := avail.PerNode(downByNode, full, fleet)
+	rows, err := avail.PerNode(downByNode, a.Period, fleet)
 	if err != nil {
 		return err
 	}

@@ -70,7 +70,7 @@ func runReplays(c *Compiled, pcfg core.PipelineConfig, truth *cluster.Result,
 		if err != nil {
 			return out, err
 		}
-		streamDocs, err := renderTables(streamRes, truth.Downtimes, pcfg)
+		streamDocs, err := renderTables(streamRes, truth.Downtimes)
 		if err != nil {
 			return out, err
 		}

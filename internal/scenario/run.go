@@ -14,7 +14,6 @@ import (
 	"gpuresilience/internal/logfuzz"
 	"gpuresilience/internal/obs"
 	"gpuresilience/internal/report"
-	"gpuresilience/internal/stats"
 	"gpuresilience/internal/syslog"
 	"gpuresilience/internal/xid"
 )
@@ -160,7 +159,7 @@ func tableDrift(damaged, clean *core.Results) float64 {
 // carries Table I only: the scan-summary header line is Stage-I accounting,
 // whose taxonomy legitimately differs between lenient batch ingest and the
 // stream's per-line classification.
-func renderTables(res *core.Results, downtimes []cluster.NodeDowntime, pcfg core.PipelineConfig) (map[string]string, error) {
+func renderTables(res *core.Results, downtimes []cluster.NodeDowntime) (map[string]string, error) {
 	out := make(map[string]string, 3)
 	var b strings.Builder
 	if err := report.WriteTableI(&b, res); err != nil {
@@ -176,9 +175,7 @@ func renderTables(res *core.Results, downtimes []cluster.NodeDowntime, pcfg core
 
 	b.Reset()
 	downByNode := report.DownHoursByNode(downtimes, nil)
-	full := stats.Period{Name: "characterization", Start: pcfg.PreOp.Start, End: pcfg.Op.End}
-	errorCount := res.PreSummary.TotalExclOutliers + res.OpSummary.TotalExclOutliers
-	if err := report.WriteAvailability(&b, res.Avail, downByNode, full, errorCount > 0); err != nil {
+	if err := report.WriteAvailability(&b, res.Avail, downByNode); err != nil {
 		return nil, err
 	}
 	out["availability"] = b.String()
@@ -346,7 +343,7 @@ func Run(c *Compiled, opts Options) (*Report, error) {
 
 	// Phase 4: streaming replay under chaos.
 	if c.Replay != nil {
-		batchDocs, derr := renderTables(res, truth.Downtimes, pcfg)
+		batchDocs, derr := renderTables(res, truth.Downtimes)
 		if derr != nil {
 			return nil, derr
 		}

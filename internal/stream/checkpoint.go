@@ -9,34 +9,11 @@ import (
 
 	"gpuresilience/internal/coalesce"
 	"gpuresilience/internal/obs"
-	"gpuresilience/internal/syslog"
-	"gpuresilience/internal/xid"
 )
 
 // checkpointVersion guards the on-disk format; Load rejects other versions
 // instead of silently misreading state.
 const checkpointVersion = 1
-
-// SourceCheckpoint is one ingest source's replay position: the engine-side
-// accounting plus the tailer's byte offset into the file (zero for
-// in-process feeds). On resume a tailer seeks to Offset and the engine's
-// line high-water mark absorbs any redelivered lines.
-type SourceCheckpoint struct {
-	// Name identifies the source (the tailed path, or a feed's name).
-	Name string `json:"name"`
-	// Lines is the consumed line-number high-water mark.
-	Lines int64 `json:"lines"`
-	// Bytes counts consumed line bytes.
-	Bytes int64 `json:"bytes"`
-	// Dups counts redelivered lines absorbed by the high-water mark.
-	Dups int64 `json:"dups,omitempty"`
-	// ClockRegressions counts events timestamped before a predecessor.
-	ClockRegressions int64 `json:"clockRegressions,omitempty"`
-	// LastEvent is the newest event time seen from this source.
-	LastEvent time.Time `json:"lastEvent,omitempty"`
-	// Offset is the byte offset the source's tailer had consumed through.
-	Offset int64 `json:"offset,omitempty"`
-}
 
 // CoalescerState is the persistent coalescer's checkpointed form.
 type CoalescerState struct {
@@ -49,10 +26,11 @@ type CoalescerState struct {
 
 // Checkpoint is a replayable record of a streaming run — the run-manifest
 // idea extended with resume state. A daemon restarted from a checkpoint
-// continues from the last sealed watermark: sealed results, the pending
-// buffer, the coalescer's open windows, per-source positions, and the
-// quarantine all carry over, so it never re-reads history and redelivered
-// lines dedupe against the per-source line marks.
+// continues from the last sealed watermark: the engine's State (sealed
+// results, the pending buffer, the quarantine), the coalescer's open
+// windows and the per-source positions all carry over, so it never
+// re-reads history and redelivered lines dedupe against the per-source
+// line marks.
 type Checkpoint struct {
 	// Version is the on-disk format version; Resume rejects others.
 	Version int `json:"version"`
@@ -63,30 +41,14 @@ type Checkpoint struct {
 	// Horizon is the watermark horizon the run used; Resume refuses a
 	// mismatch, since it changes which events would have been quarantined.
 	Horizon time.Duration `json:"horizon"`
-	// Watermark and HasWatermark restore the sealing frontier.
-	Watermark    time.Time `json:"watermark"`
-	HasWatermark bool      `json:"hasWatermark"` // see Watermark
-	// MaxEventTime and HasMaxEvent restore the newest-event tracker.
-	MaxEventTime time.Time `json:"maxEventTime"`
-	HasMaxEvent  bool      `json:"hasMaxEvent"` // see MaxEventTime
 
-	// SealedRaw counts sealed events pre-coalescing.
-	SealedRaw int `json:"sealedRaw"`
-	// Sealed is the coalesced Stage II store in canonical order.
-	Sealed []xid.Event `json:"sealed,omitempty"`
-	// Pending holds unsealed events in arrival order.
-	Pending []xid.Event `json:"pending,omitempty"`
+	// State is the engine's stream state, verbatim.
+	State
 
 	// Coalescer restores the open coalescing windows.
 	Coalescer CoalescerState `json:"coalescer"`
-	// Extract is the cumulative Stage I line accounting.
-	Extract syslog.ExtractStats `json:"extract"`
-	// Quarantine carries the late-event record across restarts.
-	Quarantine Quarantine `json:"quarantine"`
 	// Sources are the per-source replay positions, sorted by name.
-	Sources []SourceCheckpoint `json:"sources,omitempty"`
-	// Gen is the engine's change counter at checkpoint time.
-	Gen uint64 `json:"gen"`
+	Sources []SourceState `json:"sources,omitempty"`
 }
 
 // Checkpoint snapshots the engine into a replayable record. The daemon adds
@@ -95,61 +57,31 @@ func (e *Engine) Checkpoint() *Checkpoint {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	entries, raw, kept := e.co.State()
-	cp := &Checkpoint{
-		Version:      checkpointVersion,
-		Horizon:      e.cfg.Horizon,
-		Watermark:    e.watermark,
-		HasWatermark: e.hasWatermark,
-		MaxEventTime: e.maxEvent,
-		HasMaxEvent:  e.hasMaxEvent,
-		SealedRaw:    e.sealedRaw,
-		Sealed:       append([]xid.Event(nil), e.sealed...),
-		Pending:      append([]xid.Event(nil), e.pending...),
-		Coalescer:    CoalescerState{Entries: entries, Raw: raw, Kept: kept},
-		Extract:      e.extract,
-		Quarantine: Quarantine{
-			Late:    e.quarantine.Late,
-			Samples: append([]LateEvent(nil), e.quarantine.Samples...),
-		},
-		Gen: e.gen,
-	}
-	for name, src := range e.sources {
-		cp.Sources = append(cp.Sources, SourceCheckpoint{
-			Name:             name,
-			Lines:            src.lines,
-			Bytes:            src.bytes,
-			Dups:             src.dups,
-			ClockRegressions: src.clockRegs,
-			LastEvent:        src.lastEvent,
-		})
-	}
-	sortSourceCheckpoints(cp.Sources)
-	return cp
-}
-
-func sortSourceCheckpoints(s []SourceCheckpoint) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j].Name < s[j-1].Name; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
+	return &Checkpoint{
+		Version:   checkpointVersion,
+		Horizon:   e.cfg.Horizon,
+		State:     e.st.clone(),
+		Coalescer: CoalescerState{Entries: entries, Raw: raw, Kept: kept},
+		Sources:   e.sourceList(),
 	}
 }
 
-// Resume rebuilds an engine from a checkpoint. cfg supplies the analysis
-// settings and static inputs (jobs, downtimes, CPU record) — those are not
-// checkpointed; the checkpoint carries only stream state. The coalescer is
-// restored with cfg's window, which must match the checkpointed run for the
-// resumed output to stay equivalent.
+// Resume rebuilds an engine from a checkpoint; a nil checkpoint is a cold
+// start. cfg supplies the analysis settings and static inputs (jobs,
+// downtimes, CPU record) — those are not checkpointed; the checkpoint
+// carries only stream state. The coalescer is restored with cfg's window,
+// which must match the checkpointed run for the resumed output to stay
+// equivalent.
 func Resume(cfg Config, cp *Checkpoint) (*Engine, error) {
-	if cp == nil {
-		return New(cfg)
-	}
-	if cp.Version != checkpointVersion {
-		return nil, fmt.Errorf("stream: checkpoint version %d, want %d", cp.Version, checkpointVersion)
-	}
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
+	}
+	if cp == nil {
+		cp = &Checkpoint{Version: checkpointVersion, Horizon: cfg.Horizon}
+	}
+	if cp.Version != checkpointVersion {
+		return nil, fmt.Errorf("stream: checkpoint version %d, want %d", cp.Version, checkpointVersion)
 	}
 	if cp.Horizon != cfg.Horizon {
 		return nil, fmt.Errorf("stream: checkpoint horizon %v, config %v", cp.Horizon, cfg.Horizon)
@@ -158,34 +90,22 @@ func Resume(cfg Config, cp *Checkpoint) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{
-		cfg:          cfg,
-		co:           co,
-		pending:      append([]xid.Event(nil), cp.Pending...),
-		sealed:       append([]xid.Event(nil), cp.Sealed...),
-		sealedRaw:    cp.SealedRaw,
-		watermark:    cp.Watermark,
-		hasWatermark: cp.HasWatermark,
-		maxEvent:     cp.MaxEventTime,
-		hasMaxEvent:  cp.HasMaxEvent,
-		extract:      cp.Extract,
-		quarantine: Quarantine{
-			Late:    cp.Quarantine.Late,
-			Samples: append([]LateEvent(nil), cp.Quarantine.Samples...),
-		},
-		sources: make(map[string]*sourceState, len(cp.Sources)),
-		gen:     cp.Gen,
-	}
+	e := &Engine{cfg: cfg, st: cp.State.clone(), co: co, sources: make(map[string]*SourceState, len(cp.Sources))}
 	for _, src := range cp.Sources {
-		e.sources[src.Name] = &sourceState{
-			lines:     src.Lines,
-			bytes:     src.Bytes,
-			dups:      src.Dups,
-			clockRegs: src.ClockRegressions,
-			lastEvent: src.LastEvent,
-		}
+		src.Offset = 0 // tailer positions are the daemon's (RestoreTailers)
+		e.sources[src.Name] = &src
 	}
 	return e, nil
+}
+
+// source returns the record of the named source, or nil.
+func (cp *Checkpoint) source(name string) *SourceState {
+	for i := range cp.Sources {
+		if cp.Sources[i].Name == name {
+			return &cp.Sources[i]
+		}
+	}
+	return nil
 }
 
 // SaveCheckpoint writes the checkpoint atomically: a temp file in the

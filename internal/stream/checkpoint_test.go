@@ -1,8 +1,14 @@
 package stream_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"gpuresilience/internal/stream"
 )
@@ -134,5 +140,167 @@ func TestSaveCheckpointRoundTrip(t *testing.T) {
 	}
 	if _, err := stream.LoadCheckpoint(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("loaded a missing checkpoint")
+	}
+}
+
+// TestResumeCommittedV1Checkpoint: a version-1 checkpoint written by an
+// earlier engine still resumes, and finishing the log from it gives the
+// same tables, status and final checkpoint as one uninterrupted run.
+//
+// testdata/v1resume/checkpoint.json was written by the engine at commit
+// 1a1d294, before its state was one record: the first v1cut lines of
+// testdata/v1resume/syslog.log fed as source "syslog" under testConfig,
+// with an Advance after every v1every-th line, then Checkpoint and
+// SaveCheckpoint. The log is a simulator excerpt plus a malformed Xid
+// line, a noise line, a late event and an out-of-order event, so the
+// checkpoint carries sealed and pending events, an open coalescing window,
+// a quarantine sample and a clock regression.
+func TestResumeCommittedV1Checkpoint(t *testing.T) {
+	const v1cut, v1every = 320, 64
+	data, err := os.ReadFile("testdata/v1resume/syslog.log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	// feed pushes lines[from:] with the checkpointed run's Advance cadence
+	// (by absolute line index), then flushes.
+	feed := func(eng *stream.Engine, from int) {
+		f := stream.NewFeed(eng, "syslog")
+		f.SetStart(int64(from))
+		for i := from; i < len(lines); i++ {
+			if err := f.Line(lines[i]); err != nil {
+				t.Fatal(err)
+			}
+			if (i+1)%v1every == 0 {
+				eng.Advance()
+			}
+		}
+		eng.FlushAll()
+	}
+
+	control := newEngine(t)
+	feed(control, 0)
+
+	cp, err := stream.LoadCheckpoint("testdata/v1resume/checkpoint.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp.Version != 1 || len(cp.Sources) != 1 || cp.Sources[0].Lines != v1cut {
+		t.Fatalf("fixture is not the v1 checkpoint at line %d: version %d, sources %+v", v1cut, cp.Version, cp.Sources)
+	}
+	if len(cp.Pending) == 0 || len(cp.Coalescer.Entries) == 0 || cp.Quarantine.Late != 1 || cp.Extract.Malformed != 1 {
+		t.Fatalf("fixture lost the state it exists to carry: pending %d, windows %d, late %d, malformed %d",
+			len(cp.Pending), len(cp.Coalescer.Entries), cp.Quarantine.Late, cp.Extract.Malformed)
+	}
+	resumed, err := stream.Resume(testConfig(), cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(resumed, v1cut)
+
+	want, err := stream.BuildSnapshot(control)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := stream.BuildSnapshot(resumed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range stream.TableNames() {
+		if !bytes.Equal(got.Tables[name].Text, want.Tables[name].Text) {
+			t.Errorf("table %s text diverges after resume\n--- resumed\n%s\n--- control\n%s",
+				name, got.Tables[name].Text, want.Tables[name].Text)
+		}
+		if !bytes.Equal(got.Tables[name].JSON, want.Tables[name].JSON) {
+			t.Errorf("table %s JSON diverges after resume\n--- resumed\n%s\n--- control\n%s",
+				name, got.Tables[name].JSON, want.Tables[name].JSON)
+		}
+	}
+	gotCP, err := json.Marshal(resumed.Checkpoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCP, err := json.Marshal(control.Checkpoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotCP, wantCP) {
+		t.Errorf("final checkpoint diverges after resume\n--- resumed\n%s\n--- control\n%s", gotCP, wantCP)
+	}
+}
+
+// TestResumeDropsTailerOffsets: a checkpoint's tailer offsets position
+// tailers (RestoreTailers) and never become engine state, so a resumed
+// engine's status and its next checkpoint carry no offset until the daemon
+// sets one again.
+func TestResumeDropsTailerOffsets(t *testing.T) {
+	eng := newEngine(t)
+	if err := stream.NewFeed(eng, "feed").Event(event(0, "gpub001", 1, 31)); err != nil {
+		t.Fatal(err)
+	}
+	cp := eng.Checkpoint()
+	cp.Sources[0].Offset = 4096
+	resumed, err := stream.Resume(testConfig(), cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := resumed.Status(); len(st.Sources) != 1 || st.Sources[0].Offset != 0 || st.Sources[0].Lines != 1 {
+		t.Fatalf("resumed status sources = %+v, want line 1 and no offset", st.Sources)
+	}
+	if again := resumed.Checkpoint(); again.Sources[0].Offset != 0 {
+		t.Fatalf("re-checkpointed offset = %d, want 0", again.Sources[0].Offset)
+	}
+	if cp.Sources[0].Offset != 4096 {
+		t.Fatal("Resume modified its checkpoint")
+	}
+}
+
+// TestCheckpointSharesNoState: a checkpoint is a value. Sealing in the
+// engine it came from, or in an engine resumed from it, rewrites the
+// pending buffer in place, and must leave the checkpoint as it was — so
+// one checkpoint can be resumed from twice, as after a crash right after a
+// resume.
+func TestCheckpointSharesNoState(t *testing.T) {
+	eng := newEngine(t)
+	feed := stream.NewFeed(eng, "feed")
+	for i := 0; i < 4; i++ {
+		if err := feed.Event(event(time.Duration(i)*time.Minute, "gpub001", 1, 31)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Advance() // seals minutes 0-2; minute 3 stays pending
+	cp := eng.Checkpoint()
+	if len(cp.Pending) != 1 {
+		t.Fatalf("pending = %d, want 1", len(cp.Pending))
+	}
+	// The engine is resumed from a copy whose buffer has spare capacity, as
+	// one decoded from JSON may, so an engine that kept using that array
+	// would append into it in place.
+	grown := *cp
+	grown.Pending = slices.Grow(slices.Clone(cp.Pending), 4)
+	before, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := stream.Resume(testConfig(), &grown)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []*stream.Engine{eng, resumed} {
+		f := stream.NewFeed(e, "feed")
+		f.SetStart(4)
+		if err := f.Event(event(10*time.Minute, "gpub002", 0, 79)); err != nil {
+			t.Fatal(err)
+		}
+		e.Advance() // seals minute 3, moving minute 10 to the buffer's front
+	}
+	for name, c := range map[string]*stream.Checkpoint{"taken": cp, "resumed": &grown} {
+		after, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Errorf("%s checkpoint changed under later ingest\n--- before\n%s\n--- after\n%s", name, before, after)
+		}
 	}
 }

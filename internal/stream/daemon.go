@@ -190,13 +190,9 @@ func (d *Daemon) setGauges() {
 func (d *Daemon) checkpoint() error {
 	cp := d.engine.Checkpoint()
 	cp.Manifest = d.cfg.Manifest
-	offsets := make(map[string]int64, len(d.cfg.Tailers))
 	for _, t := range d.cfg.Tailers {
-		offsets[t.Name()] = t.Offset()
-	}
-	for i := range cp.Sources {
-		if off, ok := offsets[cp.Sources[i].Name]; ok {
-			cp.Sources[i].Offset = off
+		if src := cp.source(t.Name()); src != nil {
+			src.Offset = t.Offset()
 		}
 	}
 	return SaveCheckpoint(d.cfg.CheckpointPath, cp)
@@ -226,12 +222,8 @@ func RestoreTailers(cp *Checkpoint, tailers []*Tailer) {
 	if cp == nil {
 		return
 	}
-	byName := make(map[string]SourceCheckpoint, len(cp.Sources))
-	for _, src := range cp.Sources {
-		byName[src.Name] = src
-	}
 	for _, t := range tailers {
-		if src, ok := byName[t.Name()]; ok {
+		if src := cp.source(t.Name()); src != nil {
 			t.SetStart(src.Offset, src.Lines)
 		}
 	}

@@ -1,7 +1,8 @@
 package stream
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -20,49 +21,15 @@ import (
 // goroutine calling Status/Results.
 type Engine struct {
 	mu  sync.Mutex
-	cfg Config // immutable after New/Resume; read outside the lock
+	cfg Config // immutable after Resume; read outside the lock
 
-	co      *coalesce.Coalescer // guarded by mu
-	pending []xid.Event         // guarded by mu; arrival order, all newer than the watermark
-	sealed  []xid.Event         // guarded by mu; coalesced events, canonical Stage II order
-
-	sealedRaw    int       // guarded by mu; events sealed into Stage II, pre-coalescing
-	watermark    time.Time // guarded by mu
-	hasWatermark bool      // guarded by mu
-	maxEvent     time.Time // guarded by mu
-	hasMaxEvent  bool      // guarded by mu
-
-	extract    syslog.ExtractStats     // guarded by mu
-	quarantine Quarantine              // guarded by mu
-	sources    map[string]*sourceState // guarded by mu
-	gen        uint64                  // guarded by mu
+	st      State                   // guarded by mu
+	co      *coalesce.Coalescer     // guarded by mu
+	sources map[string]*SourceState // guarded by mu
 }
 
-// sourceState is the mutable per-source ingest record.
-type sourceState struct {
-	lines     int64 // consumed line-number high-water mark
-	bytes     int64
-	dups      int64
-	clockRegs int64
-	lastEvent time.Time
-}
-
-// New returns an Engine for the given configuration.
-func New(cfg Config) (*Engine, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	co, err := coalesce.New(cfg.Pipeline.CoalesceWindow)
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{
-		cfg:     cfg,
-		co:      co,
-		sources: make(map[string]*sourceState),
-	}, nil
-}
+// New returns an Engine for the given configuration: a cold start.
+func New(cfg Config) (*Engine, error) { return Resume(cfg, nil) }
 
 // ConsumeLine ingests one raw log line from a source. lineNo is the
 // 1-based line number within the source; lines at or below the source's
@@ -75,60 +42,65 @@ func (e *Engine) ConsumeLine(source string, lineNo int64, line string) error {
 	defer e.mu.Unlock()
 	src := e.sources[source]
 	if src == nil {
-		src = &sourceState{}
+		src = &SourceState{Name: source}
 		e.sources[source] = src
 	}
-	if lineNo <= src.lines {
-		src.dups++
-		e.gen++
+	if lineNo <= src.Lines {
+		src.Dups++
+		e.st.Gen++
 		return nil
 	}
-	src.lines = lineNo
-	src.bytes += int64(len(line))
-	e.gen++
+	src.Lines = lineNo
+	src.Bytes += int64(len(line))
+	e.st.Gen++
 
-	e.extract.Lines++
+	e.st.Extract.Lines++
+	if len(line) > syslog.MaxLineBytes {
+		// Lenient Stage I's overlong rule: counted, never parsed.
+		e.st.Extract.Malformed++
+		return nil
+	}
 	ev, ok, err := syslog.ParseLine(line)
 	if err != nil {
-		e.extract.Malformed++
+		e.st.Extract.Malformed++
 		return nil
 	}
 	if !ok {
-		e.extract.Skipped++
+		e.st.Extract.Skipped++
 		return nil
 	}
-	e.extract.XIDLines++
+	e.st.Extract.XIDLines++
 
-	if !src.lastEvent.IsZero() && ev.Time.Before(src.lastEvent) {
-		src.clockRegs++
+	if !src.LastEvent.IsZero() && ev.Time.Before(src.LastEvent) {
+		src.ClockRegressions++
 	}
-	if ev.Time.After(src.lastEvent) {
-		src.lastEvent = ev.Time
+	if ev.Time.After(src.LastEvent) {
+		src.LastEvent = ev.Time
 	}
 
 	// An event at or before the watermark arrived after its window was
 	// sealed; inserting it would rewrite published tables, so it goes to
 	// the quarantine — counted exactly, sampled for diagnosis.
-	if e.hasWatermark && !ev.Time.After(e.watermark) {
-		e.quarantine.Late++
-		if len(e.quarantine.Samples) < e.cfg.QuarantineSample {
-			e.quarantine.Samples = append(e.quarantine.Samples, LateEvent{
+	if e.st.HasWatermark && !ev.Time.After(e.st.Watermark) {
+		e.st.Quarantine.Late++
+		if len(e.st.Quarantine.Samples) < e.cfg.QuarantineSample {
+			e.st.Quarantine.Samples = append(e.st.Quarantine.Samples, LateEvent{
 				Source:    source,
 				Line:      lineNo,
 				Time:      ev.Time,
 				Node:      ev.Node,
 				GPU:       ev.GPU,
 				Code:      int(ev.Code),
-				Watermark: e.watermark,
+				Watermark: e.st.Watermark,
 			})
 		}
 		return nil
 	}
 
-	e.pending = append(e.pending, ev)
-	if !e.hasMaxEvent || ev.Time.After(e.maxEvent) {
-		e.maxEvent = ev.Time
-		e.hasMaxEvent = true
+	e.st.Pending = append(e.st.Pending, ev)
+	if !e.st.HasMaxEvent || ev.Time.After(e.st.MaxEventTime) {
+		e.st.MaxEventTime = ev.Time
+		e.st.HasMaxEvent = true
 	}
 	return nil
 }
@@ -139,10 +111,10 @@ func (e *Engine) ConsumeLine(source string, lineNo int64, line string) error {
 func (e *Engine) Advance() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !e.hasMaxEvent {
+	if !e.st.HasMaxEvent {
 		return 0
 	}
-	return e.sealThrough(e.maxEvent.Add(-e.cfg.Horizon))
+	return e.sealThrough(e.st.MaxEventTime.Add(-e.cfg.Horizon))
 }
 
 // FlushAll seals every pending event regardless of the horizon — the
@@ -152,10 +124,10 @@ func (e *Engine) Advance() int {
 func (e *Engine) FlushAll() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !e.hasMaxEvent {
+	if !e.st.HasMaxEvent {
 		return 0
 	}
-	return e.sealThrough(e.maxEvent)
+	return e.sealThrough(e.st.MaxEventTime)
 }
 
 // sealThrough advances the watermark to cutoff (never backwards) and seals
@@ -170,25 +142,25 @@ func (e *Engine) FlushAll() int {
 // previous watermark). Feeding the persistent coalescer batch after batch
 // is therefore identical to one batch coalesce over the whole stream.
 func (e *Engine) sealThrough(cutoff time.Time) int {
-	if e.hasWatermark && !cutoff.After(e.watermark) {
+	if e.st.HasWatermark && !cutoff.After(e.st.Watermark) {
 		return 0
 	}
-	sealNow := make([]xid.Event, 0, len(e.pending))
-	keep := e.pending[:0]
-	for _, ev := range e.pending {
+	sealNow := make([]xid.Event, 0, len(e.st.Pending))
+	keep := e.st.Pending[:0]
+	for _, ev := range e.st.Pending {
 		if !ev.Time.After(cutoff) {
 			sealNow = append(sealNow, ev)
 		} else {
 			keep = append(keep, ev)
 		}
 	}
-	e.pending = keep
-	e.watermark = cutoff
-	e.hasWatermark = true
-	e.gen++
+	e.st.Pending = keep
+	e.st.Watermark = cutoff
+	e.st.HasWatermark = true
+	e.st.Gen++
 	if len(sealNow) > 0 {
-		e.sealed = append(e.sealed, e.co.AddBatch(sealNow)...)
-		e.sealedRaw += len(sealNow)
+		e.st.Sealed = append(e.st.Sealed, e.co.AddBatch(sealNow)...)
+		e.st.SealedRaw += len(sealNow)
 	}
 	// Keys whose window fell behind the watermark can never suppress a
 	// future event (everything still to come is after the cutoff), so the
@@ -201,37 +173,29 @@ func (e *Engine) sealThrough(cutoff time.Time) int {
 func (e *Engine) Status() Status {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	st := Status{
-		Watermark:       e.watermark,
-		MaxEventTime:    e.maxEvent,
-		PendingEvents:   len(e.pending),
+	return Status{
+		Watermark:       e.st.Watermark,
+		MaxEventTime:    e.st.MaxEventTime,
+		PendingEvents:   len(e.st.Pending),
 		OpenWindows:     e.co.Len(),
-		SealedRawEvents: e.sealedRaw,
-		SealedEvents:    len(e.sealed),
-		Extract:         e.extract,
-		Quarantine: Quarantine{
-			Late:    e.quarantine.Late,
-			Samples: append([]LateEvent(nil), e.quarantine.Samples...),
-		},
-		Gen: e.gen,
+		SealedRawEvents: e.st.SealedRaw,
+		SealedEvents:    len(e.st.Sealed),
+		Extract:         e.st.Extract,
+		Quarantine:      Quarantine{Late: e.st.Quarantine.Late, Samples: slices.Clone(e.st.Quarantine.Samples)},
+		Sources:         e.sourceList(),
+		Gen:             e.st.Gen,
 	}
-	names := make([]string, 0, len(e.sources))
-	for name := range e.sources {
-		names = append(names, name)
+}
+
+// sourceList copies the per-source records, sorted by name.
+// Caller holds e.mu.
+func (e *Engine) sourceList() []SourceState {
+	out := make([]SourceState, 0, len(e.sources))
+	for _, src := range e.sources {
+		out = append(out, *src)
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		src := e.sources[name]
-		st.Sources = append(st.Sources, SourceStatus{
-			Name:             name,
-			Lines:            src.lines,
-			Bytes:            src.bytes,
-			Dups:             src.dups,
-			ClockRegressions: src.clockRegs,
-			LastEvent:        src.lastEvent,
-		})
-	}
-	return st
+	slices.SortFunc(out, func(a, b SourceState) int { return strings.Compare(a.Name, b.Name) })
+	return out
 }
 
 // Results runs the Stage III analysis over the sealed store and returns the
@@ -242,9 +206,9 @@ func (e *Engine) Status() Status {
 // directly.
 func (e *Engine) Results() (*core.Results, error) {
 	e.mu.Lock()
-	sealed := e.sealed[:len(e.sealed):len(e.sealed)]
-	extract := e.extract
-	sealedRaw := e.sealedRaw
+	sealed := slices.Clip(e.st.Sealed)
+	extract := e.st.Extract
+	sealedRaw := e.st.SealedRaw
 	e.mu.Unlock()
 
 	res, err := core.AnalyzeCoalesced(sealed, e.cfg.Jobs, cluster.Durations(e.cfg.Downtimes), e.cfg.CPU, e.cfg.Pipeline)
@@ -260,5 +224,5 @@ func (e *Engine) Results() (*core.Results, error) {
 func (e *Engine) Gen() uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.gen
+	return e.st.Gen
 }

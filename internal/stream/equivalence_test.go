@@ -14,7 +14,6 @@ import (
 	"gpuresilience/internal/ingest"
 	"gpuresilience/internal/report"
 	"gpuresilience/internal/slurmsim"
-	"gpuresilience/internal/stats"
 	"gpuresilience/internal/stream"
 	"gpuresilience/internal/workload"
 )
@@ -115,9 +114,7 @@ func batchDocs(t *testing.T, f *fixture) map[string]string {
 	for _, d := range f.downtimes {
 		downByNode[d.Node] += d.Duration().Hours()
 	}
-	full := stats.Period{Name: "characterization", Start: f.cfg.PreOp.Start, End: f.cfg.Op.End}
-	errorCount := res.PreSummary.TotalExclOutliers + res.OpSummary.TotalExclOutliers
-	if err := report.WriteAvailability(&buf, res.Avail, downByNode, full, errorCount > 0); err != nil {
+	if err := report.WriteAvailability(&buf, res.Avail, downByNode); err != nil {
 		t.Fatal(err)
 	}
 	docs[stream.TableAvailability] = buf.String()

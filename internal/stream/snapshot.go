@@ -9,7 +9,6 @@ import (
 
 	"gpuresilience/internal/core"
 	"gpuresilience/internal/report"
-	"gpuresilience/internal/stats"
 	"gpuresilience/internal/syslog"
 )
 
@@ -174,7 +173,6 @@ func BuildSnapshot(e *Engine) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := e.cfg
 	snap := &Snapshot{
 		Gen:    st.Gen,
 		Status: st,
@@ -224,10 +222,8 @@ func BuildSnapshot(e *Engine) (*Snapshot, error) {
 	// availability: the shared renderer the batch CLI uses, so the daemon's
 	// text body matches `availability -repairs ... -logs ...` byte for byte.
 	text.Reset()
-	downByNode := report.DownHoursByNode(cfg.Downtimes, nil)
-	full := stats.Period{Name: "characterization", Start: cfg.Pipeline.PreOp.Start, End: cfg.Pipeline.Op.End}
-	errorCount := res.PreSummary.TotalExclOutliers + res.OpSummary.TotalExclOutliers
-	if err := report.WriteAvailability(&text, res.Avail, downByNode, full, errorCount > 0); err != nil {
+	downByNode := report.DownHoursByNode(e.cfg.Downtimes, nil)
+	if err := report.WriteAvailability(&text, res.Avail, downByNode); err != nil {
 		return nil, err
 	}
 	av := availabilityView{
@@ -238,7 +234,7 @@ func BuildSnapshot(e *Engine) (*Snapshot, error) {
 		P99Hours:      res.Avail.P99Hours,
 		LostNodeHours: res.Avail.LostNodeHours,
 	}
-	if errorCount > 0 {
+	if res.Avail.ErrorCount > 0 {
 		av.MTTFHours = res.Avail.MTTFHours
 		av.Availability = res.Avail.Availability
 		av.DowntimePerDay = res.Avail.DowntimePerDay.Round(0).String()

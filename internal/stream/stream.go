@@ -34,6 +34,7 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"gpuresilience/internal/cluster"
@@ -41,6 +42,7 @@ import (
 	"gpuresilience/internal/slurmsim"
 	"gpuresilience/internal/syslog"
 	"gpuresilience/internal/workload"
+	"gpuresilience/internal/xid"
 )
 
 // DefaultHorizon is the default sealing horizon: how far behind the newest
@@ -97,8 +99,9 @@ func (c Config) validate() error {
 	return nil
 }
 
-// SourceStatus is one ingest source's progress.
-type SourceStatus struct {
+// SourceState is one ingest source's progress and replay position: the
+// engine's per-source record, listed in Status and in checkpoints.
+type SourceState struct {
 	// Name identifies the source (a tailed path or a feed name).
 	Name string `json:"name"`
 	// Lines is the highest line number consumed from this source.
@@ -113,6 +116,43 @@ type SourceStatus struct {
 	ClockRegressions int64 `json:"clockRegressions,omitempty"`
 	// LastEvent is the newest event timestamp this source produced.
 	LastEvent time.Time `json:"lastEvent,omitempty"`
+	// Offset is the byte offset the source's tailer had consumed through.
+	// Only the daemon sets it, in the checkpoints it writes; the engine
+	// keeps it zero.
+	Offset int64 `json:"offset,omitempty"`
+}
+
+// State is the engine's stream state: everything a restart carries over
+// besides the coalescer's open windows and the per-source records. The
+// engine holds one State and a Checkpoint embeds it, so a field added here
+// is checkpointed and resumed with no further code.
+type State struct {
+	// Watermark is the sealing frontier: everything at or before it is final.
+	Watermark    time.Time `json:"watermark"`
+	HasWatermark bool      `json:"hasWatermark"` // see Watermark
+	// MaxEventTime is the newest event time seen.
+	MaxEventTime time.Time `json:"maxEventTime"`
+	HasMaxEvent  bool      `json:"hasMaxEvent"` // see MaxEventTime
+	// SealedRaw counts events sealed into Stage II, pre-coalescing.
+	SealedRaw int `json:"sealedRaw"`
+	// Sealed is the coalesced Stage II store in canonical order.
+	Sealed []xid.Event `json:"sealed,omitempty"`
+	// Pending holds unsealed events in arrival order.
+	Pending []xid.Event `json:"pending,omitempty"`
+	// Extract is the cumulative Stage I line accounting.
+	Extract syslog.ExtractStats `json:"extract"`
+	// Quarantine is the late-event record.
+	Quarantine Quarantine `json:"quarantine"`
+	// Gen increments on every state change.
+	Gen uint64 `json:"gen"`
+}
+
+// clone returns a copy of s that shares no slice with it.
+func (s State) clone() State {
+	s.Sealed = slices.Clone(s.Sealed)
+	s.Pending = slices.Clone(s.Pending)
+	s.Quarantine.Samples = slices.Clone(s.Quarantine.Samples)
+	return s
 }
 
 // LateEvent is one quarantined event: it arrived with a timestamp at or
@@ -163,7 +203,7 @@ type Status struct {
 	// Quarantine reports late-event counts and samples.
 	Quarantine Quarantine `json:"quarantine"`
 	// Sources lists per-source progress, sorted by name.
-	Sources []SourceStatus `json:"sources,omitempty"`
+	Sources []SourceState `json:"sources,omitempty"`
 	// Gen increments on every state change; the publisher uses it to skip
 	// rebuilding snapshots when nothing moved.
 	Gen uint64 `json:"gen"`

@@ -5,6 +5,8 @@ import (
 	"io"
 	"os"
 	"strings"
+
+	"gpuresilience/internal/syslog"
 )
 
 // LineFunc receives one complete log line (newline stripped) with its
@@ -22,13 +24,19 @@ type LineFunc func(source string, lineNo int64, line string) error
 // poll. Line numbers increase monotonically across rotations, which is
 // what the engine's duplicate guard keys on.
 //
+// A line longer than syslog.MaxLineBytes is delivered as its first
+// MaxLineBytes+1 bytes, which the engine counts as malformed, and the rest
+// is dropped as it arrives, newline included — even before that newline
+// is written — so the tailer never holds more than that of any line.
+//
 // A Tailer is not safe for concurrent use; the daemon polls all tailers
 // from its single ingest goroutine.
 type Tailer struct {
-	path   string
-	f      *os.File
-	offset int64 // bytes of complete lines consumed from the current file
-	lineNo int64 // lines delivered across all incarnations of the file
+	path     string
+	f        *os.File
+	offset   int64 // bytes consumed from the current file: complete lines, dropped overlong bytes
+	lineNo   int64 // lines delivered across all incarnations of the file
+	dropping bool  // skipping the rest of a delivered overlong line
 }
 
 // NewTailer returns a tailer for path. The file may not exist yet; polls
@@ -99,7 +107,7 @@ func (t *Tailer) Poll(fn LineFunc) (int, error) {
 // readAvailable delivers the open file's complete lines from the current
 // offset to EOF. A trailing line with no newline yet is left for the next
 // poll (the offset does not cover it), so a write caught mid-line is never
-// delivered torn.
+// delivered torn — unless it is already overlong, see Tailer.
 func (t *Tailer) readAvailable(fn LineFunc) (int, error) {
 	fi, err := t.f.Stat()
 	if err != nil {
@@ -109,6 +117,7 @@ func (t *Tailer) readAvailable(fn LineFunc) (int, error) {
 		// Truncated in place: start over. Redelivered line numbers keep
 		// climbing, so the engine treats the re-read as new input.
 		t.offset = 0
+		t.dropping = false
 	}
 	if fi.Size() == t.offset {
 		return 0, nil
@@ -118,21 +127,46 @@ func (t *Tailer) readAvailable(fn LineFunc) (int, error) {
 	}
 	r := bufio.NewReader(t.f)
 	delivered := 0
+	var (
+		line []byte // the current line's head, at most MaxLineBytes+1 bytes
+		read int64  // bytes of the current line read so far
+	)
 	for {
-		line, err := r.ReadString('\n')
-		if err != nil {
-			if err == io.EOF {
-				return delivered, nil
-			}
+		frag, err := r.ReadSlice('\n')
+		if err != nil && err != bufio.ErrBufferFull && err != io.EOF {
 			return delivered, err
 		}
-		t.offset += int64(len(line))
-		t.lineNo++
-		line = strings.TrimSuffix(strings.TrimSuffix(line, "\n"), "\r")
-		if ferr := fn(t.path, t.lineNo, line); ferr != nil {
-			return delivered, ferr
+		n := len(frag)
+		ended := err == nil // frag ends in the line's newline
+		if ended {
+			frag = frag[:n-1]
 		}
-		delivered++
+		if t.dropping {
+			// The rest of an overlong line that was already delivered.
+			t.offset += int64(n)
+			t.dropping = !ended
+		} else {
+			read += int64(n)
+			line = append(line, frag[:min(len(frag), syslog.MaxLineBytes+1-len(line))]...)
+			if ended || len(line) > syslog.MaxLineBytes {
+				// A complete line, or an overlong one delivered before its end.
+				t.offset += read
+				t.dropping = !ended
+				text := string(line)
+				if len(line) <= syslog.MaxLineBytes {
+					text = strings.TrimSuffix(text, "\r")
+				}
+				line, read = line[:0], 0
+				t.lineNo++
+				if err := fn(t.path, t.lineNo, text); err != nil {
+					return delivered, err
+				}
+				delivered++
+			}
+		}
+		if err == io.EOF {
+			return delivered, nil
+		}
 	}
 }
 
@@ -161,5 +195,6 @@ func (t *Tailer) checkRotation() (bool, error) {
 	}
 	t.f = nil
 	t.offset = 0
+	t.dropping = false
 	return true, nil
 }

@@ -1,11 +1,16 @@
 package stream_test
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"gpuresilience/internal/logfuzz"
 	"gpuresilience/internal/stream"
+	"gpuresilience/internal/syslog"
+	"gpuresilience/internal/xid"
 )
 
 // collect gathers delivered lines for assertions.
@@ -153,5 +158,101 @@ func TestTailerSetStart(t *testing.T) {
 	}
 	if c.lines[0] != "three" || c.nos[0] != 3 {
 		t.Fatalf("resumed delivery = %q %v", c.lines, c.nos)
+	}
+}
+
+// TestTailerOverlongLine: the tailer never holds more than
+// syslog.MaxLineBytes+1 bytes of a line. An unterminated tail under the cap
+// waits for its newline; once it passes the cap it is counted as one
+// malformed line straight away and its bytes are consumed as they arrive,
+// so the offset moves past it and the next line is read normally.
+func TestTailerOverlongLine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "syslog.txt")
+	tl := stream.NewTailer(path)
+	defer tl.Close()
+	eng := newEngine(t)
+	poll := func(want int) {
+		t.Helper()
+		if n, err := tl.Poll(eng.ConsumeLine); err != nil || n != want {
+			t.Fatalf("poll = %d, %v; want %d lines", n, err, want)
+		}
+	}
+
+	appendFile(t, path, strings.Repeat("x", 3<<20))
+	poll(0) // under the cap: still a line being written
+	if tl.Offset() != 0 {
+		t.Fatalf("offset = %d, want 0 while the tail is under the cap", tl.Offset())
+	}
+	appendFile(t, path, strings.Repeat("x", 2<<20))
+	poll(1) // 5 MiB, no newline: overlong, counted now
+	if tl.Offset() != 5<<20 {
+		t.Fatalf("offset = %d, want %d past the dropped tail", tl.Offset(), 5<<20)
+	}
+	xidLine := syslog.FormatLine(event(0, "gpub001", 1, 79), 0, "feed")
+	appendFile(t, path, "\n"+xidLine+"\n")
+	poll(1) // the overlong line's newline is dropped with it
+	want := syslog.ExtractStats{Lines: 2, XIDLines: 1, Malformed: 1}
+	if got := eng.Status().Extract; got != want {
+		t.Fatalf("extract = %+v, want %+v", got, want)
+	}
+	size := int64(5<<20 + 1 + len(xidLine) + 1)
+	if tl.Offset() != size {
+		t.Fatalf("offset = %d, want the file size %d", tl.Offset(), size)
+	}
+
+	// An overlong line that arrives whole is one malformed line too.
+	appendFile(t, path, strings.Repeat("y", syslog.MaxLineBytes+1)+"\nnoise\n")
+	poll(2)
+	want = syslog.ExtractStats{Lines: 4, XIDLines: 1, Malformed: 2, Skipped: 1}
+	if got := eng.Status().Extract; got != want {
+		t.Fatalf("extract = %+v, want %+v", got, want)
+	}
+	if st := eng.Status(); st.Sources[0].Lines != 4 {
+		t.Fatalf("source lines = %d, want 4", st.Sources[0].Lines)
+	}
+}
+
+// TestTailerStageIMatchesBatch: on damaged input, the Stage I counters of
+// a Tailer-fed engine equal strict batch Stage I's over the same bytes.
+// logfuzz damages the fixture log with every op but oversize (which strict
+// mode rejects outright), at several seeds.
+func TestTailerStageIMatchesBatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("equivalence fixture skipped in -short mode")
+	}
+	f := loadFixture(t)
+	clean := []byte(strings.Join(f.lines, "\n") + "\n")
+	var ops []logfuzz.Op
+	for _, op := range logfuzz.AllOps() {
+		if op != logfuzz.OpOversize {
+			ops = append(ops, op)
+		}
+	}
+	for seed := uint64(1); seed <= 4; seed++ {
+		damaged, rep, err := logfuzz.Corrupt(clean, logfuzz.Config{Seed: seed, Rate: 0.05, Ops: ops})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Touched) == 0 {
+			t.Fatalf("seed %d: nothing damaged", seed)
+		}
+		want, _, err := syslog.Extract(bytes.NewReader(damaged), syslog.Options{Workers: 1}, func(xid.Event) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		path := filepath.Join(t.TempDir(), "syslog.txt")
+		if err := os.WriteFile(path, damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		eng := newEngine(t)
+		tl := stream.NewTailer(path)
+		if _, err := tl.Poll(eng.ConsumeLine); err != nil {
+			t.Fatal(err)
+		}
+		tl.Close()
+		if got := eng.Status().Extract; got != want {
+			t.Errorf("seed %d: tailer-fed engine counts %+v, strict Extract %+v", seed, got, want)
+		}
 	}
 }
