@@ -135,7 +135,7 @@ vet:
 	$(GO) vet ./...
 
 # Run the repo's custom analyzers (internal/lint) over every package.
-# Fails on any error-severity finding not in lint_baseline.json; see
+# Fails on any finding not in lint_baseline.json; see
 # docs/static-analysis.md for the analyzer list and //lint:allow escapes.
 lint:
 	$(GO) run ./cmd/gpulint ./...

@@ -55,7 +55,7 @@ func TestRunWithRepairsFlag(t *testing.T) {
 func TestRunWithDataset(t *testing.T) {
 	dir := t.TempDir()
 	writeRepairs(t, dir)
-	if _, err := dataset.WriteManifest(dir, 1, 1, ""); err != nil {
+	if _, err := dataset.WriteManifest(dir, 1, 1, "", 1); err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer

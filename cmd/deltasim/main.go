@@ -115,7 +115,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	dsm, err := dataset.WriteManifestWorkers(*out, *seed, *scale,
+	dsm, err := dataset.WriteManifest(*out, *seed, *scale,
 		"calibrated Delta A100 reproduction dataset", *workers)
 	if err != nil {
 		return err

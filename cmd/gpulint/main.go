@@ -4,9 +4,8 @@
 //	file:line:col [analyzer] message
 //
 // Findings present in the committed suppression baseline
-// (lint_baseline.json at the module root) are tolerated; any new
-// error-severity finding exits non-zero, which is how the CI lint job gates
-// merges. Intentional one-off deviations are annotated in source with
+// (lint_baseline.json at the module root) are tolerated; any new finding
+// exits non-zero, which is how the CI lint job gates merges. Intentional one-off deviations are annotated in source with
 // `//lint:allow <analyzer> <reason>` instead of baselined.
 //
 // Usage:
@@ -52,11 +51,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *listAnalyzers {
 		for _, a := range lint.All() {
-			sev := ""
-			if a.Severity == lint.SevWarn {
-				sev = " (warn-only)"
-			}
-			fmt.Fprintf(stdout, "%-12s %s%s\n", a.Name, a.Doc, sev)
+			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
 		return 0
 	}
@@ -103,22 +98,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	newErrors, baselined, warnings := 0, 0, 0
+	newFindings, baselined := 0, 0
 	for _, f := range findings {
-		switch {
-		case f.Baselined:
+		if f.Baselined {
 			baselined++
 			continue
-		case f.Severity == lint.SevWarn.String():
-			warnings++
-			if !*jsonOut {
-				fmt.Fprintf(stdout, "%s:%d:%d [%s] warning: %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message)
-			}
-		default:
-			newErrors++
-			if !*jsonOut {
-				fmt.Fprintf(stdout, "%s:%d:%d [%s] %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message)
-			}
+		}
+		newFindings++
+		if !*jsonOut {
+			fmt.Fprintf(stdout, "%s:%d:%d [%s] %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message)
 		}
 	}
 	if *timing && !*jsonOut {
@@ -127,18 +115,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "  %-16s %8.1f ms\n", tm.Name, tm.Millis)
 		}
 	}
-	switch {
-	case newErrors > 0:
-		fmt.Fprintf(stderr, "gpulint: %d new finding%s (%d baselined, %d warning%s) across %d package%s\n",
-			newErrors, plural(newErrors, "", "s"), baselined,
-			warnings, plural(warnings, "", "s"), len(mod.Pkgs), plural(len(mod.Pkgs), "", "s"))
+	if newFindings > 0 {
+		fmt.Fprintf(stderr, "gpulint: %d new finding%s (%d baselined) across %d package%s\n",
+			newFindings, plural(newFindings, "", "s"), baselined, len(mod.Pkgs), plural(len(mod.Pkgs), "", "s"))
 		return 1
-	default:
-		fmt.Fprintf(stderr, "gpulint: clean (%d package%s, %d baselined, %d warning%s)\n",
-			len(mod.Pkgs), plural(len(mod.Pkgs), "", "s"), baselined,
-			warnings, plural(warnings, "", "s"))
-		return 0
 	}
+	fmt.Fprintf(stderr, "gpulint: clean (%d package%s, %d baselined)\n",
+		len(mod.Pkgs), plural(len(mod.Pkgs), "", "s"), baselined)
+	return 0
 }
 
 // plural picks the singular or plural suffix for n.

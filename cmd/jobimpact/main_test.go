@@ -62,7 +62,7 @@ func writeDataset(t *testing.T, dir string) {
 	if err := jf.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dataset.WriteManifest(dir, 1, 1, ""); err != nil {
+	if _, err := dataset.WriteManifest(dir, 1, 1, "", 1); err != nil {
 		t.Fatal(err)
 	}
 }

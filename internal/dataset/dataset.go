@@ -38,16 +38,11 @@ const currentFormat = 1
 
 // WriteManifest hashes the dataset artifacts present in dir and writes the
 // manifest. At least the syslog must exist; jobs and repairs are optional
-// (job-free simulations).
-func WriteManifest(dir string, seed uint64, scale float64, description string) (Manifest, error) {
-	return WriteManifestWorkers(dir, seed, scale, description, 1)
-}
-
-// WriteManifestWorkers is WriteManifest with the artifacts hashed by a
-// worker pool — worthwhile at full scale, where the syslog alone runs to
-// hundreds of megabytes. workers follows the pipeline convention (0 = all
-// cores, 1 = sequential).
-func WriteManifestWorkers(dir string, seed uint64, scale float64, description string, workers int) (Manifest, error) {
+// (job-free simulations). The artifacts are hashed by a worker pool —
+// worthwhile at full scale, where the syslog alone runs to hundreds of
+// megabytes; workers follows the pipeline convention (0 = all cores,
+// 1 = sequential).
+func WriteManifest(dir string, seed uint64, scale float64, description string, workers int) (Manifest, error) {
 	m := Manifest{
 		FormatVersion: currentFormat,
 		Seed:          seed,

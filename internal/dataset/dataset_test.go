@@ -19,7 +19,7 @@ func writeFiles(t *testing.T, dir string, names ...string) {
 func TestWriteLoadVerify(t *testing.T) {
 	dir := t.TempDir()
 	writeFiles(t, dir, SyslogFile, JobsFile, RepairsFile)
-	m, err := WriteManifest(dir, 42, 0.5, "test dataset")
+	m, err := WriteManifest(dir, 42, 0.5, "test dataset", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestWriteLoadVerify(t *testing.T) {
 func TestWriteManifestPartialDataset(t *testing.T) {
 	dir := t.TempDir()
 	writeFiles(t, dir, SyslogFile) // job-free simulation
-	m, err := WriteManifest(dir, 1, 1, "")
+	m, err := WriteManifest(dir, 1, 1, "", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestWriteManifestPartialDataset(t *testing.T) {
 }
 
 func TestWriteManifestEmptyDir(t *testing.T) {
-	if _, err := WriteManifest(t.TempDir(), 1, 1, ""); err == nil {
+	if _, err := WriteManifest(t.TempDir(), 1, 1, "", 1); err == nil {
 		t.Fatal("empty dataset accepted")
 	}
 }
@@ -69,7 +69,7 @@ func TestWriteManifestEmptyDir(t *testing.T) {
 func TestVerifyDetectsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	writeFiles(t, dir, SyslogFile, JobsFile)
-	if _, err := WriteManifest(dir, 1, 1, ""); err != nil {
+	if _, err := WriteManifest(dir, 1, 1, "", 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, JobsFile), []byte("tampered"), 0o644); err != nil {
@@ -83,7 +83,7 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 func TestVerifyDetectsMissingFile(t *testing.T) {
 	dir := t.TempDir()
 	writeFiles(t, dir, SyslogFile, RepairsFile)
-	if _, err := WriteManifest(dir, 1, 1, ""); err != nil {
+	if _, err := WriteManifest(dir, 1, 1, "", 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Remove(filepath.Join(dir, RepairsFile)); err != nil {

@@ -7,13 +7,8 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
 		ObsNil,
-		HotAlloc,
 		ErrWrap,
-		PoolHygiene,
 		LockGuard,
-		AtomicMix,
-		GoroutineCapture,
-		WgDiscipline,
 		ChanClose,
 		DocComment,
 	}

@@ -63,16 +63,6 @@ func isNilIdent(info *types.Info, e ast.Expr) bool {
 	return obj != nil && obj.Parent() == types.Universe && id.Name == "nil"
 }
 
-// withinAny reports whether pos falls inside any of the nodes.
-func withinAny(pos ast.Node, ranges []ast.Node) bool {
-	for _, r := range ranges {
-		if r != nil && r.Pos() <= pos.Pos() && pos.Pos() < r.End() {
-			return true
-		}
-	}
-	return false
-}
-
 // errorIface is the predeclared error interface.
 var errorIface = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 

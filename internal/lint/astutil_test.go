@@ -193,37 +193,6 @@ func use(e error) bool {
 	}
 }
 
-func TestWithinAny(t *testing.T) {
-	_, f, _, _ := typeCheckSrc(t, `package p
-func a() { println(1) }
-func b() { println(2) }
-`)
-	decls := f.Decls
-	var callA, callB ast.Node
-	ast.Inspect(f, func(n ast.Node) bool {
-		if c, ok := n.(*ast.CallExpr); ok {
-			if callA == nil {
-				callA = c
-			} else {
-				callB = c
-			}
-		}
-		return true
-	})
-	if !withinAny(callA, []ast.Node{decls[0]}) {
-		t.Error("a's call is inside a's declaration")
-	}
-	if withinAny(callA, []ast.Node{decls[1]}) {
-		t.Error("a's call is not inside b's declaration")
-	}
-	if !withinAny(callB, []ast.Node{nil, decls[0], decls[1]}) {
-		t.Error("nil ranges must be skipped, not matched or panicked on")
-	}
-	if withinAny(callB, nil) {
-		t.Error("no ranges means not within")
-	}
-}
-
 func TestImplementsError(t *testing.T) {
 	_, _, _, pkg := typeCheckSrc(t, `package p
 type myErr struct{}

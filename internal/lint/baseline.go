@@ -58,16 +58,12 @@ func (b *Baseline) Write(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// BaselineFrom builds a baseline covering every error-severity finding in
-// fs, deduplicated and sorted. Warnings never enter the baseline: they do
-// not gate, so there is nothing to suppress.
+// BaselineFrom builds a baseline covering every finding in fs,
+// deduplicated and sorted.
 func BaselineFrom(fs []Finding) *Baseline {
 	seen := map[BaselineEntry]bool{}
 	b := &Baseline{Version: 1}
 	for _, f := range fs {
-		if f.Severity != SevError.String() {
-			continue
-		}
 		e := BaselineEntry{Analyzer: f.Analyzer, File: f.File, Message: f.Message}
 		if !seen[e] {
 			seen[e] = true

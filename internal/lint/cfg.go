@@ -6,8 +6,8 @@ import (
 )
 
 // This file is the intraprocedural control-flow layer under the concurrency
-// analyzers (lockguard, wgdiscipline, chanclose, goroutinecapture): a CFG
-// builder over go/ast function bodies. Blocks hold statements and the
+// analyzers (lockguard, chanclose): a CFG builder over go/ast function
+// bodies. Blocks hold statements and the
 // expressions that execute with them, in approximate evaluation order;
 // edges follow if/for/range/switch/select/branch/label/goto control flow.
 // Statements that cannot complete normally — return, panic, os.Exit and

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -15,10 +16,9 @@ import (
 // spawned in a loop, runs once per worker or per iteration — a structural
 // double close no interleaving avoids.
 var ChanClose = &Analyzer{
-	Name:     "chanclose",
-	Doc:      "no send after a reachable close, no double close, owner closes exactly once",
-	Severity: SevError,
-	Run:      runChanClose,
+	Name: "chanclose",
+	Doc:  "no send after a reachable close, no double close, owner closes exactly once",
+	Run:  runChanClose,
 }
 
 func runChanClose(p *Pass) {
@@ -102,4 +102,24 @@ func isFieldPath(e ast.Expr) bool {
 			return false
 		}
 	}
+}
+
+// enclosingLoop returns the innermost for/range statement in body whose
+// range contains pos, or nil.
+func enclosingLoop(body ast.Node, pos token.Pos) ast.Node {
+	var innermost ast.Node
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n.(type) {
+		case *ast.ForStmt, *ast.RangeStmt:
+			if n.Pos() <= pos && pos < n.End() {
+				innermost = n
+			}
+		case *ast.FuncLit:
+			return false
+		case nil:
+			return false
+		}
+		return true
+	})
+	return innermost
 }

@@ -10,15 +10,14 @@ import (
 // This file is the dataflow layer over the CFG: a forward fixpoint engine
 // (must = intersection meet, may = union meet), a canonical storage-path
 // keyer for lock/channel/field expressions, a transfer function covering
-// the sync vocabulary (Mutex/RWMutex Lock/Unlock/RLock/RUnlock,
-// WaitGroup.Wait/Done, builtin close), an in-order facts-carrying walker
-// that surfaces func literals without descending into them, and a use-def
-// helper classifying locals that only ever hold freshly allocated values.
+// the sync vocabulary (Mutex/RWMutex Lock/Unlock/RLock/RUnlock, builtin
+// close), an in-order facts-carrying walker that surfaces func literals
+// without descending into them, and a use-def helper classifying locals
+// that only ever hold freshly allocated values.
 
 // factSet is one program point's dataflow facts. Keys are prefixed by
 // domain: "W:<path>" exclusive lock held, "R:<path>" read lock held,
-// "wait:<path>" WaitGroup.Wait performed, "done:<path>" WaitGroup.Done
-// performed (or deferred), "closed:<path>" channel close performed.
+// "closed:<path>" channel close performed.
 type factSet map[string]bool
 
 func (f factSet) clone() factSet {
@@ -184,9 +183,9 @@ func derefType(t types.Type) types.Type {
 	}
 }
 
-// syncMethod resolves call to a method on sync.Mutex, sync.RWMutex, or
-// sync.WaitGroup, returning the method name and the canonical key of the
-// receiver path ("" when the receiver is not keyable).
+// syncMethod resolves call to a method on sync.Mutex or sync.RWMutex,
+// returning the method name and the canonical key of the receiver path (""
+// when the receiver is not keyable).
 func syncMethod(info *types.Info, call *ast.CallExpr) (name, key string, ok bool) {
 	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !isSel {
@@ -206,7 +205,7 @@ func syncMethod(info *types.Info, call *ast.CallExpr) (name, key string, ok bool
 		return "", "", false
 	}
 	switch named.Obj().Name() {
-	case "Mutex", "RWMutex", "WaitGroup":
+	case "Mutex", "RWMutex":
 		return fn.Name(), selectorBaseKey(info, sel), true
 	}
 	return "", "", false
@@ -226,58 +225,26 @@ func closeArgKey(info *types.Info, call *ast.CallExpr) (string, bool) {
 }
 
 // applySyncEffects walks one CFG node and applies its synchronization
-// effects to facts: lock/unlock transitions, Wait/Done, close. Func
-// literals are opaque (their bodies run elsewhere or are analyzed
-// separately); the deferred or go-dispatched top-level call's own effect is
-// suppressed, with the exception of defer wg.Done()/mu.Unlock-at-return
-// semantics noted inline.
+// effects to facts: lock/unlock transitions and close. Func literals are
+// opaque (their bodies run elsewhere or are analyzed separately). The
+// deferred or go-dispatched top-level call's own effect is suppressed: its
+// arguments evaluate now, but the call runs at return or on another
+// goroutine — and a deferred Unlock must not kill the held lock, since it
+// is exactly the idiom that holds it for the rest of the function.
 func applySyncEffects(info *types.Info, n ast.Node, facts factSet) {
-	skipCalls := map[*ast.CallExpr]bool{}
+	var skip *ast.CallExpr
 	switch s := n.(type) {
 	case *ast.DeferStmt:
-		// Arguments evaluate now; the call itself runs at return. A
-		// deferred Unlock must not kill the held lock (it is exactly the
-		// idiom that holds it for the rest of the function), but a deferred
-		// Done does guarantee Done-at-exit for every later path.
-		skipCalls[s.Call] = true
-		if name, key, ok := syncMethod(info, s.Call); ok && name == "Done" && key != "" {
-			facts["done:"+key] = true
-		}
+		skip = s.Call
 	case *ast.GoStmt:
-		// Arguments evaluate now; the call runs on another goroutine.
-		skipCalls[s.Call] = true
+		skip = s.Call
 	}
 	ast.Inspect(n, func(m ast.Node) bool {
 		if _, isLit := m.(*ast.FuncLit); isLit {
 			return false
 		}
-		call, isCall := m.(*ast.CallExpr)
-		if !isCall || skipCalls[call] {
-			return true
-		}
-		if key, isClose := closeArgKey(info, call); isClose {
-			if key != "" {
-				facts["closed:"+key] = true
-			}
-			return true
-		}
-		name, key, ok := syncMethod(info, call)
-		if !ok || key == "" {
-			return true
-		}
-		switch name {
-		case "Lock":
-			facts["W:"+key] = true
-		case "Unlock":
-			delete(facts, "W:"+key)
-		case "RLock":
-			facts["R:"+key] = true
-		case "RUnlock":
-			delete(facts, "R:"+key)
-		case "Wait":
-			facts["wait:"+key] = true
-		case "Done":
-			facts["done:"+key] = true
+		if call, isCall := m.(*ast.CallExpr); isCall && call != skip {
+			applyCallEffect(info, call, facts)
 		}
 		return true
 	})
@@ -297,20 +264,14 @@ func syncTransfer(info *types.Info) func(*cfgBlock, factSet) factSet {
 // flowClosure is a func literal discovered during a flow walk, with the
 // facts in force where the literal occurs and how it escapes: spawnedGo for
 // `go func(){...}()`, spawnedPool for a literal handed to one of the
-// internal/parallel spawn entry points, deferred for `defer func(){...}()`.
+// internal/parallel spawn entry points.
 type flowClosure struct {
 	lit         *ast.FuncLit
 	at          factSet
 	spawnedGo   bool
 	spawnedPool bool
-	deferred    bool
-	// poolFn names the parallel entry point for spawnedPool closures
-	// ("ForEach", "NewOrdered", …), so analyzers can tell the blocking
-	// entry points — which join their workers before returning — from the
-	// streaming pools that outlive the call.
-	poolFn string
-	// spawnPos is the position of the go/defer/pool-submit statement (the
-	// literal's own position for ordinary closures).
+	// spawnPos is the position of the go/pool-submit statement (the
+	// literal's own position for other closures).
 	spawnPos token.Pos
 }
 
@@ -321,17 +282,12 @@ var parallelSpawnFuncs = map[string]bool{
 	"NewOrdered": true,
 }
 
-// parallelSpawnName resolves call to the internal/parallel pool entry
-// point it invokes, or "".
-func parallelSpawnName(info *types.Info, call *ast.CallExpr) string {
+// isParallelSpawn reports whether call invokes an internal/parallel pool
+// entry point.
+func isParallelSpawn(info *types.Info, call *ast.CallExpr) bool {
 	fn := calleeFunc(info, call)
-	if fn == nil || fn.Pkg() == nil {
-		return ""
-	}
-	if fn.Pkg().Path() == "gpuresilience/internal/parallel" && parallelSpawnFuncs[fn.Name()] {
-		return fn.Name()
-	}
-	return ""
+	return fn != nil && fn.Pkg() != nil &&
+		fn.Pkg().Path() == "gpuresilience/internal/parallel" && parallelSpawnFuncs[fn.Name()]
 }
 
 // flowWalk runs the sync dataflow over body and then re-walks every
@@ -363,38 +319,29 @@ func flowWalk(info *types.Info, body *ast.BlockStmt, entry factSet, must bool,
 func walkNodeWithFacts(info *types.Info, root ast.Node, facts factSet,
 	visit func(n ast.Node, stack []ast.Node, facts factSet)) []flowClosure {
 	var closures []flowClosure
-	skipCalls := map[*ast.CallExpr]bool{}
-	spawnKind := map[*ast.FuncLit]*flowClosure{}
+	var skip *ast.CallExpr
+	var goLit *ast.FuncLit
 	switch s := root.(type) {
 	case *ast.DeferStmt:
-		skipCalls[s.Call] = true
-		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-			spawnKind[lit] = &flowClosure{deferred: true, spawnPos: s.Pos()}
-		}
-		if name, key, ok := syncMethod(info, s.Call); ok && name == "Done" && key != "" {
-			defer func() { facts["done:"+key] = true }()
-		}
+		skip = s.Call
 	case *ast.GoStmt:
-		skipCalls[s.Call] = true
-		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-			spawnKind[lit] = &flowClosure{spawnedGo: true, spawnPos: s.Pos()}
-		}
+		skip = s.Call
+		goLit, _ = ast.Unparen(s.Call.Fun).(*ast.FuncLit)
 	}
 	inspectWithStack(root, func(n ast.Node, stack []ast.Node) bool {
 		if lit, isLit := n.(*ast.FuncLit); isLit {
 			fc := flowClosure{lit: lit, at: facts.clone(), spawnPos: lit.Pos()}
-			if k := spawnKind[lit]; k != nil {
-				fc.spawnedGo, fc.deferred, fc.spawnPos = k.spawnedGo, k.deferred, k.spawnPos
+			if lit == goLit {
+				fc.spawnedGo, fc.spawnPos = true, root.Pos()
 			}
 			// A literal argument of a parallel pool call runs on pool
 			// goroutines.
 			for i := len(stack) - 1; i >= 0; i-- {
 				if call, isCall := stack[i].(*ast.CallExpr); isCall {
-					if name := parallelSpawnName(info, call); name != "" {
+					if isParallelSpawn(info, call) {
 						for _, a := range call.Args {
 							if ast.Unparen(a) == lit {
 								fc.spawnedPool = true
-								fc.poolFn = name
 								fc.spawnPos = call.Pos()
 							}
 						}
@@ -408,7 +355,7 @@ func walkNodeWithFacts(info *types.Info, root ast.Node, facts factSet,
 		if visit != nil {
 			visit(n, stack, facts)
 		}
-		if call, isCall := n.(*ast.CallExpr); isCall && !skipCalls[call] {
+		if call, isCall := n.(*ast.CallExpr); isCall && call != skip {
 			applyCallEffect(info, call, facts)
 		}
 		return true
@@ -437,10 +384,6 @@ func applyCallEffect(info *types.Info, call *ast.CallExpr, facts factSet) {
 		facts["R:"+key] = true
 	case "RUnlock":
 		delete(facts, "R:"+key)
-	case "Wait":
-		facts["wait:"+key] = true
-	case "Done":
-		facts["done:"+key] = true
 	}
 }
 

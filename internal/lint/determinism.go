@@ -22,10 +22,9 @@ var outputPkgs = map[string]bool{
 // from the global math/rand source (unseeded, nondeterministic across
 // processes), and map iteration feeding output in the rendering packages.
 var Determinism = &Analyzer{
-	Name:     "determinism",
-	Doc:      "wall-clock reads, global math/rand, and unsorted map-range output break byte-reproducibility",
-	Severity: SevError,
-	Run:      runDeterminism,
+	Name: "determinism",
+	Doc:  "wall-clock reads, global math/rand, and unsorted map-range output break byte-reproducibility",
+	Run:  runDeterminism,
 }
 
 func runDeterminism(p *Pass) {

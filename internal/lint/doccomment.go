@@ -8,8 +8,7 @@ import (
 // docExcluded lists the packages exempt from doc-comment coverage, each
 // with its reason. Everything else under internal/... and cmd/... is held
 // to the rule by default, so a new package is covered the day it lands;
-// shrinking this list is the way to widen coverage further. Warn-only:
-// missing docs never gate CI, they nag.
+// shrinking this list is the way to widen coverage further.
 var docExcluded = map[string]string{
 	"gpuresilience/internal/lint": "the linter's own internals; its exported surface is the Analyzer registry",
 }
@@ -27,14 +26,13 @@ func docCovered(importPath string) bool {
 		strings.HasPrefix(importPath, "fixture/")
 }
 
-// DocComment warns about exported identifiers — functions, methods, types,
+// DocComment flags exported identifiers — functions, methods, types,
 // package-level vars/consts, and exported struct fields — that carry no doc
 // comment, in every internal/ and cmd/ package not explicitly excluded.
 var DocComment = &Analyzer{
-	Name:     "doccomment",
-	Doc:      "exported identifiers in internal/... and cmd/... must carry doc comments",
-	Severity: SevWarn,
-	Run:      runDocComment,
+	Name: "doccomment",
+	Doc:  "exported identifiers in internal/... and cmd/... must carry doc comments",
+	Run:  runDocComment,
 }
 
 func runDocComment(p *Pass) {
@@ -59,7 +57,7 @@ func runDocComment(p *Pass) {
 	}
 }
 
-// checkGenDeclDocs warns on undocumented exported specs in a type/var/const
+// checkGenDeclDocs flags undocumented exported specs in a type/var/const
 // declaration. A doc comment on the enclosing group counts for its members
 // (the conventional style for const blocks), as does a trailing line
 // comment; exported struct fields are checked the same way.
@@ -83,7 +81,7 @@ func checkGenDeclDocs(p *Pass, d *ast.GenDecl) {
 	}
 }
 
-// checkFieldDocs warns on undocumented exported fields of an exported
+// checkFieldDocs flags undocumented exported fields of an exported
 // struct type. Embedded fields are skipped — their documentation lives on
 // the embedded type.
 func checkFieldDocs(p *Pass, typeName string, st *ast.StructType) {

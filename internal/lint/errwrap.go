@@ -10,10 +10,9 @@ import (
 // wrap. Formatting an error with %v (or %s) flattens it to text and silently
 // breaks typed-error handling like the lenient reader's *BudgetError checks.
 var ErrWrap = &Analyzer{
-	Name:     "errwrap",
-	Doc:      "fmt.Errorf with an error-typed argument must wrap it with %w",
-	Severity: SevError,
-	Run:      runErrWrap,
+	Name: "errwrap",
+	Doc:  "fmt.Errorf with an error-typed argument must wrap it with %w",
+	Run:  runErrWrap,
 }
 
 func runErrWrap(p *Pass) {

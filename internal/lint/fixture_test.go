@@ -96,13 +96,8 @@ func TestFixtures(t *testing.T) {
 	}{
 		{"determinism", []*Analyzer{Determinism}},
 		{"obsnil", []*Analyzer{ObsNil}},
-		{"hotalloc", []*Analyzer{HotAlloc}},
 		{"errwrap", []*Analyzer{ErrWrap}},
-		{"poolhygiene", []*Analyzer{PoolHygiene}},
 		{"lockguard", []*Analyzer{LockGuard}},
-		{"atomicmix", []*Analyzer{AtomicMix}},
-		{"goroutinecapture", []*Analyzer{GoroutineCapture}},
-		{"wgdiscipline", []*Analyzer{WgDiscipline}},
 		{"chanclose", []*Analyzer{ChanClose}},
 		{"doccomment", []*Analyzer{DocComment}},
 		// Directive diagnostics are produced by the framework itself, before

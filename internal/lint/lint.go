@@ -2,8 +2,8 @@
 // package loader built on `go list -export` plus go/parser and go/types, a
 // small analyzer interface, and a registry of repo-specific analyzers that
 // machine-check the pipeline's invariants — output determinism, nil-safe
-// observability call sites, allocation-free hot paths, error-chain
-// preservation, and sync.Pool hygiene.
+// observability call sites, error-chain preservation, lock and channel
+// discipline, and doc-comment coverage.
 //
 // The framework deliberately avoids golang.org/x/tools so the module keeps
 // its empty require block; everything here is standard library. cmd/gpulint
@@ -21,26 +21,6 @@ import (
 	"time"
 )
 
-// Severity classifies a finding. Errors gate CI; warnings are advisory.
-type Severity int
-
-// The two severities findings carry.
-const (
-	// SevError findings fail gpulint unless baselined or allowed.
-	SevError Severity = iota
-	// SevWarn findings are reported but never affect the exit status
-	// (the doccomment analyzer runs in this mode).
-	SevWarn
-)
-
-// String returns the JSON/text label for the severity.
-func (s Severity) String() string {
-	if s == SevWarn {
-		return "warning"
-	}
-	return "error"
-}
-
 // Finding is one analyzer diagnosis, rendered as
 // "file:line:col [analyzer] message".
 type Finding struct {
@@ -53,8 +33,6 @@ type Finding struct {
 	Col  int `json:"col"`
 	// Message states the violated invariant and the expected fix.
 	Message string `json:"message"`
-	// Severity is "error" or "warning".
-	Severity string `json:"severity"`
 	// Baselined marks findings suppressed by lint_baseline.json.
 	Baselined bool `json:"baselined,omitempty"`
 }
@@ -66,8 +44,6 @@ type Analyzer struct {
 	Name string
 	// Doc is the one-line description `gpulint -analyzers` prints.
 	Doc string
-	// Severity applies to every finding the analyzer reports.
-	Severity Severity
 	// Run inspects one package and reports through the pass.
 	Run func(*Pass)
 }
@@ -94,7 +70,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Line:     position.Line,
 		Col:      position.Column,
 		Message:  fmt.Sprintf(format, args...),
-		Severity: p.Analyzer.Severity.String(),
 	})
 }
 
@@ -229,7 +204,6 @@ func collectAllows(m *Module, pkg *Package) (allowSet, []Finding) {
 			Line:     position.Line,
 			Col:      position.Column,
 			Message:  msg,
-			Severity: SevError.String(),
 		})
 	}
 	for _, f := range pkg.Files {

@@ -18,10 +18,9 @@ import (
 // hold fresh allocations (&T{…}, new(T)) are exempt, which keeps
 // constructors annotation-free.
 var LockGuard = &Analyzer{
-	Name:     "lockguard",
-	Doc:      "fields annotated `// guarded by <mu>` must be accessed with the mutex held on every path",
-	Severity: SevError,
-	Run:      runLockGuard,
+	Name: "lockguard",
+	Doc:  "fields annotated `// guarded by <mu>` must be accessed with the mutex held on every path",
+	Run:  runLockGuard,
 }
 
 // guardAnnotationRe extracts the guard name from an annotation comment.

@@ -13,10 +13,9 @@ import (
 // begin with a nil-receiver guard, which also guarantees no field is
 // dereferenced before the guard.
 var ObsNil = &Analyzer{
-	Name:     "obsnil",
-	Doc:      "exported pointer-receiver methods in package obs must begin with a nil-receiver guard",
-	Severity: SevError,
-	Run:      runObsNil,
+	Name: "obsnil",
+	Doc:  "exported pointer-receiver methods in package obs must begin with a nil-receiver guard",
+	Run:  runObsNil,
 }
 
 func runObsNil(p *Pass) {

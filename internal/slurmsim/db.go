@@ -287,7 +287,7 @@ func (ld *dbLoader) parsePlacement(b []byte) (Placement, error) {
 		}
 		ci := bytes.IndexByte(part, ':')
 		if ci <= 0 || n > 0 && bytes.Compare(part[:ci], prev) <= 0 {
-			return ParsePlacement(string(b)) //lint:allow hotalloc cold corrupt-input fallback; the hot path parses in place
+			return ParsePlacement(string(b)) // cold corrupt-input fallback; the hot path parses in place
 		}
 		node, list := part[:ci], part[ci+1:]
 		prev = node
@@ -302,7 +302,7 @@ func (ld *dbLoader) parsePlacement(b []byte) (Placement, error) {
 			}
 			v, ok := atoiFast(seg)
 			if !ok {
-				return ParsePlacement(string(b)) //lint:allow hotalloc cold corrupt-input fallback; the hot path parses in place
+				return ParsePlacement(string(b)) // cold corrupt-input fallback; the hot path parses in place
 			}
 			idxs[k] = v
 			k++

@@ -83,7 +83,7 @@ func (e *Engine) ConsumeLine(source string, lineNo int64, line string) error {
 	// the quarantine — counted exactly, sampled for diagnosis.
 	if e.st.HasWatermark && !ev.Time.After(e.st.Watermark) {
 		e.st.Quarantine.Late++
-		if len(e.st.Quarantine.Samples) < e.cfg.QuarantineSample {
+		if len(e.st.Quarantine.Samples) < DefaultQuarantineSample {
 			e.st.Quarantine.Samples = append(e.st.Quarantine.Samples, LateEvent{
 				Source:    source,
 				Line:      lineNo,

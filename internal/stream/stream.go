@@ -73,18 +73,12 @@ type Config struct {
 	Downtimes []cluster.NodeDowntime
 	// CPU is the CPU-partition summary for Table III's success-rate line.
 	CPU workload.CPURecord
-	// QuarantineSample caps retained late-event samples; zero means
-	// DefaultQuarantineSample.
-	QuarantineSample int
 }
 
 // withDefaults resolves zero fields.
 func (c Config) withDefaults() Config {
 	if c.Horizon == 0 {
 		c.Horizon = DefaultHorizon
-	}
-	if c.QuarantineSample == 0 {
-		c.QuarantineSample = DefaultQuarantineSample
 	}
 	return c
 }

@@ -89,15 +89,15 @@ func (e *ParseError) Unwrap() error { return e.cause }
 
 // Lenient-mode sizing defaults.
 const (
-	// defaultQuarantinePerClass bounds the sidecar sample per category.
-	defaultQuarantinePerClass = 4
+	// quarantinePerClass bounds the sidecar sample per category.
+	quarantinePerClass = 4
 	// quarantineSampleBytes truncates each quarantined line sample.
 	quarantineSampleBytes = 160
 )
 
 // LenientOptions configures corruption-tolerant extraction. The zero value
-// means: no error budget (never fail on content), default quarantine bound,
-// default line-length ceiling (MaxLineBytes).
+// means: no error budget (never fail on content), default line-length
+// ceiling (MaxLineBytes).
 type LenientOptions struct {
 	// MaxBadLines is the absolute error budget: once more than this many
 	// lines have been classified as corrupt, extraction fails fast with a
@@ -107,9 +107,6 @@ type LenientOptions struct {
 	// stream at EOF (a running fraction is not monotone, so checking it
 	// mid-stream would make the outcome depend on chunking). 0 disables it.
 	MaxBadFrac float64
-	// QuarantinePerClass bounds how many sample lines are retained per
-	// corruption category (first-seen order). 0 means the default (4).
-	QuarantinePerClass int
 	// MaxLineBytes overrides the line-length ceiling, mainly for tests.
 	// 0 means MaxLineBytes (4 MiB); values below 4 KiB are raised to 4 KiB
 	// so overlong-line quarantine samples are identical on the sequential
@@ -124,9 +121,6 @@ const minLineCeiling = 4 << 10
 
 // withDefaults resolves zero fields to their effective values.
 func (o LenientOptions) withDefaults() LenientOptions {
-	if o.QuarantinePerClass <= 0 {
-		o.QuarantinePerClass = defaultQuarantinePerClass
-	}
 	if o.MaxLineBytes <= 0 {
 		o.MaxLineBytes = MaxLineBytes
 	}
@@ -172,7 +166,7 @@ type IngestionReport struct {
 	Bad [NumLineClasses]int
 	// BadTotal is the sum over Bad.
 	BadTotal int
-	// Quarantine holds up to QuarantinePerClass samples per category, in
+	// Quarantine holds up to four samples per category, in
 	// stream order.
 	Quarantine []Quarantined
 	Budget     BudgetStatus // budget configuration and outcome
@@ -375,7 +369,7 @@ func (s *reportState) line(line []byte, in *intern.Interner, ev *xid.Event) line
 func (s *reportState) record(class LineClass, line []byte) {
 	s.rep.Bad[class]++
 	s.rep.BadTotal++
-	if s.qn[class] < s.opt.QuarantinePerClass {
+	if s.qn[class] < quarantinePerClass {
 		s.qn[class]++
 		s.rep.Quarantine = append(s.rep.Quarantine, Quarantined{
 			Line: s.rep.Lines, Class: class, Sample: string(truncateSample(line)),
@@ -389,7 +383,7 @@ func (s *reportState) record(class LineClass, line []byte) {
 // under the cap.
 func (s *reportState) merge(part *IngestionReport) {
 	for _, q := range part.Quarantine {
-		if s.qn[q.Class] < s.opt.QuarantinePerClass {
+		if s.qn[q.Class] < quarantinePerClass {
 			s.qn[q.Class]++
 			q.Line += s.rep.Lines
 			s.rep.Quarantine = append(s.rep.Quarantine, q)

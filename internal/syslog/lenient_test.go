@@ -197,7 +197,7 @@ func TestQuarantineBoundedAndNumbered(t *testing.T) {
 	}
 	input := []byte(strings.Join(lines, "\n") + "\n")
 	for _, workers := range []int{1, 4} {
-		_, rep, err := extractLenient(t, input, workers, syslog.LenientOptions{QuarantinePerClass: 4})
+		_, rep, err := extractLenient(t, input, workers, syslog.LenientOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
