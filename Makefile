@@ -34,7 +34,7 @@ bench-quick:
 	GPURESIL_BENCH_SCALE=0.05 $(GO) test -bench=. -benchmem -timeout 30m ./...
 
 # Hot-path benchmark set for the perf gate (sub-benchmarks included).
-BENCH_SET = ^(BenchmarkClusterRun|BenchmarkExtractParallel|BenchmarkShardedExtract|BenchmarkPipelineParallel|BenchmarkStageIExtract|BenchmarkJobDBLoad|BenchmarkEndToEnd)$$
+BENCH_SET = ^(BenchmarkClusterRun|BenchmarkExtractParallel|BenchmarkShardedExtract|BenchmarkPipelineParallel|BenchmarkStageIExtract|BenchmarkJobDBLoad|BenchmarkEndToEnd|BenchmarkStreamReplay)$$
 
 # Snapshot the hot-path benchmarks (5% dataset, 4 repeats, per-metric
 # medians) into BENCH_baseline.json. Commit the refreshed file whenever a

@@ -23,6 +23,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -37,6 +38,7 @@ import (
 	"gpuresilience/internal/ingest"
 	"gpuresilience/internal/report"
 	"gpuresilience/internal/slurmsim"
+	"gpuresilience/internal/stream"
 	"gpuresilience/internal/survival"
 	"gpuresilience/internal/syslog"
 	"gpuresilience/internal/workload"
@@ -557,8 +559,8 @@ func BenchmarkShardedExtract(b *testing.B) {
 }
 
 // BenchmarkPipelineParallel measures the whole analysis path from raw bytes
-// — sharded extraction, key-sharded coalescing, and the Stage III fan-out
-// (Tables I-III) — at each worker count. The workers=1 case is the
+// — sharded extraction, coalescing, and Stage III with its sharded Table
+// II job scan (Tables I-III) — at each worker count. The workers=1 case is the
 // sequential pipeline; the ratio to it is the headline speedup tracked in
 // the perf trajectory (target >=3x on 8 cores at scale 1.0).
 func BenchmarkPipelineParallel(b *testing.B) {
@@ -589,7 +591,7 @@ func BenchmarkStageIExtract(b *testing.B) {
 		Time: calib.Op().Start.Add(time.Hour),
 		Node: "gpub042", GPU: 2, Code: xid.NVLink, Detail: "link 1-2 CRC failure",
 	}
-	line := syslog.FormatLine(ev, 4242, "python")
+	line := string(syslog.AppendLine(nil, ev, 4242, "python"))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -621,6 +623,55 @@ func BenchmarkJobDBLoad(b *testing.B) {
 		}
 		if len(jobs) != n {
 			b.Fatalf("loaded %d jobs", len(jobs))
+		}
+	}
+}
+
+// BenchmarkStreamReplay measures the daemon path: the shared dataset's
+// raw log replayed line by line through a fresh streaming engine in
+// 4096-line batches, advancing the watermark after each batch, building a
+// snapshot after every 8th and one more after the final flush. It is
+// shaped like gpubench's daemon-ingest workload, so the perf gate holds
+// online Stage I/II, sealing and the Stage III fold together.
+func BenchmarkStreamReplay(b *testing.B) {
+	const batch, snapshotEvery = 4096, 8
+	d := dataset(b)
+	logs, _ := rawDataset(b)
+	lines := strings.Split(strings.TrimSuffix(string(logs), "\n"), "\n")
+	cfg := stream.Config{
+		Pipeline:  pipelineCfg(),
+		Jobs:      d.Truth.Jobs,
+		Downtimes: d.Truth.Downtimes,
+		CPU:       d.Truth.CPU,
+	}
+	b.SetBytes(int64(len(logs)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng, err := stream.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for lo, n := 0, 0; lo < len(lines); lo += batch {
+			for j, line := range lines[lo:min(lo+batch, len(lines))] {
+				if err := eng.ConsumeLine("syslog", int64(lo+j+1), line); err != nil {
+					b.Fatal(err)
+				}
+			}
+			eng.Advance()
+			if n++; n%snapshotEvery == 0 {
+				if _, err := stream.BuildSnapshot(eng); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		eng.FlushAll()
+		snap, err := stream.BuildSnapshot(eng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if snap.Status.SealedEvents == 0 {
+			b.Fatal("replay sealed no events")
 		}
 	}
 }

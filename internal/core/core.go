@@ -55,7 +55,7 @@ type PipelineConfig struct {
 	// an outlier, guarding small datasets.
 	OutlierMinCount int
 	// Workers bounds the pipeline's parallelism: sharded Stage I
-	// extraction and the Stage III fan-out each use at most this many
+	// extraction and Table II's job scan each use at most this many
 	// goroutines; Stage II is sequential. 0 means GOMAXPROCS, 1 forces
 	// the sequential path. Every table and figure is worker-count-invariant
 	// — see docs/pipeline.md for the argument.
@@ -200,203 +200,20 @@ func Analyze(events []xid.Event, jobs []*slurmsim.Job, repairs []time.Duration,
 
 // AnalyzeCoalesced runs Stage III over Stage II's output: coalesced events
 // in the canonical order of coalesce.Compare. Analyze calls it after Stage
-// II; a caller that coalesces on its own, such as the streaming engine,
-// calls it directly. It sets Results.RawEvents to len(coalesced), which
-// such a caller replaces with its own Stage II input count.
+// II. It is one StageIII fold of the whole stream, the same body the
+// streaming engine folds batch by batch. It sets Results.RawEvents to
+// len(coalesced), which a caller replaces with its own Stage II input
+// count.
 func AnalyzeCoalesced(coalesced []xid.Event, jobs []*slurmsim.Job, repairs []time.Duration,
 	cpu workload.CPURecord, cfg PipelineConfig) (*Results, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	res := &Results{
-		RawEvents:       len(coalesced),
-		CoalescedEvents: len(coalesced),
-	}
-
-	// Stage III fan-out: the three analyses below only read coalesced/jobs,
-	// so they run concurrently (bounded by cfg.Workers); each one also
-	// shards internally where it pays off. Each task carries its own span —
-	// started inside the task so a span's wall time excludes queueing.
-	tasks := []struct {
-		name string
-		fn   func(sp *obs.Span) error
-	}{
-		{"stage3.stats", func(sp *obs.Span) error {
-			sp.AddIn(int64(len(coalesced)))
-			if err := res.fillTableI(coalesced, cfg); err != nil {
-				return err
-			}
-			sp.AddOut(int64(len(res.TableI)))
-			return nil
-		}},
-		{"stage3.impact", func(sp *obs.Span) error {
-			sp.AddIn(int64(len(jobs)))
-			cor, err := impact.Correlate(jobs, coalesced, impact.Config{
-				AttributionWindow: cfg.AttributionWindow,
-				Period:            cfg.Op,
-				Workers:           cfg.Workers,
-			})
-			if err != nil {
-				return err
-			}
-			res.TableII = cor
-			sp.AddOut(int64(len(cor.Rows)))
-			return nil
-		}},
-		{"stage3.workload", func(sp *obs.Span) error {
-			sp.AddIn(int64(len(jobs)))
-			res.TableIII = impact.TableIII(jobs)
-			res.JobStats = impact.ComputeJobStats(jobs, cpu.Total, cpu.Succeeded)
-			sp.AddOut(int64(len(res.TableIII)))
-			return nil
-		}},
-	}
-	if err := parallel.ForEach(len(tasks), cfg.Workers, func(i int) error {
-		sp := cfg.Obs.StartSpan(tasks[i].name)
-		defer sp.End()
-		return tasks[i].fn(sp)
-	}); err != nil {
-		return nil, err
-	}
-
-	spA := cfg.Obs.StartSpan("stage3.availability")
-	full := stats.Period{Name: "characterization", Start: cfg.PreOp.Start, End: cfg.Op.End}
-	errorCount := res.PreSummary.TotalExclOutliers + res.OpSummary.TotalExclOutliers
-	availRes, err := avail.Analyze(repairs, avail.DefaultConfig(full, cfg.Nodes, errorCount))
+	s, err := NewStageIII(jobs, repairs, cpu, cfg)
 	if err != nil {
 		return nil, err
 	}
-	res.Avail = availRes
-	spA.AddIn(int64(len(repairs)))
-	spA.AddOut(int64(availRes.Repairs))
-	spA.End()
-	return res, nil
-}
-
-// fillTableI computes per-group counts and MTBEs for both periods.
-func (r *Results) fillTableI(events []xid.Event, cfg PipelineConfig) error {
-	type periodCounts struct {
-		byGroup  map[xid.Group]int
-		byStream map[xid.Key]int
-		total    int
-		outliers int
-		memory   int
-		hardware int // hardware + interconnect, as in finding (ii)
+	if err := s.Add(coalesced); err != nil {
+		return nil, err
 	}
-	count := func(p stats.Period) periodCounts {
-		pc := periodCounts{
-			byGroup:  make(map[xid.Group]int),
-			byStream: make(map[xid.Key]int),
-		}
-		for _, ev := range events {
-			if !p.Contains(ev.Time) || !ev.Code.InStats() {
-				continue
-			}
-			g, ok := xid.GroupOf(ev.Code)
-			if !ok {
-				continue
-			}
-			pc.byGroup[g]++
-			pc.byStream[ev.Key()]++
-		}
-		// Derived row: uncorrectable ECC = remap attempts (RRE + RRF).
-		pc.byGroup[xid.GroupUncorrECC] = pc.byGroup[xid.GroupRRE] + pc.byGroup[xid.GroupRRF]
-		for g, n := range pc.byGroup {
-			pc.total += n
-			switch xid.GroupCategory(g) {
-			case xid.CategoryMemory:
-				pc.memory += n
-			default:
-				pc.hardware += n
-			}
-		}
-		if cfg.OutlierStreamFraction > 0 {
-			floor := cfg.OutlierMinCount
-			if floor < 1 {
-				floor = 1
-			}
-			for _, n := range pc.byStream {
-				if n >= floor && float64(n) > cfg.OutlierStreamFraction*float64(pc.total) {
-					pc.outliers += n
-				}
-			}
-		}
-		return pc
-	}
-
-	pre := count(cfg.PreOp)
-	op := count(cfg.Op)
-
-	cell := func(n int, p stats.Period) (Cell, error) {
-		c := Cell{Count: n}
-		if n == 0 {
-			return c, nil
-		}
-		m, err := stats.ComputeMTBE(n, p, cfg.Nodes)
-		if err != nil {
-			return Cell{}, err
-		}
-		c.MTBE = m
-		return c, nil
-	}
-
-	for _, g := range xid.TableIGroups() {
-		preCell, err := cell(pre.byGroup[g], cfg.PreOp)
-		if err != nil {
-			return err
-		}
-		opCell, err := cell(op.byGroup[g], cfg.Op)
-		if err != nil {
-			return err
-		}
-		r.TableI = append(r.TableI, TableIRow{
-			Group:    g,
-			Category: xid.GroupCategory(g),
-			PreOp:    preCell,
-			Op:       opCell,
-		})
-	}
-
-	summarize := func(pc periodCounts, p stats.Period) (PeriodSummary, error) {
-		s := PeriodSummary{
-			Period:            p,
-			Total:             pc.total,
-			TotalExclOutliers: pc.total - pc.outliers,
-			OutlierErrors:     pc.outliers,
-		}
-		if s.TotalExclOutliers > 0 {
-			m, err := stats.ComputeMTBE(s.TotalExclOutliers, p, cfg.Nodes)
-			if err != nil {
-				return s, err
-			}
-			s.PerNodeMTBE = m.PerNode
-		}
-		// The category split mirrors the paper: memory counts include the
-		// derived uncorrectable ECC row; outlier streams are memory bursts
-		// and are excluded from the memory figure too.
-		mem := pc.memory - pc.outliers
-		if mem > 0 {
-			m, err := stats.ComputeMTBE(mem, p, cfg.Nodes)
-			if err != nil {
-				return s, err
-			}
-			s.MemoryPerNodeMTBE = m.PerNode
-		}
-		if pc.hardware > 0 {
-			m, err := stats.ComputeMTBE(pc.hardware, p, cfg.Nodes)
-			if err != nil {
-				return s, err
-			}
-			s.HardwarePerNodeMTBE = m.PerNode
-		}
-		return s, nil
-	}
-	var err error
-	if r.PreSummary, err = summarize(pre, cfg.PreOp); err != nil {
-		return err
-	}
-	r.OpSummary, err = summarize(op, cfg.Op)
-	return err
+	return s.Results()
 }
 
 // Row returns the Table I row for a group.

@@ -2,7 +2,7 @@
 // shapes without the generality — or the allocations — of time.Parse.
 //
 // Both parsers accept ONLY the canonical byte shape their writers emit
-// (syslog.FormatLine's microsecond layout, DumpDB's RFC 3339 seconds) and
+// (syslog.AppendLine's microsecond layout, DumpDB's RFC 3339 seconds) and
 // report ok=false for anything else. Callers fall back to time.Parse on a
 // miss, so the combined accept/reject semantics — including time.Parse's
 // leniencies such as one-digit hours or a comma fraction separator — are

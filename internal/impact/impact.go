@@ -64,28 +64,52 @@ type gpuKey struct {
 	gpu  int
 }
 
-// deviceIndex validates cfg and indexes the in-period, studied events per
-// device, sorted by time: the one view of the error stream that Table II
-// and the lost-compute breakdown both join jobs against.
-func deviceIndex(events []xid.Event, cfg Config) (map[gpuKey][]xid.Event, error) {
+// DeviceIndex is the one view of the error stream that Table II and the
+// lost-compute breakdown join jobs against: the period's studied events
+// per device, each device's events in time order. Add folds events in, so
+// a streaming caller extends one index as events seal instead of
+// rebuilding it. Correlate and the lost-compute breakdown scan jobs over
+// it and leave it unchanged.
+type DeviceIndex struct {
+	cfg     Config
+	devices map[gpuKey][]xid.Event
+}
+
+// NewDeviceIndex validates cfg and returns an empty index.
+func NewDeviceIndex(cfg Config) (*DeviceIndex, error) {
 	if cfg.AttributionWindow <= 0 {
 		return nil, errors.New("impact: non-positive attribution window")
 	}
 	if err := cfg.Period.Validate(); err != nil {
 		return nil, err
 	}
-	index := make(map[gpuKey][]xid.Event)
+	return &DeviceIndex{cfg: cfg, devices: make(map[gpuKey][]xid.Event)}, nil
+}
+
+// Add indexes the in-period, studied events of a batch. Across all Adds,
+// each device's events must arrive in time order, as Stage II's canonical
+// order (coalesce.Compare) delivers them.
+func (x *DeviceIndex) Add(events []xid.Event) {
 	for _, ev := range events {
-		if !cfg.Period.Contains(ev.Time) || !ev.Code.InStats() {
+		if !x.cfg.Period.Contains(ev.Time) || !ev.Code.InStats() {
 			continue
 		}
 		k := gpuKey{node: ev.Node, gpu: ev.GPU}
-		index[k] = append(index[k], ev)
+		x.devices[k] = append(x.devices[k], ev)
 	}
-	for _, evs := range index {
+}
+
+// indexEvents builds a device index over events in any order.
+func indexEvents(events []xid.Event, cfg Config) (*DeviceIndex, error) {
+	x, err := NewDeviceIndex(cfg)
+	if err != nil {
+		return nil, err
+	}
+	x.Add(events)
+	for _, evs := range x.devices {
 		sort.Slice(evs, func(i, j int) bool { return evs[i].Time.Before(evs[j].Time) })
 	}
-	return index, nil
+	return x, nil
 }
 
 // inScope reports whether a job takes part in the join: it ran, ended, and
@@ -99,11 +123,11 @@ func inScope(j *slurmsim.Job, period stats.Period) bool {
 // and, if the job failed, adds to attributed those of them seen within the
 // attribution window before its end. An error before the job started is
 // neither, however close to the failure.
-func scanJob(j *slurmsim.Job, index map[gpuKey][]xid.Event, window time.Duration, encountered, attributed map[xid.Code]bool) {
-	windowStart := j.End.Add(-window)
+func (x *DeviceIndex) scanJob(j *slurmsim.Job, encountered, attributed map[xid.Code]bool) {
+	windowStart := j.End.Add(-x.cfg.AttributionWindow)
 	for _, e := range j.Place {
 		for _, gi := range e.GPUs {
-			evs := index[gpuKey{node: e.Node, gpu: gi}]
+			evs := x.devices[gpuKey{node: e.Node, gpu: gi}]
 			// First event at or after job start.
 			lo := sort.Search(len(evs), func(i int) bool {
 				return !evs[i].Time.Before(j.Start)
@@ -123,14 +147,18 @@ func scanJob(j *slurmsim.Job, index map[gpuKey][]xid.Event, window time.Duration
 
 // Correlate joins job records with coalesced error events.
 func Correlate(jobs []*slurmsim.Job, events []xid.Event, cfg Config) (Correlation, error) {
-	index, err := deviceIndex(events, cfg)
+	x, err := indexEvents(events, cfg)
 	if err != nil {
 		return Correlation{}, err
 	}
+	return x.Correlate(jobs), nil
+}
 
+// Correlate joins job records with the indexed error events.
+func (x *DeviceIndex) Correlate(jobs []*slurmsim.Job) Correlation {
 	// The per-job classification is embarrassingly parallel over the (read
 	// only) index: shard the job list, tally locally, sum the tallies.
-	workers := parallel.Resolve(cfg.Workers)
+	workers := parallel.Resolve(x.cfg.Workers)
 	if max := len(jobs) / minJobsPerShard; workers > max {
 		workers = max
 	}
@@ -138,14 +166,12 @@ func Correlate(jobs []*slurmsim.Job, events []xid.Event, cfg Config) (Correlatio
 		workers = 1
 	}
 	parts := make([]corTally, workers)
-	err = parallel.ForEach(workers, workers, func(s int) error {
+	// The shards never fail, so neither does the fan-out.
+	_ = parallel.ForEach(workers, workers, func(s int) error {
 		lo, hi := s*len(jobs)/workers, (s+1)*len(jobs)/workers
-		parts[s] = correlateJobs(jobs[lo:hi], index, cfg)
+		parts[s] = x.correlateJobs(jobs[lo:hi])
 		return nil
 	})
-	if err != nil {
-		return Correlation{}, err
-	}
 	encounters := make(map[xid.Code]int)
 	gpuFailed := make(map[xid.Code]int)
 	var totalGPUFailed, encounteredAny int
@@ -179,7 +205,7 @@ func Correlate(jobs []*slurmsim.Job, events []xid.Event, cfg Config) (Correlatio
 		}
 		out.Rows = append(out.Rows, row)
 	}
-	return out, nil
+	return out
 }
 
 // minJobsPerShard is the smallest job-shard size worth a goroutine.
@@ -193,9 +219,8 @@ type corTally struct {
 	encounteredAny int
 }
 
-// correlateJobs classifies one shard of the job list against the device
-// index.
-func correlateJobs(jobs []*slurmsim.Job, index map[gpuKey][]xid.Event, cfg Config) corTally {
+// correlateJobs classifies one shard of the job list against the index.
+func (x *DeviceIndex) correlateJobs(jobs []*slurmsim.Job) corTally {
 	tally := corTally{
 		encounters: make(map[xid.Code]int),
 		gpuFailed:  make(map[xid.Code]int),
@@ -203,12 +228,12 @@ func correlateJobs(jobs []*slurmsim.Job, index map[gpuKey][]xid.Event, cfg Confi
 	encountered := make(map[xid.Code]bool)
 	attributed := make(map[xid.Code]bool)
 	for _, j := range jobs {
-		if !inScope(j, cfg.Period) {
+		if !inScope(j, x.cfg.Period) {
 			continue
 		}
 		clear(encountered)
 		clear(attributed)
-		scanJob(j, index, cfg.AttributionWindow, encountered, attributed)
+		x.scanJob(j, encountered, attributed)
 		if len(encountered) > 0 {
 			tally.encounteredAny++
 		}
@@ -235,26 +260,32 @@ type LostComputeRow struct {
 // LostCompute breaks down the GPU hours destroyed by GPU-failed jobs per
 // attributed error code (§V-C's "compute time lost to failed jobs"). Its
 // jobs and codes are exactly Correlate's GPU-failed jobs and attributions:
-// both go through scanJob over the same device index. A job
+// both go through scanJob over the same DeviceIndex. A job
 // attributed to several codes (e.g. a PMU error and its propagated MMU
 // error) is counted under each, so rows are not additive; TotalGPUHours
 // counts each job once.
 func LostCompute(jobs []*slurmsim.Job, events []xid.Event, cfg Config) ([]LostComputeRow, float64, error) {
-	index, err := deviceIndex(events, cfg)
+	x, err := indexEvents(events, cfg)
 	if err != nil {
 		return nil, 0, err
 	}
+	rows, total := x.lostCompute(jobs)
+	return rows, total, nil
+}
+
+// lostCompute is the lost-compute breakdown over the indexed error events.
+func (x *DeviceIndex) lostCompute(jobs []*slurmsim.Job) ([]LostComputeRow, float64) {
 	perCode := make(map[xid.Code]*LostComputeRow)
 	var total float64
 	encountered := make(map[xid.Code]bool)
 	attributed := make(map[xid.Code]bool)
 	for _, j := range jobs {
-		if !inScope(j, cfg.Period) || j.State.Succeeded() {
+		if !inScope(j, x.cfg.Period) || j.State.Succeeded() {
 			continue
 		}
 		clear(encountered)
 		clear(attributed)
-		scanJob(j, index, cfg.AttributionWindow, encountered, attributed)
+		x.scanJob(j, encountered, attributed)
 		if len(attributed) == 0 {
 			continue
 		}
@@ -280,7 +311,7 @@ func LostCompute(jobs []*slurmsim.Job, events []xid.Event, cfg Config) ([]LostCo
 		}
 		return rows[i].Code < rows[j].Code
 	})
-	return rows, total, nil
+	return rows, total
 }
 
 // Row returns the Table II row for a code, if present.

@@ -37,14 +37,14 @@ func orderedLog(n int, seed uint64) []byte {
 			Code:   []xid.Code{xid.MMU, xid.NVLink, xid.DBE, xid.GSPError}[rng.Intn(4)],
 			Detail: fmt.Sprintf("fault at 0x%08x", i),
 		}
-		buf.WriteString(syslog.FormatLine(ev, 1000+i, "python"))
+		buf.WriteString(string(syslog.AppendLine(nil, ev, 1000+i, "python")))
 		buf.WriteByte('\n')
 		if rng.Intn(4) == 0 {
-			buf.WriteString(syslog.FormatNoise(ts, ev.Node, i))
+			buf.WriteString(string(syslog.AppendNoise(nil, ts, ev.Node, i)))
 			buf.WriteByte('\n')
 		}
 		if rng.Intn(16) == 0 { // malformed Xid-shaped line (counts as Malformed)
-			buf.WriteString(strings.Replace(syslog.FormatLine(ev, 1, "x"),
+			buf.WriteString(strings.Replace(string(syslog.AppendLine(nil, ev, 1, "x")),
 				"PCI:0000", "PCI:dead", 1))
 			buf.WriteByte('\n')
 		}
@@ -381,9 +381,9 @@ func TestCacheInvalidationOnSourceChange(t *testing.T) {
 	runCached(t, plan, NewCache(cacheDir)) // populate
 
 	// Append a fresh, later record to the last shard's file.
-	extra := syslog.FormatLine(xid.Event{
+	extra := string(syslog.AppendLine(nil, xid.Event{
 		Time: testBase.Add(24 * time.Hour), Node: "gpub009", GPU: 1,
-		Code: xid.MMU, Detail: "appended"}, 7, "python") + "\n"
+		Code: xid.MMU, Detail: "appended"}, 7, "python")) + "\n"
 	last := filepath.Join(dir, fmt.Sprintf("shard_%03d.log", len(plan.Shards)-1))
 	f, err := os.OpenFile(last, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
@@ -577,9 +577,9 @@ func TestLenientMergedBudgets(t *testing.T) {
 	// exact: every corrupt line is one of the injected garbage lines.
 	var goodBuf bytes.Buffer
 	for i := 0; i < 100; i++ {
-		goodBuf.WriteString(syslog.FormatLine(xid.Event{
+		goodBuf.WriteString(string(syslog.AppendLine(nil, xid.Event{
 			Time: testBase.Add(time.Duration(i) * time.Second), Node: "gpub001",
-			GPU: 0, Code: xid.MMU, Detail: "d"}, 1000+i, "python"))
+			GPU: 0, Code: xid.MMU, Detail: "d"}, 1000+i, "python")))
 		goodBuf.WriteByte('\n')
 	}
 	good := goodBuf.Bytes()

@@ -24,10 +24,10 @@ func corpus(n int) []byte {
 			Code:   codes[i%len(codes)],
 			Detail: fmt.Sprintf("detail %d", i),
 		}
-		buf.WriteString(syslog.FormatLine(ev, 1000+i, "python"))
+		buf.WriteString(string(syslog.AppendLine(nil, ev, 1000+i, "python")))
 		buf.WriteByte('\n')
 		if i%7 == 0 {
-			buf.WriteString(syslog.FormatNoise(ev.Time, ev.Node, i))
+			buf.WriteString(string(syslog.AppendNoise(nil, ev.Time, ev.Node, i)))
 			buf.WriteByte('\n')
 		}
 	}

@@ -7,7 +7,9 @@ import (
 	"path/filepath"
 	"time"
 
+	"gpuresilience/internal/cluster"
 	"gpuresilience/internal/coalesce"
+	"gpuresilience/internal/core"
 	"gpuresilience/internal/obs"
 )
 
@@ -71,7 +73,9 @@ func (e *Engine) Checkpoint() *Checkpoint {
 // downtimes, CPU record) — those are not checkpointed; the checkpoint
 // carries only stream state. The coalescer is restored with cfg's window,
 // which must match the checkpointed run for the resumed output to stay
-// equivalent.
+// equivalent. The engine's Stage III accumulator is built here, with the
+// job-only tables computed once; it is derived from the sealed store, not
+// checkpointed, and the first Results folds the resumed store into it.
 func Resume(cfg Config, cp *Checkpoint) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -90,7 +94,11 @@ func Resume(cfg Config, cp *Checkpoint) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{cfg: cfg, st: cp.State.clone(), co: co, sources: make(map[string]*SourceState, len(cp.Sources))}
+	fold, err := core.NewStageIII(cfg.Jobs, cluster.Durations(cfg.Downtimes), cfg.CPU, cfg.Pipeline)
+	if err != nil {
+		return nil, err
+	}
+	e := &Engine{cfg: cfg, st: cp.State.clone(), co: co, sources: make(map[string]*SourceState, len(cp.Sources)), fold: fold}
 	for _, src := range cp.Sources {
 		src.Offset = 0 // tailer positions are the daemon's (RestoreTailers)
 		e.sources[src.Name] = &src

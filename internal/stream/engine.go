@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"gpuresilience/internal/cluster"
 	"gpuresilience/internal/coalesce"
 	"gpuresilience/internal/core"
 	"gpuresilience/internal/syslog"
@@ -15,10 +14,13 @@ import (
 
 // Engine is the streaming Stage I/II state machine. Sources push raw lines
 // through ConsumeLine; Advance seals everything behind the watermark into
-// the stats store; Results runs the full Stage III analysis over the sealed
-// store. All methods are safe for concurrent use, though the intended shape
-// is one ingest goroutine calling ConsumeLine/Advance and one publisher
-// goroutine calling Status/Results.
+// the stats store; Results folds the newly sealed events into the engine's
+// Stage III accumulator and derives the tables. All methods are safe for
+// concurrent use, though the intended shape is one ingest goroutine calling
+// ConsumeLine/Advance and one publisher goroutine calling Status/Results.
+//
+// Lock order: foldMu before mu. Ingest takes only mu, so Stage III never
+// stalls it.
 type Engine struct {
 	mu  sync.Mutex
 	cfg Config // immutable after Resume; read outside the lock
@@ -26,6 +28,15 @@ type Engine struct {
 	st      State                   // guarded by mu
 	co      *coalesce.Coalescer     // guarded by mu
 	sources map[string]*SourceState // guarded by mu
+	// sealBuf is sealThrough's scratch batch, reused across seals and kept
+	// cleared between them. It is not stream state: never checkpointed.
+	sealBuf []xid.Event // guarded by mu
+
+	foldMu sync.Mutex
+	fold   *core.StageIII // guarded by foldMu
+	// folded is how many events of st.Sealed the fold holds. Sealed is
+	// append-only, so the rest is exactly what the next fold adds.
+	folded int // guarded by foldMu
 }
 
 // New returns an Engine for the given configuration: a cold start.
@@ -145,7 +156,7 @@ func (e *Engine) sealThrough(cutoff time.Time) int {
 	if e.st.HasWatermark && !cutoff.After(e.st.Watermark) {
 		return 0
 	}
-	sealNow := make([]xid.Event, 0, len(e.st.Pending))
+	sealNow := e.sealBuf[:0]
 	keep := e.st.Pending[:0]
 	for _, ev := range e.st.Pending {
 		if !ev.Time.After(cutoff) {
@@ -162,6 +173,10 @@ func (e *Engine) sealThrough(cutoff time.Time) int {
 		e.st.Sealed = append(e.st.Sealed, e.co.AddBatch(sealNow)...)
 		e.st.SealedRaw += len(sealNow)
 	}
+	// The kept prefix is copied into Sealed; clearing the buffer keeps it
+	// from pinning the batch's node and detail strings.
+	clear(sealNow)
+	e.sealBuf = sealNow[:0]
 	// Keys whose window fell behind the watermark can never suppress a
 	// future event (everything still to come is after the cutoff), so the
 	// coalescer forgets them — this is what bounds resident state.
@@ -198,20 +213,27 @@ func (e *Engine) sourceList() []SourceState {
 	return out
 }
 
-// Results runs the Stage III analysis over the sealed store and returns the
-// same Results the batch pipeline produces for the sealed prefix of the
-// stream. The sealed slice is copied under the lock and analyzed outside
-// it, so a long Stage III never stalls ingest. The store is already Stage
-// II's output, coalesced and in canonical order, so Stage III reads it
-// directly.
+// Results returns the same Results the batch pipeline produces for the
+// sealed prefix of the stream. It folds the events sealed since its
+// previous call into the engine's Stage III accumulator and derives the
+// tables from it. The store is already Stage II's output, coalesced and in
+// canonical order, so the fold reads it directly. Only the new suffix's
+// bounds are read under the ingest lock; the fold runs under its own lock,
+// so a long Stage III never stalls ingest.
 func (e *Engine) Results() (*core.Results, error) {
+	e.foldMu.Lock()
+	defer e.foldMu.Unlock()
 	e.mu.Lock()
-	sealed := slices.Clip(e.st.Sealed)
+	suffix := slices.Clip(e.st.Sealed[e.folded:])
 	extract := e.st.Extract
 	sealedRaw := e.st.SealedRaw
 	e.mu.Unlock()
 
-	res, err := core.AnalyzeCoalesced(sealed, e.cfg.Jobs, cluster.Durations(e.cfg.Downtimes), e.cfg.CPU, e.cfg.Pipeline)
+	if err := e.fold.Add(suffix); err != nil {
+		return nil, err
+	}
+	e.folded += len(suffix)
+	res, err := e.fold.Results()
 	if err != nil {
 		return nil, err
 	}

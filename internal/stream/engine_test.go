@@ -128,7 +128,7 @@ func TestLateEventQuarantined(t *testing.T) {
 // line number are absorbed — counted as dups, not re-ingested.
 func TestDuplicateDelivery(t *testing.T) {
 	eng := newEngine(t)
-	line := syslog.FormatLine(event(0, "gpub001", 0, xid.MMU), 0, "test")
+	line := string(syslog.AppendLine(nil, event(0, "gpub001", 0, xid.MMU), 0, "test"))
 	for _, n := range []int64{1, 2, 2, 1} {
 		if err := eng.ConsumeLine("src", n, line); err != nil {
 			t.Fatal(err)

@@ -59,5 +59,5 @@ func (f *Feed) Push(text string) error {
 // Event formats ev the way the syslog writer does and pushes the line —
 // the shortcut embedded producers use instead of formatting themselves.
 func (f *Feed) Event(ev xid.Event) error {
-	return f.Line(syslog.FormatLine(ev, 0, "feed"))
+	return f.Line(string(syslog.AppendLine(nil, ev, 0, "feed")))
 }

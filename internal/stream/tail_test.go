@@ -188,7 +188,7 @@ func TestTailerOverlongLine(t *testing.T) {
 	if tl.Offset() != 5<<20 {
 		t.Fatalf("offset = %d, want %d past the dropped tail", tl.Offset(), 5<<20)
 	}
-	xidLine := syslog.FormatLine(event(0, "gpub001", 1, 79), 0, "feed")
+	xidLine := string(syslog.AppendLine(nil, event(0, "gpub001", 1, 79), 0, "feed"))
 	appendFile(t, path, "\n"+xidLine+"\n")
 	poll(1) // the overlong line's newline is dropped with it
 	want := syslog.ExtractStats{Lines: 2, XIDLines: 1, Malformed: 1}

@@ -91,12 +91,7 @@ func AppendLine(dst []byte, ev xid.Event, pid int, procName string) []byte {
 	return dst
 }
 
-// FormatLine renders one raw Xid log line (the string form of AppendLine).
-func FormatLine(ev xid.Event, pid int, procName string) string {
-	return string(AppendLine(nil, ev, pid, procName))
-}
-
-// noiseMsgs are the unrelated kernel messages FormatNoise cycles through.
+// noiseMsgs are the unrelated kernel messages AppendNoise cycles through.
 var noiseMsgs = []string{
 	"kernel: EXT4-fs (nvme0n1p2): mounted filesystem with ordered data mode",
 	"kernel: perf: interrupt took too long, lowering kernel.perf_event_max_sample_rate",
@@ -113,12 +108,6 @@ func AppendNoise(dst []byte, t time.Time, node string, i int) []byte {
 	dst = append(dst, node...)
 	dst = append(dst, ' ')
 	return append(dst, noiseMsgs[i%len(noiseMsgs)]...)
-}
-
-// FormatNoise renders an unrelated kernel log line that the extractor must
-// skip.
-func FormatNoise(t time.Time, node string, i int) string {
-	return string(AppendNoise(nil, t, node, i))
 }
 
 // WriterConfig controls raw-line emission.
