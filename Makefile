@@ -24,6 +24,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzParsePlacement$$' -fuzztime 10s ./internal/slurmsim/
 	$(GO) test -fuzz '^FuzzLoadDBLine$$' -fuzztime 10s ./internal/slurmsim/
 	$(GO) test -fuzz '^FuzzParseRowEquivalence$$' -fuzztime 10s ./internal/slurmsim/
+	$(GO) test -fuzz '^FuzzClassifyMLEquivalence$$' -fuzztime 10s ./internal/impact/
 
 # Regenerate every paper table and figure at full scale (~10 min).
 bench:
@@ -34,7 +35,7 @@ bench-quick:
 	GPURESIL_BENCH_SCALE=0.05 $(GO) test -bench=. -benchmem -timeout 30m ./...
 
 # Hot-path benchmark set for the perf gate (sub-benchmarks included).
-BENCH_SET = ^(BenchmarkClusterRun|BenchmarkExtractParallel|BenchmarkShardedExtract|BenchmarkPipelineParallel|BenchmarkStageIExtract|BenchmarkJobDBLoad|BenchmarkEndToEnd|BenchmarkStreamReplay)$$
+BENCH_SET = ^(BenchmarkClusterRun|BenchmarkExtractParallel|BenchmarkShardedExtract|BenchmarkPipelineParallel|BenchmarkStageIExtract|BenchmarkJobDBLoad|BenchmarkEndToEnd|BenchmarkStreamReplay|BenchmarkTableIII)$$
 
 # Snapshot the hot-path benchmarks (5% dataset, 4 repeats, per-metric
 # medians) into BENCH_baseline.json. Commit the refreshed file whenever a

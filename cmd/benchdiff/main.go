@@ -6,7 +6,9 @@
 //	benchdiff compare -base BENCH_baseline.json -new bench.json \
 //	    -max-time-ratio 1.6 -max-alloc-ratio 1.15
 //
-// compare exits 1 when any shared benchmark regresses past a gate. Time
+// fmt also records the run's machine: the `go test` header plus this
+// process's GOMAXPROCS, CPU count and Go version. compare ignores it, and
+// exits 1 when any shared benchmark regresses past a gate. Time
 // gates absorb machine differences and are loose; allocation gates are
 // machine-independent and tight.
 package main
@@ -17,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 
 	"gpuresilience/internal/benchfmt"
@@ -65,6 +68,12 @@ func runFmt(args []string) error {
 	if err != nil {
 		return err
 	}
+	if set.Machine == nil {
+		set.Machine = &benchfmt.Machine{}
+	}
+	set.Machine.GOMAXPROCS = runtime.GOMAXPROCS(0)
+	set.Machine.NumCPU = runtime.NumCPU()
+	set.Machine.GoVersion = runtime.Version()
 	sort.Slice(set.Benchmarks, func(i, k int) bool {
 		return set.Benchmarks[i].Name < set.Benchmarks[k].Name
 	})

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -29,6 +30,9 @@ func TestFmtAndCompare(t *testing.T) {
 	}
 	if !strings.Contains(string(data), `"BenchmarkExtractParallel/workers=1"`) {
 		t.Fatalf("suffix not stripped in %s", data)
+	}
+	if !strings.Contains(string(data), `"goos": "linux"`) || !strings.Contains(string(data), `"go_version": "`+runtime.Version()+`"`) {
+		t.Fatalf("machine not recorded in %s", data)
 	}
 	// Same run against itself is within every gate.
 	if err := runCompare([]string{"-base", base, "-new", base}); err != nil {

@@ -33,9 +33,40 @@ type Result struct {
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"` // heap allocations per op (-benchmem)
 }
 
+// Machine records where a run was taken, so a baseline says which machine
+// its times belong to. Parse fills the fields of the `go test` header; the
+// runtime fields are those of the process that formats the run (benchdiff
+// fmt, run beside the benchmarks). Compare ignores it.
+type Machine struct {
+	GOOS       string `json:"goos,omitempty"`       // "goos:" header line
+	GOARCH     string `json:"goarch,omitempty"`     // "goarch:" header line
+	CPU        string `json:"cpu,omitempty"`        // "cpu:" header line
+	Pkg        string `json:"pkg,omitempty"`        // first "pkg:" header line
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"` // runtime.GOMAXPROCS(0)
+	NumCPU     int    `json:"num_cpu,omitempty"`    // runtime.NumCPU()
+	GoVersion  string `json:"go_version,omitempty"` // runtime.Version()
+}
+
 // Set is a parsed benchmark run, ordered by first appearance.
 type Set struct {
-	Benchmarks []Result `json:"benchmarks"` // in first-appearance order
+	Machine    *Machine `json:"machine,omitempty"` // nil when the input had no header
+	Benchmarks []Result `json:"benchmarks"`        // in first-appearance order
+}
+
+// headerField returns the field of m that a `go test` header line with the
+// given key fills, or nil for any other key.
+func headerField(m *Machine, key string) *string {
+	switch key {
+	case "goos":
+		return &m.GOOS
+	case "goarch":
+		return &m.GOARCH
+	case "cpu":
+		return &m.CPU
+	case "pkg":
+		return &m.Pkg
+	}
+	return nil
 }
 
 // gomaxprocsSuffix is the "-N" GOMAXPROCS tag the testing package appends to
@@ -46,19 +77,30 @@ type Set struct {
 var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
 
 // Parse reads `go test -bench` text output. Repeated occurrences of one
-// benchmark (from -count) are collapsed to per-metric medians.
+// benchmark (from -count) are collapsed to per-metric medians, and the
+// header's goos, goarch, cpu and pkg lines go to the Set's Machine, the
+// first occurrence of each winning.
 func Parse(r io.Reader) (*Set, error) {
 	type sample struct {
 		ns, mbs, bytes, allocs []float64
 	}
 	order := []string{}
 	samples := map[string]*sample{}
+	var machine Machine
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
+		if key, val, ok := strings.Cut(line, ": "); ok {
+			if f := headerField(&machine, key); f != nil {
+				if *f == "" {
+					*f = strings.TrimSpace(val)
+				}
+				continue
+			}
+		}
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
 		}
@@ -97,6 +139,9 @@ func Parse(r io.Reader) (*Set, error) {
 		return nil, err
 	}
 	set := &Set{}
+	if machine != (Machine{}) {
+		set.Machine = &machine
+	}
 	for _, name := range order {
 		s := samples[name]
 		set.Benchmarks = append(set.Benchmarks, Result{

@@ -51,6 +51,35 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// TestParseMachine checks that the go test header becomes the Set's
+// Machine, that its first pkg line wins, that input without a header has
+// no Machine, and that Compare ignores the Machine.
+func TestParseMachine(t *testing.T) {
+	set, err := Parse(strings.NewReader(sampleOut + "pkg: gpuresilience/internal/impact\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Machine{GOOS: "linux", GOARCH: "amd64", Pkg: "gpuresilience",
+		CPU: "Intel(R) Xeon(R) Processor @ 2.10GHz"}
+	if set.Machine == nil || *set.Machine != want {
+		t.Fatalf("machine = %+v, want %+v", set.Machine, want)
+	}
+	bare, err := Parse(strings.NewReader("BenchmarkX 1 5 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bare.Machine != nil {
+		t.Fatalf("headerless run has machine %+v", bare.Machine)
+	}
+	other := *set
+	other.Machine = &Machine{GOOS: "darwin", NumCPU: 64, GOMAXPROCS: 64, GoVersion: "go1.99"}
+	for _, d := range Compare(set, &other, 1.01, 1.01) {
+		if d.Violation != "" || d.TimeRatio != 1 || d.AllocRatio != 1 || d.BytesRatio != 1 {
+			t.Fatalf("machine moved the comparison: %+v", d)
+		}
+	}
+}
+
 func TestParseRejectsEmpty(t *testing.T) {
 	if _, err := Parse(strings.NewReader("PASS\nok x 1s\n")); err == nil {
 		t.Fatal("empty input accepted")

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"gpuresilience/internal/parallel"
 	"gpuresilience/internal/slurmsim"
@@ -325,21 +326,62 @@ func (c Correlation) Row(code xid.Code) (TableIIRow, bool) {
 }
 
 // mlKeywords are the job-name substrings the study's classifier treats as
-// indicative of machine-learning workloads.
+// indicative of machine-learning workloads. All are lowercase ASCII.
 var mlKeywords = []string{
 	"train", "model", "bert", "llm", "gan", "diffusion", "cnn", "gnn",
 	"torch", "tensorflow", "finetune", "rl_",
 }
 
-// ClassifyML approximates the study's ML labeling from the job name.
-func ClassifyML(name string) bool {
-	lower := strings.ToLower(name)
+// mlByFirst lists, for each byte, the keywords that start with it.
+var mlByFirst = func() (t [256][]string) {
 	for _, kw := range mlKeywords {
-		if strings.Contains(lower, kw) {
-			return true
+		t[kw[0]] = append(t[kw[0]], kw)
+	}
+	return t
+}()
+
+// ClassifyML approximates the study's ML labeling from the job name: it
+// reports whether the lowercased name contains any of mlKeywords. One scan
+// matches ASCII case-insensitively; a name with a non-ASCII byte is lowered
+// with strings.ToLower first, so Unicode folds such as U+0130 → "i" match
+// exactly as a full lowering would.
+func ClassifyML(name string) bool {
+	for i := 0; i < len(name); i++ {
+		if name[i] >= utf8.RuneSelf {
+			name = strings.ToLower(name)
+			break
+		}
+	}
+	for i := 0; i < len(name); i++ {
+		for _, kw := range mlByFirst[lowerASCII(name[i])] {
+			if hasPrefixFoldASCII(name[i:], kw) {
+				return true
+			}
 		}
 	}
 	return false
+}
+
+// lowerASCII lowers an ASCII capital letter and returns any other byte as is.
+func lowerASCII(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + ('a' - 'A')
+	}
+	return c
+}
+
+// hasPrefixFoldASCII reports whether s begins with the lowercase keyword kw,
+// ignoring ASCII case in s.
+func hasPrefixFoldASCII(s, kw string) bool {
+	if len(s) < len(kw) {
+		return false
+	}
+	for i := 0; i < len(kw); i++ {
+		if lowerASCII(s[i]) != kw[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // TableIIIRow is one row of Table III.
@@ -356,9 +398,9 @@ type TableIIIRow struct {
 
 // bucketEdges defines the Table III GPU-count buckets; bucket i covers
 // (edge[i-1], edge[i]].
-var bucketEdges = []int{1, 4, 8, 32, 64, 128, 256}
+var bucketEdges = [...]int{1, 4, 8, 32, 64, 128, 256}
 
-var bucketNames = []string{"1", "2-4", "4-8", "8-32", "32-64", "64-128", "128-256", "256+"}
+var bucketNames = [len(bucketEdges) + 1]string{"1", "2-4", "4-8", "8-32", "32-64", "64-128", "128-256", "256+"}
 
 // bucketOf returns the Table III bucket index for a GPU count.
 func bucketOf(gpus int) int {
@@ -370,29 +412,51 @@ func bucketOf(gpus int) int {
 	return len(bucketEdges)
 }
 
-// TableIII computes the job-distribution table over started jobs.
+// tableIIICounted reports whether TableIII counts the job: started and
+// terminal.
+func tableIIICounted(j *slurmsim.Job) bool {
+	return !j.Start.IsZero() && j.State.Terminal()
+}
+
+// TableIII computes the job-distribution table over started jobs. It makes
+// two passes over jobs so that one buffer of exactly the counted-job size
+// holds every bucket's minutes: the first counts each bucket, the second
+// writes each job's minutes at its bucket's next offset. Each bucket's
+// minutes arrive in job order, as appending them would, and are summarized
+// in place.
 func TableIII(jobs []*slurmsim.Job) []TableIIIRow {
-	durs := make([][]float64, len(bucketNames))
-	mlHours := make([]float64, len(bucketNames))
-	nonMLHours := make([]float64, len(bucketNames))
-	total := 0
+	const nb = len(bucketNames)
+	// next[bi+1] counts bucket bi; after the prefix sum, next[bi] is bucket
+	// bi's next write offset.
+	var next [nb + 1]int
 	for _, j := range jobs {
-		if j.Start.IsZero() || !j.State.Terminal() {
+		if tableIIICounted(j) {
+			next[bucketOf(j.GPUs)+1]++
+		}
+	}
+	for i := 1; i <= nb; i++ {
+		next[i] += next[i-1]
+	}
+	total := next[nb]
+	start := next // start[bi]..start[bi+1] is bucket bi's span
+	minutes := make([]float64, total)
+	var mlHours, nonMLHours [nb]float64
+	for _, j := range jobs {
+		if !tableIIICounted(j) {
 			continue
 		}
 		bi := bucketOf(j.GPUs)
-		minutes := j.Elapsed().Minutes()
-		durs[bi] = append(durs[bi], minutes)
+		minutes[next[bi]] = j.Elapsed().Minutes()
+		next[bi]++
 		if ClassifyML(j.Name) {
 			mlHours[bi] += j.GPUHours()
 		} else {
 			nonMLHours[bi] += j.GPUHours()
 		}
-		total++
 	}
-	rows := make([]TableIIIRow, 0, len(bucketNames))
+	rows := make([]TableIIIRow, 0, nb)
 	for i, name := range bucketNames {
-		s := stats.Summarize(durs[i])
+		s := stats.Summarize(minutes[start[i]:start[i+1]])
 		row := TableIIIRow{
 			Bucket:         name,
 			Count:          s.N,

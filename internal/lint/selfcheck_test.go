@@ -135,3 +135,35 @@ func flattenShardError(shard string, err error) error {
 }
 `, ErrWrap, "use %w")
 }
+
+// TestInjectedUnguardedObsMethodIsCaught proves the obsnil gate bites
+// where no test does: an exported pointer-receiver method planted into
+// internal/obs that reads a field before any nil-receiver guard panics on
+// the nil *Counter every uninstrumented call site holds, and must surface
+// as exactly one obsnil finding.
+func TestInjectedUnguardedObsMethodIsCaught(t *testing.T) {
+	requireInjectedFinding(t, "internal/obs", "zz_obsnil_inject.go", `package obs
+
+// Doubled deliberately reads the counter without a nil-receiver guard so
+// the self-test can prove the obsnil analyzer would gate it.
+func (c *Counter) Doubled() int64 {
+	return 2 * c.v.Load()
+}
+`, ObsNil, "(*Counter).Doubled must begin with")
+}
+
+// TestInjectedUndocumentedExportIsCaught proves the doccomment gate bites
+// where no test does: an exported function without a doc comment, planted
+// into internal/stats — a covered package — compiles and passes every
+// test, and must surface as exactly one doccomment finding.
+func TestInjectedUndocumentedExportIsCaught(t *testing.T) {
+	requireInjectedFinding(t, "internal/stats", "zz_doccomment_inject.go", `package stats
+
+func Midrange(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	return (xs[0] + xs[len(xs)-1]) / 2
+}
+`, DocComment, "exported function Midrange is missing a doc comment")
+}

@@ -102,26 +102,26 @@ type Summary struct {
 	Sum  float64 // total of all samples
 }
 
-// Summarize computes a Summary of xs. It returns a zero Summary for empty
+// Summarize computes a Summary of xs, sorting xs in place (ascending) and
+// summing it in that order; callers pass a slice they own and may not rely
+// on its original order afterwards. It returns a zero Summary for empty
 // input.
 func Summarize(xs []float64) Summary {
 	if len(xs) == 0 {
 		return Summary{}
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
+	sort.Float64s(xs)
 	var sum float64
-	for _, x := range sorted {
+	for _, x := range xs {
 		sum += x
 	}
 	return Summary{
-		N:    len(sorted),
-		Mean: sum / float64(len(sorted)),
-		P50:  Percentile(sorted, 50),
-		P99:  Percentile(sorted, 99),
-		Min:  sorted[0],
-		Max:  sorted[len(sorted)-1],
+		N:    len(xs),
+		Mean: sum / float64(len(xs)),
+		P50:  Percentile(xs, 50),
+		P99:  Percentile(xs, 99),
+		Min:  xs[0],
+		Max:  xs[len(xs)-1],
 		Sum:  sum,
 	}
 }

@@ -156,12 +156,21 @@ func TestDowntimePerDayEdges(t *testing.T) {
 }
 
 func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{4, 1, 3, 2})
+	xs := []float64{4, 1, 3, 2}
+	s := Summarize(xs)
 	if s.N != 4 || s.Min != 1 || s.Max != 4 || s.Sum != 10 {
 		t.Fatalf("summary = %+v", s)
 	}
 	if math.Abs(s.Mean-2.5) > 1e-12 || math.Abs(s.P50-2.5) > 1e-12 {
 		t.Fatalf("mean/p50 = %v/%v", s.Mean, s.P50)
+	}
+	// Summarize sorts its argument in place, and summarizing the sorted
+	// slice again gives the same Summary.
+	if !sort.Float64sAreSorted(xs) {
+		t.Fatalf("argument not sorted in place: %v", xs)
+	}
+	if again := Summarize(xs); again != s {
+		t.Fatalf("summary of the sorted slice = %+v, want %+v", again, s)
 	}
 	zero := Summarize(nil)
 	if zero.N != 0 {
