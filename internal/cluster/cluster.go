@@ -234,6 +234,11 @@ type Cluster struct {
 	sched  *slurmsim.Scheduler
 	nodes  []*nodesim.Node
 
+	// monitor is the health-check monitor while Run runs (nil when
+	// disabled). It inspects only marked nodes, so every event that may
+	// change a device's health or a node's state marks the node (mark).
+	monitor *healthcheck.Monitor
+
 	events   []xid.Event
 	services int
 
@@ -302,7 +307,7 @@ func New(cfg Config) (*Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		n.OnStateChange = c.nodeStateChanged
+		n.OnStateChange = func(n *nodesim.Node, _, to nodesim.State) { c.nodeStateChanged(i, n, to) }
 		c.nodes = append(c.nodes, n)
 		if err := c.sched.AddHost(name, gpus); err != nil {
 			return nil, err
@@ -318,8 +323,10 @@ func (c *Cluster) SetEventSink(fn func(xid.Event) error) { c.onEvent = fn }
 // Engine exposes the simulation clock (read-only use).
 func (c *Cluster) Engine() *simclock.Engine { return c.engine }
 
-// nodeStateChanged mirrors node lifecycle into scheduler host state.
-func (c *Cluster) nodeStateChanged(n *nodesim.Node, from, to nodesim.State) {
+// nodeStateChanged mirrors the lifecycle of node i into scheduler host
+// state and marks the node for the health check.
+func (c *Cluster) nodeStateChanged(i int, n *nodesim.Node, to nodesim.State) {
+	c.mark(i)
 	switch to {
 	case nodesim.StateDraining:
 		c.sched.SetSchedulable(n.Name(), false)
@@ -327,6 +334,13 @@ func (c *Cluster) nodeStateChanged(n *nodesim.Node, from, to nodesim.State) {
 		c.sched.FailNode(n.Name())
 	case nodesim.StateUp:
 		c.sched.RestoreNode(n.Name())
+	}
+}
+
+// mark flags node i for the health check's next sweep.
+func (c *Cluster) mark(i int) {
+	if c.monitor != nil {
+		c.monitor.Mark(i)
 	}
 }
 
@@ -348,14 +362,13 @@ func (c *Cluster) Run() (*Result, error) {
 	// between here and the end of the operational period.
 	span := c.cfg.Obs.StartSpan("sim.run")
 	defer span.End()
-	var monitor *healthcheck.Monitor
 	if c.cfg.HealthCheck != nil {
-		var err error
-		monitor, err = healthcheck.New(*c.cfg.HealthCheck, c.engine,
+		monitor, err := healthcheck.New(*c.cfg.HealthCheck, c.engine,
 			c.rng.Derive("healthcheck"), c.nodes)
 		if err != nil {
 			return nil, err
 		}
+		c.monitor = monitor
 		if err := monitor.Start(c.cfg.Op.End); err != nil {
 			return nil, err
 		}
@@ -380,6 +393,9 @@ func (c *Cluster) Run() (*Result, error) {
 				// cannot fail.
 				_ = g.Memory.Reconfigure(c.cfg.GPUOp.Memory)
 			}
+		}
+		if c.monitor != nil {
+			c.monitor.MarkAll()
 		}
 	}); err != nil {
 		return nil, err
@@ -415,7 +431,7 @@ func (c *Cluster) Run() (*Result, error) {
 	if c.cfg.Workload != nil {
 		res.CPU = workload.GenerateCPURecords(c.cfg.Seed, c.cfg.Workload.Scale)
 	}
-	if monitor != nil {
+	if monitor := c.monitor; monitor != nil {
 		res.HealthActions = monitor.Actions()
 		res.HealthSweeps = monitor.Sweeps()
 		res.ServiceEvents += len(res.HealthActions)
@@ -443,23 +459,27 @@ func (c *Cluster) scheduleWorkload() error {
 	if len(jobs) == 0 {
 		return nil
 	}
-	var submitFrom func(i int)
-	submitFrom = func(i int) {
+	c.sched.Grow(len(jobs))
+	// One submission event is pending at a time, so one func value with
+	// its cursor in closure state serves every submission instant.
+	next := 0
+	var submitDue func()
+	submitDue = func() {
 		now := c.engine.Now()
-		for i < len(jobs) && !jobs[i].Submit.After(now) {
-			if err := c.sched.Submit(jobs[i]); err != nil {
+		for next < len(jobs) && !jobs[next].Submit.After(now) {
+			if err := c.sched.Submit(jobs[next]); err != nil {
 				// Generated jobs are always valid; ignore defensively.
 				_ = err
 			}
-			i++
+			next++
 		}
-		if i < len(jobs) {
-			if _, err := c.engine.Schedule(jobs[i].Submit, func() { submitFrom(i) }); err != nil {
+		if next < len(jobs) {
+			if _, err := c.engine.Schedule(jobs[next].Submit, submitDue); err != nil {
 				return
 			}
 		}
 	}
-	_, err = c.engine.Schedule(jobs[0].Submit, func() { submitFrom(0) })
+	_, err = c.engine.Schedule(jobs[0].Submit, submitDue)
 	return err
 }
 
@@ -530,6 +550,7 @@ type episodeState struct {
 	linkA   int
 	linkB   int
 	hotRow  int // the row an SBE episode keeps hitting
+	next    int // index in ep.Times of the episode's next error
 }
 
 func (c *Cluster) scheduleEpisode(ep faults.Episode) error {
@@ -549,20 +570,24 @@ func (c *Cluster) scheduleEpisode(ep faults.Episode) error {
 	if ep.Kind != faults.KindNVLink && (ep.GPU < 0 || ep.GPU >= node.NumGPUs()) {
 		st.ep.GPU = st.rng.Intn(node.NumGPUs())
 	}
-	for i, at := range ep.Times {
-		i := i
-		if _, err := c.engine.Schedule(at, func() { c.runError(st, i) }); err != nil {
+	// Times ascend, so the errors fire in index order and one callback
+	// serves them all, runError counting them off.
+	fire := func() { c.runError(st) }
+	for _, at := range ep.Times {
+		if _, err := c.engine.Schedule(at, fire); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// runError executes the i-th error of an episode.
-func (c *Cluster) runError(st *episodeState, i int) {
+// runError executes the episode's next error.
+func (c *Cluster) runError(st *episodeState) {
+	c.mark(st.ep.Node)
 	now := c.engine.Now()
 	node := st.node
-	first := i == 0
+	first := st.next == 0
+	st.next++
 	rule := c.rule(st.ep.Kind)
 
 	switch st.ep.Kind {
@@ -811,21 +836,24 @@ func (c *Cluster) scheduleFaultyGPU() error {
 	if span <= 0 {
 		return errors.New("cluster: faulty GPU roots window is empty")
 	}
+	root := func() {
+		c.mark(sc.Node)
+		c.uncorrectable(c.engine.Now(), node, sc.GPU, decided, rule)
+	}
 	for _, h := range rng.UniformOrderStats(sc.UncorrectableRoots, span.Hours()) {
 		at := sc.RootsStart.Add(time.Duration(h * float64(time.Hour)))
-		if _, err := c.engine.Schedule(at, func() {
-			c.uncorrectable(c.engine.Now(), node, sc.GPU, decided, rule)
-		}); err != nil {
+		if _, err := c.engine.Schedule(at, root); err != nil {
 			return err
 		}
 	}
 
 	// The persistent uncontained burst: repeated XID 95 without recovery.
+	repeat := func() {
+		c.mark(sc.Node)
+		c.emit(gpu.UncontainedRepeat(c.engine.Now()))
+	}
 	for _, at := range faults.BurstTimes(rng, sc.BurstStart, sc.BurstDuration, sc.BurstCount) {
-		at := at
-		if _, err := c.engine.Schedule(at, func() {
-			c.emit(gpu.UncontainedRepeat(c.engine.Now()))
-		}); err != nil {
+		if _, err := c.engine.Schedule(at, repeat); err != nil {
 			return err
 		}
 	}
@@ -833,6 +861,7 @@ func (c *Cluster) scheduleFaultyGPU() error {
 	// Replacement at burst end restores a healthy device.
 	end := sc.BurstStart.Add(sc.BurstDuration)
 	if _, err := c.engine.Schedule(end, func() {
+		c.mark(sc.Node)
 		if node.ForceReplace("faulty GPU replacement") {
 			c.services++
 		}

@@ -75,6 +75,10 @@ type Monitor struct {
 	nodes  []*nodesim.Node
 	until  time.Time
 
+	// dirty[i] marks nodes[i] for inspection at the next sweep (see Mark).
+	dirty   []bool
+	sweepFn func() // m.sweep, bound once so rescheduling does not allocate
+
 	actions []Action
 	sweeps  int
 }
@@ -91,7 +95,25 @@ func New(cfg Config, engine *simclock.Engine, rng *randx.Stream, nodes []*nodesi
 	if len(nodes) == 0 {
 		return nil, errors.New("healthcheck: empty fleet")
 	}
-	return &Monitor{cfg: cfg, engine: engine, rng: rng, nodes: nodes}, nil
+	m := &Monitor{cfg: cfg, engine: engine, rng: rng, nodes: nodes, dirty: make([]bool, len(nodes))}
+	m.sweepFn = m.sweep
+	m.MarkAll()
+	return m, nil
+}
+
+// Mark flags nodes[i] for inspection at the next sweep. A sweep inspects
+// only the Up nodes marked since they last inspected clean, and every node
+// starts marked, so the monitor's owner must Mark a node whenever one of
+// its devices' failed flag, remap failures or spare rows may have changed,
+// and whenever the node changes state. Marking more than needed is always
+// safe; the sweep schedule and its jitter draws do not depend on marks.
+func (m *Monitor) Mark(i int) { m.dirty[i] = true }
+
+// MarkAll flags every node for inspection at the next sweep.
+func (m *Monitor) MarkAll() {
+	for i := range m.dirty {
+		m.dirty[i] = true
+	}
 }
 
 // Start schedules periodic sweeps until the given time.
@@ -101,26 +123,29 @@ func (m *Monitor) Start(until time.Time) error {
 	if !first.Before(until) {
 		return nil
 	}
-	_, err := m.engine.Schedule(first, m.sweep)
+	_, err := m.engine.Schedule(first, m.sweepFn)
 	return err
 }
 
-// sweep inspects every node and reschedules itself.
+// sweep inspects every marked Up node and reschedules itself.
 func (m *Monitor) sweep() {
 	m.sweeps++
-	for _, n := range m.nodes {
-		if !n.Up() {
-			continue // already in service; the recovery path owns it
+	for i, n := range m.nodes {
+		if !n.Up() || !m.dirty[i] {
+			continue // in service (the recovery path owns it), or unchanged since it inspected clean
 		}
-		if gpu, reason, bad := m.inspect(n); bad {
-			if n.ForceReplace(reason) {
-				m.actions = append(m.actions, Action{
-					Time:   m.engine.Now(),
-					Node:   n.Name(),
-					GPU:    gpu,
-					Reason: reason,
-				})
-			}
+		gpu, reason, bad := m.inspect(n)
+		if !bad {
+			m.dirty[i] = false
+			continue
+		}
+		if n.ForceReplace(reason) {
+			m.actions = append(m.actions, Action{
+				Time:   m.engine.Now(),
+				Node:   n.Name(),
+				GPU:    gpu,
+				Reason: reason,
+			})
 		}
 	}
 	next := m.engine.Now().Add(m.cfg.Interval)
@@ -129,9 +154,16 @@ func (m *Monitor) sweep() {
 	}
 	if next.Before(m.until) {
 		// Scheduling in the future from the current event cannot fail.
-		_, _ = m.engine.Schedule(next, m.sweep)
+		_, _ = m.engine.Schedule(next, m.sweepFn)
+	}
+	if afterSweep != nil {
+		afterSweep(m)
 	}
 }
+
+// afterSweep, when set (only by tests, through export_test.go), runs after
+// every sweep of every monitor.
+var afterSweep func(*Monitor)
 
 // inspect returns the first policy violation on the node.
 func (m *Monitor) inspect(n *nodesim.Node) (gpu int, reason string, bad bool) {

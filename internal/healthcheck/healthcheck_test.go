@@ -39,9 +39,11 @@ func TestMonitorReplacesFailedDevice(t *testing.T) {
 	if err := m.Start(t0.Add(24 * time.Hour)); err != nil {
 		t.Fatal(err)
 	}
-	// A device falls off the bus 90 minutes in.
+	// A device falls off the bus 90 minutes in, after the first sweep
+	// found the fleet clean, so the node must be marked to be inspected.
 	if _, err := eng.Schedule(t0.Add(90*time.Minute), func() {
 		nodes[1].GPU(2).MarkFailed()
+		m.Mark(1)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -88,6 +90,7 @@ func TestMonitorPullsRemapFailureDevice(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			nodes[0].GPU(1).Uncorrectable(eng.Now(), rng)
 		}
+		m.Mark(0)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -122,6 +125,7 @@ func TestMonitorPullsSpareExhaustedDevice(t *testing.T) {
 		for i := 0; i < 3; i++ { // 4 - 3 = 1 spare left < 2
 			nodes[0].GPU(0).Uncorrectable(eng.Now(), rng)
 		}
+		m.Mark(0)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -217,5 +221,37 @@ func TestStartPastHorizonIsNoop(t *testing.T) {
 	eng.RunAll()
 	if m.Sweeps() != 0 {
 		t.Fatalf("sweeps = %d", m.Sweeps())
+	}
+}
+
+// TestMonitorInspectsOnlyMarkedNodes: a device that fails after its node
+// inspected clean goes unseen until the owner marks the node, and is pulled
+// at the first sweep after the mark.
+func TestMonitorInspectsOnlyMarkedNodes(t *testing.T) {
+	eng := simclock.NewEngine(t0)
+	nodes := fleet(t, eng, 2, gpusim.DefaultConfig())
+	cfg := DefaultConfig()
+	cfg.Jitter = 0
+	m, err := New(cfg, eng, randx.NewStream(15), nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Start(t0.Add(12 * time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	// The first sweep (1h) finds the fleet clean; the device fails unmarked.
+	if _, err := eng.Schedule(t0.Add(90*time.Minute), nodes[0].GPU(1).MarkFailed); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run(t0.Add(5 * time.Hour))
+	if len(m.Actions()) != 0 {
+		t.Fatalf("monitor inspected an unmarked node: %+v", m.Actions())
+	}
+	m.Mark(0)
+	eng.RunAll()
+	actions := m.Actions()
+	if len(actions) != 1 || actions[0].Node != "gpub001" || actions[0].GPU != 1 ||
+		!actions[0].Time.Equal(t0.Add(6*time.Hour)) {
+		t.Fatalf("actions = %+v, want gpub001 GPU 1 pulled at the 6h sweep", actions)
 	}
 }

@@ -121,6 +121,11 @@ type side struct {
 	log      []string
 }
 
+// callArg is the AfterArg callback the differential sides bind once: the
+// argument is the event's own func() (pointer-shaped, so boxing it in an
+// interface does not allocate).
+func callArg(arg any) { arg.(func())() }
+
 func newSide() *side {
 	e := NewEngine(t0)
 	var hs []Handle
@@ -133,8 +138,10 @@ func newSide() *side {
 				h, err = e.Schedule(at, fn)
 			case 1:
 				h, err = e.SchedulePri(at, pri, fn)
-			default:
+			case 2:
 				h, err = e.After(d, fn)
+			default:
+				h, err = e.AfterArg(d, callArg, fn)
 			}
 			if err == nil {
 				hs = append(hs, h)
@@ -157,7 +164,7 @@ func newOracleSide() *side {
 			switch kind {
 			case 0:
 				pri = 0
-			case 2:
+			case 2, 3: // After and AfterArg
 				at, pri = e.now.Add(d), 0
 			}
 			h, err := e.schedulePri(at, pri, fn)
@@ -185,6 +192,8 @@ func (s *side) event() func() {
 			_ = s.schedule(1, s.now(), 0, id%3-1, s.event())
 		case 3:
 			_ = s.schedule(2, time.Time{}, time.Duration(id%4)*time.Second, 0, s.event())
+		case 4:
+			_ = s.schedule(3, time.Time{}, time.Duration(id%3)*time.Second, 0, s.event())
 		case 5: // cancel some earlier event, possibly itself or a stale slot
 			s.log = append(s.log, fmt.Sprintf("cancel %d: %v", id/2, s.cancel(id/2)))
 		}
@@ -205,7 +214,7 @@ func TestEngineMatchesOracle(t *testing.T) {
 			var what string
 			switch r := rng.Intn(10); {
 			case r < 4:
-				kind, pri := rng.Intn(3), rng.Intn(3)-1
+				kind, pri := rng.Intn(4), rng.Intn(3)-1
 				d := time.Duration(rng.Intn(4)-1) * time.Second
 				if rng.Intn(8) == 0 {
 					d += time.Duration(rng.Intn(3)) // sub-second ties and orderings
@@ -278,6 +287,45 @@ func TestScheduleStepAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("SchedulePri+Step allocs = %v, want 0", allocs)
+	}
+}
+
+// TestAfterArgAllocFree pins the steady state of the closure-free path:
+// with the callback bound once and a pointer argument, AfterArg, Step,
+// Cancel and a re-schedule allocate nothing.
+func TestAfterArgAllocFree(t *testing.T) {
+	e := NewEngine(t0)
+	n := 0
+	fn := func(arg any) { n += *arg.(*int) }
+	one, nop := 1, func() {}
+	for i := 0; i < 64; i++ {
+		if _, err := e.AfterArg(time.Duration(i)*time.Second, fn, &one); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		h, err := e.AfterArg(time.Minute, fn, &one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !e.Cancel(h) {
+			t.Fatal("cancel of a pending event returned false")
+		}
+		if _, err := e.Schedule(e.Now().Add(time.Hour), nop); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.AfterArg(time.Minute, fn, &one); err != nil {
+			t.Fatal(err)
+		}
+		if !e.Step() || !e.Step() {
+			t.Fatal("empty queue")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("AfterArg+Cancel+Schedule+Step allocs = %v, want 0", allocs)
+	}
+	if n == 0 {
+		t.Fatal("no AfterArg callback ran")
 	}
 }
 

@@ -25,14 +25,17 @@ type Handle struct {
 }
 
 // slot holds what the heap need not move: the exact scheduled time, the
-// callback, and the event's current heap index. gen starts at 1, so the
+// callback, and the event's current heap index. The callback is either fn
+// or argFn applied to arg (AfterArg), never both. gen starts at 1, so the
 // zero Handle matches no slot (a generation wraps only after 2^32 reuses
 // of one slot).
 type slot struct {
-	at   time.Time
-	fn   func()
-	heap int
-	gen  uint32
+	at    time.Time
+	fn    func()
+	argFn func(any)
+	arg   any
+	heap  int
+	gen   uint32
 }
 
 // entry is one queued event. (sec, nsec) is the scheduled time's Unix
@@ -96,10 +99,28 @@ func (e *Engine) Schedule(at time.Time, fn func()) (Handle, error) {
 // scheduling order. Scheduling at exactly the current time is allowed and the
 // event runs before the clock advances further.
 func (e *Engine) SchedulePri(at time.Time, pri int, fn func()) (Handle, error) {
+	return e.push(at, pri, fn, nil, nil)
+}
+
+// After enqueues fn to run d after the current time.
+func (e *Engine) After(d time.Duration, fn func()) (Handle, error) {
+	return e.Schedule(e.now.Add(d), fn)
+}
+
+// AfterArg enqueues fn(arg) to run d after the current time. It orders
+// exactly like After, but a caller that binds fn once schedules per-object
+// events (one per job, say) without allocating a closure for each.
+func (e *Engine) AfterArg(d time.Duration, fn func(any), arg any) (Handle, error) {
+	return e.push(e.now.Add(d), 0, nil, fn, arg)
+}
+
+// push enqueues one event whose callback is fn or, when fn is nil,
+// argFn(arg).
+func (e *Engine) push(at time.Time, pri int, fn func(), argFn func(any), arg any) (Handle, error) {
 	if at.Before(e.now) {
 		return Handle{}, fmt.Errorf("%w: at=%s now=%s", ErrPastEvent, at, e.now)
 	}
-	if fn == nil {
+	if fn == nil && argFn == nil {
 		return Handle{}, errors.New("simclock: nil event function")
 	}
 	if len(e.free) == 0 {
@@ -109,16 +130,11 @@ func (e *Engine) SchedulePri(at time.Time, pri int, fn func()) (Handle, error) {
 	s := e.free[len(e.free)-1]
 	e.free = e.free[:len(e.free)-1]
 	sl := &e.slots[s]
-	sl.at, sl.fn, sl.heap = at, fn, len(e.queue)
+	sl.at, sl.fn, sl.argFn, sl.arg, sl.heap = at, fn, argFn, arg, len(e.queue)
 	e.queue = append(e.queue, entry{sec: at.Unix(), nsec: int32(at.Nanosecond()), slot: s, pri: pri, seq: e.nextSeq})
 	e.nextSeq++
 	e.fix(len(e.queue) - 1)
 	return Handle{slot: s, gen: sl.gen}, nil
-}
-
-// After enqueues fn to run d after the current time.
-func (e *Engine) After(d time.Duration, fn func()) (Handle, error) {
-	return e.Schedule(e.now.Add(d), fn)
 }
 
 // Cancel removes a scheduled event. Cancelling an already-fired or
@@ -140,7 +156,11 @@ func (e *Engine) Step() bool {
 	ev := e.remove(e.queue[0].slot)
 	e.now = ev.at
 	e.steps++
-	ev.fn()
+	if ev.fn != nil {
+		ev.fn()
+	} else {
+		ev.argFn(ev.arg)
+	}
 	return true
 }
 
@@ -177,7 +197,7 @@ func (e *Engine) remove(s uint32) slot {
 		e.fix(i)
 	}
 	ev := *sl
-	sl.fn = nil
+	sl.fn, sl.argFn, sl.arg = nil, nil, nil
 	sl.gen++
 	e.free = append(e.free, s)
 	return ev

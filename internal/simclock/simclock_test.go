@@ -76,6 +76,12 @@ func TestScheduleNilFnRejected(t *testing.T) {
 	if _, err := e.Schedule(t0, nil); err == nil {
 		t.Fatal("nil fn accepted")
 	}
+	if _, err := e.AfterArg(0, nil, 1); err == nil {
+		t.Fatal("nil AfterArg fn accepted")
+	}
+	if _, err := e.AfterArg(-time.Second, func(any) {}, 1); !errors.Is(err, ErrPastEvent) {
+		t.Fatalf("AfterArg into the past: err = %v, want ErrPastEvent", err)
+	}
 }
 
 func TestScheduleAtNowRuns(t *testing.T) {

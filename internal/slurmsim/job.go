@@ -204,8 +204,8 @@ type Job struct {
 	// non-GPU failures that dominate the 25% baseline failure rate). These
 	// drive the simulation and are not part of the accounting record.
 	RunDuration     time.Duration
-	FailNaturally   bool // see RunDuration
 	NaturalExitCode int  // see RunDuration
+	FailNaturally   bool // see RunDuration; next to ML so the two bools share a word
 
 	// ML marks jobs the workload generator labeled as machine-learning
 	// (the study approximates this from job names).

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"gpuresilience/internal/simclock"
 )
@@ -15,7 +16,7 @@ import (
 // sort by free count descending then name, and take greedily from the
 // front. Its output is name-ordered like tryPlace's.
 func (s *Scheduler) oracleTryPlace(gpus int) Placement {
-	if s.FreeGPUs() < gpus {
+	if recountFree(s) < gpus {
 		return nil
 	}
 	var cands []*host
@@ -53,13 +54,44 @@ func (s *Scheduler) oracleTryPlace(gpus int) Placement {
 	return place
 }
 
+// recountFree is the host scan FreeGPUs's counter replaced.
+func recountFree(s *Scheduler) int {
+	total := 0
+	for _, h := range s.hosts {
+		if h.schedulable && h.online {
+			total += h.freeCount
+		}
+	}
+	return total
+}
+
+// checkPlace compares tryPlace with the oracle for job widths 1–16 and
+// FreeGPUs with a recount.
+func checkPlace(t *testing.T, s *Scheduler, where string) {
+	t.Helper()
+	if got, want := s.FreeGPUs(), recountFree(s); got != want {
+		t.Fatalf("%s: FreeGPUs = %d, recount %d", where, got, want)
+	}
+	for gpus := 1; gpus <= 16; gpus++ {
+		got, want := s.tryPlace(gpus), s.oracleTryPlace(gpus)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s, %d GPUs: tryPlace = %v, oracle = %v", where, gpus, got, want)
+		}
+	}
+}
+
 // TestTryPlaceMatchesOracle drives the level scan and the sort-based oracle
 // over random fleets — 4- and 8-GPU hosts registered out of name order,
 // random free masks, random schedulable/online flags — and job widths 1–16.
+// Each fleet then runs a random interleaving of job starts and natural
+// ends with drains, undrains, node failures and restores, and after every
+// operation the placements must still agree and FreeGPUs must equal a
+// recount.
 func TestTryPlaceMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 500; trial++ {
-		s, err := NewScheduler(DefaultConfig(), simclock.NewEngine(t0))
+		eng := simclock.NewEngine(t0)
+		s, err := NewScheduler(DefaultConfig(), eng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,11 +115,35 @@ func TestTryPlaceMatchesOracle(t *testing.T) {
 			h.schedulable = rng.Intn(5) != 0
 			h.online = rng.Intn(8) != 0
 		}
-		for gpus := 1; gpus <= 16; gpus++ {
-			got, want := s.tryPlace(gpus), s.oracleTryPlace(gpus)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d, %d GPUs: tryPlace = %v, oracle = %v", trial, gpus, got, want)
+		s.reindex()
+		checkPlace(t, s, fmt.Sprintf("trial %d", trial))
+		for op := 0; op < 60; op++ {
+			var what string
+			h := s.hosts[rng.Intn(len(s.hosts))]
+			switch r := rng.Intn(10); {
+			case r < 4:
+				gpus := 1 + rng.Intn(16)
+				what = fmt.Sprintf("start %d GPUs", gpus)
+				if p := s.tryPlace(gpus); p != nil {
+					j := job(gpus, time.Duration(1+rng.Intn(120))*time.Minute)
+					j.ID = 1000*trial + op
+					s.start(j, p, eng.Now())
+				}
+			case r < 6:
+				what = "step (a natural end or a pass)"
+				eng.Step()
+			case r < 8:
+				ok := rng.Intn(2) == 0
+				what = fmt.Sprintf("SetSchedulable(%s, %v)", h.name, ok)
+				s.SetSchedulable(h.name, ok)
+			case r < 9:
+				what = "FailNode " + h.name
+				s.FailNode(h.name)
+			default:
+				what = "RestoreNode " + h.name
+				s.RestoreNode(h.name)
 			}
+			checkPlace(t, s, fmt.Sprintf("trial %d op %d after %s", trial, op, what))
 		}
 	}
 }

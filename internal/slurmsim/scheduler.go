@@ -3,6 +3,7 @@ package slurmsim
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -46,6 +47,7 @@ func DefaultConfig() Config {
 
 type host struct {
 	name        string
+	pos         int // index in Scheduler.hosts, the bit in the level sets
 	numGPUs     int
 	free        []bool // free[i] == true when GPU i is unallocated
 	freeCount   int
@@ -62,13 +64,30 @@ type Scheduler struct {
 	hosts     []*host // in ascending name order, the placement scan order
 	hostIndex map[string]*host
 
+	// freeTotal is FreeGPUs: the free GPUs of schedulable online hosts.
+	// levels holds one bitset over host positions per free count c in
+	// [1, top], words uint64s each, at levels[c*words:]: the schedulable
+	// online hosts with exactly c free GPUs. unlist and relist keep both
+	// current.
+	freeTotal int
+	levels    []uint64
+	words     int
+	top       int // the most GPUs on any host
+
 	pending  []*Job
 	records  []*Job
 	nextID   int
 	capacity int // total GPUs across all hosts
 
+	// Placements are carved from these arenas (see carve), so starting a
+	// job allocates nothing per job; placeBuf is tryPlace's scratch.
+	places   []NodeGPUs
+	ints     []int
+	placeBuf Placement
+
 	passQueued bool
-	passFn     func() // s.pass, bound once so queuePass does not allocate
+	passFn     func()    // s.pass, bound once so queuePass does not allocate
+	endFn      func(any) // ends the *Job argument naturally, bound once
 
 	// OnTerminal, if set, is called once per job when it reaches a terminal
 	// state.
@@ -96,6 +115,7 @@ func NewScheduler(cfg Config, engine *simclock.Engine) (*Scheduler, error) {
 		endHandles: make(map[int]simclock.Handle),
 	}
 	s.passFn = s.pass
+	s.endFn = func(j any) { s.naturalEnd(j.(*Job)) }
 	return s, nil
 }
 
@@ -126,8 +146,52 @@ func (s *Scheduler) AddHost(name string, gpus int) error {
 	s.hosts = slices.Insert(s.hosts, at, h)
 	s.hostIndex[name] = h
 	s.capacity += gpus
+	s.reindex()
 	return nil
 }
+
+// reindex renumbers host positions and rebuilds the free-GPU total and the
+// level sets from the hosts' own state.
+func (s *Scheduler) reindex() {
+	s.top = 0
+	for _, h := range s.hosts {
+		s.top = max(s.top, h.numGPUs)
+	}
+	s.words = (len(s.hosts) + 63) / 64
+	n := (s.top + 1) * s.words
+	s.levels = slices.Grow(s.levels[:0], n)[:n]
+	clear(s.levels)
+	s.freeTotal = 0
+	for i, h := range s.hosts {
+		h.pos = i
+		s.relist(h)
+	}
+}
+
+// unlist takes h out of the free-GPU total and its level set before its
+// free count or flags change; relist puts it back after.
+func (s *Scheduler) unlist(h *host) {
+	if h.schedulable && h.online {
+		s.freeTotal -= h.freeCount
+		if h.freeCount > 0 {
+			s.levels[h.freeCount*s.words+h.pos/64] &^= 1 << (h.pos % 64)
+		}
+	}
+}
+
+// relist is unlist's inverse; see unlist.
+func (s *Scheduler) relist(h *host) {
+	if h.schedulable && h.online {
+		s.freeTotal += h.freeCount
+		if h.freeCount > 0 {
+			s.levels[h.freeCount*s.words+h.pos/64] |= 1 << (h.pos % 64)
+		}
+	}
+}
+
+// Grow reserves room for n more terminal records, so a caller that knows
+// its population size keeps Records from regrowing.
+func (s *Scheduler) Grow(n int) { s.records = slices.Grow(s.records, n) }
 
 // Submit enqueues a job at the current simulation time and assigns its ID.
 func (s *Scheduler) Submit(j *Job) error {
@@ -210,45 +274,37 @@ func (s *Scheduler) pass() {
 
 // tryPlace finds GPUs for a job, preferring the fullest-fitting hosts
 // (best-fit decreasing over free counts, ties by name) so whole nodes stay
-// available for wide jobs. Hosts are visited by scanning the name-ordered
-// list once per free-count level, from the fullest level down, so the only
-// allocations are the returned placement and its indexes. The placement is
-// returned in name order. Returns nil when capacity is insufficient right
-// now.
+// available for wide jobs. Hosts are visited level by level, from the
+// fullest free count down, each level's set in name order. The placement
+// and its indexes are carved from the scheduler's arenas and returned in
+// name order. Returns nil when capacity is insufficient right now.
 func (s *Scheduler) tryPlace(gpus int) Placement {
-	totalFree, top := 0, 0
-	for _, h := range s.hosts {
-		if h.schedulable && h.online {
-			totalFree += h.freeCount
-			top = max(top, h.freeCount)
-		}
-	}
-	if totalFree < gpus {
+	if s.freeTotal < gpus {
 		return nil
 	}
-	place := make(Placement, 0, 1)
-	idxBuf := make([]int, gpus)
+	buf := s.placeBuf[:0]
+	idxBuf := carve(&s.ints, gpus, 4096)
 	need := gpus
-	for level := top; level > 0 && need > 0; level-- {
-		for _, h := range s.hosts {
-			if h.freeCount != level || !h.schedulable || !h.online {
-				continue
-			}
-			take := min(level, need)
-			idxs := idxBuf[:0:take]
-			idxBuf = idxBuf[take:]
-			for i := 0; i < h.numGPUs && len(idxs) < take; i++ {
-				if h.free[i] {
-					idxs = append(idxs, i)
+	for level := s.top; level > 0 && need > 0; level-- {
+		for w, set := range s.levels[level*s.words : (level+1)*s.words] {
+			for ; set != 0 && need > 0; set &= set - 1 {
+				h := s.hosts[w*64+bits.TrailingZeros64(set)]
+				take := min(level, need)
+				idxs := idxBuf[:0:take]
+				idxBuf = idxBuf[take:]
+				for i := 0; i < h.numGPUs && len(idxs) < take; i++ {
+					if h.free[i] {
+						idxs = append(idxs, i)
+					}
 				}
-			}
-			place = append(place, NodeGPUs{Node: h.name, GPUs: idxs})
-			need -= take
-			if need == 0 {
-				break
+				buf = append(buf, NodeGPUs{Node: h.name, GPUs: idxs})
+				need -= take
 			}
 		}
 	}
+	s.placeBuf = buf
+	place := Placement(carve(&s.places, len(buf), 1024))
+	copy(place, buf)
 	slices.SortFunc(place, compareNode)
 	return place
 }
@@ -257,32 +313,36 @@ func (s *Scheduler) tryPlace(gpus int) Placement {
 func (s *Scheduler) start(j *Job, place Placement, now time.Time) {
 	for _, e := range place {
 		h := s.hostIndex[e.Node]
+		s.unlist(h)
 		for _, i := range e.GPUs {
 			h.free[i] = false
 			h.running[i] = j
 		}
 		h.freeCount -= len(e.GPUs)
+		s.relist(h)
 	}
 	j.Place = place
 	j.Start = now
 	j.State = StateRunning
 
 	run := j.RunDuration
-	timeout := false
-	if j.TimeLimit > 0 && run > j.TimeLimit {
+	if timedOut(j) {
 		run = j.TimeLimit
-		timeout = true
 	}
-	h, err := s.engine.After(run, func() { s.naturalEnd(j, timeout) })
+	h, err := s.engine.AfterArg(run, s.endFn, j)
 	if err == nil {
 		s.endHandles[j.ID] = h
 	}
 }
 
-func (s *Scheduler) naturalEnd(j *Job, timeout bool) {
+// timedOut reports whether the job, left alone, hits its time limit before
+// its natural end.
+func timedOut(j *Job) bool { return j.TimeLimit > 0 && j.RunDuration > j.TimeLimit }
+
+func (s *Scheduler) naturalEnd(j *Job) {
 	delete(s.endHandles, j.ID)
 	switch {
-	case timeout:
+	case timedOut(j):
 		j.State = StateTimeout
 		j.ExitCode = 0
 	case j.FailNaturally:
@@ -308,6 +368,7 @@ func (s *Scheduler) release(j *Job) {
 		if h == nil {
 			continue
 		}
+		s.unlist(h)
 		for _, i := range e.GPUs {
 			if h.running[i] == j {
 				delete(h.running, i)
@@ -317,6 +378,7 @@ func (s *Scheduler) release(j *Job) {
 				}
 			}
 		}
+		s.relist(h)
 	}
 }
 
@@ -393,7 +455,9 @@ func (s *Scheduler) JobOnGPU(node string, gpu int) *Job {
 // unaffected. Used at drain start/end.
 func (s *Scheduler) SetSchedulable(node string, ok bool) {
 	if h := s.hostIndex[node]; h != nil {
+		s.unlist(h)
 		h.schedulable = ok
+		s.relist(h)
 		if ok {
 			s.queuePass()
 		}
@@ -407,6 +471,7 @@ func (s *Scheduler) FailNode(node string) {
 	if h == nil {
 		return
 	}
+	s.unlist(h) // until RestoreNode relists it
 	h.online = false
 	h.schedulable = false
 	for _, j := range s.JobsOnNode(node) {
@@ -420,6 +485,7 @@ func (s *Scheduler) RestoreNode(node string) {
 	if h == nil {
 		return
 	}
+	s.unlist(h)
 	h.online = true
 	h.schedulable = true
 	for i := range h.free {
@@ -428,6 +494,7 @@ func (s *Scheduler) RestoreNode(node string) {
 			h.freeCount++
 		}
 	}
+	s.relist(h)
 	s.queuePass()
 }
 
@@ -442,15 +509,7 @@ func (s *Scheduler) RunningCount() int { return len(s.endHandles) }
 func (s *Scheduler) Records() []*Job { return s.records }
 
 // FreeGPUs returns the number of free GPUs on schedulable online hosts.
-func (s *Scheduler) FreeGPUs() int {
-	total := 0
-	for _, h := range s.hosts {
-		if h.schedulable && h.online {
-			total += h.freeCount
-		}
-	}
-	return total
-}
+func (s *Scheduler) FreeGPUs() int { return s.freeTotal }
 
 // DrainPending cancels every still-pending job (end of measurement period).
 func (s *Scheduler) DrainPending() {

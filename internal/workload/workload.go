@@ -163,25 +163,71 @@ func truncLogNormalMean(mu, sigma, c float64) float64 {
 	return inner + tail
 }
 
-// warpTimeOfDay maps a uniform fraction u of the day onto a time of day
+// warpDepth is how many leading bisection steps of diurnalWarp.at read a
+// precomputed table instead of evaluating the CDF: 2^16 float64s, 512 KB,
+// built once per Jobs call.
+const warpDepth = 16
+
+// diurnalWarp maps a uniform fraction u of the day onto a time of day
 // (hours in [0, 24)) distributed with density proportional to
-// 1 + a*cos(2*pi*(hour-peak)/24), via inverse-CDF bisection.
-func warpTimeOfDay(u, a, peak float64) float64 {
+// 1 + a*cos(2*pi*(hour-peak)/24), via 50 steps of inverse-CDF bisection.
+//
+// The first warpDepth steps bisect [0, 24] at the same dyadic midpoints for
+// every u, and those midpoints are exact in float64, so cdf at each of them
+// is one fixed value. tree holds them in heap order (root at index 1, the
+// children of node i at 2i and 2i+1): the walk replays exactly the
+// comparisons the plain bisection would make, and only the remaining
+// 50-warpDepth steps evaluate the CDF.
+type diurnalWarp struct {
+	k, peak, sinPeak float64 // loop-invariant terms of cdf
+	tree             []float64
+}
+
+// omega is the diurnal angular frequency, radians per hour.
+const omega = 2 * math.Pi / 24
+
+func newDiurnalWarp(a, peak float64) *diurnalWarp {
+	w := &diurnalWarp{k: a / (2 * math.Pi), peak: peak, sinPeak: math.Sin(omega * peak),
+		tree: make([]float64, 1<<warpDepth)}
+	var fill func(i int, lo, hi float64)
+	fill = func(i int, lo, hi float64) {
+		if i >= len(w.tree) {
+			return
+		}
+		mid := (lo + hi) / 2
+		w.tree[i] = w.cdf(mid)
+		fill(2*i, lo, mid)
+		fill(2*i+1, mid, hi)
+	}
+	fill(1, 0, 24)
+	return w
+}
+
+// cdf is the fraction of a day's submissions that arrive before hour tau.
+func (w *diurnalWarp) cdf(tau float64) float64 {
+	return tau/24 + w.k*(math.Sin(omega*(tau-w.peak))+w.sinPeak)
+}
+
+// at inverts cdf at u.
+func (w *diurnalWarp) at(u float64) float64 {
 	if u <= 0 {
 		return 0
 	}
 	if u >= 1 {
 		u = 1 - 1e-12
 	}
-	omega := 2 * math.Pi / 24
-	k, sinPeak := a/(2*math.Pi), math.Sin(omega*peak) // loop-invariant terms
-	cdf := func(tau float64) float64 {
-		return tau/24 + k*(math.Sin(omega*(tau-peak))+sinPeak)
-	}
 	lo, hi := 0.0, 24.0
-	for i := 0; i < 50; i++ {
+	for i := 1; i < len(w.tree); {
 		mid := (lo + hi) / 2
-		if cdf(mid) < u {
+		if w.tree[i] < u {
+			lo, i = mid, 2*i+1
+		} else {
+			hi, i = mid, 2*i
+		}
+	}
+	for step := warpDepth; step < 50; step++ {
+		mid := (lo + hi) / 2
+		if w.cdf(mid) < u {
 			lo = mid
 		} else {
 			hi = mid
@@ -221,7 +267,13 @@ func (g *Generator) Jobs() []*slurmsim.Job {
 		counts[bi] = int(math.Round(float64(b.Count) * g.cfg.Scale))
 		total += counts[bi]
 	}
+	// One slab backs every job; the returned pointers index into it.
+	slab := make([]slurmsim.Job, total)
 	jobs := make([]*slurmsim.Job, 0, total)
+	var warp *diurnalWarp
+	if g.cfg.DiurnalAmplitude > 0 {
+		warp = newDiurnalWarp(g.cfg.DiurnalAmplitude, g.cfg.DiurnalPeakHour)
+	}
 	for bi, b := range g.cfg.Buckets {
 		n := counts[bi]
 		if n == 0 {
@@ -230,13 +282,13 @@ func (g *Generator) Jobs() []*slurmsim.Job {
 		brng := rng.Derive("bucket-" + b.Name)
 		arrivals := brng.UniformOrderStats(n, g.cfg.Period.Hours())
 		for _, at := range arrivals {
-			if g.cfg.DiurnalAmplitude > 0 {
+			if warp != nil {
 				day := math.Floor(at / 24)
-				tod := warpTimeOfDay((at-day*24)/24, g.cfg.DiurnalAmplitude, g.cfg.DiurnalPeakHour)
-				at = day*24 + tod
+				at = day*24 + warp.at((at-day*24)/24)
 			}
-			jobs = append(jobs, g.makeJob(bi, b, brng, g.cfg.Period.Start.Add(
-				time.Duration(at*float64(time.Hour)))))
+			j := &slab[len(jobs)]
+			g.makeJob(j, bi, b, brng, g.cfg.Period.Start.Add(time.Duration(at*float64(time.Hour))))
+			jobs = append(jobs, j)
 		}
 	}
 	sort.Slice(jobs, func(i, k int) bool {
@@ -248,7 +300,8 @@ func (g *Generator) Jobs() []*slurmsim.Job {
 	return jobs
 }
 
-func (g *Generator) makeJob(bi int, b BucketSpec, rng *randx.Stream, submit time.Time) *slurmsim.Job {
+// makeJob fills *j, a zeroed slab entry, with one job of bucket bi.
+func (g *Generator) makeJob(j *slurmsim.Job, bi int, b BucketSpec, rng *randx.Stream, submit time.Time) {
 	gpus := b.GPUChoices[rng.Categorical(b.GPUWeights)]
 	durMin := rng.LogNormal(math.Log(b.MedianMin), g.sigmas[bi])
 	// The scheduler applies the cap through TimeLimit (TIMEOUT state).
@@ -259,7 +312,7 @@ func (g *Generator) makeJob(bi int, b BucketSpec, rng *randx.Stream, submit time
 	} else {
 		name = nonMLNames[rng.Intn(len(nonMLNames))]
 	}
-	j := &slurmsim.Job{
+	*j = slurmsim.Job{
 		Name:        name,
 		User:        userNames[rng.Intn(len(userNames))],
 		Partition:   "gpuA100x4",
@@ -273,7 +326,6 @@ func (g *Generator) makeJob(bi int, b BucketSpec, rng *randx.Stream, submit time
 		j.FailNaturally = true
 		j.NaturalExitCode = 1 + rng.Intn(125)
 	}
-	return j
 }
 
 // CPURecord summarizes the CPU-partition population used only for the §V-A

@@ -307,8 +307,9 @@ func TestDiurnalValidation(t *testing.T) {
 
 func TestWarpTimeOfDayIsMonotoneCDFInverse(t *testing.T) {
 	last := -1.0
+	w := newDiurnalWarp(0.4, 14)
 	for u := 0.0; u <= 1.0; u += 0.01 {
-		tau := warpTimeOfDay(u, 0.4, 14)
+		tau := w.at(u)
 		if tau < 0 || tau >= 24.0001 {
 			t.Fatalf("warp(%v) = %v out of range", u, tau)
 		}
