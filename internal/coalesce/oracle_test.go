@@ -193,8 +193,8 @@ func TestAddBatchAcrossBatches(t *testing.T) {
 }
 
 // Pins Events' steady-state allocations at the value measured with Go 1.24:
-// the Coalescer with its presized key map (nine between them) and the
-// exact-size result. The working copy comes from the pool, so an input-sized
+// the Coalescer with its key map, grown to the input's 72 keys (nine
+// between them), and the exact-size result. The working copy comes from the pool, so an input-sized
 // copy per call would fail this.
 func TestEventsSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {

@@ -17,6 +17,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"gpuresilience/internal/avail"
@@ -177,24 +178,34 @@ type Results struct {
 
 // Analyze runs Stages II and III over parsed inputs. repairs are the node
 // unavailability intervals; cpu is the CPU-partition summary for §V-A.
+// events is not modified: Stage II works on a pooled copy of it.
 func Analyze(events []xid.Event, jobs []*slurmsim.Job, repairs []time.Duration,
 	cpu workload.CPURecord, cfg PipelineConfig) (*Results, error) {
+	return analyze(events, coalesce.Events, jobs, repairs, cpu, cfg)
+}
+
+// analyze is Analyze with the Stage II entry point as a parameter:
+// coalesce.Events for events the caller keeps, coalesce.EventsInPlace for
+// events it owns and gives up.
+func analyze(events []xid.Event, stage2 func([]xid.Event, time.Duration) ([]xid.Event, error),
+	jobs []*slurmsim.Job, repairs []time.Duration, cpu workload.CPURecord, cfg PipelineConfig) (*Results, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	sp2 := cfg.Obs.StartSpan("stage2.coalesce")
-	coalesced, err := coalesce.Events(events, cfg.CoalesceWindow)
+	coalesced, err := stage2(events, cfg.CoalesceWindow)
 	if err != nil {
 		return nil, err
 	}
 	sp2.AddIn(int64(len(events)))
 	sp2.AddOut(int64(len(coalesced)))
 	sp2.End()
+	raw := len(events) // events is not used past here, so an owned array can be freed
 	res, err := AnalyzeCoalesced(coalesced, jobs, repairs, cpu, cfg)
 	if err != nil {
 		return nil, err
 	}
-	res.RawEvents = len(events)
+	res.RawEvents = raw
 	return res, nil
 }
 
@@ -301,10 +312,14 @@ func analyzeRaw(stage1 func() (*ingest.Result, error), jobDB io.Reader, repairs 
 }
 
 // analyzeExtracted runs Stages II-III over a Stage I result and carries its
-// statistics, lenient report and shard records into the results.
+// statistics, lenient report and shard records into the results. It owns
+// ext.Events, which comes fresh from Stage I: Stage II sorts and compacts
+// it in place, and ext.Events is nil afterwards.
 func analyzeExtracted(ext *ingest.Result, jobs []*slurmsim.Job, repairs []time.Duration,
 	cpu workload.CPURecord, cfg PipelineConfig) (*Results, error) {
-	res, err := Analyze(ext.Events, jobs, repairs, cpu, cfg)
+	events := ext.Events
+	ext.Events = nil
+	res, err := analyze(events, coalesce.EventsInPlace, jobs, repairs, cpu, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -409,18 +424,18 @@ func EndToEnd(cfg EndToEndConfig) (*EndToEndResult, error) {
 	for _, d := range truth.Downtimes {
 		repairs = append(repairs, d.Duration())
 	}
-	res, err := analyzeExtracted(ext.res, truth.Jobs, repairs, truth.CPU, cfg.Pipeline)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Pipeline.Obs.Gauge("sim.rawlines").Set(int64(writer.Lines()))
 	out := &EndToEndResult{
-		Results:     res,
 		Truth:       truth,
 		RawLogLines: writer.Lines(),
 	}
 	if cfg.KeepRawEvents {
-		out.RawEvents = ext.res.Events
+		// Stage II reorders the events it is handed; keep source order.
+		out.RawEvents = slices.Clone(ext.res.Events)
 	}
+	out.Results, err = analyzeExtracted(ext.res, truth.Jobs, repairs, truth.CPU, cfg.Pipeline)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Pipeline.Obs.Gauge("sim.rawlines").Set(int64(writer.Lines()))
 	return out, nil
 }

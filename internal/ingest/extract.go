@@ -56,7 +56,9 @@ type Result struct {
 	// Events is every shard's events concatenated in plan order, each
 	// shard's in source-line order: exactly Stage I over the files'
 	// concatenation, whether or not the files are time-ordered. Stage II
-	// puts events in time order.
+	// puts events in time order. The slice is exact-size and the caller's
+	// alone: every cache store has finished reading it, so Stage II may
+	// sort it in place.
 	Events []xid.Event
 	// Stats sums every shard's scan statistics.
 	Stats syslog.ExtractStats
@@ -69,7 +71,11 @@ type Result struct {
 
 // shardState is the per-shard scratch the extraction phases fill in.
 type shardState struct {
-	file    obs.FileDigest // the shard's size and content hash; zero until hashed
+	file obs.FileDigest // the shard's size and content hash; zero until hashed
+	// blocks holds the shard's events as Stage I collected them (or as the
+	// cache decoded them, in one block) until placement copies them into
+	// the run's one slice; events is then the shard's part of that slice.
+	blocks  [][]xid.Event
 	events  []xid.Event
 	stats   syslog.ExtractStats
 	report  *syslog.IngestionReport
@@ -86,8 +92,9 @@ func (st *shardState) sourceDigest() [digestLen]byte {
 
 // Extract runs Stage I over every shard in the plan and concatenates the
 // results in plan order. Cached shards load without parsing; the rest parse
-// concurrently on the pooled byte parsers (bounded by opt.Workers) and are
-// written back to the cache. The event stream and statistics are identical
+// concurrently on the pooled byte parsers (bounded by opt.Workers) and,
+// once every shard has parsed, are written back to the cache; a run that
+// fails stores no entry. The event stream and statistics are identical
 // at any worker count, and equal a single run over the shards'
 // concatenation in plan order.
 //
@@ -129,7 +136,7 @@ func Extract(plan Plan, opt Options) (*Result, error) {
 			var p *Payload
 			p, st.outcome = opt.Cache.Load(plan.Shards[i].Path, st.sourceDigest())
 			if st.outcome == CacheHit {
-				st.events, st.stats = p.Events, p.Stats
+				st.blocks, st.stats = [][]xid.Event{p.Events}, p.Stats
 			}
 			return nil
 		})
@@ -156,12 +163,20 @@ func Extract(plan Plan, opt Options) (*Result, error) {
 		}
 	}
 
-	res := &Result{Shards: make([]ShardInfo, n)}
-	streams := make([][]xid.Event, n)
+	res := &Result{Events: place(states)}
+	// Stores run after placement and finish before Extract returns, so a
+	// caller that sorts the events in place never races an encoder, and a
+	// failed parse stores nothing.
+	if cacheable {
+		if err := storeShards(plan, states, toParse, opt); err != nil {
+			return nil, err
+		}
+	}
+
+	res.Shards = make([]ShardInfo, n)
 	var reports []*syslog.IngestionReport
 	for i := range states {
 		st := &states[i]
-		streams[i] = st.events
 		res.Stats.Lines += st.stats.Lines
 		res.Stats.XIDLines += st.stats.XIDLines
 		res.Stats.Skipped += st.stats.Skipped
@@ -176,7 +191,6 @@ func Extract(plan Plan, opt Options) (*Result, error) {
 			Outcome: st.outcome,
 		}
 	}
-	res.Events = concatShards(streams)
 	if opt.Lenient {
 		rep, err := syslog.MergeReports(reports, opt.LenientOptions)
 		res.Ingestion = rep
@@ -187,8 +201,52 @@ func Extract(plan Plan, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// concatShards joins the shards' events in plan order. A single non-empty
-// shard is returned as it is, without a copy.
+// place copies every shard's blocks, in plan order, into one exact-size
+// slice and points each shard's events at its part of it, with capacity
+// clipped. The blocks are dropped. A run with a single non-empty block uses
+// it without a copy (the rule of concatShards).
+func place(states []shardState) []xid.Event {
+	var blocks [][]xid.Event
+	for i := range states {
+		blocks = append(blocks, states[i].blocks...)
+	}
+	all := concatShards(blocks)
+	off := 0
+	for i := range states {
+		st := &states[i]
+		end := off + eventCount(st.blocks)
+		st.events, st.blocks = all[off:end:end], nil
+		off = end
+	}
+	return slices.Clip(all)
+}
+
+// eventCount is how many events blocks hold.
+func eventCount(blocks [][]xid.Event) int {
+	n := 0
+	for _, b := range blocks {
+		n += len(b)
+	}
+	return n
+}
+
+// storeShards writes the listed shards' placed events to the cache, in
+// parallel, counting cache.write for each entry written.
+func storeShards(plan Plan, states []shardState, shards []int, opt Options) error {
+	return parallel.ForEach(len(shards), opt.Workers, func(k int) error {
+		i := shards[k]
+		st := &states[i]
+		p := &Payload{SourceDigest: st.sourceDigest(), SourcePath: plan.Shards[i].Path, Stats: st.stats, Events: st.events}
+		if err := opt.Cache.Store(plan.Shards[i].Path, p); err != nil {
+			return err
+		}
+		opt.Obs.Counter("cache.write").Add(1)
+		return nil
+	})
+}
+
+// concatShards joins event slices (shards, or a run's collection blocks)
+// in order. A single non-empty slice is returned as it is, without a copy.
 func concatShards(shards [][]xid.Event) []xid.Event {
 	var only []xid.Event
 	for _, s := range shards {
@@ -213,8 +271,9 @@ func ExtractReader(r io.Reader, opt Options) (*Result, error) {
 	s1 := startStage1(opt)
 	var st shardState
 	_, err := s1.parse(r, opt.engine(opt.Workers, s1.meter(), s1.alloc, opt.LenientOptions), &st)
-	s1.end(int64(st.stats.Lines), int64(len(st.events)))
-	return &Result{Events: st.events, Stats: st.stats, Ingestion: st.report}, err
+	events := slices.Clip(concatShards(st.blocks))
+	s1.end(int64(st.stats.Lines), int64(len(events)))
+	return &Result{Events: events, Stats: st.stats, Ingestion: st.report}, err
 }
 
 // engine maps the run's settings onto one engine call; lopt is the budget
@@ -261,28 +320,29 @@ func (s stage1) meter() parallel.WorkerMeter {
 	return s.sp.ObserveWorker
 }
 
-// parse runs the engine over one source into st and adds the bytes it
-// read to the span, returning that count for a per-shard span.
+// parse runs the engine over one source into st's blocks and adds the
+// bytes it read to the span, returning that count for a per-shard span.
 func (s stage1) parse(src io.Reader, eo syslog.Options, st *shardState) (int64, error) {
 	var cr *obs.CountingReader
 	if s.sp != nil {
 		cr = obs.NewCountingReader(src)
 		src = cr
 	}
-	// Events gather in fixed-size blocks, then one exact-size copy: about
-	// twice the final slice's bytes, where append's regrow-and-copy of one
-	// slice costs about five times.
-	var full [][]xid.Event
+	// Events gather in fixed-size blocks that the caller copies once into
+	// its exact-size slice: about twice the final slice's bytes, where
+	// append's regrow-and-copy of one slice costs about five times.
 	var cur []xid.Event
 	var err error
 	st.stats, st.report, err = syslog.Extract(src, eo, func(ev xid.Event) error {
 		if len(cur) == blockLen {
-			full, cur = append(full, cur), make([]xid.Event, 0, blockLen)
+			st.blocks, cur = append(st.blocks, cur), make([]xid.Event, 0, blockLen)
 		}
 		cur = append(cur, ev)
 		return nil
 	})
-	st.events = slices.Concat(append(full, cur)...)
+	if len(cur) > 0 {
+		st.blocks = append(st.blocks, cur)
+	}
 	if cr == nil {
 		return 0, err
 	}
@@ -358,16 +418,9 @@ func parseShards(plan Plan, states []shardState, toParse []int, opt Options) err
 		if s1.sp != nil {
 			ssp := opt.Obs.StartSpan(fmt.Sprintf("stage1.shard.%03d", shard.Ordinal))
 			ssp.AddIn(int64(st.stats.Lines))
-			ssp.AddOut(int64(len(st.events)))
+			ssp.AddOut(int64(eventCount(st.blocks)))
 			ssp.AddBytes(n)
 			ssp.End()
-		}
-		if opt.Cache != nil && !opt.Lenient {
-			p := &Payload{SourceDigest: st.sourceDigest(), SourcePath: shard.Path, Stats: st.stats, Events: st.events}
-			if err := opt.Cache.Store(shard.Path, p); err != nil {
-				return err
-			}
-			opt.Obs.Counter("cache.write").Add(1)
 		}
 		return nil
 	})
@@ -377,7 +430,7 @@ func parseShards(plan Plan, states []shardState, toParse []int, opt Options) err
 			s1.alloc.Add(allocs[k])
 		}
 		lines += int64(states[i].stats.Lines)
-		events += int64(len(states[i].events))
+		events += int64(eventCount(states[i].blocks))
 	}
 	s1.end(lines, events)
 	return err

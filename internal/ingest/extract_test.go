@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -677,6 +678,93 @@ func TestEventBlockBoundaries(t *testing.T) {
 				}
 			}
 			sameEvents(t, got.Events, want, fmt.Sprintf("n=%d %s shards", n, pass))
+		}
+	}
+}
+
+// TestPlacementMatchesPerShardRuns: Extract places every shard's events
+// once, in plan order, into one exact-size slice, and writes each parsed
+// shard's cache entry from its part of that slice. For cold, warm and
+// mixed three-shard plans, with shards below, across and well past a block
+// boundary, at 1 and 4 workers: the events are the per-shard ExtractReader
+// runs concatenated, and every .evshard entry is byte-equal to EncodeShard
+// of its shard's own parse.
+func TestPlacementMatchesPerShardRuns(t *testing.T) {
+	parts := [][]byte{orderedLog(blockLen+1, 11), orderedLog(5, 12), orderedLog(2*blockLen+3, 13)}
+	_, plan := writeShards(t, parts)
+	var want []xid.Event
+	entries := make([][]byte, len(parts))
+	key := DefaultCacheKey()
+	for i, part := range parts {
+		own, err := ExtractReader(bytes.NewReader(part), Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, own.Events...)
+		entries[i] = EncodeShard(&Payload{
+			SourceDigest: sha256.Sum256(part), ConfigDigest: key.digest(),
+			SourcePath: plan.Shards[i].Path, Stats: own.Stats, Events: own.Events,
+		})
+	}
+
+	for _, workers := range []int{1, 4} {
+		for _, mode := range []string{"cold", "warm", "mixed"} {
+			ctx := fmt.Sprintf("workers=%d %s", workers, mode)
+			cache := NewCache(t.TempDir())
+			var fill Plan
+			switch mode {
+			case "warm":
+				fill = plan
+			case "mixed":
+				fill = Plan{Shards: plan.Shards[1:2]}
+			}
+			if len(fill.Shards) > 0 {
+				if _, err := Extract(fill, Options{Workers: workers, Cache: cache}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := Extract(plan, Options{Workers: workers, Cache: cache})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameEvents(t, got.Events, want, ctx)
+			if cap(got.Events) != len(got.Events) {
+				t.Fatalf("%s: events have capacity %d for %d events", ctx, cap(got.Events), len(got.Events))
+			}
+			for i, sh := range got.Shards {
+				hit := mode == "warm" || (mode == "mixed" && i == 1)
+				if hit != (sh.Outcome == CacheHit) {
+					t.Fatalf("%s: shard %d outcome %v", ctx, i, sh.Outcome)
+				}
+				entry, err := os.ReadFile(cache.entryPath(sh.Path))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(entry, entries[i]) {
+					t.Fatalf("%s: shard %d cache entry differs from EncodeShard of its own parse", ctx, i)
+				}
+			}
+		}
+	}
+}
+
+// TestFailedRunStoresNoEntries: cache entries are written only once every
+// shard has parsed, so a strict run that fails on an overlong line in its
+// last shard leaves no entry behind, even for the shards that parsed.
+func TestFailedRunStoresNoEntries(t *testing.T) {
+	bad := append(orderedLog(3, 22), strings.Repeat("x", syslog.MaxLineBytes+1)...)
+	_, plan := writeShards(t, [][]byte{orderedLog(50, 20), orderedLog(50, 21), append(bad, '\n')})
+	for _, workers := range []int{1, 4} {
+		dir := t.TempDir()
+		reg := obs.New()
+		if _, err := Extract(plan, Options{Workers: workers, Cache: NewCache(dir), Obs: reg}); err == nil {
+			t.Fatalf("workers=%d: an overlong line did not fail the strict run", workers)
+		}
+		if n := reg.Snapshot().Counters["cache.write"]; n != 0 {
+			t.Fatalf("workers=%d: cache.write = %d after a failed run", workers, n)
+		}
+		if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+			t.Fatalf("workers=%d: cache dir holds %d entries after a failed run (%v)", workers, len(left), err)
 		}
 	}
 }

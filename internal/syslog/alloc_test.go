@@ -164,6 +164,26 @@ func TestPooledChunkReuseLenient(t *testing.T) {
 	}
 }
 
+// TestChunkBufReusedForLongerCarry: the chunked reader asks for a buffer of
+// one read plus the carried tail, and the tail varies from read to read. A
+// buffer back in the pool must serve a next read whose carry is up to
+// scanBufBytes longer than the one it was first made for, or most reads
+// allocate a fresh buffer. Retried a few times, since a Get after a Put
+// may miss when the goroutine changes processors in between.
+func TestChunkBufReusedForLongerCarry(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	for attempt := 0; attempt < 10; attempt++ {
+		bp := getChunkBuf(defaultChunkBytes)
+		putChunkBuf(bp)
+		if getChunkBuf(scanBufBytes+defaultChunkBytes) == bp {
+			return
+		}
+	}
+	t.Fatal("a pooled chunk buffer was not reused for a carry scanBufBytes longer")
+}
+
 // TestExtractAllocStats checks that the parallel alloc totals are
 // deterministic at a fixed worker count and that interning is actually
 // deduplicating (hits dominate on a repetitive log).

@@ -34,7 +34,9 @@ func releaseInterner(in *intern.Interner, alloc *intern.Stats) {
 var chunkBufPool sync.Pool
 
 // getChunkBuf returns a buffer with capacity at least n. Pointer-to-slice
-// indirection keeps the Put side allocation-free.
+// indirection keeps the Put side allocation-free. A new buffer has room
+// for a read plus a carry of up to scanBufBytes, so a pooled one still
+// fits when the next read's carry is longer than the last's.
 func getChunkBuf(n int) *[]byte {
 	if v := chunkBufPool.Get(); v != nil {
 		bp := v.(*[]byte)
@@ -43,7 +45,7 @@ func getChunkBuf(n int) *[]byte {
 		}
 		// Too small for this carry-extended read; drop it for the GC.
 	}
-	b := make([]byte, n)
+	b := make([]byte, n, max(n, defaultChunkBytes+scanBufBytes))
 	return &b
 }
 
