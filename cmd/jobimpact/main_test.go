@@ -43,12 +43,12 @@ func writeDataset(t *testing.T, dir string) {
 	}
 
 	jobs := []*slurmsim.Job{
-		{ID: 1, Name: "victim", User: "u", Partition: "gpuA100x4", GPUs: 1,
-			Submit: start.Add(-time.Minute), Start: start, End: end,
+		{ID: 1, Text: &slurmsim.JobText{Name: "victim", User: "u", Partition: "gpuA100x4"}, GPUs: 1,
+			Submit: slurmsim.At(start.Add(-time.Minute)), Start: slurmsim.At(start), End: slurmsim.At(end),
 			State: slurmsim.StateNodeFail, ExitCode: 1,
 			Place: slurmsim.Placement{{Node: "gpub001", GPUs: []int{0}}}},
-		{ID: 2, Name: "train_model", User: "u", Partition: "gpuA100x4", GPUs: 4,
-			Submit: start, Start: start, End: start.Add(time.Hour),
+		{ID: 2, Text: &slurmsim.JobText{Name: "train_model", User: "u", Partition: "gpuA100x4"}, GPUs: 4,
+			Submit: slurmsim.At(start), Start: slurmsim.At(start), End: slurmsim.At(start.Add(time.Hour)),
 			State: slurmsim.StateCompleted,
 			Place: slurmsim.Placement{{Node: "gpub002", GPUs: []int{0, 1, 2, 3}}}, ML: true},
 	}

@@ -286,7 +286,7 @@ func New(cfg Config) (*Cluster, error) {
 					code = xid.ResetChannel
 				}
 				c.emit(xid.Event{
-					Time: j.End, Node: e.Node, GPU: e.GPUs[swRNG.Intn(len(e.GPUs))],
+					Time: j.End.Time(), Node: e.Node, GPU: e.GPUs[swRNG.Intn(len(e.GPUs))],
 					Code: code, Detail: "graphics engine exception raised by user process",
 				})
 				break
@@ -465,8 +465,8 @@ func (c *Cluster) scheduleWorkload() error {
 	next := 0
 	var submitDue func()
 	submitDue = func() {
-		now := c.engine.Now()
-		for next < len(jobs) && !jobs[next].Submit.After(now) {
+		now := slurmsim.At(c.engine.Now())
+		for next < len(jobs) && jobs[next].Submit <= now {
 			if err := c.sched.Submit(jobs[next]); err != nil {
 				// Generated jobs are always valid; ignore defensively.
 				_ = err
@@ -474,12 +474,12 @@ func (c *Cluster) scheduleWorkload() error {
 			next++
 		}
 		if next < len(jobs) {
-			if _, err := c.engine.Schedule(jobs[next].Submit, submitDue); err != nil {
+			if _, err := c.engine.Schedule(jobs[next].Submit.Time(), submitDue); err != nil {
 				return
 			}
 		}
 	}
-	_, err = c.engine.Schedule(jobs[0].Submit, submitDue)
+	_, err = c.engine.Schedule(jobs[0].Submit.Time(), submitDue)
 	return err
 }
 
@@ -546,7 +546,7 @@ type episodeState struct {
 	ep      faults.Episode
 	node    *nodesim.Node
 	rng     *randx.Stream
-	decided map[int]bool // job ID -> kill decision already made
+	decided map[int32]bool // job ID -> kill decision already made
 	linkA   int
 	linkB   int
 	hotRow  int // the row an SBE episode keeps hitting
@@ -559,7 +559,7 @@ func (c *Cluster) scheduleEpisode(ep faults.Episode) error {
 		ep:      ep,
 		node:    node,
 		rng:     c.rng.Derive(fmt.Sprintf("ep/%s/%d/%d", ep.Kind, ep.Node, ep.Start().UnixNano())),
-		decided: make(map[int]bool),
+		decided: make(map[int32]bool),
 	}
 	if ep.Kind == faults.KindNVLink {
 		st.linkA, st.linkB = -1, -1 // resolved lazily at the first fault
@@ -730,7 +730,7 @@ func (c *Cluster) pickLink(node *nodesim.Node, rng *randx.Stream) (int, int) {
 
 // mmuError emits an MMU error and applies the MMU kill rule.
 func (c *Cluster) mmuError(now time.Time, node *nodesim.Node, gpuIdx int,
-	decided map[int]bool, rule ImpactRule, detail string) {
+	decided map[int32]bool, rule ImpactRule, detail string) {
 	gpu := node.GPU(gpuIdx)
 	if gpu == nil {
 		return
@@ -746,7 +746,7 @@ func (c *Cluster) mmuError(now time.Time, node *nodesim.Node, gpuIdx int,
 
 // killScope kills the affected GPU's job, or every job on the node for
 // node-scope rules, honoring the kill probability once per job.
-func (c *Cluster) killScope(node *nodesim.Node, gpuIdx int, decided map[int]bool, rule ImpactRule) {
+func (c *Cluster) killScope(node *nodesim.Node, gpuIdx int, decided map[int32]bool, rule ImpactRule) {
 	var victims []*slurmsim.Job
 	if rule.KillNode {
 		victims = c.sched.JobsOnNode(node.Name())
@@ -766,7 +766,7 @@ func (c *Cluster) killScope(node *nodesim.Node, gpuIdx int, decided map[int]bool
 
 // uncorrectable runs the memory cascade and its job/node consequences.
 func (c *Cluster) uncorrectable(now time.Time, node *nodesim.Node, gpuIdx int,
-	decided map[int]bool, rule ImpactRule) {
+	decided map[int32]bool, rule ImpactRule) {
 	gpu := node.GPU(gpuIdx)
 	if gpu == nil {
 		return
@@ -781,7 +781,7 @@ func (c *Cluster) uncorrectable(now time.Time, node *nodesim.Node, gpuIdx int,
 // applyMemOutcome applies the job and node consequences of an uncorrectable
 // memory cascade.
 func (c *Cluster) applyMemOutcome(node *nodesim.Node, gpuIdx int,
-	out gpusim.UncorrectableOutcome, decided map[int]bool, rule ImpactRule) {
+	out gpusim.UncorrectableOutcome, decided map[int32]bool, rule ImpactRule) {
 	if out.Accessed {
 		// Containment (successful or not) terminates the affected process.
 		if j := c.sched.JobOnGPU(node.Name(), gpuIdx); j != nil && !decided[j.ID] {
@@ -829,7 +829,7 @@ func (c *Cluster) scheduleFaultyGPU() error {
 	}
 	rng := c.rng.Derive("faulty-gpu")
 	rule := c.rule(faults.KindUncorrectable)
-	decided := make(map[int]bool)
+	decided := make(map[int32]bool)
 
 	// Pre-burst uncorrectable roots.
 	span := sc.BurstStart.Sub(sc.RootsStart)

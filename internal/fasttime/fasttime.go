@@ -7,7 +7,7 @@
 // miss, so the combined accept/reject semantics — including time.Parse's
 // leniencies such as one-digit hours or a comma fraction separator — are
 // exactly the standard library's. The fast path only short-circuits inputs
-// time.Parse would accept with the identical resulting Time.
+// time.Parse would accept with the identical resulting instant.
 package fasttime
 
 import "time"
@@ -16,17 +16,36 @@ import "time"
 // scanner-owned byte slices without a string copy.
 type ByteSeq interface{ ~string | ~[]byte }
 
-// ParseRFC3339UTC parses the canonical "2006-01-02T15:04:05Z" shape
-// (exactly 20 bytes, 'Z' zone designator).
-func ParseRFC3339UTC[T ByteSeq](b T) (time.Time, bool) {
+// UnixRFC3339UTC parses the canonical "2006-01-02T15:04:05Z" shape
+// (exactly 20 bytes, 'Z' zone designator) to Unix seconds, straight from the
+// civil date: no time.Time is built.
+func UnixRFC3339UTC[T ByteSeq](b T) (int64, bool) {
 	if len(b) != 20 || b[19] != 'Z' {
-		return time.Time{}, false
+		return 0, false
 	}
 	y, mo, d, h, mi, s, ok := dateTime(b)
 	if !ok {
-		return time.Time{}, false
+		return 0, false
 	}
-	return time.Date(y, time.Month(mo), d, h, mi, s, 0, time.UTC), true
+	return daysFromCivil(y, mo, d)*86400 + int64(h*3600+mi*60+s), true
+}
+
+// daysFromCivil returns the days from 1970-01-01 to the proleptic Gregorian
+// date y-mo-d, counting in 400-year eras whose years start on March 1, so
+// the leap day is the last day of its year.
+func daysFromCivil(y, mo, d int) int64 {
+	if mo <= 2 {
+		y--
+	}
+	era := y / 400
+	if y < 0 {
+		era = (y - 399) / 400
+	}
+	yoe := y - era*400  // [0, 399]
+	mp := (mo + 9) % 12 // March is 0
+	doy := (153*mp+2)/5 + d - 1
+	doe := yoe*365 + yoe/4 - yoe/100 + doy
+	return int64(era)*146097 + int64(doe) - 719468
 }
 
 // ParseMicroUTC parses the canonical "2006-01-02T15:04:05.000000Z" shape

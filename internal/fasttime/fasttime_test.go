@@ -35,17 +35,17 @@ func checkMicro(t *testing.T, in string) {
 
 func checkSec(t *testing.T, in string) {
 	t.Helper()
-	got, ok := ParseRFC3339UTC(in)
+	got, ok := UnixRFC3339UTC(in)
 	want, err := time.Parse(secLayout, in)
 	if ok && err != nil {
-		t.Errorf("ParseRFC3339UTC(%q) accepted input time.Parse rejects: %v", in, err)
+		t.Errorf("UnixRFC3339UTC(%q) accepted input time.Parse rejects: %v", in, err)
 	}
-	if ok && got != want {
-		t.Errorf("ParseRFC3339UTC(%q) = %#v, time.Parse = %#v", in, got, want)
+	if ok && got != want.Unix() {
+		t.Errorf("UnixRFC3339UTC(%q) = %d, time.Parse = %d", in, got, want.Unix())
 	}
-	bgot, bok := ParseRFC3339UTC([]byte(in))
+	bgot, bok := UnixRFC3339UTC([]byte(in))
 	if bok != ok || (ok && bgot != got) {
-		t.Errorf("ParseRFC3339UTC bytes/string diverge on %q", in)
+		t.Errorf("UnixRFC3339UTC bytes/string diverge on %q", in)
 	}
 }
 
@@ -85,6 +85,14 @@ func TestRFC3339Differential(t *testing.T) {
 		at := base.Add(time.Duration(i) * time.Second)
 		checkSec(t, at.Format(secLayout))
 	}
+	// And every day around the leap days and era edges of the civil-date
+	// arithmetic, negative Unix times included.
+	for _, y := range []int{0, 1, 1600, 1900, 1969, 1970, 2000, 2100, 2262, 2400, 9999} {
+		first := time.Date(y, 1, 1, 12, 0, 0, 0, time.UTC)
+		for day := 0; day < 366; day++ {
+			checkSec(t, first.AddDate(0, 0, day).Format(secLayout))
+		}
+	}
 }
 
 func TestMicroDifferential(t *testing.T) {
@@ -118,7 +126,7 @@ func TestCanonicalCoverage(t *testing.T) {
 	if _, ok := ParseMicroUTC(time.Now().UTC().Format(microLayout)); !ok {
 		t.Error("canonical micro timestamp missed the fast path")
 	}
-	if _, ok := ParseRFC3339UTC(time.Now().UTC().Format(secLayout)); !ok {
+	if _, ok := UnixRFC3339UTC(time.Now().UTC().Format(secLayout)); !ok {
 		t.Error("canonical RFC3339 UTC timestamp missed the fast path")
 	}
 }
@@ -130,7 +138,7 @@ func TestParseAllocs(t *testing.T) {
 		if _, ok := ParseMicroUTC(in); !ok {
 			t.Fatal("miss")
 		}
-		if _, ok := ParseRFC3339UTC(sec); !ok {
+		if _, ok := UnixRFC3339UTC(sec); !ok {
 			t.Fatal("miss")
 		}
 	}); n != 0 {

@@ -117,7 +117,7 @@ func indexEvents(events []xid.Event, cfg Config) (*DeviceIndex, error) {
 // overlaps the period.
 func inScope(j *slurmsim.Job, period stats.Period) bool {
 	return !j.Start.IsZero() && j.State.Terminal() &&
-		(period.Contains(j.Start) || period.Contains(j.End))
+		(period.Contains(j.Start.Time()) || period.Contains(j.End.Time()))
 }
 
 // scanJob adds to encountered the codes seen on the job's GPUs while it ran
@@ -125,16 +125,17 @@ func inScope(j *slurmsim.Job, period stats.Period) bool {
 // attribution window before its end. An error before the job started is
 // neither, however close to the failure.
 func (x *DeviceIndex) scanJob(j *slurmsim.Job, encountered, attributed map[xid.Code]bool) {
-	windowStart := j.End.Add(-x.cfg.AttributionWindow)
+	start, end := j.Start.Time(), j.End.Time()
+	windowStart := end.Add(-x.cfg.AttributionWindow)
 	for _, e := range j.Place {
 		for _, gi := range e.GPUs {
 			evs := x.devices[gpuKey{node: e.Node, gpu: gi}]
 			// First event at or after job start.
 			lo := sort.Search(len(evs), func(i int) bool {
-				return !evs[i].Time.Before(j.Start)
+				return !evs[i].Time.Before(start)
 			})
 			for _, ev := range evs[lo:] {
-				if ev.Time.After(j.End) {
+				if ev.Time.After(end) {
 					break
 				}
 				encountered[ev.Code] = true
@@ -431,7 +432,7 @@ func TableIII(jobs []*slurmsim.Job) []TableIIIRow {
 	var next [nb + 1]int
 	for _, j := range jobs {
 		if tableIIICounted(j) {
-			next[bucketOf(j.GPUs)+1]++
+			next[bucketOf(int(j.GPUs))+1]++
 		}
 	}
 	for i := 1; i <= nb; i++ {
@@ -445,10 +446,10 @@ func TableIII(jobs []*slurmsim.Job) []TableIIIRow {
 		if !tableIIICounted(j) {
 			continue
 		}
-		bi := bucketOf(j.GPUs)
+		bi := bucketOf(int(j.GPUs))
 		minutes[next[bi]] = j.Elapsed().Minutes()
 		next[bi]++
-		if ClassifyML(j.Name) {
+		if ClassifyML(j.Name()) {
 			mlHours[bi] += j.GPUHours()
 		} else {
 			nonMLHours[bi] += j.GPUHours()

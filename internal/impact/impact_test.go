@@ -21,8 +21,8 @@ var base = opPeriod.Start.Add(30 * 24 * time.Hour)
 func runJob(id int, node string, gpus []int, start time.Time, dur time.Duration,
 	state slurmsim.JobState) *slurmsim.Job {
 	return &slurmsim.Job{
-		ID: id, Name: "job", GPUs: len(gpus),
-		Submit: start.Add(-time.Minute), Start: start, End: start.Add(dur),
+		ID: int32(id), Text: &slurmsim.JobText{Name: "job"}, GPUs: int32(len(gpus)),
+		Submit: slurmsim.At(start.Add(-time.Minute)), Start: slurmsim.At(start), End: slurmsim.At(start.Add(dur)),
 		State: state, Place: slurmsim.Placement{{Node: node, GPUs: gpus}},
 	}
 }
@@ -148,9 +148,9 @@ func TestLostCompute(t *testing.T) {
 	j4 := runJob(4, "n1", []int{2}, base, time.Hour, slurmsim.StateCompleted)
 
 	events := []xid.Event{
-		ev(j1.End.Add(-time.Second), "n1", 0, xid.MMU),
-		ev(j2.End.Add(-2*time.Second), "n2", 0, xid.PMUSPIReadFail),
-		ev(j2.End.Add(-time.Second), "n2", 0, xid.MMU),
+		ev(j1.End.Time().Add(-time.Second), "n1", 0, xid.MMU),
+		ev(j2.End.Time().Add(-2*time.Second), "n2", 0, xid.PMUSPIReadFail),
+		ev(j2.End.Time().Add(-time.Second), "n2", 0, xid.MMU),
 		ev(base.Add(30*time.Minute), "n1", 2, xid.NVLink),
 	}
 	rows, total, err := LostCompute([]*slurmsim.Job{j1, j2, j3, j4}, events, DefaultConfig(opPeriod))
@@ -224,7 +224,7 @@ func TestTableIII(t *testing.T) {
 		runJob(2, "n1", []int{0}, base, 30*time.Minute, slurmsim.StateCompleted),
 		runJob(3, "n1", []int{0, 1, 2, 3}, base, 60*time.Minute, slurmsim.StateFailed),
 	}
-	jobs[2].Name = "train_model"
+	jobs[2].Text = &slurmsim.JobText{Name: "train_model"}
 	jobs[2].GPUs = 4
 	rows := TableIII(jobs)
 	if len(rows) != 8 {

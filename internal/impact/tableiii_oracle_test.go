@@ -24,9 +24,9 @@ func tableIIIOracle(jobs []*slurmsim.Job) []TableIIIRow {
 		if j.Start.IsZero() || !j.State.Terminal() {
 			continue
 		}
-		bi := bucketOf(j.GPUs)
+		bi := bucketOf(int(j.GPUs))
 		durs[bi] = append(durs[bi], j.Elapsed().Minutes())
-		if classifyMLOracle(j.Name) {
+		if classifyMLOracle(j.Name()) {
 			mlHours[bi] += j.GPUHours()
 		} else {
 			nonMLHours[bi] += j.GPUHours()
@@ -116,18 +116,18 @@ func randomJobs(rng *randx.Stream, n int, use []int) []*slurmsim.Job {
 	for i := range jobs {
 		choices := bucketGPUs[use[rng.Intn(len(use))]]
 		j := &slurmsim.Job{
-			ID:    i + 1,
-			Name:  oracleNames[rng.Intn(len(oracleNames))],
-			GPUs:  choices[rng.Intn(len(choices))],
+			ID:    int32(i + 1),
+			Text:  &slurmsim.JobText{Name: oracleNames[rng.Intn(len(oracleNames))]},
+			GPUs:  int32(choices[rng.Intn(len(choices))]),
 			State: states[rng.Intn(len(states))],
 		}
 		if !rng.Bool(0.15) {
-			j.Start = base.Add(time.Duration(rng.Int63n(int64(90 * 24 * time.Hour))))
+			start := base.Add(time.Duration(rng.Int63n(int64(90 * 24 * time.Hour))))
 			dur := shared[rng.Intn(len(shared))]
 			if rng.Bool(0.5) {
 				dur = time.Duration(rng.Int63n(int64(72 * time.Hour)))
 			}
-			j.End = j.Start.Add(dur)
+			j.Start, j.End = slurmsim.At(start), slurmsim.At(start.Add(dur))
 		}
 		jobs[i] = j
 	}
@@ -178,7 +178,7 @@ func TestTableIIIAllocs(t *testing.T) {
 	jobs := randomJobs(randx.NewStream(3), 2000, []int{0, 1, 2, 3, 4, 5, 6, 7})
 	ascii := []string{"TRAIN_x", "Bert", "namd_md_prod", "Rl_agent", "job"}
 	for i, j := range jobs {
-		j.Name = ascii[i%len(ascii)]
+		j.Text = &slurmsim.JobText{Name: ascii[i%len(ascii)]}
 	}
 	if n := testing.AllocsPerRun(20, func() { TableIII(jobs) }); n > 2 {
 		t.Fatalf("TableIII allocates %v times per call, want <= 2", n)
@@ -195,9 +195,9 @@ func workloadNames(tb testing.TB) []string {
 	seen := map[string]bool{}
 	var names []string
 	for _, j := range g.Jobs() {
-		if !seen[j.Name] {
-			seen[j.Name] = true
-			names = append(names, j.Name)
+		if !seen[j.Name()] {
+			seen[j.Name()] = true
+			names = append(names, j.Name())
 		}
 	}
 	sort.Strings(names)

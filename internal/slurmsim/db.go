@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"hash/maphash"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -20,30 +22,41 @@ const dbHeader = "JobID|JobName|User|Partition|ReqGPUS|Submit|Start|End|State|Ex
 
 const dbTimeLayout = time.RFC3339
 
-// DumpDB writes job records as a sacct-style parsable2 table.
+// DumpDB writes job records as a sacct-style parsable2 table. Each row is
+// appended into one reused buffer, so a dump allocates only for text that
+// needs sanitizing.
 func DumpDB(w io.Writer, jobs []*Job) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := fmt.Fprintln(bw, dbHeader); err != nil {
+	bw := bufio.NewWriterSize(w, 1<<16)
+	if _, err := bw.WriteString(dbHeader + "\n"); err != nil {
 		return err
 	}
+	var row []byte
 	for _, j := range jobs {
-		start := ""
-		if !j.Start.IsZero() {
-			start = j.Start.UTC().Format(dbTimeLayout)
+		var text JobText
+		if j.Text != nil {
+			text = *j.Text
 		}
-		end := ""
-		if !j.End.IsZero() {
-			end = j.End.UTC().Format(dbTimeLayout)
+		row = strconv.AppendInt(row[:0], int64(j.ID), 10)
+		for _, field := range [...]string{text.Name, text.User, text.Partition} {
+			row = append(append(row, '|'), sanitize(field)...)
 		}
-		ml := "0"
+		row = strconv.AppendInt(append(row, '|'), int64(j.GPUs), 10)
+		row = j.Submit.Time().AppendFormat(append(row, '|'), dbTimeLayout)
+		for _, t := range [...]Time{j.Start, j.End} {
+			row = append(row, '|')
+			if !t.IsZero() {
+				row = t.Time().AppendFormat(row, dbTimeLayout)
+			}
+		}
+		row = append(append(row, '|'), j.State.String()...)
+		row = strconv.AppendInt(append(row, '|'), int64(j.ExitCode), 10)
+		row = j.Place.appendTo(append(row, ":0|"...))
 		if j.ML {
-			ml = "1"
+			row = append(row, "|1\n"...)
+		} else {
+			row = append(row, "|0\n"...)
 		}
-		_, err := fmt.Fprintf(bw, "%d|%s|%s|%s|%d|%s|%s|%s|%s|%d:0|%s|%s\n",
-			j.ID, sanitize(j.Name), sanitize(j.User), sanitize(j.Partition), j.GPUs,
-			j.Submit.UTC().Format(dbTimeLayout), start, end,
-			j.State, j.ExitCode, j.Place, ml)
-		if err != nil {
+		if _, err := bw.Write(row); err != nil {
 			return err
 		}
 	}
@@ -61,18 +74,33 @@ func sanitize(s string) string {
 var dbHeaderBytes = []byte(dbHeader)
 
 // jobArenaSize is the Job block size of the loader's arena: one allocation
-// amortizes over this many rows.
-const jobArenaSize = 1024
+// amortizes over this many rows, and a load wastes at most one block's tail
+// (4,096 88-byte records, 352 KB).
+const jobArenaSize = 4096
+
+// textHint presizes the loader's text table. A simulated population has
+// 7,200 distinct texts (18 names x 400 users); starting at 1,024 skips the
+// table's small growth steps without reserving much for a small DB.
+const textHint = 1024
 
 // dbLoader carries the allocation state of one LoadDB run: an interner for
 // the small recurring vocabularies (names, users, partitions, node names), a
-// Job arena so rows don't allocate one object each, and placement and int
-// arenas for the placement entries and their GPU-index slices.
+// table sharing one JobText per distinct (name, user, partition), arenas for
+// the Job records and the JobTexts so rows don't allocate one object each,
+// and placement and int arenas for the placement entries and their GPU-index
+// slices.
 type dbLoader struct {
 	in     *intern.Interner
+	seed   maphash.Seed
+	texts  map[uint64]*JobText // by the hash of the row's "name|user|partition"
 	arena  []Job
+	tarena []JobText
 	places []NodeGPUs
 	ints   []int
+}
+
+func newDBLoader() *dbLoader {
+	return &dbLoader{in: intern.New(), seed: maphash.MakeSeed(), texts: make(map[uint64]*JobText, textHint)}
 }
 
 // carve cuts an n-element slice off the front of *arena, refilling the arena
@@ -120,7 +148,7 @@ func estimateDBRows(r io.Reader) int {
 func LoadDB(r io.Reader) ([]*Job, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	ld := dbLoader{in: intern.New()}
+	ld := newDBLoader()
 	jobs := make([]*Job, 0, estimateDBRows(r))
 	lineNo := 0
 	for sc.Scan() {
@@ -192,15 +220,48 @@ func atoiBytes(b []byte) (int, error) {
 	return strconv.Atoi(string(b))
 }
 
-// parseDBTime parses one timestamp column. DumpDB always emits the canonical
-// 20-byte UTC form, which the fixed-layout fast path handles without
-// allocating; anything else goes through time.Parse for identical semantics.
-func parseDBTime(b []byte) (time.Time, error) {
-	if t, ok := fasttime.ParseRFC3339UTC(b); ok {
-		return t, nil
+// parseDBTime parses one timestamp column; ok is false when it parses but
+// lies outside [MinTime, MaxTime]. DumpDB always emits the canonical 20-byte
+// UTC form, which the fast path turns straight into nanoseconds; anything
+// else goes through time.Parse for identical semantics.
+func parseDBTime(b []byte) (t Time, ok bool, err error) {
+	if sec, fast := fasttime.UnixRFC3339UTC(b); fast {
+		if sec < int64(MinTime/Time(time.Second)) || sec > int64(MaxTime/Time(time.Second)) {
+			return 0, false, nil
+		}
+		return Time(sec) * Time(time.Second), true, nil
 	}
-	return time.Parse(dbTimeLayout, string(b))
+	tt, err := time.Parse(dbTimeLayout, string(b))
+	if err != nil || !InRange(tt) {
+		return 0, false, err
+	}
+	return At(tt), true, nil
 }
+
+// RangeError reports a sacct value that parses but does not fit the job
+// record: an ID or exit code beyond int32, a ReqGPUS below 1 or beyond
+// int32, or a timestamp outside [MinTime, MaxTime].
+type RangeError struct {
+	Column string // "job id", "gpus", "submit", "start", "end" or "exit code"
+	Value  string // the field as written
+	Range  string // the accepted range
+}
+
+// Error names the column, the value and the accepted range.
+func (e *RangeError) Error() string {
+	return fmt.Sprintf("%s: %q out of range %s", e.Column, e.Value, e.Range)
+}
+
+func rangeErr(column string, value []byte, lo, hi int) error {
+	return &RangeError{Column: column, Value: string(value), Range: fmt.Sprintf("[%d, %d]", lo, hi)}
+}
+
+func timeRangeErr(column string, value []byte) error {
+	return &RangeError{Column: column, Value: string(value), Range: "[" +
+		MinTime.Time().Format(time.RFC3339Nano) + ", " + MaxTime.Time().Format(time.RFC3339Nano) + "]"}
+}
+
+func fitsInt32(v int) bool { return v >= math.MinInt32 && v <= math.MaxInt32 }
 
 func (ld *dbLoader) parseRow(line []byte) (*Job, error) {
 	var f [12][]byte
@@ -215,18 +276,19 @@ func (ld *dbLoader) parseRow(line []byte) (*Job, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gpus: %w", err)
 	}
-	submit, err := parseDBTime(f[5])
+	submit, submitOK, err := parseDBTime(f[5])
 	if err != nil {
 		return nil, fmt.Errorf("submit: %w", err)
 	}
-	var start, end time.Time
+	var start, end Time
+	startOK, endOK := true, true
 	if len(f[6]) != 0 {
-		if start, err = parseDBTime(f[6]); err != nil {
+		if start, startOK, err = parseDBTime(f[6]); err != nil {
 			return nil, fmt.Errorf("start: %w", err)
 		}
 	}
 	if len(f[7]) != 0 {
-		if end, err = parseDBTime(f[7]); err != nil {
+		if end, endOK, err = parseDBTime(f[7]); err != nil {
 			return nil, fmt.Errorf("end: %w", err)
 		}
 	}
@@ -246,22 +308,56 @@ func (ld *dbLoader) parseRow(line []byte) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Range checks come after every column parses, so a row that would not
+	// parse reports its parse error whatever its values.
+	switch {
+	case !fitsInt32(id):
+		return nil, rangeErr("job id", f[0], math.MinInt32, math.MaxInt32)
+	case gpus < 1 || gpus > math.MaxInt32:
+		return nil, rangeErr("gpus", f[4], 1, math.MaxInt32)
+	case !submitOK:
+		return nil, timeRangeErr("submit", f[5])
+	case !startOK:
+		return nil, timeRangeErr("start", f[6])
+	case !endOK:
+		return nil, timeRangeErr("end", f[7])
+	case !fitsInt32(exit):
+		return nil, rangeErr("exit code", f[9][:ci], math.MinInt32, math.MaxInt32)
+	}
 	j := &carve(&ld.arena, 1, jobArenaSize)[0]
 	*j = Job{
-		ID:        id,
-		Name:      ld.in.Intern(f[1]),
-		User:      ld.in.Intern(f[2]),
-		Partition: ld.in.Intern(f[3]),
-		GPUs:      gpus,
-		Submit:    submit,
-		Start:     start,
-		End:       end,
-		State:     state,
-		ExitCode:  exit,
-		Place:     place,
-		ML:        len(f[11]) == 1 && f[11][0] == '1',
+		Text:     ld.text(line[len(f[0])+1:][:len(f[1])+len(f[2])+len(f[3])+2], &f),
+		ID:       int32(id),
+		GPUs:     int32(gpus),
+		Submit:   submit,
+		Start:    start,
+		End:      end,
+		State:    state,
+		ExitCode: int32(exit),
+		Place:    place,
+		ML:       len(f[11]) == 1 && f[11][0] == '1',
 	}
 	return j, nil
+}
+
+// text returns the loader's shared JobText for a row's name, user and
+// partition columns f[1], f[2] and f[3]; span is the row's
+// "name|user|partition" bytes. The table holds one text per hash of span,
+// checked field by field, so a hit costs one hash and no allocation. A text
+// whose hash another text already holds (a 64-bit collision) is not shared,
+// only carved anew for each of its rows.
+func (ld *dbLoader) text(span []byte, f *[12][]byte) *JobText {
+	h := maphash.Bytes(ld.seed, span)
+	t := ld.texts[h]
+	if t != nil && t.Name == string(f[1]) && t.User == string(f[2]) && t.Partition == string(f[3]) {
+		return t
+	}
+	n := &carve(&ld.tarena, 1, 1024)[0]
+	*n = JobText{Name: ld.in.Intern(f[1]), User: ld.in.Intern(f[2]), Partition: ld.in.Intern(f[3])}
+	if t == nil {
+		ld.texts[h] = n
+	}
+	return n
 }
 
 var placementSemi = []byte{';'}
@@ -270,8 +366,8 @@ var placementSemi = []byte{';'}
 // "node:i,j;node:k" with plain digit runs and strictly ascending node names —
 // straight off the bytes, backing the entries and index lists from the
 // loader's arenas. Any deviation restarts the whole field through the
-// exported ParsePlacement, so the loader keeps its Sscanf-level tolerance
-// (signed indices, leading spaces, any part order) and its exact errors.
+// exported ParsePlacement, so the loader keeps its tolerance (signed
+// indices, leading spaces, any part order) and its exact errors.
 func (ld *dbLoader) parsePlacement(b []byte) (Placement, error) {
 	if len(b) == 0 {
 		return nil, nil

@@ -1,8 +1,13 @@
 package slurmsim
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
+	"hash/maphash"
+	"io"
+	"math"
 	"reflect"
 	"strconv"
 	"strings"
@@ -10,10 +15,24 @@ import (
 	"time"
 )
 
+// wideJob is the historical job record: int IDs, GPU counts and exit codes,
+// time.Time timestamps, inline text. The oracle fills it, and narrowOracle
+// decides which of its values the compact Job holds.
+type wideJob struct {
+	ID                    int
+	Name, User, Partition string
+	GPUs                  int
+	Submit, Start, End    time.Time
+	State                 JobState
+	ExitCode              int
+	Place                 Placement
+	ML                    bool
+}
+
 // parseDBLineOracle is the historical strings-based row parser, kept
 // verbatim as the differential oracle for the byte-level loader: same
 // accept/reject decision, same Job, same error text on every row.
-func parseDBLineOracle(line string) (*Job, error) {
+func parseDBLineOracle(line string) (*wideJob, error) {
 	fields := strings.Split(line, "|")
 	if len(fields) != 12 {
 		return nil, fmt.Errorf("want 12 fields, got %d", len(fields))
@@ -57,7 +76,7 @@ func parseDBLineOracle(line string) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Job{
+	return &wideJob{
 		ID:        id,
 		Name:      fields[1],
 		User:      fields[2],
@@ -71,6 +90,146 @@ func parseDBLineOracle(line string) (*Job, error) {
 		Place:     place,
 		ML:        fields[11] == "1",
 	}, nil
+}
+
+// narrowOracle converts an oracle record to the compact Job, or names the
+// first column, in row order, whose value the Job cannot hold: an ID or exit
+// code beyond int32, fewer than one or more than MaxInt32 GPUs, or a set
+// timestamp outside [1970-01-01T00:00:01Z, 2262-04-11T23:47:16.854775807Z].
+func narrowOracle(w *wideJob) (*Job, string) {
+	lo, hi := time.Unix(1, 0), time.Unix(0, math.MaxInt64)
+	timeFits := func(t time.Time) bool { return !t.Before(lo) && !t.After(hi) }
+	optFits := func(t time.Time) bool { return t.IsZero() || timeFits(t) }
+	unixNano := func(t time.Time) Time {
+		if t.IsZero() {
+			return 0
+		}
+		return Time(t.UnixNano())
+	}
+	switch {
+	case w.ID < math.MinInt32 || w.ID > math.MaxInt32:
+		return nil, "job id"
+	case w.GPUs < 1 || w.GPUs > math.MaxInt32:
+		return nil, "gpus"
+	case !timeFits(w.Submit):
+		return nil, "submit"
+	case !optFits(w.Start):
+		return nil, "start"
+	case !optFits(w.End):
+		return nil, "end"
+	case w.ExitCode < math.MinInt32 || w.ExitCode > math.MaxInt32:
+		return nil, "exit code"
+	}
+	return &Job{
+		Text:     &JobText{Name: w.Name, User: w.User, Partition: w.Partition},
+		ID:       int32(w.ID),
+		GPUs:     int32(w.GPUs),
+		Submit:   unixNano(w.Submit),
+		Start:    unixNano(w.Start),
+		End:      unixNano(w.End),
+		State:    w.State,
+		ExitCode: int32(w.ExitCode),
+		Place:    w.Place,
+		ML:       w.ML,
+	}, ""
+}
+
+// checkRowAgainstOracle holds the byte-level row parser to the oracle on
+// one row: a row the oracle rejects fails with the same text; a row it
+// accepts either loads as the same record or, when a value does not fit the
+// Job, fails with a RangeError naming the first such column.
+func checkRowAgainstOracle(t *testing.T, row string) {
+	t.Helper()
+	wide, werr := parseDBLineOracle(row)
+	got, gerr := newDBLoader().parseRow([]byte(row))
+	if werr != nil {
+		if gerr == nil || gerr.Error() != werr.Error() {
+			t.Fatalf("row %q: oracle rejects with %q, loader gives %v", row, werr, gerr)
+		}
+		return
+	}
+	want, column := narrowOracle(wide)
+	if column != "" {
+		var re *RangeError
+		if !errors.As(gerr, &re) || re.Column != column {
+			t.Fatalf("row %q: %s out of range, loader gives job %+v, error %v", row, column, got, gerr)
+		}
+		return
+	}
+	if gerr != nil {
+		t.Fatalf("row %q: oracle accepts, loader rejects: %v", row, gerr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("row %q:\n got %+v\nwant %+v", row, got, want)
+	}
+}
+
+// dumpDBOracle is the historical fmt-based DumpDB body, the reference the
+// append-based writer must match byte for byte.
+func dumpDBOracle(w io.Writer, jobs []*Job) error {
+	bw := bufio.NewWriterSize(w, 1<<20)
+	if _, err := fmt.Fprintln(bw, dbHeader); err != nil {
+		return err
+	}
+	for _, j := range jobs {
+		start := ""
+		if !j.Start.IsZero() {
+			start = j.Start.Time().Format(dbTimeLayout)
+		}
+		end := ""
+		if !j.End.IsZero() {
+			end = j.End.Time().Format(dbTimeLayout)
+		}
+		ml := "0"
+		if j.ML {
+			ml = "1"
+		}
+		var text JobText
+		if j.Text != nil {
+			text = *j.Text
+		}
+		_, err := fmt.Fprintf(bw, "%d|%s|%s|%s|%d|%s|%s|%s|%s|%d:0|%s|%s\n",
+			j.ID, sanitize(text.Name), sanitize(text.User), sanitize(text.Partition), j.GPUs,
+			j.Submit.Time().Format(dbTimeLayout), start, end,
+			j.State, j.ExitCode, j.Place, ml)
+		if err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
+// checkDumpAgainstOracle holds DumpDB to dumpDBOracle on jobs.
+func checkDumpAgainstOracle(t *testing.T, jobs []*Job) {
+	t.Helper()
+	var got, want bytes.Buffer
+	if err := DumpDB(&got, jobs); err != nil {
+		t.Fatal(err)
+	}
+	if err := dumpDBOracle(&want, jobs); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("DumpDB diverges from the reference:\n got %q\nwant %q", got.Bytes(), want.Bytes())
+	}
+}
+
+// TestDumpDBMatchesOracle covers the shapes a simulated population does
+// not: no text, text to sanitize, unset and extreme times, a state outside
+// the enum, negative values and int32 edges.
+func TestDumpDBMatchesOracle(t *testing.T) {
+	at := time.Date(2023, 5, 6, 7, 8, 9, 987654321, time.UTC)
+	jobs := []*Job{
+		{},
+		{ID: math.MaxInt32, GPUs: math.MaxInt32, ExitCode: math.MinInt32, State: JobState(200), ML: true,
+			Text:   &JobText{Name: "a|b\nc", User: "u|", Partition: "\n"},
+			Submit: MinTime, Start: At(at), End: MaxTime},
+		{ID: -3, GPUs: 4, State: StateNodeFail, ExitCode: 1, Text: &JobText{Name: "train", User: "alice", Partition: "gpuA100x4"},
+			Submit: At(at), Start: At(at), End: At(at.Add(time.Hour)),
+			Place: Placement{{Node: "gpub001", GPUs: []int{0, 1}}, {Node: "gpub002", GPUs: []int{-1, 3}}}},
+	}
+	checkDumpAgainstOracle(t, jobs)
+	checkDumpAgainstOracle(t, nil)
 }
 
 func dbRowCorpus() []string {
@@ -98,9 +257,9 @@ func dbRowCorpus() []string {
 		"15|j|u|p|1|2023-01-01T00:00:00Z|||PENDING|0:0|:0|0",
 		"16|j|u|p|1|2023-01-01T00:00:00Z|||PENDING|0:0|n1:|0",
 		"17|j|u|p|1|2023-01-01T00:00:00Z|||PENDING|0:0|n1:0;;n2:1|0",
-		"18|j|u|p|1|2023-01-01T00:00:00Z|||PENDING|0:0|n1: 0|0", // Sscanf skips the space
-		"19|j|u|p|1|2023-01-01T00:00:00Z|||PENDING|0:0|n1:-1|0", // Sscanf accepts the sign
-		"20|j|u|p|1|2023-01-01T00:00:00Z|||PENDING|0:0|n1:0x|0", // trailing garbage
+		"18|j|u|p|1|2023-01-01T00:00:00Z|||PENDING|0:0|n1: 0|0", // a leading space is skipped
+		"19|j|u|p|1|2023-01-01T00:00:00Z|||PENDING|0:0|n1:-1|0", // a sign is accepted
+		"20|j|u|p|1|2023-01-01T00:00:00Z|||PENDING|0:0|n1:0x|0", // trailing garbage: rejected
 		"21|j|u|p|1|2023-01-01T00:00:00Z|||PENDING|0:0|n1:0,1;n1:2|0",
 		"22|j|u|p|2|2023-01-01T00:00:00Z|||PENDING|0:0|n2:1;n1:0|0", // loads name-ordered
 		// Field-count errors, including the >12 report.
@@ -108,31 +267,36 @@ func dbRowCorpus() []string {
 		"1|2|3|4|5|6|7|8|9|10|11|12|13",
 		"",
 		"ML column tolerance|j|u|p|1|2023-01-01T00:00:00Z|||PENDING|0:0||yes",
+		// Values that parse but do not fit the compact record.
+		"23|j|u|p|-4|2023-01-01T00:00:00Z|||PENDING|0:0||0", // ReqGPUS below 1
+		"24|j|u|p|2147483648|2023-01-01T00:00:00Z|||PENDING|0:0||0",
+		"2147483647|j|u|p|2147483647|2023-01-01T00:00:00Z|||PENDING|-2147483648:0||0", // int32 edges fit
+		"2147483648|j|u|p|1|2023-01-01T00:00:00Z|||PENDING|0:0||0",
+		"-2147483649|j|u|p|1|2023-01-01T00:00:00Z|||PENDING|0:0||0",
+		"25|j|u|p|1|2023-01-01T00:00:00Z|||PENDING|2147483648:0||0",
+		"26|j|u|p|1|1970-01-01T00:00:00Z|||PENDING|0:0||0", // the epoch is "unset"
+		"27|j|u|p|1|1969-12-31T23:59:59Z|||PENDING|0:0||0",
+		"28|j|u|p|1|1970-01-01T00:00:00.5Z|||PENDING|0:0||0",
+		"29|j|u|p|1|1970-01-01T00:00:01Z|||PENDING|0:0||0", // the first whole second fits
+		"30|j|u|p|1|1970-01-01T02:00:00+02:00|||PENDING|0:0||0",
+		"31|j|u|p|1|2023-01-01T00:00:00Z|2262-04-11T23:47:16Z|2262-04-11T23:47:16.854775807Z|COMPLETED|0:0||0",
+		"32|j|u|p|1|2023-01-01T00:00:00Z|2262-04-11T23:47:17Z||RUNNING|0:0||0",
+		"33|j|u|p|1|2023-01-01T00:00:00Z|2023-01-01T00:00:00Z|2262-04-11T23:47:16.854775808Z|COMPLETED|0:0||0",
+		"34|j|u|p|1|2023-01-01T00:00:00Z||9999-12-31T23:59:59Z|CANCELLED|0:0||0",
+		"2147483648|j|u|p|1|2023-01-01T00:00:00Z|||NOPE|0:0||0", // the parse error wins
+		"35|j|u|p|0|1969-01-01T00:00:00Z|||PENDING|0:0|n1:0x|0",
 	}
 }
 
 func TestParseRowMatchesOracle(t *testing.T) {
 	for _, row := range dbRowCorpus() {
-		want, werr := parseDBLineOracle(row)
-		ld := dbLoader{in: nil}
-		got, gerr := ld.parseRow([]byte(row))
-		if (gerr == nil) != (werr == nil) {
-			t.Fatalf("row %q: error presence diverges: got %v, oracle %v", row, gerr, werr)
-		}
-		if gerr != nil {
-			if gerr.Error() != werr.Error() {
-				t.Fatalf("row %q: error diverges:\n got %q\nwant %q", row, gerr, werr)
-			}
-			continue
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("row %q:\n got %+v\nwant %+v", row, got, want)
-		}
+		checkRowAgainstOracle(t, row)
 	}
 }
 
 // FuzzParseRowEquivalence holds the byte-level row parser to the historical
-// strings-based implementation on arbitrary rows.
+// strings-based implementation on arbitrary rows, with the range checks of
+// the compact record on top.
 func FuzzParseRowEquivalence(f *testing.F) {
 	for _, row := range dbRowCorpus() {
 		f.Add(row)
@@ -141,21 +305,7 @@ func FuzzParseRowEquivalence(f *testing.F) {
 		if len(row) > 1<<16 || strings.ContainsAny(row, "\n\r") {
 			return // LoadDB's scanner would split these before parseRow sees them
 		}
-		want, werr := parseDBLineOracle(row)
-		ld := dbLoader{}
-		got, gerr := ld.parseRow([]byte(row))
-		if (gerr == nil) != (werr == nil) {
-			t.Fatalf("error presence diverges on %q: got %v, oracle %v", row, gerr, werr)
-		}
-		if gerr != nil {
-			if gerr.Error() != werr.Error() {
-				t.Fatalf("error diverges on %q:\n got %q\nwant %q", row, gerr, werr)
-			}
-			return
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("job diverges on %q:\n got %+v\nwant %+v", row, got, want)
-		}
+		checkRowAgainstOracle(t, row)
 	})
 }
 
@@ -187,5 +337,27 @@ func TestLoadDBRowAllocBudget(t *testing.T) {
 	perRow := allocs / rows
 	if perRow > 3 {
 		t.Fatalf("LoadDB allocs/row = %.2f, budget 3", perRow)
+	}
+}
+
+// TestTextHashCollision forces the text table's collision path: a row whose
+// hash slot holds another text still loads its own text, and the slot keeps
+// its first owner.
+func TestTextHashCollision(t *testing.T) {
+	const row = "1|train|alice|gpuA100x4|1|2023-01-01T00:00:00Z|||PENDING|0:0||1"
+	ld := newDBLoader()
+	other := &JobText{Name: "other", User: "bob", Partition: "p"}
+	ld.texts[maphash.Bytes(ld.seed, []byte("train|alice|gpuA100x4"))] = other
+	for range 2 {
+		j, err := ld.parseRow([]byte(row))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (JobText{Name: "train", User: "alice", Partition: "gpuA100x4"}); *j.Text != want {
+			t.Fatalf("text %+v, want %+v", *j.Text, want)
+		}
+	}
+	if len(ld.texts) != 1 || *other != (JobText{Name: "other", User: "bob", Partition: "p"}) {
+		t.Fatalf("collision changed the table: %d entries, slot %+v", len(ld.texts), *other)
 	}
 }

@@ -1,8 +1,11 @@
 package slurmsim
 
 import (
+	"bytes"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 // FuzzParsePlacement checks the placement codec never panics and round-trips
@@ -30,19 +33,46 @@ func FuzzParsePlacement(f *testing.F) {
 	})
 }
 
-// FuzzLoadDBLine checks the sacct parser never panics on corrupt rows.
+// FuzzLoadDBLine checks the sacct parser never panics on corrupt rows, and
+// that whatever it accepts dumps as the reference writer does and survives
+// DumpDB and a second LoadDB. The dump
+// keeps whole seconds, as sacct does, so the reloaded times are the loaded
+// ones truncated to the second.
 func FuzzLoadDBLine(f *testing.F) {
 	f.Add("1|name|user|gpuA100x4|2|2023-01-01T00:00:00Z|2023-01-01T01:00:00Z|2023-01-01T02:00:00Z|COMPLETED|0:0|n1:0,1|0")
 	f.Add("x|y")
 	f.Add("")
+	f.Add("-7|a b|u|p|+3|2023-01-01T00:00:00.75+01:00||2262-04-11T23:47:16.854775807Z|FAILED|-2147483648:9|n2: 1,-1;n1:+0|yes")
 	f.Fuzz(func(t *testing.T, line string) {
 		r := strings.NewReader("JobID|JobName|User|Partition|ReqGPUS|Submit|Start|End|State|ExitCode|Placement|ML\n" + line + "\n")
 		jobs, err := LoadDB(r)
-		if err == nil {
-			for _, j := range jobs {
-				if j == nil {
-					t.Fatal("nil job from parser")
-				}
+		if err != nil {
+			return
+		}
+		for _, j := range jobs {
+			if j == nil {
+				t.Fatal("nil job from parser")
+			}
+		}
+		checkDumpAgainstOracle(t, jobs)
+		var buf bytes.Buffer
+		if err := DumpDB(&buf, jobs); err != nil {
+			t.Fatal(err)
+		}
+		back, err := LoadDB(&buf)
+		if err != nil {
+			t.Fatalf("reload of %q failed: %v\ndump:\n%s", line, err, buf.Bytes())
+		}
+		if len(back) != len(jobs) {
+			t.Fatalf("reload of %q gives %d jobs, want %d", line, len(back), len(jobs))
+		}
+		for i, j := range jobs {
+			want := *j
+			for _, at := range []*Time{&want.Submit, &want.Start, &want.End} {
+				*at -= *at % Time(time.Second)
+			}
+			if !reflect.DeepEqual(*back[i], want) {
+				t.Fatalf("reload of %q:\n got %+v\nwant %+v", line, *back[i], want)
 			}
 		}
 	})

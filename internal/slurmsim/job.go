@@ -6,6 +6,7 @@ package slurmsim
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -13,7 +14,7 @@ import (
 )
 
 // JobState is a Slurm terminal or live job state.
-type JobState int
+type JobState uint8
 
 // Job states (a subset of Slurm's, matching what the study uses).
 const (
@@ -128,8 +129,10 @@ func (p Placement) TotalGPUs() int {
 }
 
 // String encodes the placement as "node:i,j;node:k".
-func (p Placement) String() string {
-	var b []byte
+func (p Placement) String() string { return string(p.appendTo(nil)) }
+
+// appendTo appends the String encoding to b.
+func (p Placement) appendTo(b []byte) []byte {
 	for i, e := range p {
 		if i > 0 {
 			b = append(b, ';')
@@ -143,11 +146,13 @@ func (p Placement) String() string {
 			b = strconv.AppendInt(b, int64(idx), 10)
 		}
 	}
-	return string(b)
+	return b
 }
 
 // ParsePlacement inverts Placement.String. Parts may come in any order; the
-// result is name-ordered, and a node listed twice keeps its last list.
+// result is name-ordered, and a node listed twice keeps its last list. A GPU
+// index is a decimal integer with an optional sign, after any leading spaces
+// or tabs, and nothing else: the whole segment must parse.
 func ParsePlacement(s string) (Placement, error) {
 	if s == "" {
 		return nil, nil
@@ -160,8 +165,8 @@ func ParsePlacement(s string) (Placement, error) {
 		}
 		var idxs []int
 		for _, f := range strings.Split(list, ",") {
-			var v int
-			if _, err := fmt.Sscanf(f, "%d", &v); err != nil {
+			v, err := strconv.Atoi(strings.TrimLeft(f, " \t"))
+			if err != nil {
 				return nil, fmt.Errorf("slurmsim: bad gpu index %q: %w", f, err)
 			}
 			idxs = append(idxs, v)
@@ -181,35 +186,100 @@ func ParsePlacement(s string) (Placement, error) {
 
 func compareNode(a, b NodeGPUs) int { return strings.Compare(a.Node, b.Node) }
 
-// Job is one batch job. Fields through ExitCode mirror the Slurm accounting
-// database columns the study relies on (§III-A): submit/start/end times,
-// resources requested, scheduled nodes, exit status, and name.
+// Time is an instant as Unix nanoseconds, the job record's timestamp. Zero
+// means unset, so the zero Job has never started. A Time holds the instants
+// from MinTime through MaxTime.
+type Time int64
+
+// MinTime and MaxTime bound the instants a Time holds. Zero is reserved for
+// "unset", so the range starts at the first whole second after the Unix
+// epoch, which a dump truncated to seconds keeps in range; int64
+// nanoseconds end in 2262.
+const (
+	MinTime Time = Time(time.Second) // 1970-01-01T00:00:01Z
+	MaxTime Time = math.MaxInt64     // 2262-04-11T23:47:16.854775807Z
+)
+
+// InRange reports whether t lies in [MinTime, MaxTime], so At(t) keeps it.
+func InRange(t time.Time) bool { return !t.Before(MinTime.Time()) && !t.After(MaxTime.Time()) }
+
+// At returns t as a Time; the zero time.Time gives the zero Time. Any other
+// t must be InRange.
+func At(t time.Time) Time {
+	if t.IsZero() {
+		return 0
+	}
+	return Time(t.UnixNano())
+}
+
+// Time returns t in UTC; the zero Time gives the zero time.Time.
+func (t Time) Time() time.Time {
+	if t == 0 {
+		return time.Time{}
+	}
+	return time.Unix(0, int64(t)).UTC()
+}
+
+// IsZero reports whether t is unset.
+func (t Time) IsZero() bool { return t == 0 }
+
+// Sub returns t-u. An unset operand stands for the zero time.Time, as the
+// record's times did when they were time.Time values.
+func (t Time) Sub(u Time) time.Duration {
+	if t == 0 || u == 0 {
+		return t.Time().Sub(u.Time())
+	}
+	return time.Duration(t - u)
+}
+
+// JobText is the free text of a job record. Jobs that agree on all three
+// fields share one JobText, interned by whoever builds the records (one
+// table per LoadDB call or per workload population); it is never mutated
+// once shared.
+type JobText struct {
+	Name      string // job name, carries the workload's ML marker
+	User      string // synthetic submitting user
+	Partition string // Slurm partition the job ran in
+}
+
+// Job is one batch job in 88 bytes. Apart from RunDuration, FailNaturally
+// and NaturalExitCode, its fields mirror the Slurm accounting database
+// columns the study relies on (§III-A): submit/start/end times, resources
+// requested, scheduled nodes, exit status, and name.
 type Job struct {
-	ID        int           // accounting job ID, unique per simulation
-	Name      string        // job name, carries the workload's ML marker
-	User      string        // synthetic submitting user
-	Partition string        // Slurm partition the job ran in
-	GPUs      int           // GPUs requested
-	Submit    time.Time     // enqueue time
-	Start     time.Time     // execution start (zero if never started)
-	End       time.Time     // execution end (zero while running)
-	TimeLimit time.Duration // requested wall-time limit
-	State     JobState      // terminal accounting state
-	ExitCode  int           // process exit code as accounted
+	Text      *JobText      // name, user and partition, shared; see JobText
 	Place     Placement     // nodes and device indexes the job ran on
+	Submit    Time          // enqueue time
+	Start     Time          // execution start (zero if never started)
+	End       Time          // execution end (zero while running)
+	TimeLimit time.Duration // requested wall-time limit
 
 	// RunDuration is the natural runtime the job needs if undisturbed, and
 	// FailNaturally + NaturalExitCode carry the workload generator's verdict
 	// for jobs that end on their own (application bugs, OOM, etc. — the
 	// non-GPU failures that dominate the 25% baseline failure rate). These
 	// drive the simulation and are not part of the accounting record.
-	RunDuration     time.Duration
-	NaturalExitCode int  // see RunDuration
-	FailNaturally   bool // see RunDuration; next to ML so the two bools share a word
+	RunDuration time.Duration
+
+	ID       int32    // accounting job ID, unique per simulation
+	GPUs     int32    // GPUs requested
+	ExitCode int32    // process exit code as accounted
+	State    JobState // terminal accounting state
 
 	// ML marks jobs the workload generator labeled as machine-learning
 	// (the study approximates this from job names).
 	ML bool
+
+	FailNaturally   bool  // see RunDuration
+	NaturalExitCode uint8 // see RunDuration; a process exit status
+}
+
+// Name returns the job name ("" without a Text).
+func (j *Job) Name() string {
+	if j.Text == nil {
+		return ""
+	}
+	return j.Text.Name
 }
 
 // Elapsed returns wall-clock runtime for terminal jobs.

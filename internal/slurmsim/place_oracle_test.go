@@ -126,8 +126,8 @@ func TestTryPlaceMatchesOracle(t *testing.T) {
 				what = fmt.Sprintf("start %d GPUs", gpus)
 				if p := s.tryPlace(gpus); p != nil {
 					j := job(gpus, time.Duration(1+rng.Intn(120))*time.Minute)
-					j.ID = 1000*trial + op
-					s.start(j, p, eng.Now())
+					j.ID = int32(1000*trial + op)
+					s.start(j, p, At(eng.Now()))
 				}
 			case r < 6:
 				what = "step (a natural end or a pass)"

@@ -3,6 +3,7 @@ package slurmsim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -76,7 +77,7 @@ type Scheduler struct {
 
 	pending  []*Job
 	records  []*Job
-	nextID   int
+	nextID   int32
 	capacity int // total GPUs across all hosts
 
 	// Placements are carved from these arenas (see carve), so starting a
@@ -93,7 +94,7 @@ type Scheduler struct {
 	// state.
 	OnTerminal func(*Job)
 
-	endHandles map[int]simclock.Handle
+	endHandles map[int32]simclock.Handle // by job ID
 }
 
 // NewScheduler returns a scheduler driven by engine.
@@ -112,7 +113,7 @@ func NewScheduler(cfg Config, engine *simclock.Engine) (*Scheduler, error) {
 		engine:     engine,
 		hostIndex:  make(map[string]*host),
 		nextID:     1,
-		endHandles: make(map[int]simclock.Handle),
+		endHandles: make(map[int32]simclock.Handle),
 	}
 	s.passFn = s.pass
 	s.endFn = func(j any) { s.naturalEnd(j.(*Job)) }
@@ -194,17 +195,26 @@ func (s *Scheduler) relist(h *host) {
 func (s *Scheduler) Grow(n int) { s.records = slices.Grow(s.records, n) }
 
 // Submit enqueues a job at the current simulation time and assigns its ID.
+// It rejects a job once the int32 ID space is spent, or when the simulation
+// clock lies outside the record's [MinTime, MaxTime].
 func (s *Scheduler) Submit(j *Job) error {
 	if j == nil {
 		return errors.New("slurmsim: nil job")
 	}
 	if j.GPUs <= 0 {
-		return fmt.Errorf("slurmsim: job %q requests %d GPUs", j.Name, j.GPUs)
+		return fmt.Errorf("slurmsim: job %q requests %d GPUs", j.Name(), j.GPUs)
+	}
+	if s.nextID == math.MaxInt32 {
+		return errors.New("slurmsim: job IDs exhausted")
+	}
+	now := s.engine.Now()
+	if !InRange(now) {
+		return fmt.Errorf("slurmsim: submit time %v outside [%v, %v]", now, MinTime.Time(), MaxTime.Time())
 	}
 	j.ID = s.nextID
 	s.nextID++
-	j.Submit = s.engine.Now()
-	if j.GPUs > s.capacity {
+	j.Submit = At(now)
+	if int(j.GPUs) > s.capacity {
 		// Slurm rejects requests exceeding partition capacity outright.
 		j.State = StateCancelled
 		j.End = j.Submit
@@ -235,7 +245,7 @@ func (s *Scheduler) queuePass() {
 // and switches to strict FIFO behind a long-waiting job (reservation).
 func (s *Scheduler) pass() {
 	s.passQueued = false
-	now := s.engine.Now()
+	now := At(s.engine.Now())
 	totalFree := s.FreeGPUs()
 	kept := s.pending[:0]
 	scanned := 0
@@ -252,7 +262,7 @@ func (s *Scheduler) pass() {
 			s.finish(j)
 			continue
 		}
-		if j.GPUs > totalFree {
+		if int(j.GPUs) > totalFree {
 			kept = append(kept, j)
 			if s.cfg.ReserveAfter > 0 && now.Sub(j.Submit) > s.cfg.ReserveAfter {
 				// Reservation: hold remaining capacity for this job.
@@ -261,12 +271,12 @@ func (s *Scheduler) pass() {
 			}
 			continue
 		}
-		place := s.tryPlace(j.GPUs)
+		place := s.tryPlace(int(j.GPUs))
 		if place == nil {
 			kept = append(kept, j)
 			continue
 		}
-		totalFree -= j.GPUs
+		totalFree -= int(j.GPUs)
 		s.start(j, place, now)
 	}
 	s.pending = kept
@@ -310,7 +320,7 @@ func (s *Scheduler) tryPlace(gpus int) Placement {
 }
 
 // start allocates the placement and schedules the job's natural end.
-func (s *Scheduler) start(j *Job, place Placement, now time.Time) {
+func (s *Scheduler) start(j *Job, place Placement, now Time) {
 	for _, e := range place {
 		h := s.hostIndex[e.Node]
 		s.unlist(h)
@@ -347,7 +357,7 @@ func (s *Scheduler) naturalEnd(j *Job) {
 		j.ExitCode = 0
 	case j.FailNaturally:
 		j.State = StateFailed
-		j.ExitCode = j.NaturalExitCode
+		j.ExitCode = int32(j.NaturalExitCode)
 		if j.ExitCode == 0 {
 			j.ExitCode = 1
 		}
@@ -355,7 +365,7 @@ func (s *Scheduler) naturalEnd(j *Job) {
 		j.State = StateCompleted
 		j.ExitCode = 0
 	}
-	j.End = s.engine.Now()
+	j.End = At(s.engine.Now())
 	s.release(j)
 	s.finish(j)
 	s.queuePass()
@@ -392,7 +402,7 @@ func (s *Scheduler) finish(j *Job) {
 // Kill terminates a running job with the given state and exit code at the
 // current simulation time (used for GPU-error and node-failure kills).
 // It is a no-op on non-running jobs.
-func (s *Scheduler) Kill(j *Job, state JobState, exitCode int) {
+func (s *Scheduler) Kill(j *Job, state JobState, exitCode int32) {
 	if j == nil || j.State != StateRunning {
 		return
 	}
@@ -402,14 +412,12 @@ func (s *Scheduler) Kill(j *Job, state JobState, exitCode int) {
 	}
 	j.State = state
 	j.ExitCode = exitCode
-	j.End = s.engine.Now()
+	j.End = At(s.engine.Now())
 	s.release(j)
 	s.finish(j)
 	if state == StateNodeFail && s.cfg.RequeueOnNodeFail {
 		clone := &Job{
-			Name:            j.Name,
-			User:            j.User,
-			Partition:       j.Partition,
+			Text:            j.Text,
 			GPUs:            j.GPUs,
 			TimeLimit:       j.TimeLimit,
 			RunDuration:     j.RunDuration,
@@ -430,7 +438,7 @@ func (s *Scheduler) JobsOnNode(node string) []*Job {
 	if h == nil {
 		return nil
 	}
-	seen := make(map[int]*Job, len(h.running))
+	seen := make(map[int32]*Job, len(h.running))
 	for _, j := range h.running {
 		seen[j.ID] = j
 	}
@@ -513,7 +521,7 @@ func (s *Scheduler) FreeGPUs() int { return s.freeTotal }
 
 // DrainPending cancels every still-pending job (end of measurement period).
 func (s *Scheduler) DrainPending() {
-	now := s.engine.Now()
+	now := At(s.engine.Now())
 	for _, j := range s.pending {
 		j.State = StateCancelled
 		j.End = now

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"gpuresilience/internal/simclock"
 )
@@ -29,7 +30,7 @@ func newSched(t *testing.T, hosts int) (*Scheduler, *simclock.Engine) {
 }
 
 func job(gpus int, run time.Duration) *Job {
-	return &Job{Name: "test", User: "u1", Partition: "gpuA100x4", GPUs: gpus,
+	return &Job{Text: &JobText{Name: "test", User: "u1", Partition: "gpuA100x4"}, GPUs: int32(gpus),
 		RunDuration: run, TimeLimit: 48 * time.Hour}
 }
 
@@ -43,7 +44,7 @@ func TestSingleJobLifecycle(t *testing.T) {
 	if j.State != StateCompleted || j.ExitCode != 0 {
 		t.Fatalf("job = %s exit %d", j.State, j.ExitCode)
 	}
-	if !j.Start.Equal(t0) || !j.End.Equal(t0.Add(time.Hour)) {
+	if j.Start != At(t0) || j.End != At(t0.Add(time.Hour)) {
 		t.Fatalf("start=%v end=%v", j.Start, j.End)
 	}
 	if j.GPUHours() != 2 {
@@ -111,7 +112,7 @@ func TestQueueingWhenFull(t *testing.T) {
 	if second.State != StateCompleted {
 		t.Fatalf("second = %s", second.State)
 	}
-	if !second.Start.Equal(t0.Add(2 * time.Hour)) {
+	if second.Start != At(t0.Add(2*time.Hour)) {
 		t.Fatalf("second start = %v", second.Start)
 	}
 }
@@ -167,7 +168,7 @@ func TestKillByGPUError(t *testing.T) {
 		t.Fatal("JobOnGPU did not find the job")
 	}
 	s.Kill(j, StateNodeFail, 1)
-	if j.State != StateNodeFail || !j.End.Equal(t0.Add(time.Hour)) {
+	if j.State != StateNodeFail || j.End != At(t0.Add(time.Hour)) {
 		t.Fatalf("job = %s end %v", j.State, j.End)
 	}
 	// Freed GPUs are reusable.
@@ -283,7 +284,7 @@ func TestReservationUnblocksWideJob(t *testing.T) {
 	}
 	// It must have started after the hog finished but not been starved for
 	// the whole feed window.
-	if wide.Start.After(t0.Add(8 * time.Hour)) {
+	if wide.Start > At(t0.Add(8*time.Hour)) {
 		t.Fatalf("wide job started too late: %v", wide.Start)
 	}
 }
@@ -357,7 +358,7 @@ func TestRequeueOnNodeFail(t *testing.T) {
 	if clone.State != StateCompleted {
 		t.Fatalf("requeued copy = %s", clone.State)
 	}
-	if clone.ID == j.ID || !clone.Submit.Equal(t0.Add(time.Hour)) {
+	if clone.ID == j.ID || clone.Submit != At(t0.Add(time.Hour)) {
 		t.Fatalf("clone identity wrong: id=%d submit=%v", clone.ID, clone.Submit)
 	}
 	if clone.Elapsed() != 3*time.Hour {
@@ -417,6 +418,20 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if err := s.Submit(&Job{GPUs: 0}); err == nil {
 		t.Fatal("zero-GPU job accepted")
+	}
+	// A clock the record cannot hold refuses the job and spends no ID.
+	before, err := NewScheduler(DefaultConfig(), simclock.NewEngine(time.Unix(0, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := before.AddHost("n1", 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := before.Submit(job(1, time.Hour)); err == nil || !strings.Contains(err.Error(), "submit time") {
+		t.Fatalf("submit at the epoch: err = %v", err)
+	}
+	if before.nextID != 1 {
+		t.Fatalf("refused submit spent an ID: next %d", before.nextID)
 	}
 	if err := s.AddHost("gpub001", 4); err == nil {
 		t.Fatal("duplicate host accepted")
@@ -478,7 +493,7 @@ func TestDBRoundTrip(t *testing.T) {
 	jobs[1].FailNaturally = true
 	jobs[1].NaturalExitCode = 137
 	jobs[2].ML = true
-	jobs[2].Name = "train|model" // separator must be sanitized
+	jobs[2].Text = &JobText{Name: "train|model"} // separator must be sanitized
 	for _, j := range jobs {
 		if err := s.Submit(j); err != nil {
 			t.Fatal(err)
@@ -500,14 +515,22 @@ func TestDBRoundTrip(t *testing.T) {
 	for i, j := range back {
 		orig := s.Records()[i]
 		if j.ID != orig.ID || j.State != orig.State || j.ExitCode != orig.ExitCode ||
-			j.GPUs != orig.GPUs || !j.Submit.Equal(orig.Submit) ||
-			!j.Start.Equal(orig.Start) || !j.End.Equal(orig.End) ||
+			j.GPUs != orig.GPUs || j.Submit != orig.Submit ||
+			j.Start != orig.Start || j.End != orig.End ||
 			j.ML != orig.ML || j.Place.String() != orig.Place.String() {
 			t.Fatalf("job %d mismatch:\n got %+v\nwant %+v", i, j, orig)
 		}
-		if strings.Contains(j.Name, "|") {
+		if strings.Contains(j.Name(), "|") {
 			t.Fatal("separator not sanitized")
 		}
+	}
+}
+
+// TestJobRecordSize pins the compact job record: the simulator's slab and
+// LoadDB's arena hold one per job, so its size sets the job side's memory.
+func TestJobRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(Job{}); n > 96 {
+		t.Fatalf("Job is %d bytes, want <= 96", n)
 	}
 }
 

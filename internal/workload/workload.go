@@ -112,13 +112,28 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	if len(cfg.Buckets) == 0 {
 		return nil, errors.New("workload: no buckets")
 	}
+	// Job records keep Unix-nanosecond times and int32 IDs and GPU counts;
+	// a config whose jobs would not fit them is refused here.
+	if !slurmsim.InRange(cfg.Period.Start) || !slurmsim.InRange(cfg.Period.End) {
+		return nil, fmt.Errorf("workload: period %s outside the job record's [%v, %v]",
+			cfg.Period.Name, slurmsim.MinTime.Time(), slurmsim.MaxTime.Time())
+	}
 	g := &Generator{cfg: cfg, sigmas: make([]float64, len(cfg.Buckets))}
+	total := 0.0
 	for i, b := range cfg.Buckets {
 		if b.Count < 0 || b.MedianMin <= 0 || b.MeanMin < b.MedianMin || b.CapMin <= b.MedianMin {
 			return nil, fmt.Errorf("workload: bucket %q has inconsistent stats", b.Name)
 		}
 		if len(b.GPUChoices) == 0 || len(b.GPUChoices) != len(b.GPUWeights) {
 			return nil, fmt.Errorf("workload: bucket %q has bad GPU mix", b.Name)
+		}
+		for _, n := range b.GPUChoices {
+			if n < 1 || n > math.MaxInt32 {
+				return nil, fmt.Errorf("workload: bucket %q: GPU choice %d out of range [1, %d]", b.Name, n, math.MaxInt32)
+			}
+		}
+		if total += math.Round(float64(b.Count) * cfg.Scale); total >= math.MaxInt32 {
+			return nil, fmt.Errorf("workload: bucket %q: more than %d jobs in all", b.Name, math.MaxInt32-1)
 		}
 		sigma, err := fitSigma(b.MedianMin, b.MeanMin, b.CapMin)
 		if err != nil {
@@ -257,6 +272,24 @@ var userNames = func() (names [400]string) {
 	return names
 }()
 
+// partition is the Slurm partition every generated job runs in.
+const partition = "gpuA100x4"
+
+// newTexts returns the job texts of one population: entry
+// name*len(userNames)+user for the name mlNames[name] (names past
+// len(mlNames) index nonMLNames) and the user userNames[user].
+func newTexts() []slurmsim.JobText {
+	texts := make([]slurmsim.JobText, 0, (len(mlNames)+len(nonMLNames))*len(userNames))
+	for _, names := range [][]string{mlNames, nonMLNames} {
+		for _, name := range names {
+			for _, user := range userNames {
+				texts = append(texts, slurmsim.JobText{Name: name, User: user, Partition: partition})
+			}
+		}
+	}
+	return texts
+}
+
 // Jobs generates the full job population, sorted by submission time.
 // Submission times are uniform order statistics over the period (a Poisson
 // arrival process conditioned on the total count).
@@ -270,6 +303,7 @@ func (g *Generator) Jobs() []*slurmsim.Job {
 	// One slab backs every job; the returned pointers index into it.
 	slab := make([]slurmsim.Job, total)
 	jobs := make([]*slurmsim.Job, 0, total)
+	texts := newTexts()
 	var warp *diurnalWarp
 	if g.cfg.DiurnalAmplitude > 0 {
 		warp = newDiurnalWarp(g.cfg.DiurnalAmplitude, g.cfg.DiurnalPeakHour)
@@ -287,44 +321,43 @@ func (g *Generator) Jobs() []*slurmsim.Job {
 				at = day*24 + warp.at((at-day*24)/24)
 			}
 			j := &slab[len(jobs)]
-			g.makeJob(j, bi, b, brng, g.cfg.Period.Start.Add(time.Duration(at*float64(time.Hour))))
+			g.makeJob(j, texts, bi, b, brng, g.cfg.Period.Start.Add(time.Duration(at*float64(time.Hour))))
 			jobs = append(jobs, j)
 		}
 	}
 	sort.Slice(jobs, func(i, k int) bool {
-		if !jobs[i].Submit.Equal(jobs[k].Submit) {
-			return jobs[i].Submit.Before(jobs[k].Submit)
+		if jobs[i].Submit != jobs[k].Submit {
+			return jobs[i].Submit < jobs[k].Submit
 		}
-		return jobs[i].Name < jobs[k].Name
+		return jobs[i].Name() < jobs[k].Name()
 	})
 	return jobs
 }
 
-// makeJob fills *j, a zeroed slab entry, with one job of bucket bi.
-func (g *Generator) makeJob(j *slurmsim.Job, bi int, b BucketSpec, rng *randx.Stream, submit time.Time) {
+// makeJob fills *j, a zeroed slab entry, with one job of bucket bi; its
+// text comes from texts, the population's newTexts table.
+func (g *Generator) makeJob(j *slurmsim.Job, texts []slurmsim.JobText, bi int, b BucketSpec, rng *randx.Stream, submit time.Time) {
 	gpus := b.GPUChoices[rng.Categorical(b.GPUWeights)]
 	durMin := rng.LogNormal(math.Log(b.MedianMin), g.sigmas[bi])
 	// The scheduler applies the cap through TimeLimit (TIMEOUT state).
 	ml := rng.Bool(b.MLFrac)
-	var name string
+	var name int
 	if ml {
-		name = mlNames[rng.Intn(len(mlNames))]
+		name = rng.Intn(len(mlNames))
 	} else {
-		name = nonMLNames[rng.Intn(len(nonMLNames))]
+		name = len(mlNames) + rng.Intn(len(nonMLNames))
 	}
 	*j = slurmsim.Job{
-		Name:        name,
-		User:        userNames[rng.Intn(len(userNames))],
-		Partition:   "gpuA100x4",
-		GPUs:        gpus,
-		Submit:      submit,
+		Text:        &texts[name*len(userNames)+rng.Intn(len(userNames))],
+		GPUs:        int32(gpus), // NewGenerator checked the choices fit
+		Submit:      slurmsim.At(submit),
 		RunDuration: time.Duration(durMin * float64(time.Minute)),
 		TimeLimit:   time.Duration(b.CapMin) * time.Minute,
 		ML:          ml,
 	}
 	if rng.Bool(g.cfg.BaselineFailProb) {
 		j.FailNaturally = true
-		j.NaturalExitCode = 1 + rng.Intn(125)
+		j.NaturalExitCode = uint8(1 + rng.Intn(125))
 	}
 }
 

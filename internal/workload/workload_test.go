@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,6 +53,26 @@ func TestGeneratorValidation(t *testing.T) {
 	if _, err := NewGenerator(cfg); err == nil {
 		t.Fatal("mismatched GPU mix accepted")
 	}
+	// Values the job record cannot hold are refused, not narrowed.
+	for _, gpus := range []int{0, -4, math.MaxInt32 + 1} {
+		cfg = DefaultConfig(1, opPeriod, 1)
+		cfg.Buckets[1].GPUChoices = []int{2, gpus, 4}
+		if _, err := NewGenerator(cfg); err == nil || !strings.Contains(err.Error(), `bucket "2-4": GPU choice`) {
+			t.Fatalf("GPU choice %d: err = %v", gpus, err)
+		}
+	}
+	for _, p := range []stats.Period{
+		{Name: "epoch", Start: time.Unix(0, 0).UTC(), End: time.Unix(3600, 0).UTC()},
+		{Name: "far", Start: time.Date(2262, 1, 1, 0, 0, 0, 0, time.UTC), End: time.Date(2263, 1, 1, 0, 0, 0, 0, time.UTC)},
+	} {
+		if _, err := NewGenerator(DefaultConfig(1, p, 0.001)); err == nil || !strings.Contains(err.Error(), "period "+p.Name) {
+			t.Fatalf("period %s: err = %v", p.Name, err)
+		}
+	}
+	cfg = DefaultConfig(1, opPeriod, 2000)
+	if _, err := NewGenerator(cfg); err == nil || !strings.Contains(err.Error(), "jobs in all") {
+		t.Fatalf("%v jobs: err = %v", 2000*1.45e6, err)
+	}
 }
 
 func TestJobsSortedAndInPeriod(t *testing.T) {
@@ -64,16 +85,16 @@ func TestJobsSortedAndInPeriod(t *testing.T) {
 		t.Fatalf("generated %d jobs, want ~2900", len(jobs))
 	}
 	for i, j := range jobs {
-		if !opPeriod.Contains(j.Submit) {
+		if !opPeriod.Contains(j.Submit.Time()) {
 			t.Fatalf("job %d submit %v out of period", i, j.Submit)
 		}
-		if i > 0 && jobs[i-1].Submit.After(j.Submit) {
+		if i > 0 && jobs[i-1].Submit > j.Submit {
 			t.Fatal("jobs not sorted by submit time")
 		}
 		if j.GPUs < 1 || j.RunDuration <= 0 || j.TimeLimit <= 0 {
 			t.Fatalf("job %d invalid: %+v", i, j)
 		}
-		if j.Name == "" || j.User == "" || j.Partition != "gpuA100x4" {
+		if j.Text.Name == "" || j.Text.User == "" || j.Text.Partition != "gpuA100x4" {
 			t.Fatalf("job %d identity invalid", i)
 		}
 	}
@@ -88,7 +109,7 @@ func TestJobsDeterministic(t *testing.T) {
 		jobs := g.Jobs()
 		out := make([]string, len(jobs))
 		for i, j := range jobs {
-			out[i] = j.Submit.String() + j.Name
+			out[i] = j.Submit.Time().String() + j.Name()
 		}
 		return out
 	}
@@ -137,7 +158,7 @@ func TestBucketDistributionsMatchTableIII(t *testing.T) {
 	durs := make([][]float64, len(buckets))
 	gpuSum := make([]float64, len(buckets))
 	for _, j := range jobs {
-		bi := bucketOf(j.GPUs)
+		bi := bucketOf(int(j.GPUs))
 		d := j.RunDuration.Minutes()
 		if cap := j.TimeLimit.Minutes(); d > cap {
 			d = cap // the scheduler will truncate at TimeLimit
@@ -222,11 +243,11 @@ func TestMLLabeling(t *testing.T) {
 	for _, j := range jobs {
 		if j.ML {
 			ml++
-			if !containsMLKeyword(j.Name) {
-				t.Fatalf("ML job %q has no ML keyword", j.Name)
+			if !containsMLKeyword(j.Name()) {
+				t.Fatalf("ML job %q has no ML keyword", j.Name())
 			}
-		} else if containsMLKeyword(j.Name) {
-			t.Fatalf("non-ML job %q has ML keyword", j.Name)
+		} else if containsMLKeyword(j.Name()) {
+			t.Fatalf("non-ML job %q has ML keyword", j.Name())
 		}
 	}
 	frac := float64(ml) / float64(len(jobs))
@@ -279,7 +300,7 @@ func TestDiurnalModulation(t *testing.T) {
 	}
 	day := make([]int, 24)
 	for _, j := range g.Jobs() {
-		day[j.Submit.Hour()]++
+		day[j.Submit.Time().Hour()]++
 	}
 	// Afternoon submissions should clearly exceed small-hour submissions.
 	peak := day[13] + day[14] + day[15]
