@@ -14,8 +14,9 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz pass over every text codec, including the differential targets
-# that hold the byte-level parsers to their historical oracles, and the
-# Stage I engine's line-at-a-time vs chunked equivalence in both modes.
+# that hold the byte-level parsers to their historical oracles, the
+# Stage I engine's line-at-a-time vs chunked equivalence in both modes, and
+# Stage II over segmented input against its copy-and-sort oracle.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzExtract$$' -fuzztime 10s ./internal/syslog/
 	$(GO) test -run '^$$' -fuzz '^FuzzExtractLenient$$' -fuzztime 10s ./internal/syslog/
@@ -26,6 +27,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzParseRowEquivalence$$' -fuzztime 10s ./internal/slurmsim/
 	$(GO) test -fuzz '^FuzzClassifyMLEquivalence$$' -fuzztime 10s ./internal/impact/
 	$(GO) test -run '^$$' -fuzz '^FuzzWarpEquivalence$$' -fuzztime 10s ./internal/workload/
+	$(GO) test -run '^$$' -fuzz '^FuzzStage2Segments$$' -fuzztime 10s ./internal/coalesce/
 
 # Regenerate every paper table and figure at full scale (~10 min).
 bench:

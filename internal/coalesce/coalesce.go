@@ -12,7 +12,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"gpuresilience/internal/xid"
@@ -32,6 +31,9 @@ type Coalescer struct {
 	lastKept map[xid.Key]time.Time
 	raw      int
 	kept     int
+	// order is AppendKeptThrough's index scratch, kept between calls so
+	// the streaming engine's seals reuse it. It is not coalescing state.
+	order []uint64
 }
 
 var errNegativeWindow = errors.New("coalesce: negative window")
@@ -144,11 +146,14 @@ func Restore(window time.Duration, entries []KeyState, raw, kept int) (*Coalesce
 }
 
 // Compare is the canonical Stage II event order: (time, node, gpu, code).
-// Input order breaks full ties, because every sort using it is stable.
-// Sorting by it is the only ordering in the pipeline: Stage I hands events
-// over in source order, and Events and the streaming engine's seal both
-// sort with it (through AddBatch).
-func Compare(a, b xid.Event) int {
+// It is the only ordering in the pipeline: Stage I hands events over in
+// source order, and Stage II (Segments, Events, and AppendKeptThrough in
+// the streaming engine's seal) offers them to the coalescer in Compare
+// order, with input position breaking full ties.
+func Compare(a, b xid.Event) int { return compare(&a, &b) }
+
+// compare is Compare without copying the events, for the index sort.
+func compare(a, b *xid.Event) int {
 	if c := a.Time.Compare(b.Time); c != 0 {
 		return c
 	}
@@ -161,47 +166,66 @@ func Compare(a, b xid.Event) int {
 	return cmp.Compare(a.Code, b.Code)
 }
 
-// AddBatch stably sorts events in place by Compare, offers them to the
-// coalescer in that order, and compacts the kept events to the front of
-// events, returning that prefix. Batches fed one after another coalesce as
-// one batch when every event of a batch is later than every event of the
-// batches before it, which is the streaming watermark's guarantee.
-func (c *Coalescer) AddBatch(events []xid.Event) []xid.Event {
-	slices.SortStableFunc(events, Compare)
-	kept := events[:0]
-	for _, ev := range events {
-		if c.Add(ev) {
-			kept = append(kept, ev)
+// AppendKeptThrough is Stage II's streaming step, the seal behind a
+// watermark. It offers the events of pending at or before cutoff to the
+// coalescer in Compare order, pending position breaking full ties, which is
+// the order a stable sort of those events gives. It appends the kept ones
+// to dst in that order and returns dst. pending is never modified: the
+// sort runs over an index of one 8-byte position per event, which the
+// coalescer keeps for its next call, and only kept events are copied.
+// Calls one after another coalesce as one pass over all their events
+// when every event a call offers is later than every event the calls
+// before it offered, which is the streaming watermark's guarantee.
+func (c *Coalescer) AppendKeptThrough(dst, pending []xid.Event, cutoff time.Time) []xid.Event {
+	dst, c.order = c.appendKept(dst, c.order, [][]xid.Event{pending}, &cutoff)
+	return dst
+}
+
+// appendKept is the step under AppendKeptThrough and Segments: it offers
+// the events of segs, read in order as one stream, that are at or before
+// *through (all of them when through is nil) and appends the kept ones to
+// dst. The index scratch is passed in and handed back, so a one-off
+// Coalescer (Segments) keeps none and stays off the heap.
+func (c *Coalescer) appendKept(dst []xid.Event, order []uint64, segs [][]xid.Event, through *time.Time) ([]xid.Event, []uint64) {
+	n := 0
+	for _, s := range segs {
+		n += len(s)
+	}
+	// A position is segment<<32 | offset, so its integer order is input
+	// order; no slice holds 2^32 events.
+	order = slices.Grow(order[:0], n)
+	for s, seg := range segs {
+		for i := range seg {
+			if through == nil || !seg[i].Time.After(*through) {
+				order = append(order, uint64(s)<<32|uint64(i))
+			}
 		}
 	}
-	return kept
+	at := func(p uint64) *xid.Event { return &segs[p>>32][uint32(p)] }
+	slices.SortFunc(order, func(a, b uint64) int {
+		if d := compare(at(a), at(b)); d != 0 {
+			return d
+		}
+		return cmp.Compare(a, b)
+	})
+	kept := order[:0]
+	for _, p := range order {
+		if c.Add(*at(p)) {
+			kept = append(kept, p)
+		}
+	}
+	dst = slices.Grow(dst, len(kept))
+	for _, p := range kept {
+		dst = append(dst, *at(p))
+	}
+	return dst, order[:0]
 }
 
-// scratchPool recycles Events' working copy, so the pipeline's repeated
-// Stage II runs do not allocate a full copy of their input each time.
-var scratchPool = sync.Pool{New: func() any { return new([]xid.Event) }}
-
-// Events is Stage II over a batch the caller keeps: it stably sorts a copy
-// of events by Compare, coalesces it, and returns the kept events in that
-// order. events itself is not modified, and the result shares no memory
-// with it. The copy lives in a pooled scratch slice.
-func Events(events []xid.Event, window time.Duration) ([]xid.Event, error) {
-	sp := scratchPool.Get().(*[]xid.Event)
-	buf := append((*sp)[:0], events...)
-	out, err := EventsInPlace(buf, window)
-	// Drop the events' strings before pooling, so the pool never pins a
-	// finished run's node and detail strings.
-	clear(buf)
-	*sp = buf[:0]
-	scratchPool.Put(sp)
-	return out, err
-}
-
-// EventsInPlace is Events over a batch the caller owns and gives up: it
-// sorts and compacts events in place (AddBatch), leaving them in no useful
-// order, and returns the kept events in an exact-size slice that shares no
-// memory with them, so the input's array can be freed.
-func EventsInPlace(events []xid.Event, window time.Duration) ([]xid.Event, error) {
+// Segments is Stage II over events held in segments, read in order as one
+// stream: it coalesces them with a fresh Coalescer, the step of
+// AppendKeptThrough without a cutoff, and returns the kept events in
+// Compare order, in a slice of their own. The segments are not modified.
+func Segments(segs [][]xid.Event, window time.Duration) ([]xid.Event, error) {
 	// The key map grows from empty: distinct keys are far fewer than
 	// events (272 of 60,510 at scale 0.05), so sizing it by the event
 	// count would reserve far more than it fills.
@@ -209,10 +233,14 @@ func EventsInPlace(events []xid.Event, window time.Duration) ([]xid.Event, error
 	if err != nil {
 		return nil, err
 	}
-	kept := c.AddBatch(events)
-	out := make([]xid.Event, len(kept))
-	copy(out, kept)
-	return out, nil
+	kept, _ := c.appendKept(nil, nil, segs, nil)
+	return kept, nil
+}
+
+// Events is Segments over one batch: Stage II over events the caller
+// keeps, which it does not modify.
+func Events(events []xid.Event, window time.Duration) ([]xid.Event, error) {
+	return Segments([][]xid.Event{events}, window)
 }
 
 // EventsParallel is Events with a worker count, which is ignored: Stage II

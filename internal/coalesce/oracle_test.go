@@ -146,59 +146,47 @@ func TestEventsParallelEmpty(t *testing.T) {
 	}
 }
 
-// The pooled scratch must never leak into a returned slice: a result held
-// across a later call on other input stays as it was.
-func TestEventsPoolDoesNotAlias(t *testing.T) {
-	first, err := Events(randomEvents(11, 4000), DefaultWindow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	held := append([]xid.Event(nil), first...)
-	for seed := uint64(12); seed < 16; seed++ {
-		if _, err := Events(randomEvents(seed, 6000), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !reflect.DeepEqual(first, held) {
-		t.Fatal("a later Events call rewrote an earlier call's result")
-	}
-}
-
-// AddBatch fed batch after batch, each later than the previous one in
-// time, keeps exactly what one Events call over the whole stream keeps.
-func TestAddBatchAcrossBatches(t *testing.T) {
+// AppendKeptThrough sealing one arrival-order buffer behind rising
+// cutoffs, the way the streaming engine seals its pending events, keeps
+// exactly what one Events call over the whole stream keeps, and leaves the
+// buffer as it was.
+func TestAppendKeptThroughAcrossSeals(t *testing.T) {
 	events := randomEvents(21, 3000)
 	want, err := Events(events, DefaultWindow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sorted := append([]xid.Event(nil), events...)
-	sort.SliceStable(sorted, func(i, k int) bool { return sorted[i].Time.Before(sorted[k].Time) })
 	c, err := New(DefaultWindow)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pending := append([]xid.Event(nil), events...)
 	var got []xid.Event
-	for lo := 0; lo < len(sorted); {
-		hi := lo + 1
-		for hi < len(sorted) && (hi-lo < 97 || sorted[hi].Time.Equal(sorted[hi-1].Time)) {
-			hi++
+	for cutoff := events[0].Time.Truncate(24 * time.Hour); len(pending) > 0; cutoff = cutoff.Add(37 * time.Second) {
+		before := append([]xid.Event(nil), pending...)
+		got = c.AppendKeptThrough(got, pending, cutoff)
+		if !reflect.DeepEqual(pending, before) {
+			t.Fatalf("cutoff %v: AppendKeptThrough modified its input", cutoff)
 		}
-		got = append(got, c.AddBatch(append([]xid.Event(nil), sorted[lo:hi]...))...)
-		lo = hi
+		keep := pending[:0]
+		for _, ev := range pending {
+			if ev.Time.After(cutoff) {
+				keep = append(keep, ev)
+			}
+		}
+		pending = keep
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("batched AddBatch kept %d events, one Events call %d", len(got), len(want))
+		t.Fatalf("sealed AppendKeptThrough kept %d events, one Events call %d", len(got), len(want))
 	}
 }
 
 // Pins Events' steady-state allocations at the value measured with Go 1.24:
 // the Coalescer with its key map, grown to the input's 72 keys (nine
-// between them), and the exact-size result. The working copy comes from the pool, so an input-sized
-// copy per call would fail this.
+// between them), the index and the exact-size result.
 func TestEventsSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under the race detector")
+		t.Skip("the race detector changes the allocation count")
 	}
 	events := randomEvents(31, 20000)
 	if _, err := Events(events, DefaultWindow); err != nil {
@@ -209,8 +197,68 @@ func TestEventsSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const want = 10
+	const want = 11
 	if allocs > want {
 		t.Fatalf("Events allocates %.1f times per call, want at most %d", allocs, want)
 	}
+}
+
+// FuzzStage2Segments: Stage II over events held in segments equals the
+// oracle over their concatenation, at Δt 0 and at DefaultWindow. Each
+// three input bytes make one event (a coarse time, so same-instant ties
+// are common, and a key drawn from few nodes, GPUs and codes; Detail tags
+// its input position, so full ties show any reordering) and decide where
+// the segment ends; empty segments can fall anywhere.
+func FuzzStage2Segments(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 1, 0, 0, 0, 3, 5, 2, 0, 0, 4})
+	f.Add([]byte{9, 1, 0, 2, 1, 1, 2, 1, 0, 9, 1, 3, 7, 7, 7})
+	base := time.Date(2023, 6, 1, 0, 0, 0, 0, time.UTC)
+	codes := []xid.Code{xid.MMU, xid.DBE, xid.NVLink}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var segs [][]xid.Event
+		var all []xid.Event
+		cur := []xid.Event{}
+		for i := 0; i+2 < len(data); i += 3 {
+			a, b, s := data[i], data[i+1], data[i+2]
+			if s&4 != 0 {
+				segs = append(segs, nil) // an empty segment before this event
+			}
+			ev := xid.Event{
+				Time:   base.Add(time.Duration(a%32) * 1500 * time.Millisecond),
+				Node:   []string{"gpub001", "gpub002"}[b&1],
+				GPU:    int(b>>1) & 1,
+				Code:   codes[int(b>>2)%len(codes)],
+				Detail: fmt.Sprintf("#%d", i/3),
+			}
+			cur = append(cur, ev)
+			all = append(all, ev)
+			if s&3 == 0 {
+				segs, cur = append(segs, cur), []xid.Event{}
+			}
+		}
+		segs = append(segs, cur)
+		orig := make([][]xid.Event, len(segs))
+		for i, seg := range segs {
+			orig[i] = append([]xid.Event(nil), seg...)
+		}
+		for _, window := range []time.Duration{0, DefaultWindow} {
+			want, err := oracleEvents(all, window)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Segments(segs, window)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
+				t.Fatalf("window %v over %d segments: got %v, want %v", window, len(segs), got, want)
+			}
+			for i := range segs {
+				if len(segs[i]) != len(orig[i]) || (len(orig[i]) > 0 && !reflect.DeepEqual(segs[i], orig[i])) {
+					t.Fatalf("window %v: segment %d modified", window, i)
+				}
+			}
+		}
+	})
 }

@@ -3,5 +3,5 @@
 package coalesce
 
 // raceEnabled gates the allocation-count test: under the race detector
-// sync.Pool drops items at random, so Events allocates a varying amount.
+// Events allocates more (13 times per call against 11 with Go 1.24).
 const raceEnabled = true

@@ -178,29 +178,31 @@ type Results struct {
 
 // Analyze runs Stages II and III over parsed inputs. repairs are the node
 // unavailability intervals; cpu is the CPU-partition summary for §V-A.
-// events is not modified: Stage II works on a pooled copy of it.
+// events is neither modified nor copied: Stage II sorts an index of it.
 func Analyze(events []xid.Event, jobs []*slurmsim.Job, repairs []time.Duration,
 	cpu workload.CPURecord, cfg PipelineConfig) (*Results, error) {
-	return analyze(events, coalesce.Events, jobs, repairs, cpu, cfg)
+	return analyze([][]xid.Event{events}, jobs, repairs, cpu, cfg)
 }
 
-// analyze is Analyze with the Stage II entry point as a parameter:
-// coalesce.Events for events the caller keeps, coalesce.EventsInPlace for
-// events it owns and gives up.
-func analyze(events []xid.Event, stage2 func([]xid.Event, time.Duration) ([]xid.Event, error),
-	jobs []*slurmsim.Job, repairs []time.Duration, cpu workload.CPURecord, cfg PipelineConfig) (*Results, error) {
+// analyze is Analyze over events held in segments, read in order as one
+// stream (Stage I's output as it filled it).
+func analyze(segs [][]xid.Event, jobs []*slurmsim.Job, repairs []time.Duration,
+	cpu workload.CPURecord, cfg PipelineConfig) (*Results, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	raw := 0
+	for _, s := range segs {
+		raw += len(s)
+	}
 	sp2 := cfg.Obs.StartSpan("stage2.coalesce")
-	coalesced, err := stage2(events, cfg.CoalesceWindow)
+	coalesced, err := coalesce.Segments(segs, cfg.CoalesceWindow)
 	if err != nil {
 		return nil, err
 	}
-	sp2.AddIn(int64(len(events)))
+	sp2.AddIn(int64(raw))
 	sp2.AddOut(int64(len(coalesced)))
 	sp2.End()
-	raw := len(events) // events is not used past here, so an owned array can be freed
 	res, err := AnalyzeCoalesced(coalesced, jobs, repairs, cpu, cfg)
 	if err != nil {
 		return nil, err
@@ -263,7 +265,7 @@ func AnalyzeLogFiles(patterns []string, jobDB io.Reader, repairs []time.Duration
 	if ing.CacheDir != "" {
 		opt.Cache = ingest.NewCache(ing.CacheDir)
 	}
-	return analyzeRaw(func() (*ingest.Result, error) { return ingest.Extract(plan, opt) },
+	return analyzeRaw(func() (*ingest.Result, error) { return ingest.ExtractSegments(plan, opt) },
 		jobDB, repairs, cpu, cfg)
 }
 
@@ -311,15 +313,12 @@ func analyzeRaw(stage1 func() (*ingest.Result, error), jobDB io.Reader, repairs 
 	return analyzeExtracted(ext, jobs, repairs, cpu, cfg)
 }
 
-// analyzeExtracted runs Stages II-III over a Stage I result and carries its
-// statistics, lenient report and shard records into the results. It owns
-// ext.Events, which comes fresh from Stage I: Stage II sorts and compacts
-// it in place, and ext.Events is nil afterwards.
+// analyzeExtracted runs Stages II-III over a Stage I result's segments and
+// carries its statistics, lenient report and shard records into the
+// results.
 func analyzeExtracted(ext *ingest.Result, jobs []*slurmsim.Job, repairs []time.Duration,
 	cpu workload.CPURecord, cfg PipelineConfig) (*Results, error) {
-	events := ext.Events
-	ext.Events = nil
-	res, err := analyze(events, coalesce.EventsInPlace, jobs, repairs, cpu, cfg)
+	res, err := analyze(ext.Segments, jobs, repairs, cpu, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -429,8 +428,7 @@ func EndToEnd(cfg EndToEndConfig) (*EndToEndResult, error) {
 		RawLogLines: writer.Lines(),
 	}
 	if cfg.KeepRawEvents {
-		// Stage II reorders the events it is handed; keep source order.
-		out.RawEvents = slices.Clone(ext.res.Events)
+		out.RawEvents = slices.Concat(ext.res.Segments...)
 	}
 	out.Results, err = analyzeExtracted(ext.res, truth.Jobs, repairs, truth.CPU, cfg.Pipeline)
 	if err != nil {

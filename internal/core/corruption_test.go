@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"gpuresilience/internal/calib"
@@ -86,7 +87,8 @@ func TestCorruptionRecoveryInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantEvents := multiset(clean.Events)
+	cleanEvents := slices.Concat(clean.Segments...)
+	wantEvents := multiset(cleanEvents)
 	wantTables := renderTables(t, surviving, jobsDB.Bytes(), core.PipelineConfig{})
 
 	var baseRep *syslog.IngestionReport
@@ -95,9 +97,10 @@ func TestCorruptionRecoveryInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if got := multiset(ext.Events); !reflect.DeepEqual(got, wantEvents) {
+		events := slices.Concat(ext.Segments...)
+		if got := multiset(events); !reflect.DeepEqual(got, wantEvents) {
 			t.Fatalf("workers=%d: recovered %d events, want the %d surviving records exactly",
-				workers, len(ext.Events), len(clean.Events))
+				workers, len(events), len(cleanEvents))
 		}
 		if baseRep == nil {
 			baseRep = ext.Ingestion

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"gpuresilience/internal/xid"
 )
 
 // CacheOutcome classifies what the event-shard cache did for one shard.
@@ -124,10 +126,11 @@ func (c *Cache) Load(source string, sourceDigest [digestLen]byte) (*Payload, Cac
 	return p, CacheHit
 }
 
-// Store writes p as source's cache entry atomically (temp file + rename),
-// stamping the payload with the cache's parser-config digest. A failed
-// store is reported but leaves no partial entry behind.
-func (c *Cache) Store(source string, p *Payload) error {
+// store writes source's cache entry atomically (temp file + rename): p's
+// header fields, stamped with the cache's parser-config digest, and the
+// events of segs, read in order as one stream (p.Events is not read). A
+// failed store is reported but leaves no partial entry behind.
+func (c *Cache) store(source string, p *Payload, segs [][]xid.Event) error {
 	p.ConfigDigest = c.Key.digest()
 	if err := os.MkdirAll(c.Dir, 0o755); err != nil {
 		return fmt.Errorf("ingest: cache dir: %w", err)
@@ -137,7 +140,7 @@ func (c *Cache) Store(source string, p *Payload) error {
 	if err != nil {
 		return fmt.Errorf("ingest: cache temp: %w", err)
 	}
-	_, werr := tmp.Write(EncodeShard(p))
+	_, werr := tmp.Write(encodeShard(p, segs))
 	cerr := tmp.Close()
 	if werr == nil {
 		werr = cerr

@@ -117,8 +117,26 @@ func putString(b []byte, s string) []byte {
 // trailer; event columns are column-major (all times, then all node
 // indices, ...) so same-typed values compress and decode cache-friendly.
 func EncodeShard(p *Payload) []byte {
+	return encodeShard(p, [][]xid.Event{p.Events})
+}
+
+// encodeShard is EncodeShard with the events taken from segs, read in
+// order as one stream, instead of p.Events: the bytes are those of
+// EncodeShard over the segments' concatenation.
+func encodeShard(p *Payload, segs [][]xid.Event) []byte {
+	count := 0
+	for _, s := range segs {
+		count += len(s)
+	}
+	each := func(fn func(ev *xid.Event)) {
+		for _, s := range segs {
+			for i := range s {
+				fn(&s[i])
+			}
+		}
+	}
 	// Size guess: header+trailer plus ~8 bytes per event across columns.
-	buf := make([]byte, 0, 128+len(p.SourcePath)+8*len(p.Events))
+	buf := make([]byte, 0, 128+len(p.SourcePath)+8*count)
 	buf = append(buf, evshardMagic[:]...)
 	buf = binary.LittleEndian.AppendUint32(buf, FormatVersion)
 	buf = append(buf, p.SourceDigest[:]...)
@@ -128,41 +146,30 @@ func EncodeShard(p *Payload) []byte {
 	buf = putVarint(buf, int64(p.Stats.XIDLines))
 	buf = putVarint(buf, int64(p.Stats.Skipped))
 	buf = putVarint(buf, int64(p.Stats.Malformed))
-	buf = putUvarint(buf, uint64(len(p.Events)))
+	buf = putUvarint(buf, uint64(count))
 
 	var nodes, details stringTable
-	for _, ev := range p.Events {
+	each(func(ev *xid.Event) {
 		nodes.intern(ev.Node)
 		details.intern(ev.Detail)
-	}
+	})
 	for _, t := range [2]stringTable{nodes, details} {
 		buf = putUvarint(buf, uint64(len(t.vals)))
 		for _, s := range t.vals {
 			buf = putString(buf, s)
 		}
 	}
+	// The first time is a delta from zero, that is, the time itself.
 	prev := int64(0)
-	for i, ev := range p.Events {
+	each(func(ev *xid.Event) {
 		ns := ev.Time.UnixNano()
-		if i == 0 {
-			buf = putVarint(buf, ns)
-		} else {
-			buf = putVarint(buf, ns-prev)
-		}
+		buf = putVarint(buf, ns-prev)
 		prev = ns
-	}
-	for _, ev := range p.Events {
-		buf = putUvarint(buf, nodes.intern(ev.Node))
-	}
-	for _, ev := range p.Events {
-		buf = putVarint(buf, int64(ev.GPU))
-	}
-	for _, ev := range p.Events {
-		buf = putVarint(buf, int64(ev.Code))
-	}
-	for _, ev := range p.Events {
-		buf = putUvarint(buf, details.intern(ev.Detail))
-	}
+	})
+	each(func(ev *xid.Event) { buf = putUvarint(buf, nodes.intern(ev.Node)) })
+	each(func(ev *xid.Event) { buf = putVarint(buf, int64(ev.GPU)) })
+	each(func(ev *xid.Event) { buf = putVarint(buf, int64(ev.Code)) })
+	each(func(ev *xid.Event) { buf = putUvarint(buf, details.intern(ev.Detail)) })
 	sum := sha256.Sum256(buf)
 	return append(buf, sum[:]...)
 }
@@ -304,11 +311,7 @@ func DecodeShard(data []byte) (*Payload, error) {
 		if err != nil {
 			return nil, err
 		}
-		if i == 0 {
-			prev = dt
-		} else {
-			prev += dt
-		}
+		prev += dt
 		events[i].Time = time.Unix(0, prev).UTC()
 	}
 	for i := range events {

@@ -53,12 +53,17 @@ type ShardInfo struct {
 // Result is a Stage I run's output: the event stream, aggregate scan
 // statistics, and the per-shard records (nil for a stream).
 type Result struct {
-	// Events is every shard's events concatenated in plan order, each
-	// shard's in source-line order: exactly Stage I over the files'
-	// concatenation, whether or not the files are time-ordered. Stage II
-	// puts events in time order. The slice is exact-size and the caller's
-	// alone: every cache store has finished reading it, so Stage II may
-	// sort it in place.
+	// Segments is the event stream as Stage I filled it, never copied:
+	// each shard's chunk slices or scan blocks, or its cache entry's
+	// decoded slice, in plan order. Their concatenation is every shard's
+	// events in plan order, each shard's in source-line order: exactly
+	// Stage I over the files' concatenation, whether or not the files are
+	// time-ordered. Stage II reads them in time order without modifying
+	// them. They are the caller's alone: every cache store has finished
+	// reading them.
+	Segments [][]xid.Event
+	// Events is Segments concatenated. Only Extract sets it, and leaves
+	// Segments nil.
 	Events []xid.Event
 	// Stats sums every shard's scan statistics.
 	Stats syslog.ExtractStats
@@ -72,11 +77,10 @@ type Result struct {
 // shardState is the per-shard scratch the extraction phases fill in.
 type shardState struct {
 	file obs.FileDigest // the shard's size and content hash; zero until hashed
-	// blocks holds the shard's events as Stage I collected them (or as the
-	// cache decoded them, in one block) until placement copies them into
-	// the run's one slice; events is then the shard's part of that slice.
-	blocks  [][]xid.Event
-	events  []xid.Event
+	// segs holds the shard's events as Stage I handed them over, or as
+	// the cache decoded them, in one segment; events counts them.
+	segs    [][]xid.Event
+	events  int
 	stats   syslog.ExtractStats
 	report  *syslog.IngestionReport
 	outcome CacheOutcome
@@ -90,11 +94,21 @@ func (st *shardState) sourceDigest() [digestLen]byte {
 	return sum
 }
 
-// Extract runs Stage I over every shard in the plan and concatenates the
-// results in plan order. Cached shards load without parsing; the rest parse
-// concurrently on the pooled byte parsers (bounded by opt.Workers) and,
-// once every shard has parsed, are written back to the cache; a run that
-// fails stores no entry. The event stream and statistics are identical
+// Extract is ExtractSegments with the segments concatenated into
+// Result.Events: a forward kept for the benchmark harness.
+func Extract(plan Plan, opt Options) (*Result, error) {
+	res, err := ExtractSegments(plan, opt)
+	if res != nil {
+		res.Events, res.Segments = slices.Clip(concatShards(res.Segments)), nil
+	}
+	return res, err
+}
+
+// ExtractSegments runs Stage I over every shard in the plan and returns
+// the results in plan order, the events as segments. Cached shards load
+// without parsing; the rest parse concurrently on the pooled byte parsers
+// (bounded by opt.Workers) and, once every shard has parsed, are written
+// back to the cache; a run that fails stores no entry. The event stream and statistics are identical
 // at any worker count, and equal a single run over the shards'
 // concatenation in plan order.
 //
@@ -104,7 +118,7 @@ func (st *shardState) sourceDigest() [digestLen]byte {
 // stage1.extract / stage1.lenient span — only when at least one shard
 // actually parsed, so a fully cache-warm run is recognizable by that
 // span's absence.
-func Extract(plan Plan, opt Options) (*Result, error) {
+func ExtractSegments(plan Plan, opt Options) (*Result, error) {
 	n := len(plan.Shards)
 	if n == 0 {
 		return nil, fmt.Errorf("ingest: empty plan")
@@ -136,7 +150,7 @@ func Extract(plan Plan, opt Options) (*Result, error) {
 			var p *Payload
 			p, st.outcome = opt.Cache.Load(plan.Shards[i].Path, st.sourceDigest())
 			if st.outcome == CacheHit {
-				st.blocks, st.stats = [][]xid.Event{p.Events}, p.Stats
+				st.segs, st.events, st.stats = [][]xid.Event{p.Events}, len(p.Events), p.Stats
 			}
 			return nil
 		})
@@ -163,20 +177,19 @@ func Extract(plan Plan, opt Options) (*Result, error) {
 		}
 	}
 
-	res := &Result{Events: place(states)}
-	// Stores run after placement and finish before Extract returns, so a
-	// caller that sorts the events in place never races an encoder, and a
-	// failed parse stores nothing.
+	// Stores run once every shard has parsed, so a failed parse stores
+	// nothing, and finish before ExtractSegments returns.
 	if cacheable {
 		if err := storeShards(plan, states, toParse, opt); err != nil {
 			return nil, err
 		}
 	}
 
-	res.Shards = make([]ShardInfo, n)
+	res := &Result{Shards: make([]ShardInfo, n)}
 	var reports []*syslog.IngestionReport
 	for i := range states {
 		st := &states[i]
+		res.Segments = append(res.Segments, st.segs...)
 		res.Stats.Lines += st.stats.Lines
 		res.Stats.XIDLines += st.stats.XIDLines
 		res.Stats.Skipped += st.stats.Skipped
@@ -187,7 +200,7 @@ func Extract(plan Plan, opt Options) (*Result, error) {
 		res.Shards[i] = ShardInfo{
 			Path:    plan.Shards[i].Path,
 			Digest:  st.file,
-			Events:  len(st.events),
+			Events:  st.events,
 			Outcome: st.outcome,
 		}
 	}
@@ -201,43 +214,14 @@ func Extract(plan Plan, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// place copies every shard's blocks, in plan order, into one exact-size
-// slice and points each shard's events at its part of it, with capacity
-// clipped. The blocks are dropped. A run with a single non-empty block uses
-// it without a copy (the rule of concatShards).
-func place(states []shardState) []xid.Event {
-	var blocks [][]xid.Event
-	for i := range states {
-		blocks = append(blocks, states[i].blocks...)
-	}
-	all := concatShards(blocks)
-	off := 0
-	for i := range states {
-		st := &states[i]
-		end := off + eventCount(st.blocks)
-		st.events, st.blocks = all[off:end:end], nil
-		off = end
-	}
-	return slices.Clip(all)
-}
-
-// eventCount is how many events blocks hold.
-func eventCount(blocks [][]xid.Event) int {
-	n := 0
-	for _, b := range blocks {
-		n += len(b)
-	}
-	return n
-}
-
-// storeShards writes the listed shards' placed events to the cache, in
-// parallel, counting cache.write for each entry written.
+// storeShards writes the listed shards' events to the cache, in parallel,
+// counting cache.write for each entry written.
 func storeShards(plan Plan, states []shardState, shards []int, opt Options) error {
 	return parallel.ForEach(len(shards), opt.Workers, func(k int) error {
 		i := shards[k]
 		st := &states[i]
-		p := &Payload{SourceDigest: st.sourceDigest(), SourcePath: plan.Shards[i].Path, Stats: st.stats, Events: st.events}
-		if err := opt.Cache.Store(plan.Shards[i].Path, p); err != nil {
+		p := &Payload{SourceDigest: st.sourceDigest(), SourcePath: plan.Shards[i].Path, Stats: st.stats}
+		if err := opt.Cache.store(plan.Shards[i].Path, p, st.segs); err != nil {
 			return err
 		}
 		opt.Obs.Counter("cache.write").Add(1)
@@ -245,8 +229,8 @@ func storeShards(plan Plan, states []shardState, shards []int, opt Options) erro
 	})
 }
 
-// concatShards joins event slices (shards, or a run's collection blocks)
-// in order. A single non-empty slice is returned as it is, without a copy.
+// concatShards joins event slices (shards, or a run's segments) in order.
+// A single non-empty slice is returned as it is, without a copy.
 func concatShards(shards [][]xid.Event) []xid.Event {
 	var only []xid.Event
 	for _, s := range shards {
@@ -271,9 +255,8 @@ func ExtractReader(r io.Reader, opt Options) (*Result, error) {
 	s1 := startStage1(opt)
 	var st shardState
 	_, err := s1.parse(r, opt.engine(opt.Workers, s1.meter(), s1.alloc, opt.LenientOptions), &st)
-	events := slices.Clip(concatShards(st.blocks))
-	s1.end(int64(st.stats.Lines), int64(len(events)))
-	return &Result{Events: events, Stats: st.stats, Ingestion: st.report}, err
+	s1.end(int64(st.stats.Lines), int64(st.events))
+	return &Result{Segments: st.segs, Stats: st.stats, Ingestion: st.report}, err
 }
 
 // engine maps the run's settings onto one engine call; lopt is the budget
@@ -320,7 +303,7 @@ func (s stage1) meter() parallel.WorkerMeter {
 	return s.sp.ObserveWorker
 }
 
-// parse runs the engine over one source into st's blocks and adds the
+// parse runs the engine over one source into st's segments and adds the
 // bytes it read to the span, returning that count for a per-shard span.
 func (s stage1) parse(src io.Reader, eo syslog.Options, st *shardState) (int64, error) {
 	var cr *obs.CountingReader
@@ -328,29 +311,18 @@ func (s stage1) parse(src io.Reader, eo syslog.Options, st *shardState) (int64, 
 		cr = obs.NewCountingReader(src)
 		src = cr
 	}
-	// Events gather in fixed-size blocks that the caller copies once into
-	// its exact-size slice: about twice the final slice's bytes, where
-	// append's regrow-and-copy of one slice costs about five times.
-	var cur []xid.Event
 	var err error
-	st.stats, st.report, err = syslog.Extract(src, eo, func(ev xid.Event) error {
-		if len(cur) == blockLen {
-			st.blocks, cur = append(st.blocks, cur), make([]xid.Event, 0, blockLen)
-		}
-		cur = append(cur, ev)
+	st.stats, st.report, err = syslog.ExtractBatches(src, eo, func(b []xid.Event) error {
+		st.segs = append(st.segs, b)
+		st.events += len(b)
 		return nil
 	})
-	if len(cur) > 0 {
-		st.blocks = append(st.blocks, cur)
-	}
 	if cr == nil {
 		return 0, err
 	}
 	s.sp.AddBytes(cr.N())
 	return cr.N(), err
 }
-
-const blockLen = 2048 // events per Stage I collection block
 
 // end closes the span with the run's totals and publishes the interner's:
 // its traffic, and the bytes actually copied out of the scan buffers
@@ -418,7 +390,7 @@ func parseShards(plan Plan, states []shardState, toParse []int, opt Options) err
 		if s1.sp != nil {
 			ssp := opt.Obs.StartSpan(fmt.Sprintf("stage1.shard.%03d", shard.Ordinal))
 			ssp.AddIn(int64(st.stats.Lines))
-			ssp.AddOut(int64(eventCount(st.blocks)))
+			ssp.AddOut(int64(st.events))
 			ssp.AddBytes(n)
 			ssp.End()
 		}
@@ -430,7 +402,7 @@ func parseShards(plan Plan, states []shardState, toParse []int, opt Options) err
 			s1.alloc.Add(allocs[k])
 		}
 		lines += int64(states[i].stats.Lines)
-		events += int64(eventCount(states[i].blocks))
+		events += int64(states[i].events)
 	}
 	s1.end(lines, events)
 	return err

@@ -140,8 +140,14 @@ func referenceExtract(t *testing.T, data []byte, workers int) ([]xid.Event, sysl
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ext.Events, ext.Stats
+	return flat(ext), ext.Stats
 }
+
+// flat is a result's segments concatenated.
+func flat(res *Result) []xid.Event { return concatShards(res.Segments) }
+
+// blockLen is how many events the one-worker scan's segments hold.
+const blockLen = 2048
 
 // sameEvents compares two event streams field by field with Time.Equal, so
 // a cache round-trip's internal time representation cannot mask or fake a
@@ -257,7 +263,7 @@ func TestExtractReaderMatchesSingleShard(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx := fmt.Sprintf("lenient=%v", lenient)
-		sameEvents(t, got.Events, want.Events, ctx)
+		sameEvents(t, flat(got), want.Events, ctx)
 		if got.Stats != want.Stats || !reflect.DeepEqual(got.Ingestion, want.Ingestion) || got.Shards != nil {
 			t.Fatalf("%s: stream result %+v, want %+v without shards", ctx, got, want)
 		}
@@ -521,7 +527,7 @@ func TestLenientRunsBypassCache(t *testing.T) {
 func referenceLenient(t *testing.T, data []byte, opt syslog.LenientOptions) ([]xid.Event, *syslog.IngestionReport, error) {
 	t.Helper()
 	ext, err := ExtractReader(bytes.NewReader(data), Options{Workers: 1, Lenient: true, LenientOptions: opt})
-	return ext.Events, ext.Ingestion, err
+	return flat(ext), ext.Ingestion, err
 }
 
 // TestLenientShardedMatchesSingle: a logfuzz-corrupted log split at line
@@ -630,8 +636,8 @@ func TestLenientMergedBudgets(t *testing.T) {
 	})
 }
 
-// TestEventBlockBoundaries: Stage I collects events in blockLen-sized
-// blocks. Streams just short of, exactly at, just past and several blocks
+// TestEventBlockBoundaries: the one-worker scan hands Stage I's events
+// over in blockLen-sized blocks. Streams just short of, exactly at, just past and several blocks
 // past a block boundary must come out whole and in the order the engine's
 // own callback yields them — through ExtractReader, and through a
 // three-shard Extract whose every shard holds the boundary count, cold and
@@ -662,7 +668,7 @@ func TestEventBlockBoundaries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameEvents(t, got.Events, want[:n], fmt.Sprintf("n=%d stream workers=%d", n, workers))
+			sameEvents(t, flat(got), want[:n], fmt.Sprintf("n=%d stream workers=%d", n, workers))
 		}
 
 		_, plan := writeShards(t, [][]byte{part, data[cut(n):cut(2*n)], data[cut(2*n):]})
@@ -682,14 +688,15 @@ func TestEventBlockBoundaries(t *testing.T) {
 	}
 }
 
-// TestPlacementMatchesPerShardRuns: Extract places every shard's events
-// once, in plan order, into one exact-size slice, and writes each parsed
-// shard's cache entry from its part of that slice. For cold, warm and
-// mixed three-shard plans, with shards below, across and well past a block
-// boundary, at 1 and 4 workers: the events are the per-shard ExtractReader
-// runs concatenated, and every .evshard entry is byte-equal to EncodeShard
-// of its shard's own parse.
-func TestPlacementMatchesPerShardRuns(t *testing.T) {
+// TestSegmentsMatchPerShardRuns: ExtractSegments hands over every shard's
+// events as Stage I filled them, in plan order, and writes each parsed
+// shard's cache entry from its segments. For cold, warm and mixed
+// three-shard plans, with shards below, across and well past a block
+// boundary, at 1 and 4 workers: the segments are the per-shard
+// ExtractReader runs concatenated, a cache hit is its shard's one segment,
+// and every .evshard entry is byte-equal to EncodeShard of its shard's own
+// parse.
+func TestSegmentsMatchPerShardRuns(t *testing.T) {
 	parts := [][]byte{orderedLog(blockLen+1, 11), orderedLog(5, 12), orderedLog(2*blockLen+3, 13)}
 	_, plan := writeShards(t, parts)
 	var want []xid.Event
@@ -700,10 +707,10 @@ func TestPlacementMatchesPerShardRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, own.Events...)
+		want = append(want, flat(own)...)
 		entries[i] = EncodeShard(&Payload{
 			SourceDigest: sha256.Sum256(part), ConfigDigest: key.digest(),
-			SourcePath: plan.Shards[i].Path, Stats: own.Stats, Events: own.Events,
+			SourcePath: plan.Shards[i].Path, Stats: own.Stats, Events: flat(own),
 		})
 	}
 
@@ -719,17 +726,20 @@ func TestPlacementMatchesPerShardRuns(t *testing.T) {
 				fill = Plan{Shards: plan.Shards[1:2]}
 			}
 			if len(fill.Shards) > 0 {
-				if _, err := Extract(fill, Options{Workers: workers, Cache: cache}); err != nil {
+				if _, err := ExtractSegments(fill, Options{Workers: workers, Cache: cache}); err != nil {
 					t.Fatal(err)
 				}
 			}
-			got, err := Extract(plan, Options{Workers: workers, Cache: cache})
+			got, err := ExtractSegments(plan, Options{Workers: workers, Cache: cache})
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameEvents(t, got.Events, want, ctx)
-			if cap(got.Events) != len(got.Events) {
-				t.Fatalf("%s: events have capacity %d for %d events", ctx, cap(got.Events), len(got.Events))
+			sameEvents(t, flat(got), want, ctx)
+			if got.Events != nil {
+				t.Fatalf("%s: ExtractSegments set Events", ctx)
+			}
+			if mode == "warm" && len(got.Segments) != len(parts) {
+				t.Fatalf("%s: %d segments from %d cache hits", ctx, len(got.Segments), len(parts))
 			}
 			for i, sh := range got.Shards {
 				hit := mode == "warm" || (mode == "mixed" && i == 1)

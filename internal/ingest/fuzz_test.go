@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gpuresilience/internal/logfuzz"
+	"gpuresilience/internal/xid"
 )
 
 // fuzzSeedLogs builds the corpus inputs: a clean time-ordered log plus
@@ -29,7 +30,9 @@ func fuzzSeedLogs(f *testing.F) [][]byte {
 
 // FuzzEvshardRoundTrip: for any log bytes, the payload built by lenient
 // Stage I survives EncodeShard/DecodeShard losslessly — events, stats,
-// digests, and path all come back exactly.
+// digests, and path all come back exactly — and a cache store's encoding
+// from segments, here one per event with empty ones between, is byte-equal
+// to EncodeShard over their concatenation.
 func FuzzEvshardRoundTrip(f *testing.F) {
 	for _, seed := range fuzzSeedLogs(f) {
 		f.Add(seed)
@@ -44,9 +47,17 @@ func FuzzEvshardRoundTrip(f *testing.F) {
 			ConfigDigest: DefaultCacheKey().digest(),
 			SourcePath:   "fuzz.log",
 			Stats:        ext.Stats,
-			Events:       ext.Events,
+			Events:       flat(ext),
 		}
-		got, err := DecodeShard(EncodeShard(p))
+		img := EncodeShard(p)
+		var segs [][]xid.Event
+		for i := range p.Events {
+			segs = append(segs, nil, p.Events[i:i+1])
+		}
+		if !bytes.Equal(encodeShard(p, segs), img) {
+			t.Fatal("encoding from segments differs from EncodeShard")
+		}
+		got, err := DecodeShard(img)
 		if err != nil {
 			t.Fatalf("round trip decode: %v", err)
 		}
@@ -79,7 +90,7 @@ func FuzzEvshardDecode(f *testing.F) {
 		if err != nil {
 			continue
 		}
-		img := EncodeShard(&Payload{SourcePath: "seed.log", Stats: ext.Stats, Events: ext.Events})
+		img := EncodeShard(&Payload{SourcePath: "seed.log", Stats: ext.Stats, Events: flat(ext)})
 		f.Add(img)
 		f.Add(img[:len(img)/2])
 		mangled, _, err := logfuzz.Corrupt(img, logfuzz.Config{Seed: 7, Rate: 0.3})

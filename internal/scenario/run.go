@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -111,7 +112,7 @@ func extractBatch(data []byte, pcfg core.PipelineConfig) (events []xid.Event, st
 		return nil, BatchReport{}, nil, err
 	}
 	st := ext.Stats
-	return ext.Events, BatchReport{
+	return slices.Concat(ext.Segments...), BatchReport{
 		Lines: st.Lines, XIDLines: st.XIDLines, Noise: st.Skipped, BadLines: st.Malformed,
 	}, nil, nil
 }
@@ -305,7 +306,7 @@ func Run(c *Compiled, opts Options) (*Report, error) {
 		if serr != nil {
 			return nil, fmt.Errorf("scenario %s: clean extract: %w", sc.Name, serr)
 		}
-		cleanRes, err = core.Analyze(clean.Events, truth.Jobs, repairs, truth.CPU, pcfg)
+		cleanRes, err = core.Analyze(slices.Concat(clean.Segments...), truth.Jobs, repairs, truth.CPU, pcfg)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: clean analyze: %w", sc.Name, err)
 		}

@@ -9,7 +9,6 @@ import (
 	"gpuresilience/internal/coalesce"
 	"gpuresilience/internal/core"
 	"gpuresilience/internal/syslog"
-	"gpuresilience/internal/xid"
 )
 
 // Engine is the streaming Stage I/II state machine. Sources push raw lines
@@ -28,9 +27,6 @@ type Engine struct {
 	st      State                   // guarded by mu
 	co      *coalesce.Coalescer     // guarded by mu
 	sources map[string]*SourceState // guarded by mu
-	// sealBuf is sealThrough's scratch batch, reused across seals and kept
-	// cleared between them. It is not stream state: never checkpointed.
-	sealBuf []xid.Event // guarded by mu
 
 	foldMu sync.Mutex
 	fold   *core.StageIII // guarded by foldMu
@@ -142,46 +138,43 @@ func (e *Engine) FlushAll() int {
 }
 
 // sealThrough advances the watermark to cutoff (never backwards) and seals
-// the pending prefix at or before it. Caller holds e.mu.
+// the pending events at or before it, appending the kept ones straight to
+// Sealed. Caller holds e.mu.
 //
-// The equivalence argument: pending holds arrival order; the stable
-// partition below keeps that order within the sealed batch; the stable sort
-// by coalesce.Compare then produces exactly the order the batch pipeline's
-// global stable sort gives those events, because every event in this batch
+// The equivalence argument: pending holds arrival order, and
+// AppendKeptThrough offers the sealed events in coalesce.Compare order with
+// pending position breaking ties, which is exactly the order the batch
+// pipeline's Stage II gives those events, because every event in this seal
 // precedes every event still pending or yet to arrive (all strictly after
 // cutoff) and follows every previously sealed event (all at or before the
-// previous watermark). Feeding the persistent coalescer batch after batch
-// is therefore identical to one batch coalesce over the whole stream.
+// previous watermark). Feeding the persistent coalescer seal after seal is
+// therefore identical to one batch coalesce over the whole stream. The
+// stable partition below then keeps the rest of pending in arrival order.
 func (e *Engine) sealThrough(cutoff time.Time) int {
 	if e.st.HasWatermark && !cutoff.After(e.st.Watermark) {
 		return 0
 	}
-	sealNow := e.sealBuf[:0]
+	e.st.Sealed = e.co.AppendKeptThrough(e.st.Sealed, e.st.Pending, cutoff)
 	keep := e.st.Pending[:0]
 	for _, ev := range e.st.Pending {
-		if !ev.Time.After(cutoff) {
-			sealNow = append(sealNow, ev)
-		} else {
+		if ev.Time.After(cutoff) {
 			keep = append(keep, ev)
 		}
 	}
+	sealed := len(e.st.Pending) - len(keep)
+	// Clearing the vacated tail keeps it from pinning the sealed events'
+	// node and detail strings.
+	clear(e.st.Pending[len(keep):])
 	e.st.Pending = keep
+	e.st.SealedRaw += sealed
 	e.st.Watermark = cutoff
 	e.st.HasWatermark = true
 	e.st.Gen++
-	if len(sealNow) > 0 {
-		e.st.Sealed = append(e.st.Sealed, e.co.AddBatch(sealNow)...)
-		e.st.SealedRaw += len(sealNow)
-	}
-	// The kept prefix is copied into Sealed; clearing the buffer keeps it
-	// from pinning the batch's node and detail strings.
-	clear(sealNow)
-	e.sealBuf = sealNow[:0]
 	// Keys whose window fell behind the watermark can never suppress a
 	// future event (everything still to come is after the cutoff), so the
 	// coalescer forgets them — this is what bounds resident state.
 	e.co.EvictBefore(cutoff)
-	return len(sealNow)
+	return sealed
 }
 
 // Status reports the engine's ingest-side state.

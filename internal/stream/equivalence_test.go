@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -83,7 +84,7 @@ func batchDocs(t *testing.T, f *fixture) map[string]string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Analyze(ext.Events, f.jobs, cluster.Durations(f.downtimes), f.cpu, f.cfg)
+	res, err := core.Analyze(slices.Concat(ext.Segments...), f.jobs, cluster.Durations(f.downtimes), f.cpu, f.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

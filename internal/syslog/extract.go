@@ -19,6 +19,13 @@ const defaultChunkBytes = 1 << 20
 // nl is the line separator, hoisted for the bytes.Count calls.
 var nl = []byte{'\n'}
 
+// kernelLit is the Xid literal every record line contains, hoisted for
+// parseChunk's bytes.Count.
+var kernelLit = []byte(litKernel)
+
+// blockLen is how many events each of the one-worker scan's batches holds.
+const blockLen = 2048
+
 // Options configures one Stage I run.
 type Options struct {
 	// Workers bounds the chunked path's parallelism: 0 means GOMAXPROCS,
@@ -60,17 +67,32 @@ type Options struct {
 // IngestionReport.stats). The report is returned in lenient mode only,
 // non-nil even alongside an error.
 func Extract(r io.Reader, opt Options, fn func(xid.Event) error) (ExtractStats, *IngestionReport, error) {
+	return extract(r, opt, fn, nil)
+}
+
+// ExtractBatches is Extract that hands the events over in batches the
+// caller keeps, in stream order: their concatenation is the stream Extract
+// delivers. The chunked path hands over each chunk's slice as its parse
+// filled it. The one-worker scan fills blocks of 2,048 events, each
+// allocated at full capacity, and hands each over once it is full or the
+// stream ends, so an error fn returns stops that scan only at a block
+// boundary. No batch is empty.
+func ExtractBatches(r io.Reader, opt Options, fn func([]xid.Event) error) (ExtractStats, *IngestionReport, error) {
+	return extract(r, opt, nil, fn)
+}
+
+// extract is Extract with one of its two consumers set: each gets every
+// event, batch gets them a batch at a time.
+func extract(r io.Reader, opt Options, each func(xid.Event) error, batch func([]xid.Event) error) (ExtractStats, *IngestionReport, error) {
 	s := newReportState(opt.Lenient)
 	var err error
 	switch {
 	case parallel.Resolve(opt.Workers) > 1:
-		err = extractChunked(r, s, opt, fn)
-	case opt.Meter != nil:
-		start := time.Now() //lint:allow determinism stage span metering measures real elapsed time
-		err = scan(r, s, opt.Alloc, fn)
-		opt.Meter(0, time.Since(start)) //lint:allow determinism stage span metering measures real elapsed time
+		err = extractChunked(r, s, opt, each, batch)
+	case batch != nil:
+		err = scanBlocks(r, s, opt, batch)
 	default:
-		err = scan(r, s, opt.Alloc, fn)
+		err = meteredScan(r, s, opt, each)
 	}
 	if err == nil {
 		err = s.checkBudgets(true)
@@ -79,6 +101,43 @@ func Extract(r io.Reader, opt Options, fn func(xid.Event) error) (ExtractStats, 
 		return s.rep.stats(true), nil, err
 	}
 	return s.rep.stats(false), &s.rep, err
+}
+
+// meteredScan is scan, timed against worker 0 when opt.Meter is set.
+func meteredScan(r io.Reader, s *reportState, opt Options, fn func(xid.Event) error) error {
+	if opt.Meter == nil {
+		return scan(r, s, opt.Alloc, fn)
+	}
+	start := time.Now() //lint:allow determinism stage span metering measures real elapsed time
+	err := scan(r, s, opt.Alloc, fn)
+	opt.Meter(0, time.Since(start)) //lint:allow determinism stage span metering measures real elapsed time
+	return err
+}
+
+// scanBlocks is the one-worker scan for a batch consumer: events gather
+// in blockLen blocks, each made at full capacity, so no block regrows. A
+// run that stops early still hands over the block it was filling.
+func scanBlocks(r io.Reader, s *reportState, opt Options, batch func([]xid.Event) error) error {
+	var blk []xid.Event
+	err := meteredScan(r, s, opt, func(ev xid.Event) error {
+		if len(blk) == cap(blk) {
+			full := blk
+			blk = make([]xid.Event, 0, blockLen)
+			if len(full) > 0 {
+				if err := batch(full); err != nil {
+					return err
+				}
+			}
+		}
+		blk = append(blk, ev)
+		return nil
+	})
+	if len(blk) > 0 {
+		if berr := batch(blk); err == nil {
+			err = berr
+		}
+	}
+	return err
 }
 
 // ExtractParallel is strict Extract at a worker count.
@@ -192,8 +251,11 @@ func parseChunk(c chunk, cs reportState, in *intern.Interner) chunkResult {
 	}
 	var ev xid.Event
 	data := c.data
-	if len(data) > 0 {
-		out.events = make([]xid.Event, 0, bytes.Count(data, nl)+1)
+	// Every record line contains the Xid literal, so counting it sizes the
+	// slice for the chunk's records without room for its noise lines: the
+	// slice is Stage I's output and outlives the chunk.
+	if n := bytes.Count(data, kernelLit); n > 0 {
+		out.events = make([]xid.Event, 0, n)
 	}
 	for len(data) > 0 {
 		var line []byte
@@ -214,7 +276,7 @@ func parseChunk(c chunk, cs reportState, in *intern.Interner) chunkResult {
 // a pool parses them, and the ordered fan-in below merges each chunk's
 // accounting into s and delivers its events, checking the absolute budget
 // after every chunk so the verdict is identical at any worker count.
-func extractChunked(r io.Reader, s *reportState, opt Options, fn func(xid.Event) error) error {
+func extractChunked(r io.Reader, s *reportState, opt Options, each func(xid.Event) error, batch func([]xid.Event) error) error {
 	workers := parallel.Resolve(opt.Workers)
 	fresh := s.fresh()
 	pool := parallel.NewOrdered(workers, 2*workers, opt.Meter, func(c chunk) (chunkResult, error) {
@@ -248,10 +310,17 @@ func extractChunked(r io.Reader, s *reportState, opt Options, fn func(xid.Event)
 		if opt.Alloc != nil {
 			opt.Alloc.Add(out.alloc)
 		}
-		for _, ev := range out.events {
-			s.rep.Records++
-			if stopErr = fn(ev); stopErr != nil {
-				break
+		if batch != nil {
+			if len(out.events) > 0 {
+				s.rep.Records += len(out.events)
+				stopErr = batch(out.events)
+			}
+		} else {
+			for _, ev := range out.events {
+				s.rep.Records++
+				if stopErr = each(ev); stopErr != nil {
+					break
+				}
 			}
 		}
 		if stopErr == nil {

@@ -3,10 +3,12 @@ package syslog
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"gpuresilience/internal/intern"
 	"gpuresilience/internal/xid"
 )
 
@@ -114,6 +116,64 @@ func TestExtractParallelMultiChunk(t *testing.T) {
 	}
 	if count != n || st.Lines != n || st.XIDLines != n {
 		t.Fatalf("count=%d stats=%+v, want %d lines", count, st, n)
+	}
+}
+
+// TestExtractBatchesMatchesExtract: the batches' concatenation is Extract's
+// event stream, with the same stats, at one worker (full-capacity blocks,
+// all full but the last) and over several chunks at four.
+func TestExtractBatchesMatchesExtract(t *testing.T) {
+	data := buildLog(t, 6000, 3)
+	data = append(data, buildPoolLog(t, 3000)...) // past one chunk
+	want, wantSt := collectSequential(t, data)
+	for _, workers := range []int{1, 4} {
+		var got []xid.Event
+		var batches [][]xid.Event
+		st, _, err := ExtractBatches(bytes.NewReader(data), Options{Workers: workers}, func(b []xid.Event) error {
+			batches = append(batches, b)
+			got = append(got, b...)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st != wantSt || !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: %d events, stats %+v; want %d, %+v", workers, len(got), st, len(want), wantSt)
+		}
+		if len(batches) < 2 {
+			t.Fatalf("workers=%d: %d batches, want several", workers, len(batches))
+		}
+		for i, b := range batches {
+			if len(b) == 0 {
+				t.Fatalf("workers=%d: batch %d is empty", workers, i)
+			}
+			if workers == 1 && (cap(b) != blockLen || i < len(batches)-1 && len(b) != blockLen) {
+				t.Fatalf("block %d of %d: len %d cap %d, want full %d-event blocks", i, len(batches), len(b), cap(b), blockLen)
+			}
+		}
+	}
+}
+
+// TestParseChunkSizesForRecords: a chunk's event slice is Stage I's output
+// and outlives the chunk, so it is sized by the chunk's Xid literals, not
+// its lines. A chunk that is mostly noise gets room for its records only.
+func TestParseChunkSizesForRecords(t *testing.T) {
+	base := time.Date(2023, 6, 1, 0, 0, 0, 0, time.UTC)
+	var buf bytes.Buffer
+	for i := 0; i < 1000; i++ {
+		at := base.Add(time.Duration(i) * time.Second)
+		if i%100 == 7 {
+			buf.WriteString(FormatLine(xid.Event{Time: at, Node: "gpub001", Code: xid.MMU, Detail: "fault"}, i, "python"))
+		} else {
+			buf.WriteString(FormatNoise(at, "gpub001", i))
+		}
+		buf.WriteByte('\n')
+	}
+	data := buf.Bytes()
+	res := parseChunk(chunk{data: data}, newReportState(nil).fresh(), intern.New())
+	lits := bytes.Count(data, []byte(litKernel))
+	if lits != 10 || len(res.events) != lits || cap(res.events) != lits {
+		t.Fatalf("%d Xid literals, %d events in a slice of capacity %d; want 10 of each", lits, len(res.events), cap(res.events))
 	}
 }
 
