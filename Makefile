@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race fuzz bench bench-quick bench-json bench-gate report ablate examples service-check stress-check ingest-check fmt vet lint lint-baseline loc clean
+.PHONY: all build test race fuzz bench bench-quick bench-json bench-gate bench-full report ablate examples service-check stress-check ingest-check fmt vet lint lint-baseline loc clean
 
 all: build test
 
@@ -54,6 +54,16 @@ bench-gate:
 	$(GO) build -o bin/benchdiff ./cmd/benchdiff
 	GPURESIL_BENCH_SCALE=0.05 $(GO) test -run '^$$' -bench '$(BENCH_SET)' -benchmem -count=4 -timeout 30m . | bin/benchdiff fmt -o bench-new.json
 	bin/benchdiff compare -base BENCH_baseline.json -new bench-new.json -max-time-ratio 1.25 -max-alloc-ratio 1.05
+
+# Full-scale snapshot (scale 1.0, the paper's fleet): BenchmarkClusterRun
+# and BenchmarkEndToEnd, one iteration three times, per-metric medians
+# written to BENCH_<UTC date>.json. Not part of the perf gate: one
+# EndToEnd iteration takes seconds and about 1 GB.
+BENCH_FULL_SET = ^(BenchmarkClusterRun|BenchmarkEndToEnd)$$
+
+bench-full:
+	$(GO) build -o bin/benchdiff ./cmd/benchdiff
+	GPURESIL_BENCH_SCALE=1.0 $(GO) test -run '^$$' -bench '$(BENCH_FULL_SET)' -benchmem -benchtime 1x -count 3 -timeout 30m . | bin/benchdiff fmt -o BENCH_$$(date -u +%F).json
 
 # The full reproduction with paper comparison and extensions (~30 s).
 report:

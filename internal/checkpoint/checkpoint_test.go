@@ -13,7 +13,7 @@ var t0 = time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC)
 func job(gpus int, elapsed time.Duration, state slurmsim.JobState) *slurmsim.Job {
 	return &slurmsim.Job{
 		GPUs: int32(gpus), Start: slurmsim.At(t0), End: slurmsim.At(t0.Add(elapsed)), State: state,
-		Place: slurmsim.Placement{{Node: "n1", GPUs: make([]int, gpus)}},
+		Place: &slurmsim.Placement{{Node: "n1", GPUs: make([]int, gpus)}},
 	}
 }
 

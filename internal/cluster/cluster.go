@@ -277,7 +277,7 @@ func New(cfg Config) (*Cluster, error) {
 			// The dying application raises a graphics-engine exception on
 			// one of its GPUs, on its first node in name order, moments
 			// before Slurm records the failure.
-			for _, e := range j.Place {
+			for _, e := range j.Place.Nodes() {
 				if len(e.GPUs) == 0 {
 					continue
 				}

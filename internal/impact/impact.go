@@ -127,7 +127,7 @@ func inScope(j *slurmsim.Job, period stats.Period) bool {
 func (x *DeviceIndex) scanJob(j *slurmsim.Job, encountered, attributed map[xid.Code]bool) {
 	start, end := j.Start.Time(), j.End.Time()
 	windowStart := end.Add(-x.cfg.AttributionWindow)
-	for _, e := range j.Place {
+	for _, e := range j.Place.Nodes() {
 		for _, gi := range e.GPUs {
 			evs := x.devices[gpuKey{node: e.Node, gpu: gi}]
 			// First event at or after job start.

@@ -23,7 +23,7 @@ func runJob(id int, node string, gpus []int, start time.Time, dur time.Duration,
 	return &slurmsim.Job{
 		ID: int32(id), Text: &slurmsim.JobText{Name: "job"}, GPUs: int32(len(gpus)),
 		Submit: slurmsim.At(start.Add(-time.Minute)), Start: slurmsim.At(start), End: slurmsim.At(start.Add(dur)),
-		State: state, Place: slurmsim.Placement{{Node: node, GPUs: gpus}},
+		State: state, Place: &slurmsim.Placement{{Node: node, GPUs: gpus}},
 	}
 }
 

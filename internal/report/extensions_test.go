@@ -37,9 +37,9 @@ func TestWriteExtensions(t *testing.T) {
 	start := op.Start.Add(time.Hour)
 	jobs := []*slurmsim.Job{
 		{GPUs: 4, Start: slurmsim.At(start), End: slurmsim.At(start.Add(20 * time.Hour)), State: slurmsim.StateNodeFail,
-			Place: slurmsim.Placement{{Node: "gpub001", GPUs: []int{0, 1, 2, 3}}}},
+			Place: &slurmsim.Placement{{Node: "gpub001", GPUs: []int{0, 1, 2, 3}}}},
 		{GPUs: 1, Start: slurmsim.At(start), End: slurmsim.At(start.Add(2 * time.Hour)), State: slurmsim.StateCompleted,
-			Place: slurmsim.Placement{{Node: "gpub002", GPUs: []int{0}}}},
+			Place: &slurmsim.Placement{{Node: "gpub002", GPUs: []int{0}}}},
 	}
 
 	var buf bytes.Buffer

@@ -50,7 +50,7 @@ func DumpDB(w io.Writer, jobs []*Job) error {
 		}
 		row = append(append(row, '|'), j.State.String()...)
 		row = strconv.AppendInt(append(row, '|'), int64(j.ExitCode), 10)
-		row = j.Place.appendTo(append(row, ":0|"...))
+		row = j.Place.Nodes().appendTo(append(row, ":0|"...))
 		if j.ML {
 			row = append(row, "|1\n"...)
 		} else {
@@ -75,7 +75,7 @@ var dbHeaderBytes = []byte(dbHeader)
 
 // jobArenaSize is the Job block size of the loader's arena: one allocation
 // amortizes over this many rows, and a load wastes at most one block's tail
-// (4,096 88-byte records, 352 KB).
+// (4,096 72-byte records, 288 KB).
 const jobArenaSize = 4096
 
 // textHint presizes the loader's text table. A simulated population has
@@ -87,20 +87,21 @@ const textHint = 1024
 // the small recurring vocabularies (names, users, partitions, node names), a
 // table sharing one JobText per distinct (name, user, partition), arenas for
 // the Job records and the JobTexts so rows don't allocate one object each,
-// and placement and int arenas for the placement entries and their GPU-index
-// slices.
+// the placement table, and the scratch a new placement is parsed into.
 type dbLoader struct {
 	in     *intern.Interner
 	seed   maphash.Seed
 	texts  map[uint64]*JobText // by the hash of the row's "name|user|partition"
 	arena  []Job
 	tarena []JobText
-	places []NodeGPUs
+	places *placeTable
+	place  Placement // parsePlacement's scratch
 	ints   []int
 }
 
 func newDBLoader() *dbLoader {
-	return &dbLoader{in: intern.New(), seed: maphash.MakeSeed(), texts: make(map[uint64]*JobText, textHint)}
+	return &dbLoader{in: intern.New(), seed: maphash.MakeSeed(),
+		texts: make(map[uint64]*JobText, textHint), places: newPlaceTable()}
 }
 
 // carve cuts an n-element slice off the front of *arena, refilling the arena
@@ -360,35 +361,50 @@ func (ld *dbLoader) text(span []byte, f *[12][]byte) *JobText {
 	return n
 }
 
-var placementSemi = []byte{';'}
-
-// parsePlacement parses the canonical Placement.String encoding —
+// parsePlacement returns the loader's shared placement for a Placement
+// field. A field seen before costs one hash and one re-encoding of the entry
+// it is checked against. Otherwise the canonical Placement.String encoding —
 // "node:i,j;node:k" with plain digit runs and strictly ascending node names —
-// straight off the bytes, backing the entries and index lists from the
-// loader's arenas. Any deviation restarts the whole field through the
-// exported ParsePlacement, so the loader keeps its tolerance (signed
-// indices, leading spaces, any part order) and its exact errors.
-func (ld *dbLoader) parsePlacement(b []byte) (Placement, error) {
+// is parsed straight off the bytes into scratch and interned. Any deviation
+// restarts the whole field through the exported ParsePlacement, so the
+// loader keeps its tolerance (signed indices, leading spaces, any part
+// order) and its exact errors.
+func (ld *dbLoader) parsePlacement(b []byte) (*Placement, error) {
 	if len(b) == 0 {
 		return nil, nil
 	}
-	p := Placement(carve(&ld.places, bytes.Count(b, placementSemi)+1, 1024))
+	if p := ld.places.lookup(b); p != nil {
+		return p, nil
+	}
+	p, ok := ld.scanPlacement(b)
+	if !ok {
+		var err error
+		if p, err = ParsePlacement(string(b)); err != nil { // cold corrupt-input fallback
+			return nil, err
+		}
+	}
+	return ld.places.intern(p), nil
+}
+
+// scanPlacement parses a canonical Placement field into the loader's
+// scratch, which the next call reuses; ok is false on any deviation.
+func (ld *dbLoader) scanPlacement(b []byte) (p Placement, ok bool) {
+	p, ints := ld.place[:0], ld.ints[:0]
 	rest, prev := b, []byte(nil)
-	for n := range p {
+	for rest != nil {
 		var part []byte
 		if i := bytes.IndexByte(rest, ';'); i >= 0 {
 			part, rest = rest[:i], rest[i+1:]
 		} else {
-			part = rest
+			part, rest = rest, nil
 		}
 		ci := bytes.IndexByte(part, ':')
-		if ci <= 0 || n > 0 && bytes.Compare(part[:ci], prev) <= 0 {
-			return ParsePlacement(string(b)) // cold corrupt-input fallback; the hot path parses in place
+		if ci <= 0 || len(p) > 0 && bytes.Compare(part[:ci], prev) <= 0 {
+			return nil, false
 		}
 		node, list := part[:ci], part[ci+1:]
 		prev = node
-		idxs := carve(&ld.ints, bytes.Count(list, []byte{','})+1, 4096)
-		k := 0
+		first := len(ints)
 		for {
 			var seg []byte
 			if j := bytes.IndexByte(list, ','); j >= 0 {
@@ -398,15 +414,15 @@ func (ld *dbLoader) parsePlacement(b []byte) (Placement, error) {
 			}
 			v, ok := atoiFast(seg)
 			if !ok {
-				return ParsePlacement(string(b)) // cold corrupt-input fallback; the hot path parses in place
+				return nil, false
 			}
-			idxs[k] = v
-			k++
+			ints = append(ints, v)
 			if list == nil {
 				break
 			}
 		}
-		p[n] = NodeGPUs{Node: ld.in.Intern(node), GPUs: idxs}
+		p = append(p, NodeGPUs{Node: ld.in.Intern(node), GPUs: ints[first:]})
 	}
-	return p, nil
+	ld.place, ld.ints = p, ints
+	return p, true
 }

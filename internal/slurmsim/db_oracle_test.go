@@ -120,6 +120,10 @@ func narrowOracle(w *wideJob) (*Job, string) {
 	case w.ExitCode < math.MinInt32 || w.ExitCode > math.MaxInt32:
 		return nil, "exit code"
 	}
+	var place *Placement
+	if w.Place != nil {
+		place = &w.Place
+	}
 	return &Job{
 		Text:     &JobText{Name: w.Name, User: w.User, Partition: w.Partition},
 		ID:       int32(w.ID),
@@ -129,7 +133,7 @@ func narrowOracle(w *wideJob) (*Job, string) {
 		End:      unixNano(w.End),
 		State:    w.State,
 		ExitCode: int32(w.ExitCode),
-		Place:    w.Place,
+		Place:    place,
 		ML:       w.ML,
 	}, ""
 }
@@ -191,7 +195,7 @@ func dumpDBOracle(w io.Writer, jobs []*Job) error {
 		_, err := fmt.Fprintf(bw, "%d|%s|%s|%s|%d|%s|%s|%s|%s|%d:0|%s|%s\n",
 			j.ID, sanitize(text.Name), sanitize(text.User), sanitize(text.Partition), j.GPUs,
 			j.Submit.Time().Format(dbTimeLayout), start, end,
-			j.State, j.ExitCode, j.Place, ml)
+			j.State, j.ExitCode, j.Place.Nodes(), ml)
 		if err != nil {
 			return err
 		}
@@ -226,7 +230,7 @@ func TestDumpDBMatchesOracle(t *testing.T) {
 			Submit: MinTime, Start: At(at), End: MaxTime},
 		{ID: -3, GPUs: 4, State: StateNodeFail, ExitCode: 1, Text: &JobText{Name: "train", User: "alice", Partition: "gpuA100x4"},
 			Submit: At(at), Start: At(at), End: At(at.Add(time.Hour)),
-			Place: Placement{{Node: "gpub001", GPUs: []int{0, 1}}, {Node: "gpub002", GPUs: []int{-1, 3}}}},
+			Place: &Placement{{Node: "gpub001", GPUs: []int{0, 1}}, {Node: "gpub002", GPUs: []int{-1, 3}}}},
 	}
 	checkDumpAgainstOracle(t, jobs)
 	checkDumpAgainstOracle(t, nil)

@@ -37,7 +37,8 @@ func FuzzParsePlacement(f *testing.F) {
 // that whatever it accepts dumps as the reference writer does and survives
 // DumpDB and a second LoadDB. The dump
 // keeps whole seconds, as sacct does, so the reloaded times are the loaded
-// ones truncated to the second.
+// ones truncated to the second. An accepted row also loads twice in one DB
+// beside its canonical re-encoding, all three sharing one placement.
 func FuzzLoadDBLine(f *testing.F) {
 	f.Add("1|name|user|gpuA100x4|2|2023-01-01T00:00:00Z|2023-01-01T01:00:00Z|2023-01-01T02:00:00Z|COMPLETED|0:0|n1:0,1|0")
 	f.Add("x|y")
@@ -75,5 +76,39 @@ func FuzzLoadDBLine(f *testing.F) {
 				t.Fatalf("reload of %q:\n got %+v\nwant %+v", line, *back[i], want)
 			}
 		}
+		checkPlacementShared(t, line)
 	})
+}
+
+// checkPlacementShared loads row twice in one DB, then a third time with
+// its Placement field re-encoded by Placement.String. Each row's placement
+// must equal ParsePlacement of its own field, and all three must be one
+// shared value.
+func checkPlacementShared(t *testing.T, row string) {
+	t.Helper()
+	fields := strings.Split(row, "|")
+	if len(fields) != 12 || strings.ContainsAny(row, "\n\r") {
+		return // not one row as LoadDB's scanner sees it
+	}
+	want, err := ParsePlacement(fields[10])
+	if err != nil {
+		t.Fatalf("row %q loaded, but ParsePlacement(%q): %v", row, fields[10], err)
+	}
+	fields[10] = want.String()
+	canonical := strings.Join(fields, "|")
+	jobs, err := LoadDB(strings.NewReader(dbHeader + "\n" + row + "\n" + row + "\n" + canonical + "\n"))
+	if err != nil {
+		t.Fatalf("row %q twice, then %q: %v", row, canonical, err)
+	}
+	if len(jobs) != 3 {
+		t.Fatalf("row %q twice, then %q: %d jobs, want 3", row, canonical, len(jobs))
+	}
+	for i, j := range jobs {
+		if !reflect.DeepEqual(j.Place.Nodes(), want) {
+			t.Fatalf("row %q, copy %d: placement %v, want %v", row, i+1, j.Place.Nodes(), want)
+		}
+		if j.Place != jobs[0].Place {
+			t.Fatalf("row %q, copy %d: placement at %p, not the first copy's %p", row, i+1, j.Place, jobs[0].Place)
+		}
+	}
 }

@@ -117,7 +117,20 @@ type NodeGPUs struct {
 
 // Placement lists the nodes a job ran on and the GPU indices it held on
 // each, one entry per node in ascending node-name order.
+//
+// A Job's placement is interned: the scheduler and LoadDB each hand every
+// job that ran on the same GPUs one shared value (see placeTable), so a
+// placement reached through Job.Place is read-only.
 type Placement []NodeGPUs
+
+// Nodes returns the placement's entries; a nil *Placement, a job never
+// placed, has none.
+func (p *Placement) Nodes() Placement {
+	if p == nil {
+		return nil
+	}
+	return *p
+}
 
 // TotalGPUs returns the number of GPUs in the placement.
 func (p Placement) TotalGPUs() int {
@@ -242,13 +255,13 @@ type JobText struct {
 	Partition string // Slurm partition the job ran in
 }
 
-// Job is one batch job in 88 bytes. Apart from RunDuration, FailNaturally
+// Job is one batch job in 72 bytes. Apart from RunDuration, FailNaturally
 // and NaturalExitCode, its fields mirror the Slurm accounting database
 // columns the study relies on (§III-A): submit/start/end times, resources
 // requested, scheduled nodes, exit status, and name.
 type Job struct {
 	Text      *JobText      // name, user and partition, shared; see JobText
-	Place     Placement     // nodes and device indexes the job ran on
+	Place     *Placement    // nodes and device indexes the job ran on, shared; nil if never placed
 	Submit    Time          // enqueue time
 	Start     Time          // execution start (zero if never started)
 	End       Time          // execution end (zero while running)
@@ -293,20 +306,4 @@ func (j *Job) Elapsed() time.Duration {
 // GPUHours returns allocated GPU hours for terminal jobs.
 func (j *Job) GPUHours() float64 {
 	return j.Elapsed().Hours() * float64(j.GPUs)
-}
-
-// UsesGPU reports whether the job's placement includes the GPU.
-func (j *Job) UsesGPU(node string, gpu int) bool {
-	for _, e := range j.Place {
-		if e.Node == node {
-			return slices.Contains(e.GPUs, gpu)
-		}
-	}
-	return false
-}
-
-// UsesLink reports whether the job holds both endpoints of an intra-node
-// NVLink (so the link may carry its traffic).
-func (j *Job) UsesLink(node string, a, b int) bool {
-	return j.UsesGPU(node, a) && j.UsesGPU(node, b)
 }

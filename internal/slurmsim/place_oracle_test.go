@@ -73,7 +73,7 @@ func checkPlace(t *testing.T, s *Scheduler, where string) {
 		t.Fatalf("%s: FreeGPUs = %d, recount %d", where, got, want)
 	}
 	for gpus := 1; gpus <= 16; gpus++ {
-		got, want := s.tryPlace(gpus), s.oracleTryPlace(gpus)
+		got, want := s.tryPlace(gpus).Nodes(), s.oracleTryPlace(gpus)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s, %d GPUs: tryPlace = %v, oracle = %v", where, gpus, got, want)
 		}
@@ -148,16 +148,17 @@ func TestTryPlaceMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestTryPlaceAllocs pins the placement's allocation budget: a job that
-// fits on one host costs the placement and its index slice, nothing else.
+// TestTryPlaceAllocs pins the placement's allocation budget: a placement
+// seen before is the interned one and allocates nothing.
 func TestTryPlaceAllocs(t *testing.T) {
 	s, _ := newSched(t, 8)
+	first := s.tryPlace(4)
 	allocs := testing.AllocsPerRun(100, func() {
-		if p := s.tryPlace(4); len(p) != 1 {
-			t.Fatalf("placement = %v", p)
+		if p := s.tryPlace(4); p != first || len(p.Nodes()) != 1 {
+			t.Fatalf("placement = %v, want the interned %v", p, first)
 		}
 	})
-	if allocs > 2 {
-		t.Fatalf("tryPlace allocs = %.0f, budget 2", allocs)
+	if allocs > 0 {
+		t.Fatalf("tryPlace allocs = %.0f, budget 0", allocs)
 	}
 }

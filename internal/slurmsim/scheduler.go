@@ -55,7 +55,15 @@ type host struct {
 	schedulable bool // accepting new work (false while draining or down)
 	online      bool // false while rebooting/failed
 	running     map[int]*Job
+	// alone holds the interned placements that lie on this host alone, by
+	// GPU mask; nil until the first one, and for hosts of more than
+	// maxMaskGPUs GPUs.
+	alone []*Placement
 }
+
+// maxMaskGPUs bounds the hosts whose single-host placements tryPlace finds
+// by GPU mask (host.alone): 2^maxMaskGPUs slots per host.
+const maxMaskGPUs = 8
 
 // Scheduler places jobs on hosts and tracks their lifecycle.
 type Scheduler struct {
@@ -80,11 +88,11 @@ type Scheduler struct {
 	nextID   int32
 	capacity int // total GPUs across all hosts
 
-	// Placements are carved from these arenas (see carve), so starting a
-	// job allocates nothing per job; placeBuf is tryPlace's scratch.
-	places   []NodeGPUs
-	ints     []int
+	// places interns the placements jobs start with; tryPlace builds each
+	// candidate in placeBuf and idxBuf, reused across calls.
+	places   *placeTable
 	placeBuf Placement
+	idxBuf   []int
 
 	passQueued bool
 	passFn     func()    // s.pass, bound once so queuePass does not allocate
@@ -114,6 +122,7 @@ func NewScheduler(cfg Config, engine *simclock.Engine) (*Scheduler, error) {
 		hostIndex:  make(map[string]*host),
 		nextID:     1,
 		endHandles: make(map[int32]simclock.Handle),
+		places:     newPlaceTable(),
 	}
 	s.passFn = s.pass
 	s.endFn = func(j any) { s.naturalEnd(j.(*Job)) }
@@ -286,25 +295,31 @@ func (s *Scheduler) pass() {
 // (best-fit decreasing over free counts, ties by name) so whole nodes stay
 // available for wide jobs. Hosts are visited level by level, from the
 // fullest free count down, each level's set in name order. The placement
-// and its indexes are carved from the scheduler's arenas and returned in
-// name order. Returns nil when capacity is insufficient right now.
-func (s *Scheduler) tryPlace(gpus int) Placement {
+// is built in scratch, sorted into name order and interned, so a placement
+// seen before allocates nothing. Returns nil when capacity is insufficient
+// right now.
+func (s *Scheduler) tryPlace(gpus int) *Placement {
 	if s.freeTotal < gpus {
 		return nil
 	}
 	buf := s.placeBuf[:0]
-	idxBuf := carve(&s.ints, gpus, 4096)
+	idxBuf := slices.Grow(s.idxBuf[:0], gpus)[:gpus]
+	s.idxBuf = idxBuf
 	need := gpus
+	var h *host
+	mask := 0 // the GPUs taken on h
 	for level := s.top; level > 0 && need > 0; level-- {
 		for w, set := range s.levels[level*s.words : (level+1)*s.words] {
 			for ; set != 0 && need > 0; set &= set - 1 {
-				h := s.hosts[w*64+bits.TrailingZeros64(set)]
+				h = s.hosts[w*64+bits.TrailingZeros64(set)]
 				take := min(level, need)
 				idxs := idxBuf[:0:take]
 				idxBuf = idxBuf[take:]
+				mask = 0
 				for i := 0; i < h.numGPUs && len(idxs) < take; i++ {
 					if h.free[i] {
 						idxs = append(idxs, i)
+						mask |= 1 << i
 					}
 				}
 				buf = append(buf, NodeGPUs{Node: h.name, GPUs: idxs})
@@ -313,15 +328,25 @@ func (s *Scheduler) tryPlace(gpus int) Placement {
 		}
 	}
 	s.placeBuf = buf
-	place := Placement(carve(&s.places, len(buf), 1024))
-	copy(place, buf)
-	slices.SortFunc(place, compareNode)
-	return place
+	// Most jobs fit on one host. Finding their placements by GPU mask skips
+	// the table's encoding, hash and check, which at scale 1.0 cost more
+	// CPU than the rest of tryPlace.
+	if len(buf) == 1 && h.numGPUs <= maxMaskGPUs {
+		if h.alone == nil {
+			h.alone = make([]*Placement, 1<<h.numGPUs)
+		}
+		if h.alone[mask] == nil {
+			h.alone[mask] = s.places.intern(buf)
+		}
+		return h.alone[mask]
+	}
+	slices.SortFunc(buf, compareNode)
+	return s.places.intern(buf)
 }
 
 // start allocates the placement and schedules the job's natural end.
-func (s *Scheduler) start(j *Job, place Placement, now Time) {
-	for _, e := range place {
+func (s *Scheduler) start(j *Job, place *Placement, now Time) {
+	for _, e := range place.Nodes() {
 		h := s.hostIndex[e.Node]
 		s.unlist(h)
 		for _, i := range e.GPUs {
@@ -373,7 +398,7 @@ func (s *Scheduler) naturalEnd(j *Job) {
 
 // release frees the job's GPUs on hosts that are still online.
 func (s *Scheduler) release(j *Job) {
-	for _, e := range j.Place {
+	for _, e := range j.Place.Nodes() {
 		h := s.hostIndex[e.Node]
 		if h == nil {
 			continue

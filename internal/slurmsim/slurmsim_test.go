@@ -150,7 +150,7 @@ func TestMultiNodePlacement(t *testing.T) {
 	if j.State != StateRunning {
 		t.Fatalf("state = %s", j.State)
 	}
-	if j.Place.TotalGPUs() != 10 || len(j.Place) != 3 {
+	if j.Place.Nodes().TotalGPUs() != 10 || len(j.Place.Nodes()) != 3 {
 		t.Fatalf("placement = %v", j.Place)
 	}
 	eng.RunAll()
@@ -163,7 +163,7 @@ func TestKillByGPUError(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Run(t0.Add(time.Hour))
-	victim := s.JobOnGPU("gpub001", j.Place[0].GPUs[0])
+	victim := s.JobOnGPU("gpub001", j.Place.Nodes()[0].GPUs[0])
 	if victim != j {
 		t.Fatal("JobOnGPU did not find the job")
 	}
@@ -193,7 +193,7 @@ func TestFailNodeKillsAndRestoreRecovers(t *testing.T) {
 		}
 	}
 	eng.Run(t0.Add(time.Minute))
-	nodeA := a.Place[0].Node
+	nodeA := a.Place.Nodes()[0].Node
 	s.FailNode(nodeA)
 	if a.State != StateNodeFail {
 		t.Fatalf("a = %s", a.State)
@@ -444,16 +444,6 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-func TestUsesGPUAndLink(t *testing.T) {
-	j := &Job{Place: Placement{{Node: "n1", GPUs: []int{0, 2}}}}
-	if !j.UsesGPU("n1", 0) || j.UsesGPU("n1", 1) || j.UsesGPU("n2", 0) {
-		t.Fatal("UsesGPU wrong")
-	}
-	if !j.UsesLink("n1", 0, 2) || j.UsesLink("n1", 0, 1) {
-		t.Fatal("UsesLink wrong")
-	}
-}
-
 func TestPlacementRoundTrip(t *testing.T) {
 	p := Placement{{Node: "gpub001", GPUs: []int{0, 1, 2, 3}}, {Node: "gpub002", GPUs: []int{1, 3}}}
 	s := p.String()
@@ -517,7 +507,7 @@ func TestDBRoundTrip(t *testing.T) {
 		if j.ID != orig.ID || j.State != orig.State || j.ExitCode != orig.ExitCode ||
 			j.GPUs != orig.GPUs || j.Submit != orig.Submit ||
 			j.Start != orig.Start || j.End != orig.End ||
-			j.ML != orig.ML || j.Place.String() != orig.Place.String() {
+			j.ML != orig.ML || j.Place.Nodes().String() != orig.Place.Nodes().String() {
 			t.Fatalf("job %d mismatch:\n got %+v\nwant %+v", i, j, orig)
 		}
 		if strings.Contains(j.Name(), "|") {
@@ -529,8 +519,8 @@ func TestDBRoundTrip(t *testing.T) {
 // TestJobRecordSize pins the compact job record: the simulator's slab and
 // LoadDB's arena hold one per job, so its size sets the job side's memory.
 func TestJobRecordSize(t *testing.T) {
-	if n := unsafe.Sizeof(Job{}); n > 96 {
-		t.Fatalf("Job is %d bytes, want <= 96", n)
+	if n := unsafe.Sizeof(Job{}); n > 72 {
+		t.Fatalf("Job is %d bytes, want <= 72", n)
 	}
 }
 
