@@ -16,7 +16,8 @@ race:
 # Short fuzz pass over every text codec, including the differential targets
 # that hold the byte-level parsers to their historical oracles, the
 # Stage I engine's line-at-a-time vs chunked equivalence in both modes, and
-# Stage II over segmented input against its copy-and-sort oracle.
+# Stage II over segmented input against its copy-and-sort oracle, and the
+# compact event time's JSON against time.Time's.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzExtract$$' -fuzztime 10s ./internal/syslog/
 	$(GO) test -run '^$$' -fuzz '^FuzzExtractLenient$$' -fuzztime 10s ./internal/syslog/
@@ -28,6 +29,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzClassifyMLEquivalence$$' -fuzztime 10s ./internal/impact/
 	$(GO) test -run '^$$' -fuzz '^FuzzWarpEquivalence$$' -fuzztime 10s ./internal/workload/
 	$(GO) test -run '^$$' -fuzz '^FuzzStage2Segments$$' -fuzztime 10s ./internal/coalesce/
+	$(GO) test -run '^$$' -fuzz '^FuzzEventTimeJSON$$' -fuzztime 10s ./internal/xid/
 
 # Regenerate every paper table and figure at full scale (~10 min).
 bench:

@@ -588,7 +588,7 @@ func BenchmarkPipelineParallel(b *testing.B) {
 // BenchmarkStageIExtract measures raw-log parsing throughput (lines/sec).
 func BenchmarkStageIExtract(b *testing.B) {
 	ev := xid.Event{
-		Time: calib.Op().Start.Add(time.Hour),
+		Time: xid.Time(calib.Op().Start.Add(time.Hour).UnixNano()),
 		Node: "gpub042", GPU: 2, Code: xid.NVLink, Detail: "link 1-2 CRC failure",
 	}
 	line := string(syslog.AppendLine(nil, ev, 4242, "python"))

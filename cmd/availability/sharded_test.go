@@ -24,8 +24,8 @@ func writeShardedLogs(t *testing.T, dir string) (whole, day1, day2 string) {
 	}
 	base := calib.Op().Start.Add(time.Hour)
 	for i := 0; i < 30; i++ {
-		ev := xid.Event{Time: base.Add(time.Duration(i) * time.Hour),
-			Node: []string{"gpub001", "gpub002"}[i%2], GPU: i % 4,
+		ev := xid.Event{Time: xid.Time(base.Add(time.Duration(i) * time.Hour).UnixNano()),
+			Node: []string{"gpub001", "gpub002"}[i%2], GPU: int32(i % 4),
 			Code: xid.MMU, Detail: "d"}
 		if _, err := w.WriteEvent(ev); err != nil {
 			t.Fatal(err)

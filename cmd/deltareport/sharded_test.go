@@ -25,8 +25,8 @@ func writeLogPair(t *testing.T, dir string) (string, string, string) {
 	base := calib.Op().Start.Add(time.Hour)
 	codes := []xid.Code{xid.MMU, xid.DBE, xid.NVLink}
 	for i := 0; i < 40; i++ {
-		ev := xid.Event{Time: base.Add(time.Duration(i) * time.Hour),
-			Node: []string{"gpub001", "gpub002", "gpub003"}[i%3], GPU: i % 4,
+		ev := xid.Event{Time: xid.Time(base.Add(time.Duration(i) * time.Hour).UnixNano()),
+			Node: []string{"gpub001", "gpub002", "gpub003"}[i%3], GPU: int32(i % 4),
 			Code: codes[i%len(codes)], Detail: "d"}
 		if _, err := w.WriteEvent(ev); err != nil {
 			t.Fatal(err)

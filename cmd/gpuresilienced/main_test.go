@@ -73,7 +73,7 @@ func writeLog(t *testing.T, path string) {
 	base := calib.Op().Start.Add(24 * time.Hour)
 	var sb strings.Builder
 	for i, code := range []xid.Code{xid.MMU, xid.DBE, xid.MMU} {
-		ev := xid.Event{Time: base.Add(time.Duration(i) * time.Minute), Node: "gpub001", GPU: i % 4, Code: code}
+		ev := xid.Event{Time: xid.Time(base.Add(time.Duration(i) * time.Minute).UnixNano()), Node: "gpub001", GPU: int32(i % 4), Code: code}
 		sb.WriteString(string(syslog.AppendLine(nil, ev, 1, "t")) + "\n")
 	}
 	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {

@@ -30,7 +30,7 @@ func writeDataset(t *testing.T, dir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := xid.Event{Time: end.Add(-5 * time.Second), Node: "gpub001", GPU: 0,
+	ev := xid.Event{Time: xid.Time(end.Add(-5 * time.Second).UnixNano()), Node: "gpub001", GPU: 0,
 		Code: xid.MMU, Detail: "d"}
 	if _, err := w.WriteEvent(ev); err != nil {
 		t.Fatal(err)

@@ -27,7 +27,7 @@ func writeLogs(t *testing.T, path string, n int) {
 	}
 	base := calib.Op().Start.Add(time.Hour)
 	for i := 0; i < n; i++ {
-		ev := xid.Event{Time: base.Add(time.Duration(i) * time.Hour),
+		ev := xid.Event{Time: xid.Time(base.Add(time.Duration(i) * time.Hour).UnixNano()),
 			Node: "gpub001", GPU: 0, Code: xid.MMU, Detail: "d"}
 		if _, err := w.WriteEvent(ev); err != nil {
 			t.Fatal(err)

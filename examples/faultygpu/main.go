@@ -66,13 +66,14 @@ func run() error {
 	var first, last time.Time
 	count := 0
 	for _, ev := range out.Truth.Events {
-		if ev.Code != xid.UncontainedMem || ev.Time.Before(burstStart) {
+		at := ev.Time.Time()
+		if ev.Code != xid.UncontainedMem || at.Before(burstStart) {
 			continue
 		}
 		if count == 0 {
-			first = ev.Time
+			first = at
 		}
-		last = ev.Time
+		last = at
 		count++
 	}
 	fmt.Printf("burst window: %s -> %s (%.1f days)\n",

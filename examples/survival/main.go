@@ -42,12 +42,12 @@ func run() error {
 	// The fleet: every (node, GPU) slot of Delta's A100 partition.
 	var fleet []xid.Key
 	for i := 0; i < calib.Nodes4; i++ {
-		for g := 0; g < 4; g++ {
+		for g := int32(0); g < 4; g++ {
 			fleet = append(fleet, xid.Key{Node: fmt.Sprintf("gpub%03d", i+1), GPU: g})
 		}
 	}
 	for i := 0; i < calib.Nodes8; i++ {
-		for g := 0; g < 8; g++ {
+		for g := int32(0); g < 8; g++ {
 			fleet = append(fleet, xid.Key{Node: fmt.Sprintf("gpub%03d", calib.Nodes4+i+1), GPU: g})
 		}
 	}

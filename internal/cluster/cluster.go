@@ -250,6 +250,9 @@ type Cluster struct {
 	// raw syslog lines during the run).
 	onEvent func(xid.Event) error
 	sinkErr error
+	// eventErr is the first event the run could not build, which Run
+	// returns.
+	eventErr error
 }
 
 // New builds a simulation from cfg.
@@ -285,10 +288,8 @@ func New(cfg Config) (*Cluster, error) {
 				if swRNG.Bool(0.1) {
 					code = xid.ResetChannel
 				}
-				c.emit(xid.Event{
-					Time: j.End.Time(), Node: e.Node, GPU: e.GPUs[swRNG.Intn(len(e.GPUs))],
-					Code: code, Detail: "graphics engine exception raised by user process",
-				})
+				c.emit(xid.NewEvent(j.End.Time(), e.Node, e.GPUs[swRNG.Intn(len(e.GPUs))],
+					code, "graphics engine exception raised by user process"))
 				break
 			}
 		}
@@ -344,7 +345,15 @@ func (c *Cluster) mark(i int) {
 	}
 }
 
-func (c *Cluster) emit(ev xid.Event) {
+// emit records one event built by a checked producer, or the producer's
+// error, which fails the run.
+func (c *Cluster) emit(ev xid.Event, err error) {
+	if err != nil {
+		if c.eventErr == nil {
+			c.eventErr = err
+		}
+		return
+	}
 	c.evCount.Add(1)
 	c.events = append(c.events, ev)
 	if c.onEvent != nil && c.sinkErr == nil {
@@ -407,6 +416,9 @@ func (c *Cluster) Run() (*Result, error) {
 		for _, j := range c.sched.JobsOnNode(n.Name()) {
 			c.sched.Kill(j, slurmsim.StateCancelled, 0)
 		}
+	}
+	if c.eventErr != nil {
+		return nil, fmt.Errorf("cluster: %w", c.eventErr)
 	}
 	if c.sinkErr != nil {
 		return nil, fmt.Errorf("cluster: event sink: %w", c.sinkErr)
@@ -635,13 +647,17 @@ func (c *Cluster) runError(st *episodeState) {
 		if st.linkA < 0 {
 			st.linkA, st.linkB = c.pickLink(node, st.rng)
 		}
-		lf := node.Fabric().FaultPair(now, node.Name(), st.rng, st.linkA, st.linkB,
+		lf, err := node.Fabric().FaultPair(now, node.Name(), st.rng, st.linkA, st.linkB,
 			func(a, b int) bool {
 				j := c.sched.JobOnGPU(node.Name(), a)
 				return j != nil && j == c.sched.JobOnGPU(node.Name(), b) && !st.decided[j.ID]
 			})
+		if err != nil {
+			c.emit(xid.Event{}, err)
+			return
+		}
 		for _, ev := range lf.Events {
-			c.emit(ev)
+			c.emit(ev, nil)
 		}
 		if lf.Active {
 			if j := c.sched.JobOnGPU(node.Name(), lf.A); j != nil {
@@ -668,10 +684,14 @@ func (c *Cluster) runError(st *episodeState) {
 		if gpu == nil {
 			return
 		}
-		out, escalated := gpu.Correctable(now, st.hotRow, st.rng)
+		out, escalated, err := gpu.Correctable(now, st.hotRow, st.rng)
+		if err != nil {
+			c.emit(xid.Event{}, err)
+			return
+		}
 		if escalated {
 			for _, ev := range out.Events {
-				c.emit(ev)
+				c.emit(ev, nil)
 			}
 			ucRule := c.rule(faults.KindUncorrectable)
 			c.applyMemOutcome(node, st.ep.GPU, out, st.decided, ucRule)
@@ -771,9 +791,13 @@ func (c *Cluster) uncorrectable(now time.Time, node *nodesim.Node, gpuIdx int,
 	if gpu == nil {
 		return
 	}
-	out := gpu.Uncorrectable(now, c.rng)
+	out, err := gpu.Uncorrectable(now, c.rng)
+	if err != nil {
+		c.emit(xid.Event{}, err)
+		return
+	}
 	for _, ev := range out.Events {
-		c.emit(ev)
+		c.emit(ev, nil)
 	}
 	c.applyMemOutcome(node, gpuIdx, out, decided, rule)
 }

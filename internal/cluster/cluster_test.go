@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -108,13 +109,13 @@ func TestEventsInPeriodAndOrdered(t *testing.T) {
 		{Kind: faults.KindGSP, Episodes: 5, MeanSize: 10, MeanGap: 30 * time.Second},
 	}
 	res := run(t, cfg)
-	var last time.Time
+	last := xid.MinTime
 	for _, ev := range res.Events {
-		if ev.Time.Before(last) {
+		if ev.Time < last {
 			t.Fatal("events not in time order")
 		}
 		last = ev.Time
-		if ev.Time.Before(preOp.Start) || !ev.Time.Before(op.End) {
+		if ev.Time < xid.Time(preOp.Start.UnixNano()) || ev.Time >= xid.Time(op.End.UnixNano()) {
 			t.Fatalf("event at %v outside simulation", ev.Time)
 		}
 	}
@@ -215,7 +216,7 @@ func TestPMUPropagatesToMMU(t *testing.T) {
 		t.Fatalf("propagated MMU events = %d, want 30 (propagation prob 1)", mmu)
 	}
 	// Each propagated MMU error follows its PMU error by the delay.
-	var pmuTimes, mmuTimes []time.Time
+	var pmuTimes, mmuTimes []xid.Time
 	for _, ev := range res.Events {
 		switch ev.Code {
 		case xid.PMUSPIReadFail, xid.PMUSPIWriteFail:
@@ -509,7 +510,7 @@ func TestDeterminism(t *testing.T) {
 	}
 	for i, ea := range a.Events {
 		eb := b.Events[i]
-		if !ea.Time.Equal(eb.Time) || ea.Code != eb.Code || ea.Node != eb.Node ||
+		if ea.Time != eb.Time || ea.Code != eb.Code || ea.Node != eb.Node ||
 			ea.GPU != eb.GPU || ea.Detail != eb.Detail {
 			t.Fatalf("event %d differs: %+v vs %+v", i, ea, eb)
 		}
@@ -545,5 +546,26 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := c.Run(); err == nil {
 		t.Fatal("out-of-range faulty node accepted")
+	}
+}
+
+// TestRunFailsOnEventsOutsideRecordRange: a fleet simulated past 2262 emits
+// instants the event record cannot hold, and the run fails with the
+// producer's error instead of wrapping them.
+func TestRunFailsOnEventsOutsideRecordRange(t *testing.T) {
+	cfg := testConfig(4)
+	shift := func(p stats.Period) stats.Period {
+		p.Start, p.End = p.Start.AddDate(300, 0, 0), p.End.AddDate(300, 0, 0)
+		return p
+	}
+	cfg.PreOp, cfg.Op = shift(preOp), shift(op)
+	cfg.OpFaults = []faults.ProcessSpec{{Kind: faults.KindMMU, Episodes: 3, MeanSize: 2, MeanGap: time.Minute}}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var re *xid.RangeError
+	if _, err := c.Run(); !errors.As(err, &re) {
+		t.Fatalf("Run in 2322: error %v, want a *xid.RangeError", err)
 	}
 }

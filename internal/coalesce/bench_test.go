@@ -23,6 +23,6 @@ func BenchmarkCoalescerAdd(b *testing.B) {
 		} else {
 			at = base.Add(time.Duration(i/5) * time.Second * 50)
 		}
-		c.Add(xid.Event{Time: at, Node: "gpub001", GPU: i % 4, Code: xid.MMU})
+		c.Add(xid.Event{Time: xid.Time(at.UnixNano()), Node: "gpub001", GPU: int32(i % 4), Code: xid.MMU})
 	}
 }

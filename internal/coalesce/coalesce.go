@@ -28,7 +28,7 @@ const DefaultWindow = 5 * time.Second
 // even if they arrive slightly out of order.
 type Coalescer struct {
 	window   time.Duration
-	lastKept map[xid.Key]time.Time
+	lastKept map[xid.Key]xid.Time
 	raw      int
 	kept     int
 	// order is AppendKeptThrough's index scratch, kept between calls so
@@ -52,7 +52,7 @@ func newSized(window time.Duration, keys int) (*Coalescer, error) {
 	}
 	return &Coalescer{
 		window:   window,
-		lastKept: make(map[xid.Key]time.Time, keys),
+		lastKept: make(map[xid.Key]xid.Time, keys),
 	}, nil
 }
 
@@ -61,10 +61,8 @@ func newSized(window time.Duration, keys int) (*Coalescer, error) {
 func (c *Coalescer) Add(ev xid.Event) bool {
 	c.raw++
 	key := ev.Key()
-	if last, seen := c.lastKept[key]; seen {
-		if ev.Time.Before(last.Add(c.window)) && !ev.Time.Before(last.Add(-c.window)) {
-			return false
-		}
+	if last, seen := c.lastKept[key]; seen && ev.Time.Within(last, c.window) {
+		return false
 	}
 	c.lastKept[key] = ev.Time
 	c.kept++
@@ -90,9 +88,14 @@ func (c *Coalescer) Len() int { return len(c.lastKept) }
 // coalescer's state by the number of open windows instead of the number of
 // keys ever seen.
 func (c *Coalescer) EvictBefore(cutoff time.Time) int {
+	// last+window <= cutoff exactly when last <= cutoff-window.
+	through, ok := xid.Latest(cutoff.Add(-c.window))
+	if !ok {
+		return 0
+	}
 	n := 0
 	for k, last := range c.lastKept {
-		if !last.Add(c.window).After(cutoff) {
+		if last <= through {
 			delete(c.lastKept, k)
 			n++
 		}
@@ -106,7 +109,7 @@ type KeyState struct {
 	// Key is the (node, GPU, code) coalescing identity.
 	Key xid.Key `json:"key"`
 	// Last is when the key's last kept occurrence happened.
-	Last time.Time `json:"last"`
+	Last xid.Time `json:"last"`
 }
 
 // State snapshots the coalescer for checkpointing: the tracked keys sorted
@@ -154,7 +157,7 @@ func Compare(a, b xid.Event) int { return compare(&a, &b) }
 
 // compare is Compare without copying the events, for the index sort.
 func compare(a, b *xid.Event) int {
-	if c := a.Time.Compare(b.Time); c != 0 {
+	if c := cmp.Compare(a.Time, b.Time); c != 0 {
 		return c
 	}
 	if c := strings.Compare(a.Node, b.Node); c != 0 {
@@ -177,16 +180,20 @@ func compare(a, b *xid.Event) int {
 // when every event a call offers is later than every event the calls
 // before it offered, which is the streaming watermark's guarantee.
 func (c *Coalescer) AppendKeptThrough(dst, pending []xid.Event, cutoff time.Time) []xid.Event {
-	dst, c.order = c.appendKept(dst, c.order, [][]xid.Event{pending}, &cutoff)
+	through, ok := xid.Latest(cutoff)
+	if !ok {
+		return dst
+	}
+	dst, c.order = c.appendKept(dst, c.order, [][]xid.Event{pending}, through)
 	return dst
 }
 
 // appendKept is the step under AppendKeptThrough and Segments: it offers
 // the events of segs, read in order as one stream, that are at or before
-// *through (all of them when through is nil) and appends the kept ones to
+// through (MaxTime takes them all) and appends the kept ones to
 // dst. The index scratch is passed in and handed back, so a one-off
 // Coalescer (Segments) keeps none and stays off the heap.
-func (c *Coalescer) appendKept(dst []xid.Event, order []uint64, segs [][]xid.Event, through *time.Time) ([]xid.Event, []uint64) {
+func (c *Coalescer) appendKept(dst []xid.Event, order []uint64, segs [][]xid.Event, through xid.Time) ([]xid.Event, []uint64) {
 	n := 0
 	for _, s := range segs {
 		n += len(s)
@@ -196,7 +203,7 @@ func (c *Coalescer) appendKept(dst []xid.Event, order []uint64, segs [][]xid.Eve
 	order = slices.Grow(order[:0], n)
 	for s, seg := range segs {
 		for i := range seg {
-			if through == nil || !seg[i].Time.After(*through) {
+			if seg[i].Time <= through {
 				order = append(order, uint64(s)<<32|uint64(i))
 			}
 		}
@@ -233,7 +240,7 @@ func Segments(segs [][]xid.Event, window time.Duration) ([]xid.Event, error) {
 	if err != nil {
 		return nil, err
 	}
-	kept, _ := c.appendKept(nil, nil, segs, nil)
+	kept, _ := c.appendKept(nil, nil, segs, xid.MaxTime)
 	return kept, nil
 }
 

@@ -11,7 +11,7 @@ import (
 var t0 = time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC)
 
 func ev(offset time.Duration, node string, gpu int, code xid.Code) xid.Event {
-	return xid.Event{Time: t0.Add(offset), Node: node, GPU: gpu, Code: code}
+	return xid.Event{Time: xid.Time(t0.Add(offset).UnixNano()), Node: node, GPU: int32(gpu), Code: code}
 }
 
 func TestDuplicatesWithinWindowDropped(t *testing.T) {
@@ -116,7 +116,7 @@ func TestEventsBatchSortsFirst(t *testing.T) {
 	if len(out) != 2 {
 		t.Fatalf("kept %d, want 2", len(out))
 	}
-	if !out[0].Time.Equal(t0) || !out[1].Time.Equal(t0.Add(10*time.Second)) {
+	if !out[0].Time.Time().Equal(t0) || !out[1].Time.Time().Equal(t0.Add(10*time.Second)) {
 		t.Fatalf("kept wrong events: %v", out)
 	}
 }

@@ -14,8 +14,8 @@ import (
 // oracleLess is the canonical Stage II order written as a less function,
 // independently of Compare.
 func oracleLess(a, b xid.Event) bool {
-	if !a.Time.Equal(b.Time) {
-		return a.Time.Before(b.Time)
+	if a.Time != b.Time {
+		return a.Time < b.Time
 	}
 	if a.Node != b.Node {
 		return a.Node < b.Node
@@ -57,9 +57,9 @@ func randomEvents(seed uint64, n int) []xid.Event {
 	for i := 0; i < n; i++ {
 		out = append(out, xid.Event{
 			// Coarse buckets force same-instant ties across distinct keys.
-			Time:   base.Add(time.Duration(rng.Intn(500)) * time.Second),
+			Time:   xid.Time(base.Add(time.Duration(rng.Intn(500)) * time.Second).UnixNano()),
 			Node:   []string{"gpub001", "gpub002", "gpub003"}[rng.Intn(3)],
-			GPU:    rng.Intn(4),
+			GPU:    int32(rng.Intn(4)),
 			Code:   codes[rng.Intn(len(codes))],
 			Detail: fmt.Sprintf("#%d", i),
 		})
@@ -162,7 +162,7 @@ func TestAppendKeptThroughAcrossSeals(t *testing.T) {
 	}
 	pending := append([]xid.Event(nil), events...)
 	var got []xid.Event
-	for cutoff := events[0].Time.Truncate(24 * time.Hour); len(pending) > 0; cutoff = cutoff.Add(37 * time.Second) {
+	for cutoff := events[0].Time.Time().Truncate(24 * time.Hour); len(pending) > 0; cutoff = cutoff.Add(37 * time.Second) {
 		before := append([]xid.Event(nil), pending...)
 		got = c.AppendKeptThrough(got, pending, cutoff)
 		if !reflect.DeepEqual(pending, before) {
@@ -170,7 +170,7 @@ func TestAppendKeptThroughAcrossSeals(t *testing.T) {
 		}
 		keep := pending[:0]
 		for _, ev := range pending {
-			if ev.Time.After(cutoff) {
+			if ev.Time.Time().After(cutoff) {
 				keep = append(keep, ev)
 			}
 		}
@@ -225,9 +225,9 @@ func FuzzStage2Segments(f *testing.F) {
 				segs = append(segs, nil) // an empty segment before this event
 			}
 			ev := xid.Event{
-				Time:   base.Add(time.Duration(a%32) * 1500 * time.Millisecond),
+				Time:   xid.Time(base.Add(time.Duration(a%32) * 1500 * time.Millisecond).UnixNano()),
 				Node:   []string{"gpub001", "gpub002"}[b&1],
-				GPU:    int(b>>1) & 1,
+				GPU:    int32(int(b>>1) & 1),
 				Code:   codes[int(b>>2)%len(codes)],
 				Detail: fmt.Sprintf("#%d", i/3),
 			}

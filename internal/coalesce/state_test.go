@@ -9,7 +9,7 @@ import (
 )
 
 func mkEvent(t0 time.Time, offset time.Duration, node string, gpu int, code xid.Code) xid.Event {
-	return xid.Event{Time: t0.Add(offset), Node: node, GPU: gpu, Code: code}
+	return xid.Event{Time: xid.Time(t0.Add(offset).UnixNano()), Node: node, GPU: int32(gpu), Code: code}
 }
 
 func TestEvictBefore(t *testing.T) {
@@ -66,7 +66,7 @@ func TestEvictionPreservesOutput(t *testing.T) {
 		}
 		// The watermark guarantee: everything after this arrives later than
 		// ev.Time - 20s.
-		evicting.EvictBefore(ev.Time.Add(-20 * time.Second))
+		evicting.EvictBefore(ev.Time.Time().Add(-20 * time.Second))
 	}
 	if full.Kept() != evicting.Kept() {
 		t.Fatalf("kept diverged: %d vs %d", full.Kept(), evicting.Kept())

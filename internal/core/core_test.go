@@ -25,7 +25,7 @@ func pipeCfg() core.PipelineConfig {
 }
 
 func ev(at time.Time, node string, gpu int, code xid.Code) xid.Event {
-	return xid.Event{Time: at, Node: node, GPU: gpu, Code: code}
+	return xid.Event{Time: xid.Time(at.UnixNano()), Node: node, GPU: int32(gpu), Code: code}
 }
 
 func TestAnalyzeTableICountsAndMTBE(t *testing.T) {

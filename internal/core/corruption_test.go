@@ -23,7 +23,7 @@ import (
 // as a multiset, not a sequence (Stage II's stable sort restores a canonical
 // order before anything downstream reads them).
 func eventKey(ev xid.Event) string {
-	return fmt.Sprintf("%s|%s|%d|%d|%s", ev.Time.UTC().Format("2006-01-02T15:04:05.000000Z"),
+	return fmt.Sprintf("%s|%s|%d|%d|%s", ev.Time.Time().Format("2006-01-02T15:04:05.000000Z"),
 		ev.Node, ev.GPU, ev.Code, ev.Detail)
 }
 

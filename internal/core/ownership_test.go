@@ -23,12 +23,12 @@ import (
 func TestAnalyzeLeavesInputUnmodified(t *testing.T) {
 	base := op.Start.Add(time.Hour)
 	events := []xid.Event{
-		{Time: base.Add(time.Minute), Node: "n2", GPU: 1, Code: xid.NVLink, Detail: "c"},
-		{Time: base, Node: "n1", GPU: 0, Code: xid.MMU, Detail: "a"},
-		{Time: base, Node: "n1", GPU: 0, Code: xid.MMU, Detail: "b"}, // full tie with "a"
-		{Time: base.Add(time.Second), Node: "n1", GPU: 0, Code: xid.MMU, Detail: "dup"},
-		{Time: base, Node: "n0", GPU: 3, Code: xid.DBE, Detail: "d"},
-		{Time: base.Add(time.Minute), Node: "n2", GPU: 1, Code: xid.NVLink, Detail: "e"}, // full tie with "c"
+		{Time: xid.Time(base.Add(time.Minute).UnixNano()), Node: "n2", GPU: 1, Code: xid.NVLink, Detail: "c"},
+		{Time: xid.Time(base.UnixNano()), Node: "n1", GPU: 0, Code: xid.MMU, Detail: "a"},
+		{Time: xid.Time(base.UnixNano()), Node: "n1", GPU: 0, Code: xid.MMU, Detail: "b"}, // full tie with "a"
+		{Time: xid.Time(base.Add(time.Second).UnixNano()), Node: "n1", GPU: 0, Code: xid.MMU, Detail: "dup"},
+		{Time: xid.Time(base.UnixNano()), Node: "n0", GPU: 3, Code: xid.DBE, Detail: "d"},
+		{Time: xid.Time(base.Add(time.Minute).UnixNano()), Node: "n2", GPU: 1, Code: xid.NVLink, Detail: "e"}, // full tie with "c"
 	}
 	want := slices.Clone(events)
 

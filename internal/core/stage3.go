@@ -51,7 +51,7 @@ func newPeriodCounts(p stats.Period) periodCounts {
 
 // add counts ev if it falls in the period and in a Table I group.
 func (pc *periodCounts) add(ev xid.Event) {
-	if !pc.period.Contains(ev.Time) || !ev.Code.InStats() {
+	if !pc.period.Contains(ev.Time.Time()) || !ev.Code.InStats() {
 		return
 	}
 	g, ok := xid.GroupOf(ev.Code)

@@ -47,7 +47,7 @@ func shiftInputs(t *testing.T, events []xid.Event, jobs []*slurmsim.Job, downtim
 		cfg:       cfg,
 	}
 	for i, ev := range events {
-		ev.Time = ev.Time.Add(delta)
+		ev.Time += xid.Time(delta)
 		out.events[i] = ev
 	}
 	for i, j := range jobs {

@@ -32,10 +32,11 @@ func FanoFactor(events []xid.Event, period stats.Period, bucket time.Duration) (
 	}
 	counts := make([]float64, n)
 	for _, ev := range events {
-		if !period.Contains(ev.Time) {
+		t := ev.Time.Time()
+		if !period.Contains(t) {
 			continue
 		}
-		i := int(ev.Time.Sub(period.Start) / bucket)
+		i := int(t.Sub(period.Start) / bucket)
 		if i >= 0 && i < n {
 			counts[i]++
 		}
@@ -65,7 +66,7 @@ func InterArrivalCV(events []xid.Event) (float64, error) {
 	}
 	times := make([]float64, len(events))
 	for i, ev := range events {
-		times[i] = float64(ev.Time.UnixNano())
+		times[i] = float64(ev.Time)
 	}
 	sort.Float64s(times)
 	gaps := make([]float64, 0, len(times)-1)
@@ -176,10 +177,10 @@ func LagCorrelation(events []xid.Event, a, b xid.Code, window time.Duration) (fl
 	}
 	type devKey struct {
 		node string
-		gpu  int
+		gpu  int32
 	}
-	aTimes := make(map[devKey][]time.Time)
-	bTimes := make(map[devKey][]time.Time)
+	aTimes := make(map[devKey][]xid.Time)
+	bTimes := make(map[devKey][]xid.Time)
 	for _, ev := range events {
 		k := devKey{ev.Node, ev.GPU}
 		switch ev.Code {
@@ -192,10 +193,10 @@ func LagCorrelation(events []xid.Event, a, b xid.Code, window time.Duration) (fl
 	total, followed := 0, 0
 	for k, as := range aTimes {
 		bs := bTimes[k]
-		sort.Slice(bs, func(i, j int) bool { return bs[i].Before(bs[j]) })
+		sort.Slice(bs, func(i, j int) bool { return bs[i] < bs[j] })
 		for _, at := range as {
 			total++
-			i := sort.Search(len(bs), func(i int) bool { return !bs[i].Before(at) })
+			i := sort.Search(len(bs), func(i int) bool { return bs[i] >= at })
 			if i < len(bs) && bs[i].Sub(at) <= window {
 				followed++
 			}

@@ -25,7 +25,7 @@ func poissonEvents(rate float64, seed uint64) []xid.Event {
 		if !period.Contains(at) {
 			return events
 		}
-		events = append(events, xid.Event{Time: at, Node: "n1", GPU: 0, Code: xid.MMU})
+		events = append(events, xid.Event{Time: xid.Time(at.UnixNano()), Node: "n1", GPU: 0, Code: xid.MMU})
 	}
 }
 
@@ -50,7 +50,7 @@ func TestFanoFactorBurstyAboveOne(t *testing.T) {
 		}
 		for i := 0; i < 20; i++ {
 			events = append(events, xid.Event{
-				Time: base.Add(time.Duration(i) * time.Minute),
+				Time: xid.Time(base.Add(time.Duration(i) * time.Minute).UnixNano()),
 				Node: "n1", GPU: 0, Code: xid.GSPRPCTimeout,
 			})
 		}
@@ -89,7 +89,7 @@ func TestInterArrivalCV(t *testing.T) {
 	var regular []xid.Event
 	for i := 0; i < 100; i++ {
 		regular = append(regular, xid.Event{
-			Time: period.Start.Add(time.Duration(i) * time.Hour), Node: "n", Code: xid.MMU,
+			Time: xid.Time(period.Start.Add(time.Duration(i) * time.Hour).UnixNano()), Node: "n", Code: xid.MMU,
 		})
 	}
 	cv, err = InterArrivalCV(regular)
@@ -108,7 +108,7 @@ func TestConcentrationByNode(t *testing.T) {
 	var events []xid.Event
 	add := func(node string, n int) {
 		for i := 0; i < n; i++ {
-			events = append(events, xid.Event{Time: period.Start, Node: node, Code: xid.MMU})
+			events = append(events, xid.Event{Time: xid.Time(period.Start.UnixNano()), Node: node, Code: xid.MMU})
 		}
 	}
 	add("bad", 80)
@@ -161,13 +161,13 @@ func TestLagCorrelation(t *testing.T) {
 	// 10 PMU errors; 8 followed by an MMU error 5 s later on the same GPU.
 	for i := 0; i < 10; i++ {
 		at := base.Add(time.Duration(i) * time.Hour)
-		events = append(events, xid.Event{Time: at, Node: "n1", GPU: 0, Code: xid.PMUSPIReadFail})
+		events = append(events, xid.Event{Time: xid.Time(at.UnixNano()), Node: "n1", GPU: 0, Code: xid.PMUSPIReadFail})
 		if i < 8 {
-			events = append(events, xid.Event{Time: at.Add(5 * time.Second), Node: "n1", GPU: 0, Code: xid.MMU})
+			events = append(events, xid.Event{Time: xid.Time(at.Add(5 * time.Second).UnixNano()), Node: "n1", GPU: 0, Code: xid.MMU})
 		}
 	}
 	// An MMU error on a different device must not count.
-	events = append(events, xid.Event{Time: base.Add(time.Second), Node: "n2", GPU: 0, Code: xid.MMU})
+	events = append(events, xid.Event{Time: xid.Time(base.Add(time.Second).UnixNano()), Node: "n2", GPU: 0, Code: xid.MMU})
 
 	frac, err := LagCorrelation(events, xid.PMUSPIReadFail, xid.MMU, 20*time.Second)
 	if err != nil {

@@ -1,5 +1,6 @@
 // Package fasttime parses the pipeline's two fixed-layout UTC timestamp
-// shapes without the generality — or the allocations — of time.Parse.
+// shapes to Unix time without the generality — or the allocations — of
+// time.Parse.
 //
 // Both parsers accept ONLY the canonical byte shape their writers emit
 // (syslog.AppendLine's microsecond layout, DumpDB's RFC 3339 seconds) and
@@ -9,8 +10,6 @@
 // exactly the standard library's. The fast path only short-circuits inputs
 // time.Parse would accept with the identical resulting instant.
 package fasttime
-
-import "time"
 
 // ByteSeq abstracts string and []byte so the parsers work directly on
 // scanner-owned byte slices without a string copy.
@@ -48,25 +47,23 @@ func daysFromCivil(y, mo, d int) int64 {
 	return int64(era)*146097 + int64(doe) - 719468
 }
 
-// ParseMicroUTC parses the canonical "2006-01-02T15:04:05.000000Z" shape
-// (exactly 27 bytes: six fraction digits, 'Z' zone designator).
-func ParseMicroUTC[T ByteSeq](b T) (time.Time, bool) {
+// UnixMicroUTC parses the canonical "2006-01-02T15:04:05.000000Z" shape
+// (exactly 27 bytes: six fraction digits, 'Z' zone designator) to Unix
+// seconds and the nanoseconds within that second, straight from the civil
+// date: no time.Time is built.
+func UnixMicroUTC[T ByteSeq](b T) (sec, nsec int64, ok bool) {
 	if len(b) != 27 || b[19] != '.' || b[26] != 'Z' {
-		return time.Time{}, false
+		return 0, 0, false
 	}
 	y, mo, d, h, mi, s, ok := dateTime(b)
 	if !ok {
-		return time.Time{}, false
+		return 0, 0, false
 	}
-	micro := 0
-	for i := 20; i < 26; i++ {
-		c := b[i]
-		if c < '0' || c > '9' {
-			return time.Time{}, false
-		}
-		micro = micro*10 + int(c-'0')
+	micro, ok := num(b, 20, 6)
+	if !ok {
+		return 0, 0, false
 	}
-	return time.Date(y, time.Month(mo), d, h, mi, s, micro*1000, time.UTC), true
+	return daysFromCivil(y, mo, d)*86400 + int64(h*3600+mi*60+s), int64(micro) * 1000, true
 }
 
 // dateTime parses the shared 19-byte "2006-01-02T15:04:05" prefix with the

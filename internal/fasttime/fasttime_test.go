@@ -11,25 +11,22 @@ const (
 )
 
 // The fast parsers promise: every accepted input is one time.Parse would
-// accept with the identical Time, and nothing time.Parse rejects is
+// accept with the identical instant, and nothing time.Parse rejects is
 // accepted. (Rejections are allowed to be a superset — callers fall back.)
 func checkMicro(t *testing.T, in string) {
 	t.Helper()
-	got, ok := ParseMicroUTC(in)
+	sec, nsec, ok := UnixMicroUTC(in)
 	want, err := time.Parse(microLayout, in)
 	if ok && err != nil {
-		t.Errorf("ParseMicroUTC(%q) accepted input time.Parse rejects: %v", in, err)
+		t.Errorf("UnixMicroUTC(%q) accepted input time.Parse rejects: %v", in, err)
 	}
-	if ok && !got.Equal(want) {
-		t.Errorf("ParseMicroUTC(%q) = %v, time.Parse = %v", in, got, want)
-	}
-	if ok && got != want {
-		t.Errorf("ParseMicroUTC(%q) representation differs: %#v vs %#v", in, got, want)
+	if ok && (sec != want.Unix() || nsec != int64(want.Nanosecond())) {
+		t.Errorf("UnixMicroUTC(%q) = %d s %d ns, time.Parse = %v", in, sec, nsec, want)
 	}
 	// Byte-slice instantiation must agree with the string one.
-	bgot, bok := ParseMicroUTC([]byte(in))
-	if bok != ok || (ok && bgot != got) {
-		t.Errorf("ParseMicroUTC bytes/string diverge on %q", in)
+	bsec, bnsec, bok := UnixMicroUTC([]byte(in))
+	if bok != ok || (ok && (bsec != sec || bnsec != nsec)) {
+		t.Errorf("UnixMicroUTC bytes/string diverge on %q", in)
 	}
 }
 
@@ -118,12 +115,20 @@ func TestMicroDifferential(t *testing.T) {
 		at := base.Add(time.Duration(i) * 777 * time.Millisecond)
 		checkMicro(t, at.Format(microLayout))
 	}
+	// The civil-date arithmetic's era edges, negative Unix times and the
+	// ends of the int64-nanosecond range included.
+	for _, y := range []int{0, 1, 1600, 1677, 1969, 1970, 2000, 2262, 2400, 9999} {
+		first := time.Date(y, 2, 27, 23, 59, 59, 999999000, time.UTC)
+		for day := 0; day < 3; day++ {
+			checkMicro(t, first.AddDate(0, 0, day).Format(microLayout))
+		}
+	}
 }
 
 func TestCanonicalCoverage(t *testing.T) {
 	// The writers' own output must take the fast path: that is the whole
 	// point of the package.
-	if _, ok := ParseMicroUTC(time.Now().UTC().Format(microLayout)); !ok {
+	if _, _, ok := UnixMicroUTC(time.Now().UTC().Format(microLayout)); !ok {
 		t.Error("canonical micro timestamp missed the fast path")
 	}
 	if _, ok := UnixRFC3339UTC(time.Now().UTC().Format(secLayout)); !ok {
@@ -135,7 +140,7 @@ func TestParseAllocs(t *testing.T) {
 	in := []byte("2023-06-01T12:30:45.123456Z")
 	sec := []byte("2023-06-01T12:30:45Z")
 	if n := testing.AllocsPerRun(200, func() {
-		if _, ok := ParseMicroUTC(in); !ok {
+		if _, _, ok := UnixMicroUTC(in); !ok {
 			t.Fatal("miss")
 		}
 		if _, ok := UnixRFC3339UTC(sec); !ok {

@@ -102,9 +102,14 @@ func (g *GPU) ResetComponents() {
 func (g *GPU) ErrorCount(c xid.Code) int { return g.counters[c] }
 
 // event builds an xid.Event for this GPU and bumps the per-code counter.
-func (g *GPU) event(now time.Time, code xid.Code, detail string) xid.Event {
+// It fails, counting nothing, when the event record cannot hold now.
+func (g *GPU) event(now time.Time, code xid.Code, detail string) (xid.Event, error) {
+	ev, err := xid.NewEvent(now, g.node, g.index, code, detail)
+	if err != nil {
+		return xid.Event{}, err
+	}
 	g.counters[code]++
-	return xid.Event{Time: now, Node: g.node, GPU: g.index, Code: code, Detail: detail}
+	return ev, nil
 }
 
 // Uncorrectable processes one uncorrectable ECC fault (a DBE or a multi-SBE
@@ -113,41 +118,51 @@ func (g *GPU) event(now time.Time, code xid.Code, detail string) xid.Event {
 // row remap (XID 63 on success, 64 when no spare row can be used); if a
 // process touches the poisoned page before the remap takes effect, error
 // containment either kills the offending process (XID 94) or fails and
-// poisons the device (XID 95).
-func (g *GPU) Uncorrectable(now time.Time, rng *randx.Stream) UncorrectableOutcome {
+// poisons the device (XID 95). It fails when the event record cannot hold
+// now.
+func (g *GPU) Uncorrectable(now time.Time, rng *randx.Stream) (UncorrectableOutcome, error) {
 	raw := g.Memory.Uncorrectable(rng)
 	out := UncorrectableOutcome{MemOutcome: raw}
+	var err error
+	add := func(code xid.Code, detail string) {
+		if err != nil {
+			return
+		}
+		var ev xid.Event
+		if ev, err = g.event(now, code, detail); err == nil {
+			out.Events = append(out.Events, ev)
+		}
+	}
 	if raw.LoggedDBE {
-		out.Events = append(out.Events, g.event(now, xid.DBE, "double-bit ECC error"))
+		add(xid.DBE, "double-bit ECC error")
 	}
 	if raw.Remapped {
-		out.Events = append(out.Events, g.event(now, xid.RRE,
-			fmt.Sprintf("row remapped, %d spares left", g.Memory.SpareRowsLeft())))
+		add(xid.RRE, fmt.Sprintf("row remapped, %d spares left", g.Memory.SpareRowsLeft()))
 	} else {
-		out.Events = append(out.Events, g.event(now, xid.RRF, "row remapping failure"))
+		add(xid.RRF, "row remapping failure")
 	}
 	if raw.Accessed {
 		if raw.Contained {
-			out.Events = append(out.Events, g.event(now, xid.ContainedMem,
-				"uncorrectable error contained, affected process terminated"))
+			add(xid.ContainedMem, "uncorrectable error contained, affected process terminated")
 		} else {
-			out.Events = append(out.Events, g.event(now, xid.UncontainedMem,
-				"uncorrectable error containment failed"))
+			add(xid.UncontainedMem, "uncorrectable error containment failed")
 		}
 	}
-	return out
+	return out, err
 }
 
 // Correctable records a single-bit ECC error at a memory row. SBEs are
 // silently corrected and emit no XID; when a second SBE lands on the same
 // row the driver escalates it to the uncorrectable cascade (the "2 SBEs at
 // the same memory address" trigger of XID 63). The boolean reports whether
-// an escalation happened; the outcome is only meaningful when it did.
-func (g *GPU) Correctable(now time.Time, row int, rng *randx.Stream) (UncorrectableOutcome, bool) {
+// an escalation happened; the outcome is only meaningful when it did. The
+// escalation fails when the event record cannot hold now.
+func (g *GPU) Correctable(now time.Time, row int, rng *randx.Stream) (UncorrectableOutcome, bool, error) {
 	if !g.Memory.Correctable(row) {
-		return UncorrectableOutcome{}, false
+		return UncorrectableOutcome{}, false, nil
 	}
-	return g.Uncorrectable(now, rng), true
+	out, err := g.Uncorrectable(now, rng)
+	return out, true, err
 }
 
 // UncorrectableOutcome is the result of one uncorrectable memory fault.
@@ -157,13 +172,13 @@ type UncorrectableOutcome struct {
 }
 
 // MMUError emits an XID 31.
-func (g *GPU) MMUError(now time.Time, detail string) xid.Event {
+func (g *GPU) MMUError(now time.Time, detail string) (xid.Event, error) {
 	return g.event(now, xid.MMU, detail)
 }
 
 // GSPError emits a GSP failure: XID 119 (RPC timeout) or 120. The processor
 // is hung from the first failure until the next reset.
-func (g *GPU) GSPError(now time.Time, timeout bool) xid.Event {
+func (g *GPU) GSPError(now time.Time, timeout bool) (xid.Event, error) {
 	if timeout {
 		g.GSP.RPCTimeout(now)
 		return g.event(now, xid.GSPRPCTimeout, "GSP RPC timed out")
@@ -174,7 +189,7 @@ func (g *GPU) GSPError(now time.Time, timeout bool) xid.Event {
 
 // PMUError emits a PMU SPI RPC failure: XID 122 (read) or 123 (write), and
 // locks clock management until the next reset.
-func (g *GPU) PMUError(now time.Time, read bool) xid.Event {
+func (g *GPU) PMUError(now time.Time, read bool) (xid.Event, error) {
 	g.PMU.SPIFailure(read)
 	if read {
 		return g.event(now, xid.PMUSPIReadFail, "PMU SPI RPC read failure")
@@ -184,12 +199,12 @@ func (g *GPU) PMUError(now time.Time, read bool) xid.Event {
 
 // BusOff emits an XID 79 (GPU fallen off the bus) and marks the device
 // unhealthy: a fallen-off device needs at least a reset, often replacement.
-func (g *GPU) BusOff(now time.Time) xid.Event {
+func (g *GPU) BusOff(now time.Time) (xid.Event, error) {
 	return g.event(now, xid.FallenOffBus, "GPU has fallen off the bus")
 }
 
 // UncontainedRepeat emits one repeated XID 95 from a device whose
 // containment failure persists (the 17-day pre-operational burst).
-func (g *GPU) UncontainedRepeat(now time.Time) xid.Event {
+func (g *GPU) UncontainedRepeat(now time.Time) (xid.Event, error) {
 	return g.event(now, xid.UncontainedMem, "persistent uncontained memory error")
 }

@@ -1,6 +1,7 @@
 package gpusim
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -147,11 +148,14 @@ func TestGPUUncorrectableCascadeEvents(t *testing.T) {
 	cfg.Memory.ContainmentSuccessProb = 0
 	cfg.Memory.DBELogProb = 1
 	g := mustGPU(t, cfg)
-	out := g.Uncorrectable(now, randx.NewStream(5))
+	out, err := g.Uncorrectable(now, randx.NewStream(5))
+	if err != nil {
+		t.Fatal(err)
+	}
 	codes := make(map[xid.Code]int)
 	for _, ev := range out.Events {
 		codes[ev.Code]++
-		if ev.Node != "gpub001" || ev.GPU != 0 || !ev.Time.Equal(now) {
+		if ev.Node != "gpub001" || ev.GPU != 0 || !ev.Time.Time().Equal(now) {
 			t.Fatalf("event identity wrong: %+v", ev)
 		}
 	}
@@ -192,25 +196,25 @@ func TestGPUReplaceResetsMemory(t *testing.T) {
 
 func TestGPUComponentEvents(t *testing.T) {
 	g := mustGPU(t, DefaultConfig())
-	if ev := g.MMUError(now, "x"); ev.Code != xid.MMU {
+	if ev, err := g.MMUError(now, "x"); err != nil || ev.Code != xid.MMU {
 		t.Fatalf("MMU event code = %v", ev.Code)
 	}
-	if ev := g.GSPError(now, true); ev.Code != xid.GSPRPCTimeout {
+	if ev, err := g.GSPError(now, true); err != nil || ev.Code != xid.GSPRPCTimeout {
 		t.Fatalf("GSP timeout code = %v", ev.Code)
 	}
-	if ev := g.GSPError(now, false); ev.Code != xid.GSPError {
+	if ev, err := g.GSPError(now, false); err != nil || ev.Code != xid.GSPError {
 		t.Fatalf("GSP error code = %v", ev.Code)
 	}
-	if ev := g.PMUError(now, true); ev.Code != xid.PMUSPIReadFail {
+	if ev, err := g.PMUError(now, true); err != nil || ev.Code != xid.PMUSPIReadFail {
 		t.Fatalf("PMU read code = %v", ev.Code)
 	}
-	if ev := g.PMUError(now, false); ev.Code != xid.PMUSPIWriteFail {
+	if ev, err := g.PMUError(now, false); err != nil || ev.Code != xid.PMUSPIWriteFail {
 		t.Fatalf("PMU write code = %v", ev.Code)
 	}
-	if ev := g.BusOff(now); ev.Code != xid.FallenOffBus {
+	if ev, err := g.BusOff(now); err != nil || ev.Code != xid.FallenOffBus {
 		t.Fatalf("bus-off code = %v", ev.Code)
 	}
-	if ev := g.UncontainedRepeat(now); ev.Code != xid.UncontainedMem {
+	if ev, err := g.UncontainedRepeat(now); err != nil || ev.Code != xid.UncontainedMem {
 		t.Fatalf("repeat code = %v", ev.Code)
 	}
 }
@@ -222,7 +226,10 @@ func TestFabricEndpointsValid(t *testing.T) {
 	}
 	rng := randx.NewStream(7)
 	for i := 0; i < 10000; i++ {
-		lf := fab.Fault(now, "gpub002", rng, nil)
+		lf, err := fab.Fault(now, "gpub002", rng, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if lf.A < 0 || lf.A >= 4 || lf.B < 0 || lf.B >= 4 || lf.A >= lf.B {
 			t.Fatalf("bad endpoints %d-%d", lf.A, lf.B)
 		}
@@ -263,7 +270,10 @@ func TestFabricIdleLinksNeverEscalate(t *testing.T) {
 	}
 	rng := randx.NewStream(9)
 	for i := 0; i < 5000; i++ {
-		lf := fab.Fault(now, "n", rng, func(a, b int) bool { return false })
+		lf, err := fab.Fault(now, "n", rng, func(a, b int) bool { return false })
+		if err != nil {
+			t.Fatal(err)
+		}
 		if lf.Active || lf.Escalated {
 			t.Fatal("idle link fault marked active/escalated")
 		}
@@ -282,7 +292,10 @@ func TestFabricActiveLinksEscalatePerConfig(t *testing.T) {
 	}
 	rng := randx.NewStream(10)
 	for i := 0; i < 100; i++ {
-		lf := fab.Fault(now, "n", rng, func(a, b int) bool { return true })
+		lf, err := fab.Fault(now, "n", rng, func(a, b int) bool { return true })
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !lf.Active || !lf.Escalated {
 			t.Fatalf("active fault did not escalate: %+v", lf)
 		}
@@ -302,7 +315,10 @@ func TestFabricReplayOnSurvival(t *testing.T) {
 	}
 	rng := randx.NewStream(11)
 	for i := 0; i < 100; i++ {
-		lf := fab.Fault(now, "n", rng, func(a, b int) bool { return true })
+		lf, err := fab.Fault(now, "n", rng, func(a, b int) bool { return true })
+		if err != nil {
+			t.Fatal(err)
+		}
 		if lf.Escalated {
 			t.Fatal("escalated with ActiveFailProb=0")
 		}
@@ -401,27 +417,27 @@ func TestCorrectableSBEsSilentUntilSecondHit(t *testing.T) {
 	rng := randx.NewStream(20)
 
 	// First SBE at row 7: corrected silently, nothing logged.
-	if _, escalated := g.Correctable(now, 7, rng); escalated {
-		t.Fatal("first SBE escalated")
+	if _, escalated, err := g.Correctable(now, 7, rng); err != nil || escalated {
+		t.Fatal("first SBE escalated", err)
 	}
 	if g.Memory.CorrectedSBEs() != 1 {
 		t.Fatalf("corrected = %d", g.Memory.CorrectedSBEs())
 	}
 	// SBE at a different row: still silent.
-	if _, escalated := g.Correctable(now, 8, rng); escalated {
-		t.Fatal("SBE on fresh row escalated")
+	if _, escalated, err := g.Correctable(now, 8, rng); err != nil || escalated {
+		t.Fatal("SBE on fresh row escalated", err)
 	}
 	// Second SBE at row 7: escalates to the uncorrectable cascade (RRE).
-	out, escalated := g.Correctable(now, 7, rng)
-	if !escalated {
-		t.Fatal("second SBE at same row did not escalate")
+	out, escalated, err := g.Correctable(now, 7, rng)
+	if err != nil || !escalated {
+		t.Fatal("second SBE at same row did not escalate", err)
 	}
 	if len(out.Events) != 1 || out.Events[0].Code != xid.RRE {
 		t.Fatalf("cascade events = %+v", out.Events)
 	}
 	// The row was remapped; its SBE count reset, so the next hit is silent.
-	if _, escalated := g.Correctable(now, 7, rng); escalated {
-		t.Fatal("SBE after remap escalated immediately")
+	if _, escalated, err := g.Correctable(now, 7, rng); err != nil || escalated {
+		t.Fatal("SBE after remap escalated immediately", err)
 	}
 	if g.Memory.CorrectedSBEs() != 4 {
 		t.Fatalf("corrected = %d", g.Memory.CorrectedSBEs())
@@ -439,8 +455,8 @@ func TestSBEStateResetOnReplace(t *testing.T) {
 		t.Fatal("replacement kept SBE history")
 	}
 	// Post-replacement, the first hit on row 3 is again silent.
-	if _, escalated := g.Correctable(now, 3, rng); escalated {
-		t.Fatal("fresh device escalated on first SBE")
+	if _, escalated, err := g.Correctable(now, 3, rng); err != nil || escalated {
+		t.Fatal("fresh device escalated on first SBE", err)
 	}
 }
 
@@ -449,5 +465,32 @@ func TestNewGPUValidation(t *testing.T) {
 	cfg.Memory.SpareRows = -5
 	if _, err := New("n", 0, cfg); err == nil {
 		t.Fatal("invalid memory config accepted")
+	}
+}
+
+// TestEventsOutsideRecordRangeFail: an instant the event record cannot hold
+// is an error from every producer, never a wrapped time, and counts
+// nothing.
+func TestEventsOutsideRecordRangeFail(t *testing.T) {
+	late := time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC)
+	cfg := DefaultConfig()
+	cfg.Memory.DBELogProb = 1
+	g := mustGPU(t, cfg)
+	var re *xid.RangeError
+	if _, err := g.MMUError(late, "x"); !errors.As(err, &re) {
+		t.Fatalf("MMUError in 2300: error %v, want *xid.RangeError", err)
+	}
+	if out, err := g.Uncorrectable(late, randx.NewStream(9)); !errors.As(err, &re) || len(out.Events) != 0 {
+		t.Fatalf("Uncorrectable in 2300: %d events, error %v", len(out.Events), err)
+	}
+	if g.ErrorCount(xid.MMU) != 0 || g.ErrorCount(xid.DBE) != 0 {
+		t.Fatal("a failed event was counted")
+	}
+	fab, err := NewFabric(4, DefaultNVLinkConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fab.Fault(late, "n", randx.NewStream(10), nil); !errors.As(err, &re) {
+		t.Fatalf("Fault in 2300: error %v, want *xid.RangeError", err)
 	}
 }

@@ -88,14 +88,15 @@ func (f *Fabric) PickPair(rng *randx.Stream) (a, b int) {
 // Fault injects one NVLink fault on a random link at time now. active
 // reports whether the link between two GPU indices is currently carrying
 // traffic (i.e. both belong to one running multi-GPU job); the cluster layer
-// supplies it.
-func (f *Fabric) Fault(now time.Time, node string, rng *randx.Stream, active func(a, b int) bool) LinkFault {
+// supplies it. It fails when the event record cannot hold now.
+func (f *Fabric) Fault(now time.Time, node string, rng *randx.Stream, active func(a, b int) bool) (LinkFault, error) {
 	a, b := f.PickPair(rng)
 	return f.FaultPair(now, node, rng, a, b, active)
 }
 
-// FaultPair injects one NVLink fault on the link between GPUs a and b.
-func (f *Fabric) FaultPair(now time.Time, node string, rng *randx.Stream, a, b int, active func(x, y int) bool) LinkFault {
+// FaultPair injects one NVLink fault on the link between GPUs a and b. It
+// fails when the event record cannot hold now.
+func (f *Fabric) FaultPair(now time.Time, node string, rng *randx.Stream, a, b int, active func(x, y int) bool) (LinkFault, error) {
 	if a > b {
 		a, b = b, a
 	}
@@ -118,15 +119,21 @@ func (f *Fabric) FaultPair(now time.Time, node string, rng *randx.Stream, a, b i
 		}
 	}
 
-	lf.Events = append(lf.Events, xid.Event{
-		Time: now, Node: node, GPU: a, Code: xid.NVLink, Detail: linkDetail(a, b),
-	})
+	// GPU a logs the error; b too when it propagated.
+	logged := [2]int{a, b}
+	n := 1
 	if lf.Propagated {
-		lf.Events = append(lf.Events, xid.Event{
-			Time: now, Node: node, GPU: b, Code: xid.NVLink, Detail: linkDetail(a, b),
-		})
+		n = 2
 	}
-	return lf
+	detail := linkDetail(a, b)
+	for _, gpu := range logged[:n] {
+		ev, err := xid.NewEvent(now, node, gpu, xid.NVLink, detail)
+		if err != nil {
+			return lf, err
+		}
+		lf.Events = append(lf.Events, ev)
+	}
+	return lf, nil
 }
 
 func linkDetail(a, b int) string {

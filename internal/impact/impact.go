@@ -92,10 +92,10 @@ func NewDeviceIndex(cfg Config) (*DeviceIndex, error) {
 // order (coalesce.Compare) delivers them.
 func (x *DeviceIndex) Add(events []xid.Event) {
 	for _, ev := range events {
-		if !x.cfg.Period.Contains(ev.Time) || !ev.Code.InStats() {
+		if !x.cfg.Period.Contains(ev.Time.Time()) || !ev.Code.InStats() {
 			continue
 		}
-		k := gpuKey{node: ev.Node, gpu: ev.GPU}
+		k := gpuKey{node: ev.Node, gpu: int(ev.GPU)}
 		x.devices[k] = append(x.devices[k], ev)
 	}
 }
@@ -108,7 +108,7 @@ func indexEvents(events []xid.Event, cfg Config) (*DeviceIndex, error) {
 	}
 	x.Add(events)
 	for _, evs := range x.devices {
-		sort.Slice(evs, func(i, j int) bool { return evs[i].Time.Before(evs[j].Time) })
+		sort.Slice(evs, func(i, j int) bool { return evs[i].Time < evs[j].Time })
 	}
 	return x, nil
 }
@@ -125,21 +125,28 @@ func inScope(j *slurmsim.Job, period stats.Period) bool {
 // attribution window before its end. An error before the job started is
 // neither, however close to the failure.
 func (x *DeviceIndex) scanJob(j *slurmsim.Job, encountered, attributed map[xid.Code]bool) {
-	start, end := j.Start.Time(), j.End.Time()
-	windowStart := end.Add(-x.cfg.AttributionWindow)
+	if j.End.IsZero() {
+		// An unset end stands for the zero time.Time, before every event.
+		return
+	}
+	// The job is in scope, so its start is set too. A set slurmsim.Time is
+	// Unix nanoseconds from one second after the epoch on, so it converts
+	// exactly and the window start cannot overflow.
+	start, end := xid.Time(j.Start), xid.Time(j.End)
+	windowStart := end - xid.Time(x.cfg.AttributionWindow)
 	for _, e := range j.Place.Nodes() {
 		for _, gi := range e.GPUs {
 			evs := x.devices[gpuKey{node: e.Node, gpu: gi}]
 			// First event at or after job start.
 			lo := sort.Search(len(evs), func(i int) bool {
-				return !evs[i].Time.Before(start)
+				return evs[i].Time >= start
 			})
 			for _, ev := range evs[lo:] {
-				if ev.Time.After(end) {
+				if ev.Time > end {
 					break
 				}
 				encountered[ev.Code] = true
-				if !j.State.Succeeded() && !ev.Time.Before(windowStart) {
+				if !j.State.Succeeded() && ev.Time >= windowStart {
 					attributed[ev.Code] = true
 				}
 			}

@@ -28,7 +28,7 @@ func runJob(id int, node string, gpus []int, start time.Time, dur time.Duration,
 }
 
 func ev(at time.Time, node string, gpu int, code xid.Code) xid.Event {
-	return xid.Event{Time: at, Node: node, GPU: gpu, Code: code}
+	return xid.Event{Time: xid.Time(at.UnixNano()), Node: node, GPU: int32(gpu), Code: code}
 }
 
 func TestCorrelateAttribution(t *testing.T) {

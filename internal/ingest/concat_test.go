@@ -20,9 +20,9 @@ func randomStream(rng *rand.Rand, shard, n int) []xid.Event {
 	events := make([]xid.Event, n)
 	for i := range events {
 		events[i] = xid.Event{
-			Time:   base.Add(time.Duration(rng.Intn(8)) * time.Second),
+			Time:   xid.Time(base.Add(time.Duration(rng.Intn(8)) * time.Second).UnixNano()),
 			Node:   fmt.Sprintf("gpub%03d", rng.Intn(4)),
-			GPU:    rng.Intn(8),
+			GPU:    int32(rng.Intn(8)),
 			Code:   xid.Code(rng.Intn(150)),
 			Detail: fmt.Sprintf("s%d#%d", shard, i),
 		}
@@ -38,7 +38,7 @@ func referenceMerge(shards [][]xid.Event) []xid.Event {
 	for _, s := range shards {
 		all = append(all, s...)
 	}
-	sort.SliceStable(all, func(i, k int) bool { return all[i].Time.Before(all[k].Time) })
+	sort.SliceStable(all, func(i, k int) bool { return all[i].Time < all[k].Time })
 	return all
 }
 

@@ -40,9 +40,9 @@ func operationalLog(t *testing.T, n int, seed uint64) []byte {
 	codes := []xid.Code{xid.MMU, xid.NVLink, xid.DBE, xid.GSPError, xid.FallenOffBus}
 	for i := 0; i < n; i++ {
 		ev := xid.Event{
-			Time:   base.Add(time.Duration(i) * 11 * time.Second),
+			Time:   xid.Time(base.Add(time.Duration(i) * 11 * time.Second).UnixNano()),
 			Node:   fmt.Sprintf("gpub%03d", rng.Intn(8)+1),
-			GPU:    rng.Intn(4),
+			GPU:    int32(rng.Intn(4)),
 			Code:   codes[rng.Intn(len(codes))],
 			Detail: "d",
 		}

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"time"
 
 	"gpuresilience/internal/syslog"
 	"gpuresilience/internal/xid"
@@ -20,7 +19,7 @@ const FormatVersion = 1
 // produced by. Bump it whenever parse semantics change (what counts as an
 // Xid record, how fields are extracted), so stale caches can never serve
 // events a fresh parse would not produce.
-const ParserVersion = 1
+const ParserVersion = 2
 
 // evshardMagic opens every cache file. The trailing byte is \n so that a
 // truncation-by-text-tool (CRLF rewrite, head -c) breaks the magic too.
@@ -162,7 +161,7 @@ func encodeShard(p *Payload, segs [][]xid.Event) []byte {
 	// The first time is a delta from zero, that is, the time itself.
 	prev := int64(0)
 	each(func(ev *xid.Event) {
-		ns := ev.Time.UnixNano()
+		ns := int64(ev.Time)
 		buf = putVarint(buf, ns-prev)
 		prev = ns
 	})
@@ -209,6 +208,19 @@ func (d *decoder) intField(what string) (int, error) {
 		return 0, formatErrf("%s %d overflows int", what, v)
 	}
 	return int(v), nil
+}
+
+// int32Field reads a signed varint that must fit in an int32, the width of
+// the event record's GPU and code.
+func (d *decoder) int32Field(what string) (int32, error) {
+	v, err := d.varint(what)
+	if err != nil {
+		return 0, err
+	}
+	if int64(int32(v)) != v {
+		return 0, formatErrf("%s %d overflows int32", what, v)
+	}
+	return int32(v), nil
 }
 
 // str reads one length-prefixed string.
@@ -312,7 +324,7 @@ func DecodeShard(data []byte) (*Payload, error) {
 			return nil, err
 		}
 		prev += dt
-		events[i].Time = time.Unix(0, prev).UTC()
+		events[i].Time = xid.Time(prev)
 	}
 	for i := range events {
 		idx, err := d.uvarint("node index")
@@ -325,12 +337,12 @@ func DecodeShard(data []byte) (*Payload, error) {
 		events[i].Node = nodes[idx]
 	}
 	for i := range events {
-		if events[i].GPU, err = d.intField("gpu"); err != nil {
+		if events[i].GPU, err = d.int32Field("gpu"); err != nil {
 			return nil, err
 		}
 	}
 	for i := range events {
-		c, err := d.intField("code")
+		c, err := d.int32Field("code")
 		if err != nil {
 			return nil, err
 		}

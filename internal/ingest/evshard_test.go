@@ -22,17 +22,16 @@ func samplePayload() *Payload {
 		SourcePath:   "logs/day1.log",
 		Stats:        syslog.ExtractStats{Lines: 120, XIDLines: 5, Skipped: 110, Malformed: 5},
 		Events: []xid.Event{
-			{Time: base, Node: "gpub001", GPU: 0, Code: xid.MMU, Detail: "fault @ 0x7f"},
-			{Time: base, Node: "gpub002", GPU: 3, Code: xid.NVLink, Detail: ""},
-			{Time: base.Add(time.Nanosecond), Node: "gpub001", GPU: 7, Code: xid.DBE, Detail: "row 9"},
-			{Time: base.Add(-time.Hour), Node: "gpub001", GPU: 0, Code: xid.MMU, Detail: "fault @ 0x7f"},
-			{Time: time.Unix(0, 0).UTC(), Node: "x", GPU: 0, Code: xid.Code(999), Detail: "fault @ 0x7f"},
+			{Time: xid.Time(base.UnixNano()), Node: "gpub001", GPU: 0, Code: xid.MMU, Detail: "fault @ 0x7f"},
+			{Time: xid.Time(base.UnixNano()), Node: "gpub002", GPU: 3, Code: xid.NVLink, Detail: ""},
+			{Time: xid.Time(base.Add(time.Nanosecond).UnixNano()), Node: "gpub001", GPU: 7, Code: xid.DBE, Detail: "row 9"},
+			{Time: xid.Time(base.Add(-time.Hour).UnixNano()), Node: "gpub001", GPU: 0, Code: xid.MMU, Detail: "fault @ 0x7f"},
+			{Time: 0, Node: "x", GPU: 0, Code: xid.Code(999), Detail: "fault @ 0x7f"},
 		},
 	}
 }
 
-// samePayload compares two payloads field by field, with time.Time.Equal
-// for timestamps so internal representation differences cannot hide.
+// samePayload compares two payloads field by field.
 func samePayload(t *testing.T, got, want *Payload) {
 	t.Helper()
 	if got.SourceDigest != want.SourceDigest {
@@ -52,7 +51,7 @@ func samePayload(t *testing.T, got, want *Payload) {
 	}
 	for i := range want.Events {
 		g, w := got.Events[i], want.Events[i]
-		if !g.Time.Equal(w.Time) || g.Node != w.Node || g.GPU != w.GPU ||
+		if g.Time != w.Time || g.Node != w.Node || g.GPU != w.GPU ||
 			g.Code != w.Code || g.Detail != w.Detail {
 			t.Fatalf("event %d: %+v != %+v", i, g, w)
 		}
@@ -163,13 +162,64 @@ func TestDecodeBadMagic(t *testing.T) {
 }
 
 func TestCacheKeyDigestDistinguishesConfigs(t *testing.T) {
-	a := CacheKey{ParserVersion: 1, Strict: true}.digest()
-	b := CacheKey{ParserVersion: 2, Strict: true}.digest()
-	c := CacheKey{ParserVersion: 1, Strict: false}.digest()
+	a := CacheKey{ParserVersion: 2, Strict: true}.digest()
+	b := CacheKey{ParserVersion: 1, Strict: true}.digest()
+	c := CacheKey{ParserVersion: 2, Strict: false}.digest()
 	if a == b || a == c || b == c {
 		t.Fatal("distinct cache keys share a digest")
 	}
 	if a != DefaultCacheKey().digest() {
-		t.Fatal("DefaultCacheKey drifted from ParserVersion 1 strict")
+		t.Fatal("DefaultCacheKey drifted from ParserVersion 2 strict")
+	}
+}
+
+// oneEventShard hand-encodes a valid .evshard image of one event whose GPU
+// and code columns hold the raw values gpu and code, which EncodeShard
+// cannot produce past 32 bits.
+func oneEventShard(gpu, code int64) []byte {
+	buf := append([]byte(nil), evshardMagic[:]...)
+	buf = binary.LittleEndian.AppendUint32(buf, FormatVersion)
+	buf = append(buf, make([]byte, 2*digestLen)...)
+	buf = putString(buf, "src.log")
+	for range 4 { // stats
+		buf = putVarint(buf, 0)
+	}
+	buf = putUvarint(buf, 1) // event count
+	buf = putString(putUvarint(buf, 1), "gpub001")
+	buf = putString(putUvarint(buf, 1), "detail")
+	buf = putVarint(buf, 1_685_620_800_000_000_000) // time
+	buf = putUvarint(buf, 0)                        // node index
+	buf = putVarint(buf, gpu)
+	buf = putVarint(buf, code)
+	buf = putUvarint(buf, 0) // detail index
+	sum := sha256.Sum256(buf)
+	return append(buf, sum[:]...)
+}
+
+// TestDecodeRejectsColumnsPast32Bits: a GPU or code varint that overflows
+// the event record's int32 fields is a *FormatError, never a truncated
+// value.
+func TestDecodeRejectsColumnsPast32Bits(t *testing.T) {
+	p, err := DecodeShard(oneEventShard(-7, 2147483647))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := xid.Event{Time: 1_685_620_800_000_000_000, Node: "gpub001", GPU: -7, Code: 2147483647, Detail: "detail"}
+	if len(p.Events) != 1 || p.Events[0] != want {
+		t.Fatalf("in-range columns decode to %+v, want [%+v]", p.Events, want)
+	}
+	for _, c := range []struct {
+		name      string
+		gpu, code int64
+	}{
+		{"gpu 2^31", 1 << 31, 31},
+		{"gpu 2^32+3", 1<<32 + 3, 31},
+		{"gpu -2^31-1", -1<<31 - 1, 31},
+		{"code 2^31", 0, 1 << 31},
+		{"code 2^32+31", 0, 1<<32 + 31},
+		{"code -2^40", 0, -1 << 40},
+	} {
+		_, err := DecodeShard(oneEventShard(c.gpu, c.code))
+		wantFormatError(t, err, c.name)
 	}
 }

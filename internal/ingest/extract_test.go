@@ -32,9 +32,9 @@ func orderedLog(n int, seed uint64) []byte {
 		// Every third line shares the previous timestamp.
 		ts := testBase.Add(time.Duration(i-i/3) * time.Second)
 		ev := xid.Event{
-			Time:   ts,
+			Time:   xid.Time(ts.UnixNano()),
 			Node:   fmt.Sprintf("gpub%03d", rng.Intn(5)+1),
-			GPU:    rng.Intn(4),
+			GPU:    int32(rng.Intn(4)),
 			Code:   []xid.Code{xid.MMU, xid.NVLink, xid.DBE, xid.GSPError}[rng.Intn(4)],
 			Detail: fmt.Sprintf("fault at 0x%08x", i),
 		}
@@ -65,9 +65,9 @@ func messyLog(t *testing.T, events int, seed uint64) []byte {
 	codes := []xid.Code{xid.MMU, xid.NVLink, xid.DBE, xid.GSPError}
 	for i := 0; i < events; i++ {
 		ev := xid.Event{
-			Time:   testBase.Add(time.Duration(i) * 7 * time.Second),
+			Time:   xid.Time(testBase.Add(time.Duration(i) * 7 * time.Second).UnixNano()),
 			Node:   []string{"gpub001", "gpub002", "gpub003"}[i%3],
-			GPU:    i % 4,
+			GPU:    int32(i % 4),
 			Code:   codes[i%len(codes)],
 			Detail: "detail",
 		}
@@ -149,9 +149,7 @@ func flat(res *Result) []xid.Event { return concatShards(res.Segments) }
 // blockLen is how many events the one-worker scan's segments hold.
 const blockLen = 2048
 
-// sameEvents compares two event streams field by field with Time.Equal, so
-// a cache round-trip's internal time representation cannot mask or fake a
-// mismatch.
+// sameEvents compares two event streams field by field.
 func sameEvents(t *testing.T, got, want []xid.Event, ctx string) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -159,7 +157,7 @@ func sameEvents(t *testing.T, got, want []xid.Event, ctx string) {
 	}
 	for i := range want {
 		g, w := got[i], want[i]
-		if !g.Time.Equal(w.Time) || g.Node != w.Node || g.GPU != w.GPU ||
+		if g.Time != w.Time || g.Node != w.Node || g.GPU != w.GPU ||
 			g.Code != w.Code || g.Detail != w.Detail {
 			t.Fatalf("%s: event %d: %+v != %+v", ctx, i, g, w)
 		}
@@ -365,6 +363,60 @@ func TestCacheColdThenWarm(t *testing.T) {
 	}
 }
 
+// outOfRangeLines are well-formed Xid lines dated outside the event
+// record's int64-nanosecond range, one past each end.
+const outOfRangeLines = "2300-01-01T00:00:00.000000Z gpub001 kernel: NVRM: Xid (PCI:0000:07:00): 79, pid=1, name=p, year 2300\n" +
+	"1600-01-01T00:00:00.000000Z gpub002 kernel: NVRM: Xid (PCI:0000:27:00): 31, pid=1, name=p, year 1600\n"
+
+// TestCacheOutOfRangeTimestampsColdWarm: Stage I counts a timestamp the
+// event record cannot hold as malformed, so a warm cache serves exactly
+// what the cold parse produced. The cache stores Unix nanoseconds, which
+// Go leaves undefined outside that range: before the rule, a warm run
+// returned the 2300 line as a date in 1715 and the 1600 line as 2184.
+func TestCacheOutOfRangeTimestampsColdWarm(t *testing.T) {
+	clean := orderedLog(40, 53)
+	data := append(append([]byte(nil), clean...), outOfRangeLines...)
+	_, plan := writeShards(t, [][]byte{data})
+	cacheDir := t.TempDir()
+
+	cold, counters := runCached(t, plan, NewCache(cacheDir))
+	if counters["cache.write"] != 1 {
+		t.Fatalf("cold counters: %+v", counters)
+	}
+	warm, counters := runCached(t, plan, NewCache(cacheDir))
+	if counters["cache.hit"] != 1 {
+		t.Fatalf("warm counters: %+v", counters)
+	}
+	sameEvents(t, warm.Events, cold.Events, "warm vs cold")
+	if warm.Stats != cold.Stats {
+		t.Fatalf("warm stats %+v, cold %+v", warm.Stats, cold.Stats)
+	}
+
+	ref, err := ExtractReader(bytes.NewReader(clean), Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameEvents(t, cold.Events, flat(ref), "cold vs the log without the two lines")
+	want := ref.Stats
+	want.Lines += 2
+	want.Malformed += 2
+	if cold.Stats != want {
+		t.Fatalf("cold stats %+v, want %+v", cold.Stats, want)
+	}
+
+	lenient, err := ExtractReader(bytes.NewReader(data), Options{Workers: 1, Lenient: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refLenient, err := ExtractReader(bytes.NewReader(clean), Options{Workers: 1, Lenient: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, base := lenient.Ingestion.Bad[syslog.ClassBadTimestamp], refLenient.Ingestion.Bad[syslog.ClassBadTimestamp]; got != base+2 {
+		t.Fatalf("lenient run quarantined %d bad timestamps, want %d", got, base+2)
+	}
+}
+
 // runCached is a helper running Extract with a cache rooted at dir and
 // returning the run's counter snapshot.
 func runCached(t *testing.T, plan Plan, cache *Cache) (*Result, map[string]int64) {
@@ -389,7 +441,7 @@ func TestCacheInvalidationOnSourceChange(t *testing.T) {
 
 	// Append a fresh, later record to the last shard's file.
 	extra := string(syslog.AppendLine(nil, xid.Event{
-		Time: testBase.Add(24 * time.Hour), Node: "gpub009", GPU: 1,
+		Time: xid.Time(testBase.Add(24 * time.Hour).UnixNano()), Node: "gpub009", GPU: 1,
 		Code: xid.MMU, Detail: "appended"}, 7, "python")) + "\n"
 	last := filepath.Join(dir, fmt.Sprintf("shard_%03d.log", len(plan.Shards)-1))
 	f, err := os.OpenFile(last, os.O_APPEND|os.O_WRONLY, 0)
@@ -585,7 +637,7 @@ func TestLenientMergedBudgets(t *testing.T) {
 	var goodBuf bytes.Buffer
 	for i := 0; i < 100; i++ {
 		goodBuf.WriteString(string(syslog.AppendLine(nil, xid.Event{
-			Time: testBase.Add(time.Duration(i) * time.Second), Node: "gpub001",
+			Time: xid.Time(testBase.Add(time.Duration(i) * time.Second).UnixNano()), Node: "gpub001",
 			GPU: 0, Code: xid.MMU, Detail: "d"}, 1000+i, "python")))
 		goodBuf.WriteByte('\n')
 	}

@@ -70,7 +70,7 @@ func FuzzEvshardRoundTrip(f *testing.F) {
 		}
 		for i := range p.Events {
 			g, w := got.Events[i], p.Events[i]
-			if !g.Time.Equal(w.Time) || g.Node != w.Node || g.GPU != w.GPU ||
+			if g.Time != w.Time || g.Node != w.Node || g.GPU != w.GPU ||
 				g.Code != w.Code || g.Detail != w.Detail {
 				t.Fatalf("event %d mutated: %+v != %+v", i, g, w)
 			}
@@ -122,7 +122,7 @@ func FuzzEvshardDecode(f *testing.F) {
 		}
 		for i := range p.Events {
 			g, w := p2.Events[i], p.Events[i]
-			if !g.Time.Equal(w.Time) || g.Node != w.Node || g.GPU != w.GPU ||
+			if g.Time != w.Time || g.Node != w.Node || g.GPU != w.GPU ||
 				g.Code != w.Code || g.Detail != w.Detail {
 				t.Fatalf("event %d not a fixed point: %+v != %+v", i, g, w)
 			}

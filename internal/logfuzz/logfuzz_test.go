@@ -18,16 +18,16 @@ func corpus(n int) []byte {
 	codes := []xid.Code{xid.MMU, xid.DBE, xid.NVLink, xid.GSPError, xid.UncontainedMem}
 	for i := 0; i < n; i++ {
 		ev := xid.Event{
-			Time:   base.Add(time.Duration(i) * time.Minute),
+			Time:   xid.Time(base.Add(time.Duration(i) * time.Minute).UnixNano()),
 			Node:   fmt.Sprintf("gpub%03d", i%20+1),
-			GPU:    i % 4,
+			GPU:    int32(i % 4),
 			Code:   codes[i%len(codes)],
 			Detail: fmt.Sprintf("detail %d", i),
 		}
 		buf.WriteString(string(syslog.AppendLine(nil, ev, 1000+i, "python")))
 		buf.WriteByte('\n')
 		if i%7 == 0 {
-			buf.WriteString(string(syslog.AppendNoise(nil, ev.Time, ev.Node, i)))
+			buf.WriteString(string(syslog.AppendNoise(nil, ev.Time.Time(), ev.Node, i)))
 			buf.WriteByte('\n')
 		}
 	}

@@ -41,9 +41,9 @@ func buildLog(tb testing.TB, events int) []byte {
 	codes := []xid.Code{xid.MMU, xid.NVLink, xid.DBE, xid.GSPError}
 	for i := 0; i < events; i++ {
 		ev := xid.Event{
-			Time:   base.Add(time.Duration(i) * 7 * time.Second),
+			Time:   xid.Time(base.Add(time.Duration(i) * 7 * time.Second).UnixNano()),
 			Node:   []string{"gpub001", "gpub002", "gpub003"}[i%3],
-			GPU:    i % 4,
+			GPU:    int32(i % 4),
 			Code:   codes[i%len(codes)],
 			Detail: "detail",
 		}

@@ -150,11 +150,24 @@ func HashFile(path string) (FileDigest, error) {
 	}
 	defer f.Close()
 	h := sha256.New()
-	n, err := io.Copy(h, f)
-	if err != nil {
-		return FileDigest{}, err
+	var total int64
+	// The read buffer does not escape, so it lives on the calling
+	// goroutine's stack: a worker hashing many files reuses it and the
+	// heap sees none. io.Copy instead reaches os.File's generic WriteTo,
+	// which allocates a 32 KiB buffer for every file.
+	var buf [32 << 10]byte
+	for {
+		n, err := f.Read(buf[:])
+		h.Write(buf[:n])
+		total += int64(n)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return FileDigest{}, err
+		}
 	}
-	return FileDigest{Bytes: n, SHA256: hex.EncodeToString(h.Sum(nil))}, nil
+	return FileDigest{Bytes: total, SHA256: hex.EncodeToString(h.Sum(nil))}, nil
 }
 
 // CountingReader wraps a stream and atomically counts the bytes read — the

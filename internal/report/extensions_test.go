@@ -23,15 +23,15 @@ func TestWriteExtensions(t *testing.T) {
 		}
 		for j := 0; j < 3; j++ {
 			events = append(events, xid.Event{
-				Time: base.Add(time.Duration(j) * time.Minute),
+				Time: xid.Time(base.Add(time.Duration(j) * time.Minute).UnixNano()),
 				Node: node, GPU: 0, Code: xid.MMU,
 			})
 		}
 	}
 	for i := 0; i < 10; i++ {
 		at := op.Start.Add(time.Duration(i) * 100 * time.Hour)
-		events = append(events, xid.Event{Time: at, Node: "gpub003", GPU: 1, Code: xid.PMUSPIReadFail})
-		events = append(events, xid.Event{Time: at.Add(5 * time.Second), Node: "gpub003", GPU: 1, Code: xid.MMU})
+		events = append(events, xid.Event{Time: xid.Time(at.UnixNano()), Node: "gpub003", GPU: 1, Code: xid.PMUSPIReadFail})
+		events = append(events, xid.Event{Time: xid.Time(at.Add(5 * time.Second).UnixNano()), Node: "gpub003", GPU: 1, Code: xid.MMU})
 	}
 
 	start := op.Start.Add(time.Hour)

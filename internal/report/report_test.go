@@ -19,12 +19,12 @@ func smallResults(t *testing.T) *core.Results {
 	var events []xid.Event
 	for i := 0; i < 48; i++ {
 		events = append(events, xid.Event{
-			Time: op.Start.Add(time.Duration(i) * 24 * time.Hour),
-			Node: "gpub001", GPU: i % 4, Code: xid.MMU,
+			Time: xid.Time(op.Start.Add(time.Duration(i) * 24 * time.Hour).UnixNano()),
+			Node: "gpub001", GPU: int32(i % 4), Code: xid.MMU,
 		})
 	}
 	events = append(events, xid.Event{
-		Time: op.Start.Add(time.Hour), Node: "gpub002", GPU: 0, Code: xid.RRE,
+		Time: xid.Time(op.Start.Add(time.Hour).UnixNano()), Node: "gpub002", GPU: 0, Code: xid.RRE,
 	})
 	cfg := core.DefaultPipelineConfig(calib.PreOp(), op, calib.Nodes)
 	res, err := core.Analyze(events, nil, []time.Duration{time.Hour, 30 * time.Minute},

@@ -22,10 +22,11 @@ func WriteTrend(w io.Writer, events []xid.Event, period stats.Period) error {
 	type row struct{ hw, mem, ic int }
 	buckets := make([]row, n)
 	for _, ev := range events {
-		if !period.Contains(ev.Time) || !ev.Code.InStats() {
+		t := ev.Time.Time()
+		if !period.Contains(t) || !ev.Code.InStats() {
 			continue
 		}
-		i := int(ev.Time.Sub(period.Start) / bucket)
+		i := int(t.Sub(period.Start) / bucket)
 		if i < 0 || i >= n {
 			continue
 		}

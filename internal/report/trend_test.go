@@ -18,19 +18,19 @@ func TestWriteTrend(t *testing.T) {
 	burstStart := full.Start.Add(4 * 30 * 24 * time.Hour)
 	for i := 0; i < 500; i++ {
 		events = append(events, xid.Event{
-			Time: burstStart.Add(time.Duration(i) * time.Hour),
+			Time: xid.Time(burstStart.Add(time.Duration(i) * time.Hour).UnixNano()),
 			Node: "n1", GPU: 0, Code: xid.UncontainedMem,
 		})
 	}
 	opStart := calib.Op().Start
 	for i := 0; i < 100; i++ {
 		events = append(events, xid.Event{
-			Time: opStart.Add(time.Duration(i) * 24 * time.Hour),
+			Time: xid.Time(opStart.Add(time.Duration(i) * 24 * time.Hour).UnixNano()),
 			Node: "n2", GPU: 1, Code: xid.GSPRPCTimeout,
 		})
 	}
 	// Excluded software errors must not appear.
-	events = append(events, xid.Event{Time: opStart, Node: "n2", GPU: 1, Code: xid.GPUSoftware})
+	events = append(events, xid.Event{Time: xid.Time(opStart.UnixNano()), Node: "n2", GPU: 1, Code: xid.GPUSoftware})
 
 	var buf bytes.Buffer
 	if err := WriteTrend(&buf, events, full); err != nil {

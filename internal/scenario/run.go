@@ -331,10 +331,10 @@ func Run(c *Compiled, opts Options) (*Report, error) {
 		hi := p.End.Add(pcfg.CoalesceWindow)
 		observed := 0
 		for _, ev := range coalesced {
-			if ev.Node != p.Node || ev.Time.Before(p.Start) || ev.Time.After(hi) {
+			if at := ev.Time.Time(); ev.Node != p.Node || at.Before(p.Start) || at.After(hi) {
 				continue
 			}
-			if p.GPU >= 0 && ev.GPU != p.GPU {
+			if p.GPU >= 0 && int(ev.GPU) != p.GPU {
 				continue
 			}
 			observed++

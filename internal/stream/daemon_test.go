@@ -22,7 +22,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	cpPath := filepath.Join(dir, "checkpoint.json")
 
 	line := func(off time.Duration, node string) string {
-		return string(syslog.AppendLine(nil, xid.Event{Time: opT(off), Node: node, GPU: 0, Code: xid.MMU}, 1, "t")) + "\n"
+		return string(syslog.AppendLine(nil, xid.Event{Time: xid.Time(opT(off).UnixNano()), Node: node, GPU: 0, Code: xid.MMU}, 1, "t")) + "\n"
 	}
 	if err := os.WriteFile(logPath, []byte(line(0, "gpub001")+line(time.Minute, "gpub002")), 0o644); err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"gpuresilience/internal/coalesce"
 	"gpuresilience/internal/core"
 	"gpuresilience/internal/syslog"
+	"gpuresilience/internal/xid"
 )
 
 // Engine is the streaming Stage I/II state machine. Sources push raw lines
@@ -78,25 +79,27 @@ func (e *Engine) ConsumeLine(source string, lineNo int64, line string) error {
 	}
 	e.st.Extract.XIDLines++
 
-	if !src.LastEvent.IsZero() && ev.Time.Before(src.LastEvent) {
+	// The stream's own clocks stay time.Time, whose zero means unset.
+	at := ev.Time.Time()
+	if !src.LastEvent.IsZero() && at.Before(src.LastEvent) {
 		src.ClockRegressions++
 	}
-	if ev.Time.After(src.LastEvent) {
-		src.LastEvent = ev.Time
+	if at.After(src.LastEvent) {
+		src.LastEvent = at
 	}
 
 	// An event at or before the watermark arrived after its window was
 	// sealed; inserting it would rewrite published tables, so it goes to
 	// the quarantine — counted exactly, sampled for diagnosis.
-	if e.st.HasWatermark && !ev.Time.After(e.st.Watermark) {
+	if e.st.HasWatermark && !at.After(e.st.Watermark) {
 		e.st.Quarantine.Late++
 		if len(e.st.Quarantine.Samples) < DefaultQuarantineSample {
 			e.st.Quarantine.Samples = append(e.st.Quarantine.Samples, LateEvent{
 				Source:    source,
 				Line:      lineNo,
-				Time:      ev.Time,
+				Time:      at,
 				Node:      ev.Node,
-				GPU:       ev.GPU,
+				GPU:       int(ev.GPU),
 				Code:      int(ev.Code),
 				Watermark: e.st.Watermark,
 			})
@@ -105,8 +108,8 @@ func (e *Engine) ConsumeLine(source string, lineNo int64, line string) error {
 	}
 
 	e.st.Pending = append(e.st.Pending, ev)
-	if !e.st.HasMaxEvent || ev.Time.After(e.st.MaxEventTime) {
-		e.st.MaxEventTime = ev.Time
+	if !e.st.HasMaxEvent || at.After(e.st.MaxEventTime) {
+		e.st.MaxEventTime = at
 		e.st.HasMaxEvent = true
 	}
 	return nil
@@ -155,9 +158,10 @@ func (e *Engine) sealThrough(cutoff time.Time) int {
 		return 0
 	}
 	e.st.Sealed = e.co.AppendKeptThrough(e.st.Sealed, e.st.Pending, cutoff)
+	through, ok := xid.Latest(cutoff)
 	keep := e.st.Pending[:0]
 	for _, ev := range e.st.Pending {
-		if ev.Time.After(cutoff) {
+		if !ok || ev.Time > through {
 			keep = append(keep, ev)
 		}
 	}

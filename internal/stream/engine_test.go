@@ -26,7 +26,7 @@ func opT(offset time.Duration) time.Time {
 }
 
 func event(offset time.Duration, node string, gpu int, code xid.Code) xid.Event {
-	return xid.Event{Time: opT(offset), Node: node, GPU: gpu, Code: code}
+	return xid.Event{Time: xid.Time(opT(offset).UnixNano()), Node: node, GPU: int32(gpu), Code: code}
 }
 
 func newEngine(t *testing.T) *stream.Engine {
@@ -186,6 +186,25 @@ func TestMalformedCounted(t *testing.T) {
 	st := eng.Status()
 	if st.Extract.Malformed != 1 || st.Extract.Skipped != 1 || st.Extract.Lines != 2 {
 		t.Fatalf("extract stats = %+v, want 1 malformed + 1 noise", st.Extract)
+	}
+}
+
+// TestOutOfRangeTimestampMalformed: the daemon's Stage I applies the batch
+// rule that an instant the event record cannot hold is malformed, so it
+// neither becomes an event nor moves the stream's clocks.
+func TestOutOfRangeTimestampMalformed(t *testing.T) {
+	eng := newEngine(t)
+	for i, line := range []string{
+		"2300-01-01T00:00:00.000000Z gpub001 kernel: NVRM: Xid (PCI:0000:07:00): 79, pid=1, name=p, year 2300",
+		"1600-01-01T00:00:00.000000Z gpub002 kernel: NVRM: Xid (PCI:0000:27:00): 31, pid=1, name=p, year 1600",
+	} {
+		if err := eng.ConsumeLine("src", int64(i+1), line); err != nil {
+			t.Fatalf("out-of-range line returned an error: %v", err)
+		}
+	}
+	st := eng.Status()
+	if st.Extract.Malformed != 2 || st.Extract.XIDLines != 0 || st.PendingEvents != 0 || !st.MaxEventTime.IsZero() {
+		t.Fatalf("status = %+v, want 2 malformed lines and no event", st)
 	}
 }
 

@@ -167,7 +167,7 @@ func InterEventHours(events []xid.Event, keep func(xid.Code) bool) []float64 {
 			continue
 		}
 		k := gpuKey{ev.Node, ev.GPU}
-		byDevice[k] = append(byDevice[k], float64(ev.Time.UnixNano())/float64(3600e9))
+		byDevice[k] = append(byDevice[k], float64(ev.Time)/float64(3600e9))
 	}
 	var gaps []float64
 	for _, times := range byDevice {
@@ -184,7 +184,7 @@ func InterEventHours(events []xid.Event, keep func(xid.Code) bool) []float64 {
 
 type gpuKey struct {
 	node string
-	gpu  int
+	gpu  int32
 }
 
 // DeviceLifetimes builds right-censored first-failure lifetimes: for every
@@ -200,11 +200,12 @@ func DeviceLifetimes(events []xid.Event, period stats.Period, fleet []xid.Key,
 	}
 	first := make(map[gpuKey]float64, len(fleet))
 	for _, ev := range events {
-		if !period.Contains(ev.Time) || !fatal(ev.Code) {
+		at := ev.Time.Time()
+		if !period.Contains(at) || !fatal(ev.Code) {
 			continue
 		}
 		k := gpuKey{ev.Node, ev.GPU}
-		t := ev.Time.Sub(period.Start).Hours()
+		t := at.Sub(period.Start).Hours()
 		if cur, ok := first[k]; !ok || t < cur {
 			first[k] = t
 		}

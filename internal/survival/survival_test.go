@@ -177,12 +177,12 @@ func TestFitWeibullValidation(t *testing.T) {
 func TestInterEventHours(t *testing.T) {
 	base := period.Start
 	events := []xid.Event{
-		{Time: base, Node: "n1", GPU: 0, Code: xid.MMU},
-		{Time: base.Add(2 * time.Hour), Node: "n1", GPU: 0, Code: xid.MMU},
-		{Time: base.Add(5 * time.Hour), Node: "n1", GPU: 0, Code: xid.MMU},
-		{Time: base.Add(time.Hour), Node: "n2", GPU: 1, Code: xid.NVLink},
+		{Time: xid.Time(base.UnixNano()), Node: "n1", GPU: 0, Code: xid.MMU},
+		{Time: xid.Time(base.Add(2 * time.Hour).UnixNano()), Node: "n1", GPU: 0, Code: xid.MMU},
+		{Time: xid.Time(base.Add(5 * time.Hour).UnixNano()), Node: "n1", GPU: 0, Code: xid.MMU},
+		{Time: xid.Time(base.Add(time.Hour).UnixNano()), Node: "n2", GPU: 1, Code: xid.NVLink},
 		// Excluded code must not contribute.
-		{Time: base.Add(3 * time.Hour), Node: "n2", GPU: 1, Code: xid.GPUSoftware},
+		{Time: xid.Time(base.Add(3 * time.Hour).UnixNano()), Node: "n2", GPU: 1, Code: xid.GPUSoftware},
 	}
 	gaps := InterEventHours(events, nil)
 	if len(gaps) != 2 {
@@ -203,10 +203,10 @@ func TestDeviceLifetimes(t *testing.T) {
 		{Node: "n1", GPU: 0}, {Node: "n1", GPU: 1}, {Node: "n2", GPU: 0},
 	}
 	events := []xid.Event{
-		{Time: period.Start.Add(100 * time.Hour), Node: "n1", GPU: 0, Code: xid.GSPRPCTimeout},
-		{Time: period.Start.Add(50 * time.Hour), Node: "n1", GPU: 0, Code: xid.GSPRPCTimeout},
-		{Time: period.Start.Add(-time.Hour), Node: "n1", GPU: 1, Code: xid.GSPRPCTimeout}, // pre-period
-		{Time: period.Start.Add(10 * time.Hour), Node: "n2", GPU: 0, Code: xid.MMU},       // non-fatal
+		{Time: xid.Time(period.Start.Add(100 * time.Hour).UnixNano()), Node: "n1", GPU: 0, Code: xid.GSPRPCTimeout},
+		{Time: xid.Time(period.Start.Add(50 * time.Hour).UnixNano()), Node: "n1", GPU: 0, Code: xid.GSPRPCTimeout},
+		{Time: xid.Time(period.Start.Add(-time.Hour).UnixNano()), Node: "n1", GPU: 1, Code: xid.GSPRPCTimeout}, // pre-period
+		{Time: xid.Time(period.Start.Add(10 * time.Hour).UnixNano()), Node: "n2", GPU: 0, Code: xid.MMU},       // non-fatal
 	}
 	fatal := func(c xid.Code) bool { return c == xid.GSPRPCTimeout }
 	obs, err := DeviceLifetimes(events, period, fleet, fatal)

@@ -91,7 +91,7 @@ func buildPoolLog(tb testing.TB, lines int) []byte {
 			buf.WriteString(FormatNoise(at, fmt.Sprintf("gpub%03d", i%16), i))
 		} else {
 			ev := xid.Event{
-				Time: at, Node: fmt.Sprintf("gpub%03d", i%16), GPU: i % 8,
+				Time: xid.Time(at.UnixNano()), Node: fmt.Sprintf("gpub%03d", i%16), GPU: int32(i % 8),
 				Code: xid.Code(31 + i%5), Detail: fmt.Sprintf("detail %d %s", i%3, pad),
 			}
 			buf.WriteString(FormatLine(ev, 1000+i, "python"))
@@ -221,8 +221,8 @@ func TestScanAllocsIndependentOfLength(t *testing.T) {
 			if i%5 == 0 {
 				buf.WriteString(FormatNoise(at, "gpub001", i))
 			} else {
-				buf.WriteString(FormatLine(xid.Event{Time: at, Node: fmt.Sprintf("gpub%03d", i%8),
-					GPU: i % 4, Code: xid.MMU, Detail: "fault"}, 1000+i, "python"))
+				buf.WriteString(FormatLine(xid.Event{Time: xid.Time(at.UnixNano()), Node: fmt.Sprintf("gpub%03d", i%8),
+					GPU: int32(i % 4), Code: xid.MMU, Detail: "fault"}, 1000+i, "python"))
 			}
 			buf.WriteByte('\n')
 		}

@@ -25,9 +25,9 @@ func buildLog(t *testing.T, events int, seed uint64) []byte {
 	codes := []xid.Code{xid.MMU, xid.NVLink, xid.DBE, xid.GSPError}
 	for i := 0; i < events; i++ {
 		ev := xid.Event{
-			Time:   base.Add(time.Duration(i) * 7 * time.Second),
+			Time:   xid.Time(base.Add(time.Duration(i) * 7 * time.Second).UnixNano()),
 			Node:   []string{"gpub001", "gpub002", "gpub003"}[i%3],
-			GPU:    i % 4,
+			GPU:    int32(i % 4),
 			Code:   codes[i%len(codes)],
 			Detail: "detail",
 		}
@@ -97,7 +97,7 @@ func TestExtractParallelEquivalence(t *testing.T) {
 // than one chunk, and lines straddling the boundary.
 func TestExtractParallelMultiChunk(t *testing.T) {
 	line := FormatLine(xid.Event{
-		Time: time.Date(2023, 6, 1, 12, 0, 0, 0, time.UTC),
+		Time: xid.Time(time.Date(2023, 6, 1, 12, 0, 0, 0, time.UTC).UnixNano()),
 		Node: "gpub001", GPU: 0, Code: xid.MMU, Detail: strings.Repeat("x", 900),
 	}, 1, "p")
 	n := (2*defaultChunkBytes)/len(line) + 10
@@ -163,7 +163,7 @@ func TestParseChunkSizesForRecords(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		at := base.Add(time.Duration(i) * time.Second)
 		if i%100 == 7 {
-			buf.WriteString(FormatLine(xid.Event{Time: at, Node: "gpub001", Code: xid.MMU, Detail: "fault"}, i, "python"))
+			buf.WriteString(FormatLine(xid.Event{Time: xid.Time(at.UnixNano()), Node: "gpub001", Code: xid.MMU, Detail: "fault"}, i, "python"))
 		} else {
 			buf.WriteString(FormatNoise(at, "gpub001", i))
 		}
@@ -201,7 +201,7 @@ func TestExtractParallelCallbackError(t *testing.T) {
 // silently truncate the scan.
 func TestExtractRejectsOverlongLine(t *testing.T) {
 	good := FormatLine(xid.Event{
-		Time: time.Date(2023, 6, 1, 12, 0, 0, 0, time.UTC),
+		Time: xid.Time(time.Date(2023, 6, 1, 12, 0, 0, 0, time.UTC).UnixNano()),
 		Node: "gpub001", GPU: 0, Code: xid.MMU, Detail: "d",
 	}, 1, "p")
 	input := good + "\n" + strings.Repeat("A", MaxLineBytes+1) + "\n" + good + "\n"
@@ -227,7 +227,7 @@ func TestExtractRejectsOverlongLine(t *testing.T) {
 // swallowed.
 func TestExtractReadErrorContext(t *testing.T) {
 	brokenAfter := FormatLine(xid.Event{
-		Time: time.Date(2023, 6, 1, 12, 0, 0, 0, time.UTC),
+		Time: xid.Time(time.Date(2023, 6, 1, 12, 0, 0, 0, time.UTC).UnixNano()),
 		Node: "gpub001", GPU: 0, Code: xid.MMU, Detail: "d",
 	}, 1, "p") + "\n"
 	fail := errors.New("disk gone")

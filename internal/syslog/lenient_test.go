@@ -19,9 +19,9 @@ var at = time.Date(2023, 6, 1, 12, 30, 45, 123456000, time.UTC)
 // record renders one valid Xid line.
 func record(i int) string {
 	return syslog.FormatLine(xid.Event{
-		Time:   at.Add(time.Duration(i) * time.Second),
+		Time:   xid.Time(at.Add(time.Duration(i) * time.Second).UnixNano()),
 		Node:   fmt.Sprintf("gpub%03d", i%30+1),
-		GPU:    i % 4,
+		GPU:    int32(i % 4),
 		Code:   xid.MMU,
 		Detail: fmt.Sprintf("fault at 0x%08x", i),
 	}, 1000+i, "python")
@@ -52,7 +52,7 @@ func TestLenientClassification(t *testing.T) {
 		// Hex-only garbage so the line still matches the Xid shape but the
 		// address inversion fails.
 		strings.Replace(
-			syslog.FormatLine(xid.Event{Time: at, Node: "n", GPU: 0, Code: xid.MMU, Detail: "d"}, 1, "x"),
+			syslog.FormatLine(xid.Event{Time: xid.Time(at.UnixNano()), Node: "n", GPU: 0, Code: xid.MMU, Detail: "d"}, 1, "x"),
 			"PCI:0000:07:00", "PCI:dead:beef", 1), // unknown PCI address
 		strings.Replace(record(3), ": 31,", ": 9999,", 1), // out-of-range code
 		strings.Repeat("x", 10_000),                       // overlong (ceiling 8 KiB)
@@ -493,7 +493,7 @@ func TestGPUIndexRejectsMalformedAddresses(t *testing.T) {
 // survive into the rendered line, and the record must round-trip.
 func TestFormatLineStripsCarriageReturns(t *testing.T) {
 	ev := xid.Event{
-		Time: at, Node: "gpub042", GPU: 2, Code: xid.NVLink,
+		Time: xid.Time(at.UnixNano()), Node: "gpub042", GPU: 2, Code: xid.NVLink,
 		Detail: "link 1-2\rCRC failure\r\nretrying",
 	}
 	line := syslog.FormatLine(ev, 1, "proc")
@@ -507,7 +507,7 @@ func TestFormatLineStripsCarriageReturns(t *testing.T) {
 	if back.Detail != "link 1-2 CRC failure  retrying" {
 		t.Fatalf("detail = %q", back.Detail)
 	}
-	if !back.Time.Equal(ev.Time) || back.Node != ev.Node || back.GPU != ev.GPU || back.Code != ev.Code {
+	if back.Time != ev.Time || back.Node != ev.Node || back.GPU != ev.GPU || back.Code != ev.Code {
 		t.Fatalf("round trip mismatch: %+v", back)
 	}
 }

@@ -157,13 +157,21 @@ func splitXidLine[T fasttime.ByteSeq](line T) (f xidFields, ok bool) {
 }
 
 // parseXidTime parses the timestamp field: the canonical 27-byte
-// microsecond layout on the fast path, time.Parse for anything else so
-// accept/reject semantics (and error text) stay the standard library's.
-func parseXidTime[T fasttime.ByteSeq](tok T) (time.Time, error) {
-	if ts, ok := fasttime.ParseMicroUTC(tok); ok {
-		return ts, nil
+// microsecond layout on the fast path, straight to Unix nanoseconds;
+// time.Parse for anything else so accept/reject semantics (and error text)
+// stay the standard library's. An instant the event record cannot hold
+// (outside xid.MinTime..xid.MaxTime) is an *xid.RangeError.
+func parseXidTime[T fasttime.ByteSeq](tok T) (xid.Time, error) {
+	if sec, nsec, ok := fasttime.UnixMicroUTC(tok); ok {
+		if ts, ok := xid.Unix(sec, nsec); ok {
+			return ts, nil
+		}
 	}
-	return time.Parse(timeLayout, string(tok))
+	ts, err := time.Parse(timeLayout, string(tok))
+	if err != nil {
+		return 0, err
+	}
+	return xid.TimeOf(ts)
 }
 
 // gpuIndexSeq inverts PCIAddr over either string or byte-slice input. Real
@@ -231,7 +239,7 @@ func parseXidCode[T fasttime.ByteSeq](line T, lo, hi int) (int, bool) {
 // field validation and conversion, with the class and raw text of the
 // offending field packed into a lazy ParseError on failure. Allocation
 // happens only on those failure paths (and inside time.Parse fallbacks).
-func parseLineCore[T fasttime.ByteSeq](line T) (f xidFields, ts time.Time, gpu, code int, shaped bool, perr *ParseError) {
+func parseLineCore[T fasttime.ByteSeq](line T) (f xidFields, ts xid.Time, gpu, code int, shaped bool, perr *ParseError) {
 	f, shaped = splitXidLine(line)
 	if !shaped {
 		return
@@ -275,7 +283,7 @@ func parseLineBytes(line []byte, in *intern.Interner) (ev xid.Event, ok bool, er
 	return xid.Event{
 		Time:   ts,
 		Node:   in.Intern(line[f.nodeLo:f.nodeHi]),
-		GPU:    gpu,
+		GPU:    int32(gpu),
 		Code:   xid.Code(code),
 		Detail: in.Intern(line[f.detailLo:]),
 	}, true, nil

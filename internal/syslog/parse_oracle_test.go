@@ -3,6 +3,7 @@ package syslog
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"regexp"
 	"strconv"
 	"strings"
@@ -46,6 +47,10 @@ func parseLineOracle(line string) (xid.Event, bool, error) {
 		return xid.Event{}, false, nil
 	}
 	ts, err := time.Parse(timeLayout, m[1])
+	if err == nil && (ts.Before(time.Unix(0, math.MinInt64)) || ts.After(time.Unix(0, math.MaxInt64))) {
+		// The event record holds int64 Unix nanoseconds.
+		err = &xid.RangeError{T: ts}
+	}
 	if err != nil {
 		return xid.Event{}, false, &ParseError{Class: ClassBadTimestamp, field: m[1], cause: err}
 	}
@@ -57,7 +62,7 @@ func parseLineOracle(line string) (xid.Event, bool, error) {
 	if err != nil || code > maxXIDCode {
 		return xid.Event{}, false, &ParseError{Class: ClassBadXIDCode, field: m[4], cause: err}
 	}
-	return xid.Event{Time: ts, Node: m[2], GPU: gpu, Code: xid.Code(code), Detail: m[5]}, true, nil
+	return xid.Event{Time: xid.Time(ts.UnixNano()), Node: m[2], GPU: int32(gpu), Code: xid.Code(code), Detail: m[5]}, true, nil
 }
 
 // oracleCorpus is the crafted line-class corpus: well-formed lines, each
@@ -79,6 +84,14 @@ func oracleCorpus() []string {
 		"2023-02-29T00:00:00.000000Z n kernel: NVRM: Xid (PCI:0000:07:00): 79, pid=1, name=p, non-leap feb 29",
 		"garbage n kernel: NVRM: Xid (PCI:0000:07:00): 79, pid=1, name=p, d",
 		"2023-06-01T12:30:45.123456+00:00 n kernel: NVRM: Xid (PCI:0000:07:00): 79, pid=1, name=p, zone",
+		// Timestamps at and past the ends of the int64-nanosecond range.
+		"1677-09-21T00:12:43.145225Z n kernel: NVRM: Xid (PCI:0000:07:00): 79, pid=1, name=p, first in range",
+		"1677-09-21T00:12:43.145224Z n kernel: NVRM: Xid (PCI:0000:07:00): 79, pid=1, name=p, just before range",
+		"2262-04-11T23:47:16.854775Z n kernel: NVRM: Xid (PCI:0000:07:00): 79, pid=1, name=p, last in range",
+		"2262-04-11T23:47:16.854776Z n kernel: NVRM: Xid (PCI:0000:07:00): 79, pid=1, name=p, just past range",
+		"2300-01-01T00:00:00.000000Z n kernel: NVRM: Xid (PCI:0000:07:00): 79, pid=1, name=p, year 2300",
+		"1600-01-01T00:00:00.000000Z n kernel: NVRM: Xid (PCI:0000:07:00): 79, pid=1, name=p, year 1600",
+		"2300-01-01T0:00:00.000000Z n kernel: NVRM: Xid (PCI:0000:07:00): 79, pid=1, name=p, slow path 2300",
 		// Bad PCI address.
 		ts + " n kernel: NVRM: Xid (PCI:0000:99:00): 79, pid=1, name=p, unknown slot",
 		ts + " n kernel: NVRM: Xid (PCI:0000:a7:00): 79, pid=1, name=p, lowercase real slot",
@@ -118,7 +131,7 @@ func oracleCorpus() []string {
 	// The real writer's output for every code path it has.
 	base := time.Date(2023, 6, 1, 12, 30, 45, 123456000, time.UTC)
 	for i := 0; i < 10; i++ {
-		ev := xid.Event{Time: base, Node: fmt.Sprintf("gpub%03d", i), GPU: i, Code: xid.Code(i * 13), Detail: "detail text"}
+		ev := xid.Event{Time: xid.Time(base.UnixNano()), Node: fmt.Sprintf("gpub%03d", i), GPU: int32(i), Code: xid.Code(i * 13), Detail: "detail text"}
 		lines = append(lines, FormatLine(ev, 1000+i, "python"))
 		lines = append(lines, FormatNoise(base, "gpub001", i))
 	}
@@ -211,8 +224,8 @@ func FuzzParseLineEquivalence(f *testing.F) {
 	var clean bytes.Buffer
 	base := time.Date(2023, 6, 1, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < 40; i++ {
-		ev := xid.Event{Time: base.Add(time.Duration(i) * time.Second), Node: "gpub001",
-			GPU: i % 4, Code: xid.Code(31 + i%3), Detail: "mmu fault"}
+		ev := xid.Event{Time: xid.Time(base.Add(time.Duration(i) * time.Second).UnixNano()), Node: "gpub001",
+			GPU: int32(i % 4), Code: xid.Code(31 + i%3), Detail: "mmu fault"}
 		clean.WriteString(FormatLine(ev, 4242, "python"))
 		clean.WriteByte('\n')
 	}

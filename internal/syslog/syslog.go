@@ -69,11 +69,16 @@ const timeLayout = "2006-01-02T15:04:05.000000Z"
 // a bare \r survives fmt unscathed but splits the record under CR-aware
 // line readers.
 func AppendLine(dst []byte, ev xid.Event, pid int, procName string) []byte {
-	dst = ev.Time.UTC().AppendFormat(dst, timeLayout)
+	return appendLineAt(dst, ev.Time.Time(), ev, pid, procName)
+}
+
+// appendLineAt is AppendLine with the line stamped at instead of ev.Time.
+func appendLineAt(dst []byte, at time.Time, ev xid.Event, pid int, procName string) []byte {
+	dst = at.UTC().AppendFormat(dst, timeLayout)
 	dst = append(dst, ' ')
 	dst = append(dst, ev.Node...)
 	dst = append(dst, " kernel: NVRM: Xid (PCI:"...)
-	dst = AppendPCIAddr(dst, ev.GPU)
+	dst = AppendPCIAddr(dst, int(ev.GPU))
 	dst = append(dst, "): "...)
 	dst = strconv.AppendInt(dst, int64(ev.Code), 10)
 	dst = append(dst, ", pid="...)
@@ -180,7 +185,7 @@ func NewWriter(w io.Writer, cfg WriterConfig, seed uint64) (*Writer, error) {
 func (w *Writer) WriteEvent(ev xid.Event) (int, error) {
 	wrote := 0
 	if w.rng.Bool(w.cfg.NoiseProb) {
-		w.scratch = AppendNoise(w.scratch[:0], ev.Time, ev.Node, w.noise)
+		w.scratch = AppendNoise(w.scratch[:0], ev.Time.Time(), ev.Node, w.noise)
 		w.scratch = append(w.scratch, '\n')
 		if _, err := w.bw.Write(w.scratch); err != nil {
 			return wrote, err
@@ -195,11 +200,11 @@ func (w *Writer) WriteEvent(ev xid.Event) (int, error) {
 	dups := w.rng.Geometric(mean)
 	pid := 1000 + w.rng.Intn(60000)
 	proc := "python"
-	at := ev.Time
+	// The duplicates are stamped in time.Time, which has no range limit
+	// for them to overflow; a stamp past xid.MaxTime reads back malformed.
+	at := ev.Time.Time()
 	for i := 0; i < dups; i++ {
-		line := ev
-		line.Time = at
-		w.scratch = AppendLine(w.scratch[:0], line, pid, proc)
+		w.scratch = appendLineAt(w.scratch[:0], at, ev, pid, proc)
 		w.scratch = append(w.scratch, '\n')
 		if _, err := w.bw.Write(w.scratch); err != nil {
 			return wrote, err
@@ -265,7 +270,7 @@ func ParseLine(line string) (ev xid.Event, ok bool, err error) {
 	return xid.Event{
 		Time:   ts,
 		Node:   line[f.nodeLo:f.nodeHi],
-		GPU:    gpu,
+		GPU:    int32(gpu),
 		Code:   xid.Code(code),
 		Detail: line[f.detailLo:],
 	}, true, nil

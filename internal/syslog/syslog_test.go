@@ -14,13 +14,13 @@ import (
 var at = time.Date(2023, 6, 1, 12, 30, 45, 123456000, time.UTC)
 
 func TestFormatParseRoundTrip(t *testing.T) {
-	ev := xid.Event{Time: at, Node: "gpub042", GPU: 2, Code: xid.NVLink, Detail: "link 1-2 CRC failure"}
+	ev := xid.Event{Time: xid.Time(at.UnixNano()), Node: "gpub042", GPU: 2, Code: xid.NVLink, Detail: "link 1-2 CRC failure"}
 	line := FormatLine(ev, 4242, "python")
 	back, ok, err := ParseLine(line)
 	if err != nil || !ok {
 		t.Fatalf("parse: ok=%v err=%v", ok, err)
 	}
-	if !back.Time.Equal(ev.Time) || back.Node != ev.Node || back.GPU != ev.GPU ||
+	if back.Time != ev.Time || back.Node != ev.Node || back.GPU != ev.GPU ||
 		back.Code != ev.Code || back.Detail != ev.Detail {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", back, ev)
 	}
@@ -36,7 +36,7 @@ func TestParseRejectsNoise(t *testing.T) {
 }
 
 func TestParseMalformed(t *testing.T) {
-	good := FormatLine(xid.Event{Time: at, Node: "n", GPU: 0, Code: xid.MMU}, 1, "x")
+	good := FormatLine(xid.Event{Time: xid.Time(at.UnixNano()), Node: "n", GPU: 0, Code: xid.MMU}, 1, "x")
 	// Corrupt the timestamp but keep the Xid shape.
 	bad := "9999-99-99T99:99:99.000000Z" + good[len("2023-06-01T12:30:45.123456Z"):]
 	if _, _, err := ParseLine(bad); err == nil {
@@ -78,7 +78,7 @@ func TestWriterDuplication(t *testing.T) {
 	const n = 2000
 	total := 0
 	for i := 0; i < n; i++ {
-		ev := xid.Event{Time: at.Add(time.Duration(i) * time.Minute), Node: "gpub001",
+		ev := xid.Event{Time: xid.Time(at.Add(time.Duration(i) * time.Minute).UnixNano()), Node: "gpub001",
 			GPU: 1, Code: xid.MMU, Detail: "d"}
 		lines, err := w.WriteEvent(ev)
 		if err != nil {
@@ -122,7 +122,7 @@ func TestWriterNoiseInterleaving(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		ev := xid.Event{Time: at.Add(time.Duration(i) * time.Hour), Node: "gpub002",
+		ev := xid.Event{Time: xid.Time(at.Add(time.Duration(i) * time.Hour).UnixNano()), Node: "gpub002",
 			GPU: 0, Code: xid.GSPRPCTimeout, Detail: "timeout"}
 		if _, err := w.WriteEvent(ev); err != nil {
 			t.Fatal(err)
@@ -168,7 +168,7 @@ func TestWriterConfigValidation(t *testing.T) {
 }
 
 func TestExtractMalformedCounted(t *testing.T) {
-	good := FormatLine(xid.Event{Time: at, Node: "n", GPU: 0, Code: xid.MMU, Detail: "d"}, 1, "x")
+	good := FormatLine(xid.Event{Time: xid.Time(at.UnixNano()), Node: "n", GPU: 0, Code: xid.MMU, Detail: "d"}, 1, "x")
 	bad := strings.Replace(good, "PCI:0000:07:00", "PCI:ffff:ff", 1)
 	input := good + "\n" + bad + "\nnot a log line\n"
 	var events int
@@ -182,7 +182,7 @@ func TestExtractMalformedCounted(t *testing.T) {
 }
 
 func TestExtractCallbackErrorPropagates(t *testing.T) {
-	line := FormatLine(xid.Event{Time: at, Node: "n", GPU: 0, Code: xid.MMU}, 1, "x")
+	line := FormatLine(xid.Event{Time: xid.Time(at.UnixNano()), Node: "n", GPU: 0, Code: xid.MMU}, 1, "x")
 	wantErr := strings.NewReader(line + "\n")
 	_, _, err := Extract(wantErr, Options{Workers: 1}, func(xid.Event) error { return bytes.ErrTooLarge })
 	if err != bytes.ErrTooLarge {
@@ -191,7 +191,7 @@ func TestExtractCallbackErrorPropagates(t *testing.T) {
 }
 
 func TestDetailNewlineSanitized(t *testing.T) {
-	ev := xid.Event{Time: at, Node: "n", GPU: 0, Code: xid.MMU, Detail: "line1\nline2"}
+	ev := xid.Event{Time: xid.Time(at.UnixNano()), Node: "n", GPU: 0, Code: xid.MMU, Detail: "line1\nline2"}
 	line := FormatLine(ev, 1, "x")
 	if strings.Contains(line, "\n") {
 		t.Fatal("newline leaked into log line")

@@ -7,11 +7,12 @@ package xid
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
 // Code is an NVIDIA XID error code as logged by the NVRM kernel driver.
-type Code int
+type Code int32
 
 // The XID codes that appear in Delta's logs and in the study.
 const (
@@ -293,22 +294,38 @@ func GroupCategory(g Group) Category {
 }
 
 // Event is one GPU error occurrence: the canonical record exchanged between
-// the simulator, the syslog emitter/parser, and the analysis pipeline.
+// the simulator, the syslog emitter/parser, and the analysis pipeline. It
+// is 48 bytes; build one from a time.Time and an int GPU index with
+// NewEvent, which checks both fit.
 type Event struct {
-	Time time.Time // occurrence instant, as logged
-	Node string    // node host name, e.g. "gpub042"
-	GPU  int       // GPU index within the node
-	Code Code      // the Xid number
+	Time Time   // occurrence instant, as logged
+	Node string // node host name, e.g. "gpub042"
+	GPU  int32  // GPU index within the node
+	Code Code   // the Xid number
 	// Detail carries code-specific context (e.g. NVLink link id, remapped
 	// row). Informational; the pipeline keys only on (Time, Node, GPU, Code).
 	Detail string
+}
+
+// NewEvent returns the event at t on GPU gpu of node, or an error when t
+// lies outside [MinTime, MaxTime] (a *RangeError) or gpu does not fit the
+// record.
+func NewEvent(t time.Time, node string, gpu int, code Code, detail string) (Event, error) {
+	at, err := TimeOf(t)
+	if err != nil {
+		return Event{}, err
+	}
+	if gpu < math.MinInt32 || gpu > math.MaxInt32 {
+		return Event{}, fmt.Errorf("xid: GPU index %d does not fit the event record", gpu)
+	}
+	return Event{Time: at, Node: node, GPU: int32(gpu), Code: code, Detail: detail}, nil
 }
 
 // Key identifies the coalescing identity of an event: same node, GPU, and
 // code.
 type Key struct {
 	Node string // node host name
-	GPU  int    // GPU index within the node
+	GPU  int32  // GPU index within the node
 	Code Code   // the Xid number
 }
 

@@ -112,9 +112,9 @@ func TestTableIGroupsOrderAndCategories(t *testing.T) {
 }
 
 func TestEventKey(t *testing.T) {
-	at := time.Date(2023, 5, 1, 12, 0, 0, 0, time.UTC)
+	at := Time(time.Date(2023, 5, 1, 12, 0, 0, 0, time.UTC).UnixNano())
 	a := Event{Time: at, Node: "gpub001", GPU: 2, Code: NVLink}
-	b := Event{Time: at.Add(time.Second), Node: "gpub001", GPU: 2, Code: NVLink, Detail: "link 3"}
+	b := Event{Time: at + Time(time.Second), Node: "gpub001", GPU: 2, Code: NVLink, Detail: "link 3"}
 	if a.Key() != b.Key() {
 		t.Fatal("events differing only in time/detail should share a key")
 	}
