@@ -120,3 +120,33 @@ func TestRunWarmMetricsShowCacheHit(t *testing.T) {
 		t.Fatalf("warm run recorded stage1.extract:\n%s", warm.String())
 	}
 }
+
+// TestRunUnwritableCacheDir: a -cache-dir that cannot be created (its
+// parent is a regular file) is a counted bypass, not a failure. The run
+// succeeds, prints the tables of a run with no cache, and its metrics
+// count the entry it could not write.
+func TestRunUnwritableCacheDir(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "syslog.txt")
+	writeLogs(t, path, 20)
+	cacheDir := filepath.Join(path, "sub")
+
+	var want bytes.Buffer
+	if err := run([]string{"-logs", path}, &want); err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := run([]string{"-logs", path, "-cache-dir", cacheDir}, &got); err != nil {
+		t.Fatalf("unwritable -cache-dir failed the run: %v", err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("unwritable -cache-dir output diverges:\n%s\nvs\n%s", got.String(), want.String())
+	}
+	var metrics bytes.Buffer
+	if err := run([]string{"-logs", path, "-cache-dir", cacheDir, "-metrics"}, &metrics); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(metrics.String(), "cache.write_failed") || !strings.Contains(metrics.String(), "cache.miss") {
+		t.Fatalf("metrics do not count the failed store as a miss and a write_failed:\n%s", metrics.String())
+	}
+}

@@ -194,12 +194,35 @@ func (c *Coalescer) AppendKeptThrough(dst, pending []xid.Event, cutoff time.Time
 // dst. The index scratch is passed in and handed back, so a one-off
 // Coalescer (Segments) keeps none and stays off the heap.
 func (c *Coalescer) appendKept(dst []xid.Event, order []uint64, segs [][]xid.Event, through xid.Time) ([]xid.Event, []uint64) {
+	order = sortIndex(order, segs, through)
+	kept := order[:0]
+	for _, p := range order {
+		if c.Add(*at(segs, p)) {
+			kept = append(kept, p)
+		}
+	}
+	dst = slices.Grow(dst, len(kept))
+	for _, p := range kept {
+		dst = append(dst, *at(segs, p))
+	}
+	return dst, order[:0]
+}
+
+// Order fills order with the positions of the events of segs, read in
+// order as one stream, in Stage II order: Compare order, input position
+// breaking full ties. A position is segment<<32 | offset, so its integer
+// order is input order; no slice holds 2^32 events. The scratch is grown
+// as needed and returned.
+func Order(order []uint64, segs [][]xid.Event) []uint64 {
+	return sortIndex(order, segs, xid.MaxTime)
+}
+
+// sortIndex is Order over the events at or before through.
+func sortIndex(order []uint64, segs [][]xid.Event, through xid.Time) []uint64 {
 	n := 0
 	for _, s := range segs {
 		n += len(s)
 	}
-	// A position is segment<<32 | offset, so its integer order is input
-	// order; no slice holds 2^32 events.
 	order = slices.Grow(order[:0], n)
 	for s, seg := range segs {
 		for i := range seg {
@@ -208,25 +231,17 @@ func (c *Coalescer) appendKept(dst []xid.Event, order []uint64, segs [][]xid.Eve
 			}
 		}
 	}
-	at := func(p uint64) *xid.Event { return &segs[p>>32][uint32(p)] }
 	slices.SortFunc(order, func(a, b uint64) int {
-		if d := compare(at(a), at(b)); d != 0 {
+		if d := compare(at(segs, a), at(segs, b)); d != 0 {
 			return d
 		}
 		return cmp.Compare(a, b)
 	})
-	kept := order[:0]
-	for _, p := range order {
-		if c.Add(*at(p)) {
-			kept = append(kept, p)
-		}
-	}
-	dst = slices.Grow(dst, len(kept))
-	for _, p := range kept {
-		dst = append(dst, *at(p))
-	}
-	return dst, order[:0]
+	return order
 }
+
+// at is the event at position p of segs.
+func at(segs [][]xid.Event, p uint64) *xid.Event { return &segs[p>>32][uint32(p)] }
 
 // Segments is Stage II over events held in segments, read in order as one
 // stream: it coalesces them with a fresh Coalescer, the step of

@@ -3,6 +3,7 @@ package coalesce
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -203,6 +204,109 @@ func TestEventsSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// fuzzSegments decodes fuzz input into events held in segments: each three
+// bytes make one event (a coarse time, so same-instant ties are common,
+// and a key drawn from few nodes, GPUs and codes; Detail tags its input
+// position, so full ties show any reordering) and decide where the
+// segment ends, and whether it is one of the segments marked in runs;
+// empty segments can fall anywhere. all is the segments' concatenation.
+func fuzzSegments(data []byte) (segs [][]xid.Event, all []xid.Event, runs []bool) {
+	base := time.Date(2023, 6, 1, 0, 0, 0, 0, time.UTC)
+	codes := []xid.Code{xid.MMU, xid.DBE, xid.NVLink}
+	cur := []xid.Event{}
+	for i := 0; i+2 < len(data); i += 3 {
+		a, b, s := data[i], data[i+1], data[i+2]
+		if s&4 != 0 {
+			segs, runs = append(segs, nil), append(runs, s&16 != 0) // an empty segment before this event
+		}
+		ev := xid.Event{
+			Time:   xid.Time(base.Add(time.Duration(a%32) * 1500 * time.Millisecond).UnixNano()),
+			Node:   []string{"gpub001", "gpub002"}[b&1],
+			GPU:    int32(int(b>>1) & 1),
+			Code:   codes[int(b>>2)%len(codes)],
+			Detail: fmt.Sprintf("#%d", i/3),
+		}
+		cur = append(cur, ev)
+		all = append(all, ev)
+		if s&3 == 0 {
+			segs, runs, cur = append(segs, cur), append(runs, s&8 != 0), []xid.Event{}
+		}
+	}
+	return append(segs, cur), all, append(runs, len(data) > 0 && data[len(data)-1]&32 != 0)
+}
+
+// sliceCursor reads a slice's events in order.
+type sliceCursor []xid.Event
+
+func (c *sliceCursor) Next(ev *xid.Event) bool {
+	if len(*c) == 0 {
+		return false
+	}
+	*ev, *c = (*c)[0], (*c)[1:]
+	return true
+}
+
+// FuzzStage2Runs: Merge over a segmentation of events, some segments
+// handed over as runs of their events stably sorted into Stage II order,
+// placed where the segments were, equals the oracle over the events'
+// concatenation at Δt 0 and at DefaultWindow, whichever segments are runs
+// and however many runs share a place. The input decodes as in
+// FuzzStage2Segments, with two more bits of each third byte marking the
+// segment it closes, or the empty one it opens, as a run.
+func FuzzStage2Runs(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 8, 0, 0, 0, 3, 5, 2, 0, 0, 12})
+	f.Add([]byte{0, 0, 8, 0, 0, 8, 0, 0, 0, 0, 0, 24, 0, 0, 0})
+	f.Add([]byte{9, 1, 0, 2, 1, 9, 2, 1, 0, 9, 1, 3, 7, 7, 0x3f})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		segs, all, marked := fuzzSegments(data)
+		var plain [][]xid.Event
+		var runs []Run
+		for i, seg := range segs {
+			if !marked[i] {
+				plain = append(plain, seg)
+				continue
+			}
+			sorted := sliceCursor(slices.Clone(seg))
+			slices.SortStableFunc(sorted, Compare)
+			runs = append(runs, Run{At: len(plain), Len: len(seg), Cursor: &sorted})
+		}
+		for _, window := range []time.Duration{0, DefaultWindow} {
+			want, err := oracleEvents(all, window)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Each window reads fresh cursors.
+			fresh := slices.Clone(runs)
+			for j, r := range fresh {
+				c := slices.Clone(*r.Cursor.(*sliceCursor))
+				fresh[j].Cursor = (*sliceCursor)(&c)
+			}
+			got, err := Merge(plain, fresh, window)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
+				t.Fatalf("window %v over %d segments and %d runs: got %v, want %v", window, len(plain), len(runs), got, want)
+			}
+		}
+	})
+}
+
+// Merge rejects a run placed past the segments or before an earlier run.
+func TestMergeRejectsMisplacedRuns(t *testing.T) {
+	segs := [][]xid.Event{randomEvents(1, 3)}
+	for _, runs := range [][]Run{
+		{{At: 2, Cursor: new(sliceCursor)}},
+		{{At: -1, Cursor: new(sliceCursor)}},
+		{{At: 1, Cursor: new(sliceCursor)}, {At: 0, Cursor: new(sliceCursor)}},
+	} {
+		if _, err := Merge(segs, runs, DefaultWindow); err == nil {
+			t.Fatalf("runs placed at %v accepted", runs)
+		}
+	}
+}
+
 // FuzzStage2Segments: Stage II over events held in segments equals the
 // oracle over their concatenation, at Δt 0 and at DefaultWindow. Each
 // three input bytes make one event (a coarse time, so same-instant ties
@@ -213,31 +317,8 @@ func FuzzStage2Segments(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 1, 0, 0, 0, 3, 5, 2, 0, 0, 4})
 	f.Add([]byte{9, 1, 0, 2, 1, 1, 2, 1, 0, 9, 1, 3, 7, 7, 7})
-	base := time.Date(2023, 6, 1, 0, 0, 0, 0, time.UTC)
-	codes := []xid.Code{xid.MMU, xid.DBE, xid.NVLink}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var segs [][]xid.Event
-		var all []xid.Event
-		cur := []xid.Event{}
-		for i := 0; i+2 < len(data); i += 3 {
-			a, b, s := data[i], data[i+1], data[i+2]
-			if s&4 != 0 {
-				segs = append(segs, nil) // an empty segment before this event
-			}
-			ev := xid.Event{
-				Time:   xid.Time(base.Add(time.Duration(a%32) * 1500 * time.Millisecond).UnixNano()),
-				Node:   []string{"gpub001", "gpub002"}[b&1],
-				GPU:    int32(int(b>>1) & 1),
-				Code:   codes[int(b>>2)%len(codes)],
-				Detail: fmt.Sprintf("#%d", i/3),
-			}
-			cur = append(cur, ev)
-			all = append(all, ev)
-			if s&3 == 0 {
-				segs, cur = append(segs, cur), []xid.Event{}
-			}
-		}
-		segs = append(segs, cur)
+		segs, all, _ := fuzzSegments(data)
 		orig := make([][]xid.Event, len(segs))
 		for i, seg := range segs {
 			orig[i] = append([]xid.Event(nil), seg...)

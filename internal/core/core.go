@@ -165,7 +165,7 @@ type Results struct {
 	OpSummary  PeriodSummary // operational period totals
 
 	TableII  impact.Correlation   // Xid-to-job-failure correlation (paper Table II)
-	TableIII []impact.TableIIIRow // downtime-bucket impact rows (paper Table III)
+	TableIII []impact.TableIIIRow // per-GPU-count job rows (paper Table III)
 	JobStats impact.JobStats      // GPU/CPU job success-rate comparison
 
 	Avail avail.Analysis // node availability and downtime distribution
@@ -181,12 +181,13 @@ type Results struct {
 // events is neither modified nor copied: Stage II sorts an index of it.
 func Analyze(events []xid.Event, jobs []*slurmsim.Job, repairs []time.Duration,
 	cpu workload.CPURecord, cfg PipelineConfig) (*Results, error) {
-	return analyze([][]xid.Event{events}, jobs, repairs, cpu, cfg)
+	return analyze([][]xid.Event{events}, nil, jobs, repairs, cpu, cfg)
 }
 
-// analyze is Analyze over events held in segments, read in order as one
-// stream (Stage I's output as it filled it).
-func analyze(segs [][]xid.Event, jobs []*slurmsim.Job, repairs []time.Duration,
+// analyze is Analyze over events held in segments and runs, read in order
+// as one stream (Stage I's output as it filled it, and the cache hits; see
+// coalesce.Merge).
+func analyze(segs [][]xid.Event, runs []coalesce.Run, jobs []*slurmsim.Job, repairs []time.Duration,
 	cpu workload.CPURecord, cfg PipelineConfig) (*Results, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -195,8 +196,11 @@ func analyze(segs [][]xid.Event, jobs []*slurmsim.Job, repairs []time.Duration,
 	for _, s := range segs {
 		raw += len(s)
 	}
+	for _, r := range runs {
+		raw += r.Len
+	}
 	sp2 := cfg.Obs.StartSpan("stage2.coalesce")
-	coalesced, err := coalesce.Segments(segs, cfg.CoalesceWindow)
+	coalesced, err := coalesce.Merge(segs, runs, cfg.CoalesceWindow)
 	if err != nil {
 		return nil, err
 	}
@@ -314,11 +318,11 @@ func analyzeRaw(stage1 func() (*ingest.Result, error), jobDB io.Reader, repairs 
 }
 
 // analyzeExtracted runs Stages II-III over a Stage I result's segments and
-// carries its statistics, lenient report and shard records into the
-// results.
+// runs and carries its statistics, lenient report and shard records into
+// the results.
 func analyzeExtracted(ext *ingest.Result, jobs []*slurmsim.Job, repairs []time.Duration,
 	cpu workload.CPURecord, cfg PipelineConfig) (*Results, error) {
-	res, err := analyze(ext.Segments, jobs, repairs, cpu, cfg)
+	res, err := analyze(ext.Segments, ext.Runs, jobs, repairs, cpu, cfg)
 	if err != nil {
 		return nil, err
 	}

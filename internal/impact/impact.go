@@ -392,16 +392,17 @@ func hasPrefixFoldASCII(s, kw string) bool {
 	return true
 }
 
-// TableIIIRow is one row of Table III.
+// TableIIIRow is one row of Table III: one GPU-count bucket of every
+// started, terminal job, whatever its outcome.
 type TableIIIRow struct {
 	Bucket         string  // GPU-count bucket label, e.g. "2-4"
-	Count          int     // GPU-failed jobs in the bucket
-	Pct            float64 // Count as a share of all GPU-failed jobs
-	MeanMin        float64 // mean lost minutes per failed job
-	P50Min         float64 // median lost minutes per failed job
-	P99Min         float64 // p99 lost minutes per failed job
-	MLGPUHoursK    float64 // lost GPU hours (thousands) on ML partitions
-	NonMLGPUHoursK float64 // lost GPU hours (thousands) elsewhere
+	Count          int     // started, terminal jobs in the bucket
+	Pct            float64 // Count as a share of all started, terminal jobs
+	MeanMin        float64 // mean elapsed minutes per job
+	P50Min         float64 // median elapsed minutes per job
+	P99Min         float64 // p99 elapsed minutes per job
+	MLGPUHoursK    float64 // GPU hours (thousands) of the bucket's ML jobs
+	NonMLGPUHoursK float64 // GPU hours (thousands) of its other jobs
 }
 
 // bucketEdges defines the Table III GPU-count buckets; bucket i covers

@@ -3,9 +3,12 @@ package ingest
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"syscall"
 
 	"gpuresilience/internal/xid"
 )
@@ -103,44 +106,57 @@ func (c *Cache) entryPath(source string) string {
 }
 
 // Load looks up the cached shard for source, which currently hashes to
-// sourceDigest. It returns (payload, CacheHit) only when the entry's
-// format version, source digest, and parser-config digest all match; any
-// mismatch or corruption is (nil, CacheInvalidated), a missing entry is
-// (nil, CacheMiss). Load never fails the run: a broken cache behaves like
-// a cold one.
+// sourceDigest. It returns (payload, CacheHit), the events decoded in
+// their stored Stage II order, only when the entry's format version,
+// source digest, and parser-config digest all match and every check of
+// openShard passes; any mismatch or corruption is (nil, CacheInvalidated),
+// a missing entry is (nil, CacheMiss). Load never fails the run: a broken
+// cache behaves like a cold one.
 func (c *Cache) Load(source string, sourceDigest [digestLen]byte) (*Payload, CacheOutcome) {
+	e, events, outcome := c.open(source, sourceDigest, true)
+	if outcome != CacheHit {
+		return nil, outcome
+	}
+	p := e.head
+	p.Events = events
+	return &p, CacheHit
+}
+
+// open is Load returning the checked entry, whose events a cursor streams,
+// and the decoded events only when decode is set.
+func (c *Cache) open(source string, sourceDigest [digestLen]byte, decode bool) (*entry, []xid.Event, CacheOutcome) {
 	data, err := os.ReadFile(c.entryPath(source))
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, CacheMiss
+		// A cache directory under a regular file holds no entries either.
+		if errors.Is(err, fs.ErrNotExist) || errors.Is(err, syscall.ENOTDIR) {
+			return nil, nil, CacheMiss
 		}
-		return nil, CacheInvalidated
+		return nil, nil, CacheInvalidated
 	}
-	p, err := DecodeShard(data)
-	if err != nil {
-		return nil, CacheInvalidated
+	e, events, err := openShard(data, decode)
+	if err != nil || e.head.SourceDigest != sourceDigest || e.head.ConfigDigest != c.Key.digest() {
+		return nil, nil, CacheInvalidated
 	}
-	if p.SourceDigest != sourceDigest || p.ConfigDigest != c.Key.digest() {
-		return nil, CacheInvalidated
-	}
-	return p, CacheHit
+	return e, events, CacheHit
 }
 
 // store writes source's cache entry atomically (temp file + rename): p's
 // header fields, stamped with the cache's parser-config digest, and the
-// events of segs, read in order as one stream (p.Events is not read). A
-// failed store is reported but leaves no partial entry behind.
-func (c *Cache) store(source string, p *Payload, segs [][]xid.Event) error {
+// events of segs, read in order as one stream, in Stage II order (p.Events
+// is not read). order is the sort scratch, returned for reuse. A failed
+// store is reported but leaves no partial entry behind.
+func (c *Cache) store(source string, p *Payload, segs [][]xid.Event, order []uint64) ([]uint64, error) {
 	p.ConfigDigest = c.Key.digest()
 	if err := os.MkdirAll(c.Dir, 0o755); err != nil {
-		return fmt.Errorf("ingest: cache dir: %w", err)
+		return order, fmt.Errorf("ingest: cache dir: %w", err)
 	}
 	dst := c.entryPath(source)
 	tmp, err := os.CreateTemp(c.Dir, filepath.Base(dst)+".tmp*")
 	if err != nil {
-		return fmt.Errorf("ingest: cache temp: %w", err)
+		return order, fmt.Errorf("ingest: cache temp: %w", err)
 	}
-	_, werr := tmp.Write(encodeShard(p, segs))
+	img, order := encodeShard(p, segs, order)
+	_, werr := tmp.Write(img)
 	cerr := tmp.Close()
 	if werr == nil {
 		werr = cerr
@@ -150,7 +166,7 @@ func (c *Cache) store(source string, p *Payload, segs [][]xid.Event) error {
 	}
 	if werr != nil {
 		_ = os.Remove(tmp.Name())
-		return fmt.Errorf("ingest: cache store %s: %w", dst, werr)
+		return order, fmt.Errorf("ingest: cache store %s: %w", dst, werr)
 	}
-	return nil
+	return order, nil
 }

@@ -7,6 +7,7 @@ package ingest_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
@@ -18,6 +19,7 @@ import (
 	"gpuresilience/internal/calib"
 	"gpuresilience/internal/cluster"
 	"gpuresilience/internal/core"
+	"gpuresilience/internal/ingest"
 	"gpuresilience/internal/obs"
 	"gpuresilience/internal/report"
 	"gpuresilience/internal/slurmsim"
@@ -209,29 +211,47 @@ func splitByNode(t *testing.T, data []byte) []string {
 	return paths
 }
 
+// perNode is a simulated log and job database, and the log split into
+// one file per node.
+type perNode struct {
+	logs, jobDB bytes.Buffer
+	repairs     []time.Duration
+	cpu         workload.CPURecord
+	paths       []string
+}
+
+// perNodeInputs simulates seed 23 at scale 0.005 and splits its log by
+// node (splitByNode).
+func perNodeInputs(t *testing.T) *perNode {
+	t.Helper()
+	in := &perNode{}
+	sc := calib.NewScenario(23, 0.005)
+	out, err := core.EndToEnd(core.EndToEndConfig{
+		Cluster:     sc.Cluster,
+		Pipeline:    core.DefaultPipelineConfig(calib.PreOp(), calib.Op(), calib.Nodes),
+		KeepRawLogs: &in.logs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := slurmsim.DumpDB(&in.jobDB, out.Truth.Jobs); err != nil {
+		t.Fatal(err)
+	}
+	in.repairs, in.cpu = cluster.Durations(out.Truth.Downtimes), out.Truth.CPU
+	in.paths = splitByNode(t, in.logs.Bytes())
+	if len(in.paths) < 8 {
+		t.Fatalf("only %d per-node files", len(in.paths))
+	}
+	return in
+}
+
 // TestTablesIgnorePerNodeSplit is the metamorphic relation behind the
 // concatenating front end: a simulated log split into per-node files,
 // analyzed in plan order or in reverse, renders every table byte-identical
 // to the original single log, at workers 1 and 4, cold and cache-warm.
 func TestTablesIgnorePerNodeSplit(t *testing.T) {
-	var logs, jobDB bytes.Buffer
-	sc := calib.NewScenario(23, 0.005)
-	out, err := core.EndToEnd(core.EndToEndConfig{
-		Cluster:     sc.Cluster,
-		Pipeline:    core.DefaultPipelineConfig(calib.PreOp(), calib.Op(), calib.Nodes),
-		KeepRawLogs: &logs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := slurmsim.DumpDB(&jobDB, out.Truth.Jobs); err != nil {
-		t.Fatal(err)
-	}
-	repairs, cpu := cluster.Durations(out.Truth.Downtimes), out.Truth.CPU
-	paths := splitByNode(t, logs.Bytes())
-	if len(paths) < 8 {
-		t.Fatalf("only %d per-node files", len(paths))
-	}
+	in := perNodeInputs(t)
+	logs, jobDB, repairs, cpu, paths := in.logs, in.jobDB, in.repairs, in.cpu, in.paths
 	reversed := slices.Clone(paths)
 	slices.Reverse(reversed)
 
@@ -262,6 +282,147 @@ func TestTablesIgnorePerNodeSplit(t *testing.T) {
 				if split.Extract != single.Extract || split.RawEvents != single.RawEvents {
 					t.Fatalf("workers=%d %s order, %s: extract %+v raw %d, single log %+v raw %d",
 						workers, order.name, run, split.Extract, split.RawEvents, single.Extract, single.RawEvents)
+				}
+			}
+		}
+	}
+}
+
+// TestFormat1EntryReparsed: an entry written by the format-1 code, which
+// stored a shard's events in source-line order, is counted invalidated,
+// re-parsed and rewritten as the current format, and the tables equal a
+// run with no cache. testdata/format1 holds a log whose two halves are
+// swapped, so its lines are far from time order, and the format-1 entry
+// written for it. The re-written entry then serves a hit with the same
+// tables.
+func TestFormat1EntryReparsed(t *testing.T) {
+	log, err := os.ReadFile(filepath.Join("testdata", "format1", "shard.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(filepath.Join("testdata", "format1", "shard.evshard"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(old[8:]); v != 1 {
+		t.Fatalf("fixture holds format %d, want 1", v)
+	}
+	src := filepath.Join(t.TempDir(), "shard.log")
+	if err := os.WriteFile(src, log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cacheDir := t.TempDir()
+	cfg := core.DefaultPipelineConfig(calib.PreOp(), calib.Op(), calib.Nodes)
+	run := func(ing core.IngestConfig) ([]byte, map[string]int64) {
+		reg := obs.New()
+		c := cfg
+		c.Obs = reg
+		res, err := core.AnalyzeLogFiles([]string{src}, nil, nil, workload.CPURecord{}, c, ing)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return renderAll(t, res), reg.Snapshot().Counters
+	}
+	want, _ := run(core.IngestConfig{})
+
+	// A cold run names the entry; the fixture then takes its place.
+	run(core.IngestConfig{CacheDir: cacheDir})
+	entries, err := filepath.Glob(filepath.Join(cacheDir, "*.evshard"))
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("cache entries: %v, %v", entries, err)
+	}
+	if err := os.WriteFile(entries[0], old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	got, counters := run(core.IngestConfig{CacheDir: cacheDir})
+	if counters["cache.invalidated"] != 1 || counters["cache.write"] != 1 {
+		t.Fatalf("format-1 entry: counters %+v", counters)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("format-1 entry: tables diverge from the uncached run\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+	rewritten, err := os.ReadFile(entries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(rewritten[8:]); v != ingest.FormatVersion || v == 1 {
+		t.Fatalf("re-written entry holds format %d, want %d", v, ingest.FormatVersion)
+	}
+
+	got, counters = run(core.IngestConfig{CacheDir: cacheDir})
+	if counters["cache.hit"] != 1 {
+		t.Fatalf("re-written entry: counters %+v", counters)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("re-written entry: tables diverge from the uncached run\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
+
+// TestTablesMixedCachePerNodeSplit: with the per-node files of
+// TestTablesIgnorePerNodeSplit, which interleave in time, a cold run, the
+// warm run after it, and a mixed run whose cache holds every other file
+// (so warm runs and parsed segments alternate in the plan, in plan and
+// reversed order) all render every table byte-identical to the single
+// log, at workers 1, 4 and 16.
+func TestTablesMixedCachePerNodeSplit(t *testing.T) {
+	in := perNodeInputs(t)
+	reversed := slices.Clone(in.paths)
+	slices.Reverse(reversed)
+	for _, workers := range []int{1, 4, 16} {
+		cfg := core.DefaultPipelineConfig(calib.PreOp(), calib.Op(), calib.Nodes)
+		cfg.Workers = workers
+		single, err := core.AnalyzeLogs(bytes.NewReader(in.logs.Bytes()), bytes.NewReader(in.jobDB.Bytes()),
+			in.repairs, in.cpu, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := renderAll(t, single)
+		analyze := func(paths []string, cacheDir string) *core.Results {
+			res, err := core.AnalyzeLogFiles(paths, bytes.NewReader(in.jobDB.Bytes()), in.repairs, in.cpu,
+				cfg, core.IngestConfig{CacheDir: cacheDir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		for _, order := range []struct {
+			name  string
+			paths []string
+		}{{"plan", in.paths}, {"reversed", reversed}} {
+			warmDir, mixedDir := t.TempDir(), t.TempDir()
+			var half []string
+			for i, p := range order.paths {
+				if i%2 == 1 {
+					half = append(half, p)
+				}
+			}
+			analyze(half, mixedDir)
+			for _, run := range []struct {
+				name     string
+				cacheDir string
+				hits     int
+			}{{"cold", warmDir, 0}, {"warm", warmDir, len(order.paths)}, {"mixed", mixedDir, len(half)}} {
+				res := analyze(order.paths, run.cacheDir)
+				hits := 0
+				for i, sh := range res.Shards {
+					if sh.Outcome == ingest.CacheHit {
+						hits++
+						if run.name == "mixed" && i%2 == 0 {
+							t.Fatalf("workers=%d %s order, mixed: shard %d served from the cache", workers, order.name, i)
+						}
+					}
+				}
+				if hits != run.hits {
+					t.Fatalf("workers=%d %s order, %s: %d cache hits, want %d", workers, order.name, run.name, hits, run.hits)
+				}
+				if got := renderAll(t, res); !bytes.Equal(got, want) {
+					t.Fatalf("workers=%d %s order, %s: tables diverge from the single log\n--- split ---\n%s\n--- single ---\n%s",
+						workers, order.name, run.name, got, want)
+				}
+				if res.Extract != single.Extract || res.RawEvents != single.RawEvents {
+					t.Fatalf("workers=%d %s order, %s: extract %+v raw %d, single log %+v raw %d",
+						workers, order.name, run.name, res.Extract, res.RawEvents, single.Extract, single.RawEvents)
 				}
 			}
 		}

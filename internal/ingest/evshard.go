@@ -5,15 +5,18 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"math"
 
+	"gpuresilience/internal/coalesce"
 	"gpuresilience/internal/syslog"
 	"gpuresilience/internal/xid"
 )
 
 // FormatVersion is the .evshard container version. Bump it whenever the
 // encoding changes shape; every cached shard written under a different
-// version is invalidated on load.
-const FormatVersion = 1
+// version is invalidated on load. Version 2 stores the events in Stage II
+// order; version 1 stored them in source-line order.
+const FormatVersion = 2
 
 // ParserVersion names the Stage I parser generation a cached shard was
 // produced by. Bump it whenever parse semantics change (what counts as an
@@ -59,7 +62,9 @@ type Payload struct {
 	SourcePath string
 	// Stats is the shard's Stage I scan statistics.
 	Stats syslog.ExtractStats
-	// Events is the shard's parsed event stream in source line order.
+	// Events is the shard's parsed event stream. EncodeShard takes it in
+	// source-line order (any order encodes to the same entry) and stores
+	// it in Stage II order, which is the order DecodeShard returns.
 	Events []xid.Event
 }
 
@@ -104,38 +109,50 @@ func putString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
+// The event columns, in the order an entry stores them.
+const (
+	colTime = iota
+	colNode
+	colGPU
+	colCode
+	colDetail
+	numCols
+)
+
+// timeBits maps an event time to an unsigned integer in the same order
+// (the sign bit flipped), so that non-decreasing times have non-negative
+// deltas, the first one taken from zero.
+func timeBits(t xid.Time) uint64 { return uint64(t) ^ 1<<63 }
+
 // EncodeShard renders p as a self-verifying .evshard byte image:
 //
 //	magic[8] version[u32le] sourceDigest[32] configDigest[32]
 //	sourcePath stats{lines,xid,skipped,malformed}
-//	eventCount nodeTable detailTable
-//	times(zigzag delta) nodeIdx gpus(zigzag) codes(zigzag) detailIdx
+//	eventCount nodeTable detailTable columnLengths[5 x u64le]
+//	times(unsigned delta) nodeIdx gpus(zigzag) codes(zigzag) detailIdx
 //	sha256(all preceding bytes)[32]
 //
-// Every multi-byte integer is a varint except the fixed-width header and
-// trailer; event columns are column-major (all times, then all node
-// indices, ...) so same-typed values compress and decode cache-friendly.
+// The events are stored in Stage II order (coalesce.Compare, full ties in
+// p.Events' order), so the time column holds non-negative deltas of
+// timeBits and a reader can hand a shard to Stage II as a sorted run.
+// Every multi-byte integer is a varint except the fixed-width header,
+// column lengths and trailer; event columns are column-major (all times,
+// then all node indices, ...) so same-typed values compress, and the
+// lengths let a reader walk all five in step, one event at a time.
 func EncodeShard(p *Payload) []byte {
-	return encodeShard(p, [][]xid.Event{p.Events})
+	img, _ := encodeShard(p, [][]xid.Event{p.Events}, nil)
+	return img
 }
 
 // encodeShard is EncodeShard with the events taken from segs, read in
 // order as one stream, instead of p.Events: the bytes are those of
-// EncodeShard over the segments' concatenation.
-func encodeShard(p *Payload, segs [][]xid.Event) []byte {
-	count := 0
-	for _, s := range segs {
-		count += len(s)
-	}
-	each := func(fn func(ev *xid.Event)) {
-		for _, s := range segs {
-			for i := range s {
-				fn(&s[i])
-			}
-		}
-	}
+// EncodeShard over the segments' concatenation. order is the scratch the
+// Stage II sort fills; it is returned for the next call to reuse.
+func encodeShard(p *Payload, segs [][]xid.Event, order []uint64) ([]byte, []uint64) {
+	order = coalesce.Order(order, segs)
+	at := func(q uint64) *xid.Event { return &segs[q>>32][uint32(q)] }
 	// Size guess: header+trailer plus ~8 bytes per event across columns.
-	buf := make([]byte, 0, 128+len(p.SourcePath)+8*count)
+	buf := make([]byte, 0, 128+8*numCols+len(p.SourcePath)+8*len(order))
 	buf = append(buf, evshardMagic[:]...)
 	buf = binary.LittleEndian.AppendUint32(buf, FormatVersion)
 	buf = append(buf, p.SourceDigest[:]...)
@@ -145,32 +162,45 @@ func encodeShard(p *Payload, segs [][]xid.Event) []byte {
 	buf = putVarint(buf, int64(p.Stats.XIDLines))
 	buf = putVarint(buf, int64(p.Stats.Skipped))
 	buf = putVarint(buf, int64(p.Stats.Malformed))
-	buf = putUvarint(buf, uint64(count))
+	buf = putUvarint(buf, uint64(len(order)))
 
 	var nodes, details stringTable
-	each(func(ev *xid.Event) {
-		nodes.intern(ev.Node)
-		details.intern(ev.Detail)
-	})
+	for _, q := range order {
+		nodes.intern(at(q).Node)
+		details.intern(at(q).Detail)
+	}
 	for _, t := range [2]stringTable{nodes, details} {
 		buf = putUvarint(buf, uint64(len(t.vals)))
 		for _, s := range t.vals {
 			buf = putString(buf, s)
 		}
 	}
-	// The first time is a delta from zero, that is, the time itself.
-	prev := int64(0)
-	each(func(ev *xid.Event) {
-		ns := int64(ev.Time)
-		buf = putVarint(buf, ns-prev)
-		prev = ns
-	})
-	each(func(ev *xid.Event) { buf = putUvarint(buf, nodes.intern(ev.Node)) })
-	each(func(ev *xid.Event) { buf = putVarint(buf, int64(ev.GPU)) })
-	each(func(ev *xid.Event) { buf = putVarint(buf, int64(ev.Code)) })
-	each(func(ev *xid.Event) { buf = putUvarint(buf, details.intern(ev.Detail)) })
+	lengths := len(buf)
+	buf = append(buf, make([]byte, 8*numCols)...)
+	for col := range numCols {
+		start := len(buf)
+		prev := uint64(0)
+		for _, q := range order {
+			ev := at(q)
+			switch col {
+			case colTime:
+				t := timeBits(ev.Time)
+				buf = putUvarint(buf, t-prev)
+				prev = t
+			case colNode:
+				buf = putUvarint(buf, nodes.intern(ev.Node))
+			case colGPU:
+				buf = putVarint(buf, int64(ev.GPU))
+			case colCode:
+				buf = putVarint(buf, int64(ev.Code))
+			case colDetail:
+				buf = putUvarint(buf, details.intern(ev.Detail))
+			}
+		}
+		binary.LittleEndian.PutUint64(buf[lengths+8*col:], uint64(len(buf)-start))
+	}
 	sum := sha256.Sum256(buf)
-	return append(buf, sum[:]...)
+	return append(buf, sum[:]...), order
 }
 
 // decoder is a bounds-checked cursor over the varint section of a shard.
@@ -223,6 +253,18 @@ func (d *decoder) int32Field(what string) (int32, error) {
 	return int32(v), nil
 }
 
+// index reads an unsigned varint that must index a table of n entries.
+func (d *decoder) index(what string, n int) (uint64, error) {
+	idx, err := d.uvarint(what)
+	if err != nil {
+		return 0, err
+	}
+	if idx >= uint64(n) {
+		return 0, formatErrf("%s %d out of range (table has %d)", what, idx, n)
+	}
+	return idx, nil
+}
+
 // str reads one length-prefixed string.
 func (d *decoder) str(what string) (string, error) {
 	n, err := d.uvarint(what + " length")
@@ -257,110 +299,191 @@ func (d *decoder) table(what string) ([]string, error) {
 	return vals, nil
 }
 
+// entry is a checked .evshard image: its header fields (Events unset), its
+// string tables and its event columns, read one event at a time through
+// a cursor.
+type entry struct {
+	head           Payload
+	count          int
+	nodes, details []string
+	cols           [numCols][]byte
+}
+
+// cursor reads an entry's events in stored order, one at a time, walking
+// its five columns in step.
+type cursor struct {
+	cols           [numCols]decoder
+	nodes, details []string
+	time           uint64 // timeBits of the last event read
+	left           int
+}
+
+// cursor returns a cursor at the entry's first event.
+func (e *entry) cursor() *cursor {
+	c := &cursor{nodes: e.nodes, details: e.details, left: e.count}
+	for i, col := range e.cols {
+		c.cols[i].b = col
+	}
+	return c
+}
+
+// read decodes the next event into ev, checking every column's bounds.
+// The caller counts the events.
+func (c *cursor) read(ev *xid.Event) error {
+	dt, err := c.cols[colTime].uvarint("time delta")
+	if err != nil {
+		return err
+	}
+	if dt > math.MaxUint64-c.time {
+		return formatErrf("time delta %d overflows the time range", dt)
+	}
+	c.time += dt
+	ev.Time = xid.Time(c.time ^ 1<<63)
+	node, err := c.cols[colNode].index("node index", len(c.nodes))
+	if err != nil {
+		return err
+	}
+	ev.Node = c.nodes[node]
+	if ev.GPU, err = c.cols[colGPU].int32Field("gpu"); err != nil {
+		return err
+	}
+	code, err := c.cols[colCode].int32Field("code")
+	if err != nil {
+		return err
+	}
+	ev.Code = xid.Code(code)
+	detail, err := c.cols[colDetail].index("detail index", len(c.details))
+	if err != nil {
+		return err
+	}
+	ev.Detail = c.details[detail]
+	return nil
+}
+
+// Next implements coalesce.Cursor. openShard has read every event of the
+// entry once with the same checks, so read cannot fail here.
+func (c *cursor) Next(ev *xid.Event) bool {
+	if c.left == 0 {
+		return false
+	}
+	c.left--
+	return c.read(ev) == nil
+}
+
 // DecodeShard parses a .evshard byte image, verifying the magic, format
-// version, and whole-payload checksum before touching the columns. Any
-// truncation, bit flip, or malformed field returns a *FormatError; decode
-// never panics on arbitrary input (FuzzEvshardDecode holds it to that).
+// version, and whole-payload checksum before touching the columns, and
+// returns its events in the stored Stage II order. Any truncation, bit
+// flip, malformed field or event out of Stage II order returns a
+// *FormatError; decode never panics on arbitrary input (FuzzEvshardDecode
+// holds it to that).
 func DecodeShard(data []byte) (*Payload, error) {
+	e, events, err := openShard(data, true)
+	if err != nil {
+		return nil, err
+	}
+	p := e.head
+	p.Events = events
+	return &p, nil
+}
+
+// openShard checks a .evshard image in full, which is what a cache hit
+// needs before Stage II streams it: the magic, the format version, the
+// checksum, the header, the tables, every column's bounds, and that the
+// events are in Stage II order. It returns the image as an entry, and
+// when decode is set also its events, read in the same pass.
+func openShard(data []byte, decode bool) (*entry, []xid.Event, error) {
 	const headerLen = len(evshardMagic) + 4 + 2*digestLen
 	if len(data) < headerLen+digestLen {
-		return nil, formatErrf("truncated: %d bytes is shorter than header+trailer", len(data))
+		return nil, nil, formatErrf("truncated: %d bytes is shorter than header+trailer", len(data))
 	}
 	if !bytes.Equal(data[:len(evshardMagic)], evshardMagic[:]) {
-		return nil, formatErrf("bad magic %q", data[:len(evshardMagic)])
+		return nil, nil, formatErrf("bad magic %q", data[:len(evshardMagic)])
 	}
 	if v := binary.LittleEndian.Uint32(data[len(evshardMagic):]); v != FormatVersion {
-		return nil, formatErrf("format version %d, want %d", v, FormatVersion)
+		return nil, nil, formatErrf("format version %d, want %d", v, FormatVersion)
 	}
 	body, trailer := data[:len(data)-digestLen], data[len(data)-digestLen:]
 	if sum := sha256.Sum256(body); !bytes.Equal(sum[:], trailer) {
-		return nil, formatErrf("checksum mismatch")
+		return nil, nil, formatErrf("checksum mismatch")
 	}
 
-	p := &Payload{}
+	e := &entry{}
+	p := &e.head
 	off := len(evshardMagic) + 4
 	copy(p.SourceDigest[:], data[off:])
 	copy(p.ConfigDigest[:], data[off+digestLen:])
 	d := &decoder{b: body[headerLen:]}
 	var err error
 	if p.SourcePath, err = d.str("source path"); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if p.Stats.Lines, err = d.intField("stats.lines"); err != nil {
-		return nil, err
-	}
-	if p.Stats.XIDLines, err = d.intField("stats.xidlines"); err != nil {
-		return nil, err
-	}
-	if p.Stats.Skipped, err = d.intField("stats.skipped"); err != nil {
-		return nil, err
-	}
-	if p.Stats.Malformed, err = d.intField("stats.malformed"); err != nil {
-		return nil, err
+	for _, f := range []struct {
+		dst  *int
+		name string
+	}{
+		{&p.Stats.Lines, "stats.lines"},
+		{&p.Stats.XIDLines, "stats.xidlines"},
+		{&p.Stats.Skipped, "stats.skipped"},
+		{&p.Stats.Malformed, "stats.malformed"},
+	} {
+		if *f.dst, err = d.intField(f.name); err != nil {
+			return nil, nil, err
+		}
 	}
 	count, err := d.uvarint("event count")
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Every event costs at least 5 column bytes (one varint per column),
-	// so a count beyond remaining/5 is corrupt — and the bound keeps a
-	// forged count from preallocating unbounded memory.
+	// so a count beyond the remaining bytes is corrupt, and the bound
+	// keeps a forged count from preallocating unbounded memory.
 	if count > uint64(len(d.b)) {
-		return nil, formatErrf("event count %d exceeds remaining %d bytes", count, len(d.b))
+		return nil, nil, formatErrf("event count %d exceeds remaining %d bytes", count, len(d.b))
 	}
-	nodes, err := d.table("node")
-	if err != nil {
-		return nil, err
+	e.count = int(count)
+	if e.nodes, err = d.table("node"); err != nil {
+		return nil, nil, err
 	}
-	details, err := d.table("detail")
-	if err != nil {
-		return nil, err
+	if e.details, err = d.table("detail"); err != nil {
+		return nil, nil, err
 	}
-	events := make([]xid.Event, count)
-	prev := int64(0)
-	for i := range events {
-		dt, err := d.varint("time")
-		if err != nil {
-			return nil, err
+	if len(d.b) < 8*numCols {
+		return nil, nil, formatErrf("truncated column lengths")
+	}
+	cols := d.b[8*numCols:]
+	for i := range e.cols {
+		n := binary.LittleEndian.Uint64(d.b[8*i:])
+		if n > uint64(len(cols)) {
+			return nil, nil, formatErrf("column %d length %d exceeds remaining %d bytes", i, n, len(cols))
 		}
-		prev += dt
-		events[i].Time = xid.Time(prev)
+		e.cols[i], cols = cols[:n], cols[n:]
 	}
-	for i := range events {
-		idx, err := d.uvarint("node index")
-		if err != nil {
-			return nil, err
-		}
-		if idx >= uint64(len(nodes)) {
-			return nil, formatErrf("node index %d out of range (table has %d)", idx, len(nodes))
-		}
-		events[i].Node = nodes[idx]
+	if len(cols) != 0 {
+		return nil, nil, formatErrf("%d trailing bytes after columns", len(cols))
 	}
-	for i := range events {
-		if events[i].GPU, err = d.int32Field("gpu"); err != nil {
-			return nil, err
+
+	var events []xid.Event
+	if decode {
+		events = make([]xid.Event, e.count)
+	}
+	c := e.cursor()
+	var prev, ev xid.Event
+	for i := range e.count {
+		if err := c.read(&ev); err != nil {
+			return nil, nil, err
+		}
+		if i > 0 && coalesce.Compare(prev, ev) > 0 {
+			return nil, nil, formatErrf("event %d precedes the one before it", i)
+		}
+		if decode {
+			events[i] = ev
+		}
+		prev = ev
+	}
+	for i, col := range c.cols {
+		if len(col.b) != 0 {
+			return nil, nil, formatErrf("%d trailing bytes in column %d", len(col.b), i)
 		}
 	}
-	for i := range events {
-		c, err := d.int32Field("code")
-		if err != nil {
-			return nil, err
-		}
-		events[i].Code = xid.Code(c)
-	}
-	for i := range events {
-		idx, err := d.uvarint("detail index")
-		if err != nil {
-			return nil, err
-		}
-		if idx >= uint64(len(details)) {
-			return nil, formatErrf("detail index %d out of range (table has %d)", idx, len(details))
-		}
-		events[i].Detail = details[idx]
-	}
-	if len(d.b) != 0 {
-		return nil, formatErrf("%d trailing bytes after columns", len(d.b))
-	}
-	p.Events = events
-	return p, nil
+	return e, events, nil
 }

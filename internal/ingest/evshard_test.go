@@ -5,9 +5,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
+	"gpuresilience/internal/coalesce"
 	"gpuresilience/internal/syslog"
 	"gpuresilience/internal/xid"
 )
@@ -29,6 +31,14 @@ func samplePayload() *Payload {
 			{Time: 0, Node: "x", GPU: 0, Code: xid.Code(999), Detail: "fault @ 0x7f"},
 		},
 	}
+}
+
+// stageIIOrder is events stably sorted by coalesce.Compare, in a slice of
+// their own: the order an entry stores them in.
+func stageIIOrder(events []xid.Event) []xid.Event {
+	sorted := slices.Clone(events)
+	slices.SortStableFunc(sorted, coalesce.Compare)
+	return sorted
 }
 
 // samePayload compares two payloads field by field.
@@ -58,14 +68,24 @@ func samePayload(t *testing.T, got, want *Payload) {
 	}
 }
 
+// The round trip returns the payload with its events in Stage II order,
+// full ties in input order, and leaves the encoded payload as it was.
 func TestEvshardRoundTrip(t *testing.T) {
 	p := samplePayload()
 	p.ConfigDigest = DefaultCacheKey().digest()
+	p.Events = append(p.Events, p.Events[0]) // a full tie, told apart by nothing
+	p.Events[len(p.Events)-1].Detail = "tie"
+	orig := slices.Clone(p.Events)
 	got, err := DecodeShard(EncodeShard(p))
 	if err != nil {
 		t.Fatal(err)
 	}
-	samePayload(t, got, p)
+	if !slices.Equal(p.Events, orig) {
+		t.Fatal("EncodeShard modified the payload's events")
+	}
+	want := *p
+	want.Events = stageIIOrder(p.Events)
+	samePayload(t, got, &want)
 }
 
 func TestEvshardRoundTripEmpty(t *testing.T) {
@@ -173,10 +193,11 @@ func TestCacheKeyDigestDistinguishesConfigs(t *testing.T) {
 	}
 }
 
-// oneEventShard hand-encodes a valid .evshard image of one event whose GPU
-// and code columns hold the raw values gpu and code, which EncodeShard
-// cannot produce past 32 bits.
-func oneEventShard(gpu, code int64) []byte {
+// handShard hand-encodes a checksummed .evshard image of the given node
+// and detail tables and columns, each a list of raw varint values (the
+// time column's are deltas), so a test can write what EncodeShard never
+// does: values past 32 bits, events out of order.
+func handShard(nodes, details []string, count int, cols [numCols][]int64) []byte {
 	buf := append([]byte(nil), evshardMagic[:]...)
 	buf = binary.LittleEndian.AppendUint32(buf, FormatVersion)
 	buf = append(buf, make([]byte, 2*digestLen)...)
@@ -184,16 +205,59 @@ func oneEventShard(gpu, code int64) []byte {
 	for range 4 { // stats
 		buf = putVarint(buf, 0)
 	}
-	buf = putUvarint(buf, 1) // event count
-	buf = putString(putUvarint(buf, 1), "gpub001")
-	buf = putString(putUvarint(buf, 1), "detail")
-	buf = putVarint(buf, 1_685_620_800_000_000_000) // time
-	buf = putUvarint(buf, 0)                        // node index
-	buf = putVarint(buf, gpu)
-	buf = putVarint(buf, code)
-	buf = putUvarint(buf, 0) // detail index
+	buf = putUvarint(buf, uint64(count))
+	for _, table := range [][]string{nodes, details} {
+		buf = putUvarint(buf, uint64(len(table)))
+		for _, s := range table {
+			buf = putString(buf, s)
+		}
+	}
+	var body [numCols][]byte
+	for c, vals := range cols {
+		for _, v := range vals {
+			if c == colGPU || c == colCode {
+				body[c] = putVarint(body[c], v)
+			} else {
+				body[c] = putUvarint(body[c], uint64(v))
+			}
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(body[c])))
+	}
+	for _, b := range body {
+		buf = append(buf, b...)
+	}
 	sum := sha256.Sum256(buf)
 	return append(buf, sum[:]...)
+}
+
+// oneEventShard hand-encodes a valid .evshard image of one event whose GPU
+// and code columns hold the raw values gpu and code, which EncodeShard
+// cannot produce past 32 bits.
+func oneEventShard(gpu, code int64) []byte {
+	return handShard([]string{"gpub001"}, []string{"detail"}, 1, [numCols][]int64{
+		colTime: {int64(timeBits(1_685_620_800_000_000_000))}, colNode: {0},
+		colGPU: {gpu}, colCode: {code}, colDetail: {0},
+	})
+}
+
+// TestDecodeRejectsOutOfOrder: an entry whose checksum verifies but whose
+// events are not in Stage II order is a *FormatError, so a cache hit never
+// hands Stage II an unsorted run. The two events share a time and differ
+// by node, stored gpub002 first.
+func TestDecodeRejectsOutOfOrder(t *testing.T) {
+	t0 := int64(timeBits(1_685_620_800_000_000_000))
+	cols := func(first, second int64) [numCols][]int64 {
+		return [numCols][]int64{
+			colTime: {t0, 0}, colNode: {first, second},
+			colGPU: {0, 0}, colCode: {31, 31}, colDetail: {0, 0},
+		}
+	}
+	nodes := []string{"gpub001", "gpub002"}
+	if _, err := DecodeShard(handShard(nodes, []string{""}, 2, cols(0, 1))); err != nil {
+		t.Fatalf("the ordered image: %v", err)
+	}
+	_, err := DecodeShard(handShard(nodes, []string{""}, 2, cols(1, 0)))
+	wantFormatError(t, err, "out of order")
 }
 
 // TestDecodeRejectsColumnsPast32Bits: a GPU or code varint that overflows

@@ -7,6 +7,7 @@ import (
 	"os"
 	"slices"
 
+	"gpuresilience/internal/coalesce"
 	"gpuresilience/internal/intern"
 	"gpuresilience/internal/obs"
 	"gpuresilience/internal/parallel"
@@ -53,17 +54,22 @@ type ShardInfo struct {
 // Result is a Stage I run's output: the event stream, aggregate scan
 // statistics, and the per-shard records (nil for a stream).
 type Result struct {
-	// Segments is the event stream as Stage I filled it, never copied:
-	// each shard's chunk slices or scan blocks, or its cache entry's
-	// decoded slice, in plan order. Their concatenation is every shard's
-	// events in plan order, each shard's in source-line order: exactly
-	// Stage I over the files' concatenation, whether or not the files are
-	// time-ordered. Stage II reads them in time order without modifying
-	// them. They are the caller's alone: every cache store has finished
-	// reading them.
+	// Segments is the parsed events as Stage I filled them, never copied:
+	// each parsed shard's chunk slices or scan blocks, in plan order, each
+	// shard's in source-line order. Stage II reads them in time order
+	// without modifying them. They are the caller's alone: every cache
+	// store has finished reading them.
 	Segments [][]xid.Event
-	// Events is Segments concatenated. Only Extract sets it, and leaves
-	// Segments nil.
+	// Runs holds the cache hits in plan order, each placed among Segments
+	// by its At: a cursor over its checked entry that yields the shard's
+	// events in Stage II order, one at a time, with no decoded slice.
+	// Segments and Runs in plan order are exactly Stage I over the files'
+	// concatenation, each hit's events stably sorted, which Stage II
+	// (coalesce.Merge) cannot tell apart. Each run can be read once.
+	Runs []coalesce.Run
+	// Events is the whole stream in plan order, each cache hit's events in
+	// Stage II order. Only Extract sets it, and leaves Segments and Runs
+	// nil.
 	Events []xid.Event
 	// Stats sums every shard's scan statistics.
 	Stats syslog.ExtractStats
@@ -77,9 +83,10 @@ type Result struct {
 // shardState is the per-shard scratch the extraction phases fill in.
 type shardState struct {
 	file obs.FileDigest // the shard's size and content hash; zero until hashed
-	// segs holds the shard's events as Stage I handed them over, or as
-	// the cache decoded them, in one segment; events counts them.
+	// segs holds a parsed shard's events as Stage I handed them over, and
+	// hit a cache hit's checked entry; events counts them.
 	segs    [][]xid.Event
+	hit     *entry
 	events  int
 	stats   syslog.ExtractStats
 	report  *syslog.IngestionReport
@@ -94,26 +101,58 @@ func (st *shardState) sourceDigest() [digestLen]byte {
 	return sum
 }
 
-// Extract is ExtractSegments with the segments concatenated into
-// Result.Events: a forward kept for the benchmark harness.
+// Extract is ExtractSegments with the segments and the cache hits'
+// decoded runs concatenated into Result.Events, in plan order: a forward
+// kept for the benchmark harness.
 func Extract(plan Plan, opt Options) (*Result, error) {
 	res, err := ExtractSegments(plan, opt)
 	if res != nil {
-		res.Events, res.Segments = slices.Clip(concatShards(res.Segments)), nil
+		res.Events, res.Segments, res.Runs = slices.Clip(res.concat()), nil, nil
 	}
 	return res, err
 }
 
+// concat reads the result's segments and runs into one stream, in plan
+// order; with no runs it is concatShards over the segments.
+func (res *Result) concat() []xid.Event {
+	if len(res.Runs) == 0 {
+		return concatShards(res.Segments)
+	}
+	n := 0
+	for _, sh := range res.Shards {
+		n += sh.Events
+	}
+	events := make([]xid.Event, 0, n)
+	done := 0
+	for _, r := range res.Runs {
+		for _, seg := range res.Segments[done:r.At] {
+			events = append(events, seg...)
+		}
+		done = r.At
+		var ev xid.Event
+		for r.Cursor.Next(&ev) {
+			events = append(events, ev)
+		}
+	}
+	for _, seg := range res.Segments[done:] {
+		events = append(events, seg...)
+	}
+	return events
+}
+
 // ExtractSegments runs Stage I over every shard in the plan and returns
-// the results in plan order, the events as segments. Cached shards load
-// without parsing; the rest parse concurrently on the pooled byte parsers
-// (bounded by opt.Workers) and, once every shard has parsed, are written
-// back to the cache; a run that fails stores no entry. The event stream and statistics are identical
-// at any worker count, and equal a single run over the shards'
-// concatenation in plan order.
+// the results in plan order: the parsed events as segments, the cache
+// hits as runs. Cached shards are checked in full once, while probing,
+// and are not parsed or decoded; the rest parse concurrently on the
+// pooled byte parsers (bounded by opt.Workers) and, once every shard has
+// parsed, are written back to the cache; a run that fails stores no
+// entry, and a store that fails (an unwritable cache directory) is
+// counted and never fails the run. The event stream and statistics are
+// identical at any worker count, and equal a single run over the shards'
+// concatenation in plan order, up to the order of each hit's events.
 //
 // When opt.Obs is enabled the run records the ingest.shards gauge, the
-// cache.{hit,miss,invalidated,bypass,write} counters, a per-shard
+// cache.{hit,miss,invalidated,bypass,write,write_failed} counters, a per-shard
 // stage1.shard.N span for every parsed shard, and the usual umbrella
 // stage1.extract / stage1.lenient span — only when at least one shard
 // actually parsed, so a fully cache-warm run is recognizable by that
@@ -147,10 +186,9 @@ func ExtractSegments(plan Plan, opt Options) (*Result, error) {
 			if err != nil {
 				return fmt.Errorf("ingest: hash %s: %w", plan.Shards[i].Path, err)
 			}
-			var p *Payload
-			p, st.outcome = opt.Cache.Load(plan.Shards[i].Path, st.sourceDigest())
+			st.hit, _, st.outcome = opt.Cache.open(plan.Shards[i].Path, st.sourceDigest(), false)
 			if st.outcome == CacheHit {
-				st.segs, st.events, st.stats = [][]xid.Event{p.Events}, len(p.Events), p.Stats
+				st.events, st.stats = st.hit.count, st.hit.head.Stats
 			}
 			return nil
 		})
@@ -180,15 +218,16 @@ func ExtractSegments(plan Plan, opt Options) (*Result, error) {
 	// Stores run once every shard has parsed, so a failed parse stores
 	// nothing, and finish before ExtractSegments returns.
 	if cacheable {
-		if err := storeShards(plan, states, toParse, opt); err != nil {
-			return nil, err
-		}
+		storeShards(plan, states, toParse, opt)
 	}
 
 	res := &Result{Shards: make([]ShardInfo, n)}
 	var reports []*syslog.IngestionReport
 	for i := range states {
 		st := &states[i]
+		if st.hit != nil {
+			res.Runs = append(res.Runs, coalesce.Run{At: len(res.Segments), Len: st.events, Cursor: st.hit.cursor()})
+		}
 		res.Segments = append(res.Segments, st.segs...)
 		res.Stats.Lines += st.stats.Lines
 		res.Stats.XIDLines += st.stats.XIDLines
@@ -214,17 +253,27 @@ func ExtractSegments(plan Plan, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// storeShards writes the listed shards' events to the cache, in parallel,
-// counting cache.write for each entry written.
-func storeShards(plan Plan, states []shardState, shards []int, opt Options) error {
-	return parallel.ForEach(len(shards), opt.Workers, func(k int) error {
-		i := shards[k]
-		st := &states[i]
-		p := &Payload{SourceDigest: st.sourceDigest(), SourcePath: plan.Shards[i].Path, Stats: st.stats}
-		if err := opt.Cache.store(plan.Shards[i].Path, p, st.segs); err != nil {
-			return err
+// storeShards writes the listed shards' events to the cache, in
+// parallel, each worker taking every workers-th shard and reusing one
+// sort index across them. It counts cache.write for each entry written
+// and cache.write_failed for each entry a failed store (an unwritable
+// directory, a full disk) left unwritten: the cache is an optimization,
+// so a store never fails the run.
+func storeShards(plan Plan, states []shardState, shards []int, opt Options) {
+	workers := min(parallel.Resolve(opt.Workers), len(shards))
+	_ = parallel.ForEach(workers, workers, func(w int) error {
+		var order []uint64
+		for k := w; k < len(shards); k += workers {
+			i := shards[k]
+			st := &states[i]
+			p := &Payload{SourceDigest: st.sourceDigest(), SourcePath: plan.Shards[i].Path, Stats: st.stats}
+			var err error
+			if order, err = opt.Cache.store(plan.Shards[i].Path, p, st.segs, order); err != nil {
+				opt.Obs.Counter("cache.write_failed").Add(1)
+				continue
+			}
+			opt.Obs.Counter("cache.write").Add(1)
 		}
-		opt.Obs.Counter("cache.write").Add(1)
 		return nil
 	})
 }

@@ -143,8 +143,28 @@ func referenceExtract(t *testing.T, data []byte, workers int) ([]xid.Event, sysl
 	return flat(ext), ext.Stats
 }
 
-// flat is a result's segments concatenated.
-func flat(res *Result) []xid.Event { return concatShards(res.Segments) }
+// flat is a result's segments and runs concatenated in plan order. It
+// reads the runs, so it can be called once per result.
+func flat(res *Result) []xid.Event { return res.concat() }
+
+// hitOrder is events, the shards' events concatenated in plan order, with
+// the listed shards' events each stably sorted into Stage II order: the
+// stream a run gives when those shards are served from the cache.
+func hitOrder(events []xid.Event, shards []ShardInfo, hit func(i int) bool) []xid.Event {
+	out := make([]xid.Event, 0, len(events))
+	for i, sh := range shards {
+		own := events[:sh.Events]
+		events = events[sh.Events:]
+		if hit(i) {
+			own = stageIIOrder(own)
+		}
+		out = append(out, own...)
+	}
+	return out
+}
+
+// allShards selects every shard for hitOrder.
+func allShards(int) bool { return true }
 
 // blockLen is how many events the one-worker scan's segments hold.
 const blockLen = 2048
@@ -307,8 +327,9 @@ func hasSpan(snap obs.Snapshot, name string) bool {
 
 // TestCacheColdThenWarm is the tentpole acceptance check at the Extract
 // level: a cold cached run misses and writes every shard, a warm re-run
-// hits every shard, produces the identical stream and statistics, and
-// never starts a Stage I span — the parse really is skipped, not repeated.
+// hits every shard, produces the identical statistics and the same stream
+// with each shard's events in Stage II order, and never starts a Stage I
+// span — the parse really is skipped, not repeated.
 func TestCacheColdThenWarm(t *testing.T) {
 	data := orderedLog(120, 3)
 	rng := rand.New(rand.NewSource(31))
@@ -349,7 +370,7 @@ func TestCacheColdThenWarm(t *testing.T) {
 	if len(warmSnap.Spans) != 0 {
 		t.Fatalf("warm run started spans: %v", spanNames(warmSnap))
 	}
-	sameEvents(t, warm.Events, cold.Events, "warm vs cold")
+	sameEvents(t, warm.Events, hitOrder(cold.Events, cold.Shards, allShards), "warm vs cold")
 	if warm.Stats != cold.Stats {
 		t.Fatalf("warm stats %+v, cold %+v", warm.Stats, cold.Stats)
 	}
@@ -387,7 +408,7 @@ func TestCacheOutOfRangeTimestampsColdWarm(t *testing.T) {
 	if counters["cache.hit"] != 1 {
 		t.Fatalf("warm counters: %+v", counters)
 	}
-	sameEvents(t, warm.Events, cold.Events, "warm vs cold")
+	sameEvents(t, warm.Events, stageIIOrder(cold.Events), "warm vs cold")
 	if warm.Stats != cold.Stats {
 		t.Fatalf("warm stats %+v, cold %+v", warm.Stats, cold.Stats)
 	}
@@ -735,19 +756,21 @@ func TestEventBlockBoundaries(t *testing.T) {
 					t.Fatalf("n=%d %s: shard %+v", n, pass, sh)
 				}
 			}
-			sameEvents(t, got.Events, want, fmt.Sprintf("n=%d %s shards", n, pass))
+			hit := func(int) bool { return pass == "warm" }
+			sameEvents(t, got.Events, hitOrder(want, got.Shards, hit), fmt.Sprintf("n=%d %s shards", n, pass))
 		}
 	}
 }
 
-// TestSegmentsMatchPerShardRuns: ExtractSegments hands over every shard's
-// events as Stage I filled them, in plan order, and writes each parsed
-// shard's cache entry from its segments. For cold, warm and mixed
-// three-shard plans, with shards below, across and well past a block
-// boundary, at 1 and 4 workers: the segments are the per-shard
-// ExtractReader runs concatenated, a cache hit is its shard's one segment,
-// and every .evshard entry is byte-equal to EncodeShard of its shard's own
-// parse.
+// TestSegmentsMatchPerShardRuns: ExtractSegments hands over every parsed
+// shard's events as Stage I filled them and every cache hit as one run in
+// Stage II order, in plan order, and writes each parsed shard's cache
+// entry from its segments. For cold, warm and mixed three-shard plans,
+// with shards below, across and well past a block boundary, at 1 and 4
+// workers: the segments and runs read in plan order are the per-shard
+// ExtractReader runs concatenated, each hit's stably sorted; a cache hit
+// is its shard's one run and adds no segment; and every .evshard entry is
+// byte-equal to EncodeShard of its shard's own parse.
 func TestSegmentsMatchPerShardRuns(t *testing.T) {
 	parts := [][]byte{orderedLog(blockLen+1, 11), orderedLog(5, 12), orderedLog(2*blockLen+3, 13)}
 	_, plan := writeShards(t, parts)
@@ -786,16 +809,33 @@ func TestSegmentsMatchPerShardRuns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameEvents(t, flat(got), want, ctx)
+			hit := func(i int) bool { return mode == "warm" || (mode == "mixed" && i == 1) }
+			hits, segs := 0, 0
+			for i := range parts {
+				if hit(i) {
+					hits++
+				}
+			}
+			for _, r := range got.Runs {
+				if r.At > len(got.Segments) {
+					t.Fatalf("%s: run placed at %d of %d segments", ctx, r.At, len(got.Segments))
+				}
+			}
+			for _, seg := range got.Segments {
+				segs += len(seg)
+			}
+			sameEvents(t, flat(got), hitOrder(want, got.Shards, hit), ctx)
 			if got.Events != nil {
 				t.Fatalf("%s: ExtractSegments set Events", ctx)
 			}
-			if mode == "warm" && len(got.Segments) != len(parts) {
-				t.Fatalf("%s: %d segments from %d cache hits", ctx, len(got.Segments), len(parts))
+			if len(got.Runs) != hits {
+				t.Fatalf("%s: %d runs from %d cache hits", ctx, len(got.Runs), hits)
+			}
+			if mode == "warm" && segs != 0 {
+				t.Fatalf("%s: %d events in segments with every shard a cache hit", ctx, segs)
 			}
 			for i, sh := range got.Shards {
-				hit := mode == "warm" || (mode == "mixed" && i == 1)
-				if hit != (sh.Outcome == CacheHit) {
+				if hit(i) != (sh.Outcome == CacheHit) {
 					t.Fatalf("%s: shard %d outcome %v", ctx, i, sh.Outcome)
 				}
 				entry, err := os.ReadFile(cache.entryPath(sh.Path))
@@ -806,6 +846,85 @@ func TestSegmentsMatchPerShardRuns(t *testing.T) {
 					t.Fatalf("%s: shard %d cache entry differs from EncodeShard of its own parse", ctx, i)
 				}
 			}
+		}
+	}
+}
+
+// TestCacheOutOfOrderEntryInvalidated: a cache entry whose digests and
+// checksum are all valid but whose events are stored out of Stage II
+// order counts cache.invalidated at the probe, is re-parsed and rewritten,
+// and the run returns the parsed events. The entry is the stored one with
+// its two node indices swapped and the checksum re-stamped, so two events
+// at one instant come gpub002 first.
+func TestCacheOutOfOrderEntryInvalidated(t *testing.T) {
+	var data []byte
+	for _, node := range []string{"gpub002", "gpub001"} {
+		ev := xid.Event{Time: xid.Time(testBase.UnixNano()), Node: node, GPU: 1, Code: xid.MMU, Detail: "d"}
+		data = append(append(data, syslog.AppendLine(nil, ev, 7, "python")...), '\n')
+	}
+	_, plan := writeShards(t, [][]byte{data})
+	cache := NewCache(t.TempDir())
+	cold, _ := runCached(t, plan, cache)
+	path := cache.entryPath(plan.Shards[0].Path)
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, _, err := openShard(img, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := 0
+	for _, col := range e.cols[colNode:] {
+		tail += len(col)
+	}
+	at := len(img) - digestLen - tail // the node column: indices 0 and 1
+	if img[at] != 0 || img[at+1] != 1 {
+		t.Fatalf("node column starts % x, want 00 01", img[at:at+2])
+	}
+	img[at], img[at+1] = 1, 0
+	sum := sha256.Sum256(img[:len(img)-digestLen])
+	copy(img[len(img)-digestLen:], sum[:])
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	got, counters := runCached(t, plan, cache)
+	if counters["cache.invalidated"] != 1 || counters["cache.write"] != 1 {
+		t.Fatalf("out-of-order entry: counters %+v", counters)
+	}
+	sameEvents(t, got.Events, cold.Events, "re-parsed shard")
+	if _, counters = runCached(t, plan, cache); counters["cache.hit"] != 1 {
+		t.Fatalf("rewritten entry: counters %+v", counters)
+	}
+}
+
+// TestUnwritableCacheDirIsCountedBypass: when the cache directory cannot
+// be created, here because its parent is a regular file, every shard
+// counts a cache.miss and a cache.write_failed, none a cache.write, and
+// the run returns what a run with no cache returns, at 1 and 4 workers.
+func TestUnwritableCacheDirIsCountedBypass(t *testing.T) {
+	data := orderedLog(60, 31)
+	dir, plan := writeShards(t, splitLines(data, 3, rand.New(rand.NewSource(37))))
+	k := int64(len(plan.Shards))
+	for _, workers := range []int{1, 4} {
+		want, err := Extract(plan, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := NewCache(filepath.Join(dir, "shard_000.log", "cache"))
+		reg := obs.New()
+		got, err := Extract(plan, Options{Workers: workers, Cache: cache, Obs: reg})
+		if err != nil {
+			t.Fatalf("workers=%d: an unwritable cache failed the run: %v", workers, err)
+		}
+		counters := reg.Snapshot().Counters
+		if counters["cache.miss"] != k || counters["cache.write_failed"] != k || counters["cache.write"] != 0 {
+			t.Fatalf("workers=%d: counters %+v", workers, counters)
+		}
+		sameEvents(t, got.Events, want.Events, fmt.Sprintf("workers=%d", workers))
+		if got.Stats != want.Stats {
+			t.Fatalf("workers=%d: stats %+v, want %+v", workers, got.Stats, want.Stats)
 		}
 	}
 }

@@ -29,10 +29,11 @@ func fuzzSeedLogs(f *testing.F) [][]byte {
 }
 
 // FuzzEvshardRoundTrip: for any log bytes, the payload built by lenient
-// Stage I survives EncodeShard/DecodeShard losslessly — events, stats,
-// digests, and path all come back exactly — and a cache store's encoding
-// from segments, here one per event with empty ones between, is byte-equal
-// to EncodeShard over their concatenation.
+// Stage I survives EncodeShard/DecodeShard losslessly — stats, digests and
+// path come back exactly, and the events as their stable sort into Stage
+// II order — and a cache store's encoding from segments, here one per
+// event with empty ones between, is byte-equal to EncodeShard over their
+// concatenation.
 func FuzzEvshardRoundTrip(f *testing.F) {
 	for _, seed := range fuzzSeedLogs(f) {
 		f.Add(seed)
@@ -54,7 +55,7 @@ func FuzzEvshardRoundTrip(f *testing.F) {
 		for i := range p.Events {
 			segs = append(segs, nil, p.Events[i:i+1])
 		}
-		if !bytes.Equal(encodeShard(p, segs), img) {
+		if fromSegs, _ := encodeShard(p, segs, nil); !bytes.Equal(fromSegs, img) {
 			t.Fatal("encoding from segments differs from EncodeShard")
 		}
 		got, err := DecodeShard(img)
@@ -65,11 +66,12 @@ func FuzzEvshardRoundTrip(f *testing.F) {
 			got.SourcePath != p.SourcePath || got.Stats != p.Stats {
 			t.Fatalf("header fields mutated: %+v != %+v", got, p)
 		}
-		if len(got.Events) != len(p.Events) {
-			t.Fatalf("%d events, want %d", len(got.Events), len(p.Events))
+		want := stageIIOrder(p.Events)
+		if len(got.Events) != len(want) {
+			t.Fatalf("%d events, want %d", len(got.Events), len(want))
 		}
-		for i := range p.Events {
-			g, w := got.Events[i], p.Events[i]
+		for i := range want {
+			g, w := got.Events[i], want[i]
 			if g.Time != w.Time || g.Node != w.Node || g.GPU != w.GPU ||
 				g.Code != w.Code || g.Detail != w.Detail {
 				t.Fatalf("event %d mutated: %+v != %+v", i, g, w)

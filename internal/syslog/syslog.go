@@ -157,6 +157,11 @@ type Writer struct {
 	scratch []byte // reused line buffer; emission allocates nothing per line
 }
 
+// writerBuffer is the Writer's output buffer. It batches line writes into
+// calls on w; core.EndToEnd's w is a pipe into Stage I, which reads in its
+// own chunks, so a larger buffer only adds allocation.
+const writerBuffer = 64 << 10
+
 // NewWriter returns a Writer emitting to w.
 func NewWriter(w io.Writer, cfg WriterConfig, seed uint64) (*Writer, error) {
 	if cfg.DefaultDupMean < 1 {
@@ -174,7 +179,7 @@ func NewWriter(w io.Writer, cfg WriterConfig, seed uint64) (*Writer, error) {
 		return nil, fmt.Errorf("syslog: noise probability out of [0,1]")
 	}
 	return &Writer{
-		bw:  bufio.NewWriterSize(w, 1<<20),
+		bw:  bufio.NewWriterSize(w, writerBuffer),
 		cfg: cfg,
 		rng: randx.Derive(seed, "syslog"),
 	}, nil
