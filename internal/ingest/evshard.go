@@ -228,6 +228,27 @@ func (d *decoder) varint(what string) (int64, error) {
 	return v, nil
 }
 
+// next reads one unsigned varint, reporting false on truncation or
+// overflow.
+func (d *decoder) next() (uint64, bool) {
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 {
+		return 0, false
+	}
+	d.b = d.b[n:]
+	return v, true
+}
+
+// unzigzag is the signed value of a zigzag-encoded varint, as
+// binary.Varint decodes it.
+func unzigzag(u uint64) int64 {
+	x := int64(u >> 1)
+	if u&1 != 0 {
+		x = ^x
+	}
+	return x
+}
+
 // intField reads a signed varint that must fit in an int.
 func (d *decoder) intField(what string) (int, error) {
 	v, err := d.varint(what)
@@ -238,31 +259,6 @@ func (d *decoder) intField(what string) (int, error) {
 		return 0, formatErrf("%s %d overflows int", what, v)
 	}
 	return int(v), nil
-}
-
-// int32Field reads a signed varint that must fit in an int32, the width of
-// the event record's GPU and code.
-func (d *decoder) int32Field(what string) (int32, error) {
-	v, err := d.varint(what)
-	if err != nil {
-		return 0, err
-	}
-	if int64(int32(v)) != v {
-		return 0, formatErrf("%s %d overflows int32", what, v)
-	}
-	return int32(v), nil
-}
-
-// index reads an unsigned varint that must index a table of n entries.
-func (d *decoder) index(what string, n int) (uint64, error) {
-	idx, err := d.uvarint(what)
-	if err != nil {
-		return 0, err
-	}
-	if idx >= uint64(n) {
-		return 0, formatErrf("%s %d out of range (table has %d)", what, idx, n)
-	}
-	return idx, nil
 }
 
 // str reads one length-prefixed string.
@@ -330,33 +326,40 @@ func (e *entry) cursor() *cursor {
 // read decodes the next event into ev, checking every column's bounds.
 // The caller counts the events.
 func (c *cursor) read(ev *xid.Event) error {
-	dt, err := c.cols[colTime].uvarint("time delta")
-	if err != nil {
-		return err
+	var raw [numCols]uint64
+	for i := range raw {
+		// Most values fit in one byte, read here without a call.
+		if d := &c.cols[i]; len(d.b) > 0 && d.b[0] < 0x80 {
+			raw[i], d.b = uint64(d.b[0]), d.b[1:]
+			continue
+		}
+		v, ok := c.cols[i].next()
+		if !ok {
+			return formatErrf("truncated or overlong varint in column %d", i)
+		}
+		raw[i] = v
 	}
-	if dt > math.MaxUint64-c.time {
-		return formatErrf("time delta %d overflows the time range", dt)
+	gpu, code := unzigzag(raw[colGPU]), unzigzag(raw[colCode])
+	switch {
+	case raw[colTime] > math.MaxUint64-c.time:
+		return formatErrf("time delta %d overflows the time range", raw[colTime])
+	case raw[colNode] >= uint64(len(c.nodes)):
+		return formatErrf("node index %d out of range (table has %d)", raw[colNode], len(c.nodes))
+	case raw[colDetail] >= uint64(len(c.details)):
+		return formatErrf("detail index %d out of range (table has %d)", raw[colDetail], len(c.details))
+	case int64(int32(gpu)) != gpu:
+		return formatErrf("gpu %d overflows int32", gpu)
+	case int64(int32(code)) != code:
+		return formatErrf("code %d overflows int32", code)
 	}
-	c.time += dt
-	ev.Time = xid.Time(c.time ^ 1<<63)
-	node, err := c.cols[colNode].index("node index", len(c.nodes))
-	if err != nil {
-		return err
+	c.time += raw[colTime]
+	*ev = xid.Event{
+		Time:   xid.Time(c.time ^ 1<<63),
+		Node:   c.nodes[raw[colNode]],
+		GPU:    int32(gpu),
+		Code:   xid.Code(code),
+		Detail: c.details[raw[colDetail]],
 	}
-	ev.Node = c.nodes[node]
-	if ev.GPU, err = c.cols[colGPU].int32Field("gpu"); err != nil {
-		return err
-	}
-	code, err := c.cols[colCode].int32Field("code")
-	if err != nil {
-		return err
-	}
-	ev.Code = xid.Code(code)
-	detail, err := c.cols[colDetail].index("detail index", len(c.details))
-	if err != nil {
-		return err
-	}
-	ev.Detail = c.details[detail]
 	return nil
 }
 

@@ -107,14 +107,15 @@ func (st *shardState) sourceDigest() [digestLen]byte {
 func Extract(plan Plan, opt Options) (*Result, error) {
 	res, err := ExtractSegments(plan, opt)
 	if res != nil {
-		res.Events, res.Segments, res.Runs = slices.Clip(res.concat()), nil, nil
+		res.Events, res.Segments, res.Runs = slices.Clip(res.concat(opt.Workers)), nil, nil
 	}
 	return res, err
 }
 
 // concat reads the result's segments and runs into one stream, in plan
-// order; with no runs it is concatShards over the segments.
-func (res *Result) concat() []xid.Event {
+// order, decoding the runs in parallel on at most workers goroutines;
+// with no runs it is concatShards over the segments.
+func (res *Result) concat(workers int) []xid.Event {
 	if len(res.Runs) == 0 {
 		return concatShards(res.Segments)
 	}
@@ -123,20 +124,24 @@ func (res *Result) concat() []xid.Event {
 		n += sh.Events
 	}
 	events := make([]xid.Event, 0, n)
+	at := make([]int, len(res.Runs)) // where each run's events start
 	done := 0
-	for _, r := range res.Runs {
+	for j, r := range res.Runs {
 		for _, seg := range res.Segments[done:r.At] {
 			events = append(events, seg...)
 		}
-		done = r.At
-		var ev xid.Event
-		for r.Cursor.Next(&ev) {
-			events = append(events, ev)
-		}
+		done, at[j] = r.At, len(events)
+		events = events[:len(events)+r.Len]
 	}
 	for _, seg := range res.Segments[done:] {
 		events = append(events, seg...)
 	}
+	_ = parallel.ForEach(len(res.Runs), workers, func(j int) error {
+		for k := range res.Runs[j].Len {
+			res.Runs[j].Cursor.Next(&events[at[j]+k])
+		}
+		return nil
+	})
 	return events
 }
 

@@ -145,7 +145,7 @@ func referenceExtract(t *testing.T, data []byte, workers int) ([]xid.Event, sysl
 
 // flat is a result's segments and runs concatenated in plan order. It
 // reads the runs, so it can be called once per result.
-func flat(res *Result) []xid.Event { return res.concat() }
+func flat(res *Result) []xid.Event { return res.concat(2) }
 
 // hitOrder is events, the shards' events concatenated in plan order, with
 // the listed shards' events each stably sorted into Stage II order: the
