@@ -328,12 +328,13 @@ func (e *entry) cursor() *cursor {
 func (c *cursor) read(ev *xid.Event) error {
 	var raw [numCols]uint64
 	for i := range raw {
+		d := &c.cols[i]
 		// Most values fit in one byte, read here without a call.
-		if d := &c.cols[i]; len(d.b) > 0 && d.b[0] < 0x80 {
+		if len(d.b) > 0 && d.b[0] < 0x80 {
 			raw[i], d.b = uint64(d.b[0]), d.b[1:]
 			continue
 		}
-		v, ok := c.cols[i].next()
+		v, ok := d.next()
 		if !ok {
 			return formatErrf("truncated or overlong varint in column %d", i)
 		}
@@ -420,18 +421,17 @@ func openShard(data []byte, decode bool) (*entry, []xid.Event, error) {
 	if p.SourcePath, err = d.str("source path"); err != nil {
 		return nil, nil, err
 	}
-	for _, f := range []struct {
-		dst  *int
-		name string
-	}{
-		{&p.Stats.Lines, "stats.lines"},
-		{&p.Stats.XIDLines, "stats.xidlines"},
-		{&p.Stats.Skipped, "stats.skipped"},
-		{&p.Stats.Malformed, "stats.malformed"},
-	} {
-		if *f.dst, err = d.intField(f.name); err != nil {
-			return nil, nil, err
-		}
+	if p.Stats.Lines, err = d.intField("stats.lines"); err != nil {
+		return nil, nil, err
+	}
+	if p.Stats.XIDLines, err = d.intField("stats.xidlines"); err != nil {
+		return nil, nil, err
+	}
+	if p.Stats.Skipped, err = d.intField("stats.skipped"); err != nil {
+		return nil, nil, err
+	}
+	if p.Stats.Malformed, err = d.intField("stats.malformed"); err != nil {
+		return nil, nil, err
 	}
 	count, err := d.uvarint("event count")
 	if err != nil {
