@@ -17,8 +17,9 @@ race:
 # that hold the byte-level parsers to their historical oracles, the
 # Stage I engine's line-at-a-time vs chunked equivalence in both modes,
 # Stage II over segmented input against its copy-and-sort oracle, with and
-# without sorted runs merged in, and the compact event time's JSON against
-# time.Time's.
+# without sorted runs merged in, the raw-logs path's one pass over a job DB
+# against the slice functions over LoadDB's jobs, and the compact event
+# time's JSON against time.Time's.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzExtract$$' -fuzztime 10s ./internal/syslog/
 	$(GO) test -run '^$$' -fuzz '^FuzzExtractLenient$$' -fuzztime 10s ./internal/syslog/
@@ -27,6 +28,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzParsePlacement$$' -fuzztime 10s ./internal/slurmsim/
 	$(GO) test -fuzz '^FuzzLoadDBLine$$' -fuzztime 10s ./internal/slurmsim/
 	$(GO) test -fuzz '^FuzzParseRowEquivalence$$' -fuzztime 10s ./internal/slurmsim/
+	$(GO) test -run '^$$' -fuzz '^FuzzJobDBPass$$' -fuzztime 10s ./internal/core/
 	$(GO) test -fuzz '^FuzzClassifyMLEquivalence$$' -fuzztime 10s ./internal/impact/
 	$(GO) test -run '^$$' -fuzz '^FuzzWarpEquivalence$$' -fuzztime 10s ./internal/workload/
 	$(GO) test -run '^$$' -fuzz '^FuzzStage2Segments$$' -fuzztime 10s ./internal/coalesce/

@@ -26,7 +26,6 @@ import (
 	"gpuresilience/internal/impact"
 	"gpuresilience/internal/ingest"
 	"gpuresilience/internal/obs"
-	"gpuresilience/internal/parallel"
 	"gpuresilience/internal/slurmsim"
 	"gpuresilience/internal/stats"
 	"gpuresilience/internal/syslog"
@@ -56,10 +55,11 @@ type PipelineConfig struct {
 	// an outlier, guarding small datasets.
 	OutlierMinCount int
 	// Workers bounds the pipeline's parallelism: sharded Stage I
-	// extraction and Table II's job scan each use at most this many
-	// goroutines; Stage II is sequential. 0 means GOMAXPROCS, 1 forces
-	// the sequential path. Every table and figure is worker-count-invariant
-	// — see docs/pipeline.md for the argument.
+	// extraction and Table II's job scan over in-memory jobs each use at
+	// most this many goroutines; Stage II and the raw-logs path's one pass
+	// over the job DB are sequential. 0 means GOMAXPROCS, 1 forces the
+	// sequential path. Every table and figure is worker-count-invariant —
+	// see docs/pipeline.md for the argument.
 	Workers int
 	// Lenient switches Stage I to corruption-tolerant extraction: damaged
 	// lines are classified, quarantined, and skipped instead of failing the
@@ -189,10 +189,24 @@ func Analyze(events []xid.Event, jobs []*slurmsim.Job, repairs []time.Duration,
 // coalesce.Merge).
 func analyze(segs [][]xid.Event, runs []coalesce.Run, jobs []*slurmsim.Job, repairs []time.Duration,
 	cpu workload.CPURecord, cfg PipelineConfig) (*Results, error) {
-	if err := cfg.validate(); err != nil {
+	coalesced, raw, err := stage2(segs, runs, cfg)
+	if err != nil {
 		return nil, err
 	}
-	raw := 0
+	res, err := AnalyzeCoalesced(coalesced, jobs, repairs, cpu, cfg)
+	if err != nil {
+		return nil, err
+	}
+	res.RawEvents = raw
+	return res, nil
+}
+
+// stage2 validates cfg and coalesces the segments and runs. raw is the
+// Stage II input count.
+func stage2(segs [][]xid.Event, runs []coalesce.Run, cfg PipelineConfig) (coalesced []xid.Event, raw int, err error) {
+	if err := cfg.validate(); err != nil {
+		return nil, 0, err
+	}
 	for _, s := range segs {
 		raw += len(s)
 	}
@@ -200,19 +214,14 @@ func analyze(segs [][]xid.Event, runs []coalesce.Run, jobs []*slurmsim.Job, repa
 		raw += r.Len
 	}
 	sp2 := cfg.Obs.StartSpan("stage2.coalesce")
-	coalesced, err := coalesce.Merge(segs, runs, cfg.CoalesceWindow)
+	coalesced, err = coalesce.Merge(segs, runs, cfg.CoalesceWindow)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	sp2.AddIn(int64(raw))
 	sp2.AddOut(int64(len(coalesced)))
 	sp2.End()
-	res, err := AnalyzeCoalesced(coalesced, jobs, repairs, cpu, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res.RawEvents = raw
-	return res, nil
+	return coalesced, raw, nil
 }
 
 // AnalyzeCoalesced runs Stage III over Stage II's output: coalesced events
@@ -282,54 +291,45 @@ func AnalyzeLogs(logs io.Reader, jobDB io.Reader, repairs []time.Duration,
 }
 
 // analyzeRaw is the one body behind AnalyzeLogs and AnalyzeLogFiles, which
-// differ only in their Stage I call. The raw logs and the job database are
-// independent inputs, so they load concurrently when cfg.Workers allows.
+// differ only in their Stage I call. The stages run in order: Stage I,
+// Stage II, the events into Stage III, and last one pass over the job
+// database that adds each row to the job tables and drops it, so no job
+// record outlives its row.
 func analyzeRaw(stage1 func() (*ingest.Result, error), jobDB io.Reader, repairs []time.Duration,
 	cpu workload.CPURecord, cfg PipelineConfig) (*Results, error) {
-	var (
-		ext  *ingest.Result
-		jobs []*slurmsim.Job
-	)
-	loaders := []func() error{
-		func() error {
-			var err error
-			ext, err = stage1()
-			if err != nil {
-				return fmt.Errorf("core: stage I: %w", err)
-			}
-			return nil
-		},
-		func() error {
-			if jobDB == nil {
-				return nil
-			}
-			var err error
-			jobs, err = slurmsim.LoadDB(jobDB)
-			if err != nil {
-				return fmt.Errorf("core: load job DB: %w", err)
-			}
-			return nil
-		},
+	ext, err := stage1()
+	if err != nil {
+		return nil, fmt.Errorf("core: stage I: %w", err)
 	}
-	if err := parallel.ForEach(len(loaders), cfg.Workers, func(i int) error { return loaders[i]() }); err != nil {
-		return nil, err
-	}
-	return analyzeExtracted(ext, jobs, repairs, cpu, cfg)
-}
-
-// analyzeExtracted runs Stages II-III over a Stage I result's segments and
-// runs and carries its statistics, lenient report and shard records into
-// the results.
-func analyzeExtracted(ext *ingest.Result, jobs []*slurmsim.Job, repairs []time.Duration,
-	cpu workload.CPURecord, cfg PipelineConfig) (*Results, error) {
-	res, err := analyze(ext.Segments, ext.Runs, jobs, repairs, cpu, cfg)
+	coalesced, raw, err := stage2(ext.Segments, ext.Runs, cfg)
 	if err != nil {
 		return nil, err
 	}
+	s, err := newStageIII(repairs, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.Add(coalesced); err != nil {
+		return nil, err
+	}
+	if err := s.scanJobDB(jobDB, cpu); err != nil {
+		return nil, err
+	}
+	res, err := s.Results()
+	if err != nil {
+		return nil, err
+	}
+	res.RawEvents = raw
+	return withStageI(res, ext), nil
+}
+
+// withStageI carries a Stage I result's statistics, lenient report and
+// shard records into res.
+func withStageI(res *Results, ext *ingest.Result) *Results {
 	res.Extract = ext.Stats
 	res.Ingestion = ext.Ingestion
 	res.Shards = ext.Shards
-	return res, nil
+	return res
 }
 
 // EndToEndConfig couples a simulation with pipeline settings.
@@ -434,10 +434,11 @@ func EndToEnd(cfg EndToEndConfig) (*EndToEndResult, error) {
 	if cfg.KeepRawEvents {
 		out.RawEvents = slices.Concat(ext.res.Segments...)
 	}
-	out.Results, err = analyzeExtracted(ext.res, truth.Jobs, repairs, truth.CPU, cfg.Pipeline)
+	res, err := analyze(ext.res.Segments, ext.res.Runs, truth.Jobs, repairs, truth.CPU, cfg.Pipeline)
 	if err != nil {
 		return nil, err
 	}
+	out.Results = withStageI(res, ext.res)
 	cfg.Pipeline.Obs.Gauge("sim.rawlines").Set(int64(writer.Lines()))
 	return out, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"slices"
 	"time"
 
@@ -22,10 +23,14 @@ import (
 // of everything; a streaming caller adds each newly sealed batch, and any
 // split of a stream into batches gives the same Results.
 //
+// On the raw-logs path the job database is read last instead, as one
+// pass over the dump once every event is in (scanJobDB).
+//
 // A StageIII is not safe for concurrent use.
 type StageIII struct {
 	cfg     PipelineConfig
 	jobs    []*slurmsim.Job
+	pass    *impact.JobPass // the job database's one pass, once it ran
 	repairs []time.Duration
 
 	tableIII []impact.TableIIIRow
@@ -67,6 +72,23 @@ func (pc *periodCounts) add(ev xid.Event) {
 // node unavailability intervals; cpu is the CPU-partition summary.
 func NewStageIII(jobs []*slurmsim.Job, repairs []time.Duration, cpu workload.CPURecord,
 	cfg PipelineConfig) (*StageIII, error) {
+	s, err := newStageIII(repairs, cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.jobs = jobs
+	sp := cfg.Obs.StartSpan("stage3.workload")
+	sp.AddIn(int64(len(jobs)))
+	s.tableIII = impact.TableIII(jobs)
+	s.jobStats = impact.ComputeJobStats(jobs, cpu.Total, cpu.Succeeded)
+	sp.AddOut(int64(len(s.tableIII)))
+	sp.End()
+	return s, nil
+}
+
+// newStageIII validates cfg and returns a StageIII with no jobs and no
+// events.
+func newStageIII(repairs []time.Duration, cfg PipelineConfig) (*StageIII, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -78,21 +100,37 @@ func NewStageIII(jobs []*slurmsim.Job, repairs []time.Duration, cpu workload.CPU
 	if err != nil {
 		return nil, err
 	}
-	s := &StageIII{
+	return &StageIII{
 		cfg:     cfg,
-		jobs:    jobs,
 		repairs: repairs,
 		pre:     newPeriodCounts(cfg.PreOp),
 		op:      newPeriodCounts(cfg.Op),
 		index:   index,
+	}, nil
+}
+
+// scanJobDB reads the job database as one pass over a sacct dump (nil for
+// none) after the last Add: each row goes through impact.JobPass's per-job
+// step against the complete device index and is dropped. It gives the
+// tables NewStageIII and Results give over LoadDB's jobs.
+func (s *StageIII) scanJobDB(jobDB io.Reader, cpu workload.CPURecord) error {
+	sp := s.cfg.Obs.StartSpan("stage3.workload")
+	pass := s.index.NewJobPass()
+	if jobDB != nil {
+		if err := slurmsim.ScanDB(jobDB, func(j *slurmsim.Job) error {
+			pass.Add(j)
+			return nil
+		}); err != nil {
+			return fmt.Errorf("core: load job DB: %w", err)
+		}
 	}
-	sp := cfg.Obs.StartSpan("stage3.workload")
-	sp.AddIn(int64(len(jobs)))
-	s.tableIII = impact.TableIII(jobs)
-	s.jobStats = impact.ComputeJobStats(jobs, cpu.Total, cpu.Succeeded)
+	s.pass = pass
+	s.tableIII = pass.TableIII()
+	s.jobStats = pass.JobStats(cpu.Total, cpu.Succeeded)
+	sp.AddIn(int64(pass.Jobs()))
 	sp.AddOut(int64(len(s.tableIII)))
 	sp.End()
-	return s, nil
+	return nil
 }
 
 // Add folds one batch of coalesced events. The batch must continue the
@@ -145,8 +183,13 @@ func (s *StageIII) Results() (*Results, error) {
 	sp.End()
 
 	spI := s.cfg.Obs.StartSpan("stage3.impact")
-	spI.AddIn(int64(len(s.jobs)))
-	res.TableII = s.index.Correlate(s.jobs)
+	if s.pass != nil {
+		spI.AddIn(int64(s.pass.Jobs()))
+		res.TableII = s.pass.Correlation()
+	} else {
+		spI.AddIn(int64(len(s.jobs)))
+		res.TableII = s.index.Correlate(s.jobs)
+	}
 	spI.AddOut(int64(len(res.TableII.Rows)))
 	spI.End()
 

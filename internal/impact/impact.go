@@ -8,6 +8,7 @@ package impact
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -181,33 +182,85 @@ func (x *DeviceIndex) Correlate(jobs []*slurmsim.Job) Correlation {
 		parts[s] = x.correlateJobs(jobs[lo:hi])
 		return nil
 	})
-	encounters := make(map[xid.Code]int)
-	gpuFailed := make(map[xid.Code]int)
-	var totalGPUFailed, encounteredAny int
-	for _, p := range parts {
-		for c, n := range p.encounters {
-			encounters[c] += n
-		}
-		for c, n := range p.gpuFailed {
-			gpuFailed[c] += n
-		}
-		totalGPUFailed += p.totalGPUFailed
-		encounteredAny += p.encounteredAny
+	for _, p := range parts[1:] {
+		parts[0].merge(p)
 	}
+	return parts[0].correlation()
+}
 
-	var out Correlation
-	out.TotalGPUFailedJobs = totalGPUFailed
-	out.EncounteredAny = encounteredAny
-	codes := make([]xid.Code, 0, len(encounters))
-	for c := range encounters {
+// minJobsPerShard is the smallest job-shard size worth a goroutine.
+const minJobsPerShard = 1 << 12
+
+// corTally is Table II's per-job step and its counts over the jobs added
+// so far. encountered and attributed are one job's scratch.
+type corTally struct {
+	encounters     map[xid.Code]int
+	gpuFailed      map[xid.Code]int
+	totalGPUFailed int
+	encounteredAny int
+
+	encountered, attributed map[xid.Code]bool
+}
+
+func newCorTally() corTally {
+	return corTally{
+		encounters:  make(map[xid.Code]int),
+		gpuFailed:   make(map[xid.Code]int),
+		encountered: make(map[xid.Code]bool),
+		attributed:  make(map[xid.Code]bool),
+	}
+}
+
+// add classifies one job against the index: an in-scope job counts under
+// every code it encountered, and as GPU-failed under every code attributed
+// to its failure.
+func (t *corTally) add(x *DeviceIndex, j *slurmsim.Job) {
+	if !inScope(j, x.cfg.Period) {
+		return
+	}
+	clear(t.encountered)
+	clear(t.attributed)
+	x.scanJob(j, t.encountered, t.attributed)
+	if len(t.encountered) > 0 {
+		t.encounteredAny++
+	}
+	for c := range t.encountered {
+		t.encounters[c]++
+	}
+	if len(t.attributed) > 0 {
+		t.totalGPUFailed++
+		for c := range t.attributed {
+			t.gpuFailed[c]++
+		}
+	}
+}
+
+// merge adds another tally's counts into t.
+func (t *corTally) merge(o corTally) {
+	for c, n := range o.encounters {
+		t.encounters[c] += n
+	}
+	for c, n := range o.gpuFailed {
+		t.gpuFailed[c] += n
+	}
+	t.totalGPUFailed += o.totalGPUFailed
+	t.encounteredAny += o.encounteredAny
+}
+
+// correlation derives Table II from the counts, one row per encountered
+// code in code order.
+func (t *corTally) correlation() Correlation {
+	out := Correlation{TotalGPUFailedJobs: t.totalGPUFailed, EncounteredAny: t.encounteredAny}
+	codes := make([]xid.Code, 0, len(t.encounters))
+	for c := range t.encounters {
 		codes = append(codes, c)
 	}
 	sort.Slice(codes, func(i, j int) bool { return codes[i] < codes[j] })
 	for _, c := range codes {
 		row := TableIIRow{
 			Code:             c,
-			JobsEncountering: encounters[c],
-			GPUFailedJobs:    gpuFailed[c],
+			JobsEncountering: t.encounters[c],
+			GPUFailedJobs:    t.gpuFailed[c],
 		}
 		if row.JobsEncountering > 0 {
 			row.FailureProb = float64(row.GPUFailedJobs) / float64(row.JobsEncountering)
@@ -217,44 +270,11 @@ func (x *DeviceIndex) Correlate(jobs []*slurmsim.Job) Correlation {
 	return out
 }
 
-// minJobsPerShard is the smallest job-shard size worth a goroutine.
-const minJobsPerShard = 1 << 12
-
-// corTally accumulates one shard's correlation counts.
-type corTally struct {
-	encounters     map[xid.Code]int
-	gpuFailed      map[xid.Code]int
-	totalGPUFailed int
-	encounteredAny int
-}
-
 // correlateJobs classifies one shard of the job list against the index.
 func (x *DeviceIndex) correlateJobs(jobs []*slurmsim.Job) corTally {
-	tally := corTally{
-		encounters: make(map[xid.Code]int),
-		gpuFailed:  make(map[xid.Code]int),
-	}
-	encountered := make(map[xid.Code]bool)
-	attributed := make(map[xid.Code]bool)
+	tally := newCorTally()
 	for _, j := range jobs {
-		if !inScope(j, x.cfg.Period) {
-			continue
-		}
-		clear(encountered)
-		clear(attributed)
-		x.scanJob(j, encountered, attributed)
-		if len(encountered) > 0 {
-			tally.encounteredAny++
-		}
-		for c := range encountered {
-			tally.encounters[c]++
-		}
-		if len(attributed) > 0 {
-			tally.totalGPUFailed++
-			for c := range attributed {
-				tally.gpuFailed[c]++
-			}
-		}
+		tally.add(x, j)
 	}
 	return tally
 }
@@ -429,51 +449,107 @@ func tableIIICounted(j *slurmsim.Job) bool {
 
 // TableIII computes the job-distribution table over started jobs. It makes
 // two passes over jobs so that one buffer of exactly the counted-job size
-// holds every bucket's minutes: the first counts each bucket, the second
-// writes each job's minutes at its bucket's next offset. Each bucket's
-// minutes arrive in job order, as appending them would, and are summarized
-// in place.
+// holds every bucket's minutes: the first counts each bucket and gives each
+// its span of the buffer, the second runs Table III's per-job step, which
+// fills each span, never past its end. Each bucket is summarized in place.
 func TableIII(jobs []*slurmsim.Job) []TableIIIRow {
-	const nb = len(bucketNames)
-	// next[bi+1] counts bucket bi; after the prefix sum, next[bi] is bucket
-	// bi's next write offset.
-	var next [nb + 1]int
+	var counts [len(bucketNames)]int
 	for _, j := range jobs {
 		if tableIIICounted(j) {
-			next[bucketOf(int(j.GPUs))+1]++
+			counts[bucketOf(int(j.GPUs))]++
 		}
 	}
-	for i := 1; i <= nb; i++ {
-		next[i] += next[i-1]
+	var f tableIIIFold
+	buf := make([]float64, sum(counts[:]))
+	for i, n := range counts {
+		f.minutes[i], buf = buf[:0:n], buf[n:]
 	}
-	total := next[nb]
-	start := next // start[bi]..start[bi+1] is bucket bi's span
-	minutes := make([]float64, total)
-	var mlHours, nonMLHours [nb]float64
 	for _, j := range jobs {
-		if !tableIIICounted(j) {
-			continue
+		f.add(j)
+	}
+	return f.rows()
+}
+
+func sum(xs []int) int {
+	n := 0
+	for _, x := range xs {
+		n += x
+	}
+	return n
+}
+
+// minutesBlock is how many minutes a tableIIIFold bucket holds per block
+// when its slice was not sized up front.
+const minutesBlock = 1024
+
+// tableIIIFold is Table III's per-job step and its state: each counted
+// job's elapsed minutes go into its bucket's slice, in any order, and its
+// GPU hours into the bucket's ML or non-ML sum. A bucket whose slice is
+// full moves it to full and carries on in a new block, so a fold that was
+// not sized up front never copies minutes while jobs arrive.
+type tableIIIFold struct {
+	minutes   [len(bucketNames)][]float64
+	full      [len(bucketNames)][][]float64 // each bucket's full blocks
+	ml, nonML [len(bucketNames)]float64
+}
+
+// add runs the per-job step on one job.
+func (f *tableIIIFold) add(j *slurmsim.Job) {
+	if !tableIIICounted(j) {
+		return
+	}
+	bi := bucketOf(int(j.GPUs))
+	m := f.minutes[bi]
+	if len(m) == cap(m) {
+		if len(m) > 0 {
+			f.full[bi] = append(f.full[bi], m)
 		}
-		bi := bucketOf(int(j.GPUs))
-		minutes[next[bi]] = j.Elapsed().Minutes()
-		next[bi]++
-		if ClassifyML(j.Name()) {
-			mlHours[bi] += j.GPUHours()
-		} else {
-			nonMLHours[bi] += j.GPUHours()
+		m = make([]float64, 0, minutesBlock)
+	}
+	f.minutes[bi] = append(m, j.Elapsed().Minutes())
+	if ClassifyML(j.Name()) {
+		f.ml[bi] += j.GPUHours()
+	} else {
+		f.nonML[bi] += j.GPUHours()
+	}
+}
+
+// rows summarizes each bucket. A bucket held in one slice is sorted in
+// place; one spread over blocks is gathered into a buffer that every such
+// bucket reuses. stats.Summarize sorts before it sums, so the order the
+// minutes arrived in does not reach the rows.
+func (f *tableIIIFold) rows() []TableIIIRow {
+	var count [len(bucketNames)]int
+	for i, m := range f.minutes {
+		count[i] = len(m)
+		for _, b := range f.full[i] {
+			count[i] += len(b)
 		}
 	}
-	rows := make([]TableIIIRow, 0, nb)
+	total := sum(count[:])
+	var gather []float64
+	rows := make([]TableIIIRow, 0, len(bucketNames))
 	for i, name := range bucketNames {
-		s := stats.Summarize(minutes[start[i]:start[i+1]])
+		m := f.minutes[i]
+		if len(f.full[i]) > 0 {
+			if gather == nil {
+				gather = make([]float64, 0, slices.Max(count[:]))
+			}
+			gather = gather[:0]
+			for _, b := range f.full[i] {
+				gather = append(gather, b...)
+			}
+			m = append(gather, m...)
+		}
+		s := stats.Summarize(m)
 		row := TableIIIRow{
 			Bucket:         name,
 			Count:          s.N,
 			MeanMin:        s.Mean,
 			P50Min:         s.P50,
 			P99Min:         s.P99,
-			MLGPUHoursK:    mlHours[i] / 1000,
-			NonMLGPUHoursK: nonMLHours[i] / 1000,
+			MLGPUHoursK:    f.ml[i] / 1000,
+			NonMLGPUHoursK: f.nonML[i] / 1000,
 		}
 		if total > 0 {
 			row.Pct = 100 * float64(s.N) / float64(total)
@@ -500,40 +576,55 @@ type JobStats struct {
 // ComputeJobStats summarizes GPU job success and GPU-count shares; CPU
 // counts come from the CPU-partition record.
 func ComputeJobStats(jobs []*slurmsim.Job, cpuTotal, cpuSucceeded int) JobStats {
-	st := JobStats{CPUTotal: cpuTotal, CPUSucceeded: cpuSucceeded}
-	started := 0
-	var single, small, large int
+	var c jobCounts
 	for _, j := range jobs {
-		if !j.State.Terminal() {
-			continue
-		}
-		st.GPUTotal++
-		if j.State.Succeeded() {
-			st.GPUSucceeded++
-		}
-		if j.Start.IsZero() {
-			continue
-		}
-		started++
-		switch {
-		case j.GPUs == 1:
-			single++
-		case j.GPUs <= 4:
-			small++
-		default:
-			large++
-		}
+		c.add(j)
 	}
+	return c.stats(cpuTotal, cpuSucceeded)
+}
+
+// jobCounts is the §V-A statistics' per-job step and its counts.
+type jobCounts struct {
+	total, succeeded, started int // terminal jobs; successes; started ones
+	single, small, large      int // started jobs on 1, 2-4 and >4 GPUs
+}
+
+// add counts one job.
+func (c *jobCounts) add(j *slurmsim.Job) {
+	if !j.State.Terminal() {
+		return
+	}
+	c.total++
+	if j.State.Succeeded() {
+		c.succeeded++
+	}
+	if j.Start.IsZero() {
+		return
+	}
+	c.started++
+	switch {
+	case j.GPUs == 1:
+		c.single++
+	case j.GPUs <= 4:
+		c.small++
+	default:
+		c.large++
+	}
+}
+
+// stats derives the summary from the counts and the CPU partition's.
+func (c jobCounts) stats(cpuTotal, cpuSucceeded int) JobStats {
+	st := JobStats{GPUTotal: c.total, GPUSucceeded: c.succeeded, CPUTotal: cpuTotal, CPUSucceeded: cpuSucceeded}
 	if st.GPUTotal > 0 {
 		st.GPUSuccessRate = float64(st.GPUSucceeded) / float64(st.GPUTotal)
 	}
 	if st.CPUTotal > 0 {
 		st.CPUSuccessRate = float64(st.CPUSucceeded) / float64(st.CPUTotal)
 	}
-	if started > 0 {
-		st.ShareSingleGPU = float64(single) / float64(started)
-		st.Share2to4 = float64(small) / float64(started)
-		st.ShareOver4 = float64(large) / float64(started)
+	if c.started > 0 {
+		st.ShareSingleGPU = float64(c.single) / float64(c.started)
+		st.Share2to4 = float64(c.small) / float64(c.started)
+		st.ShareOver4 = float64(c.large) / float64(c.started)
 	}
 	return st
 }

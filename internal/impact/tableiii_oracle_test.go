@@ -134,13 +134,18 @@ func randomJobs(rng *randx.Stream, n int, use []int) []*slurmsim.Job {
 	return jobs
 }
 
-// TestTableIIIMatchesReference holds TableIII's two-pass, one-buffer body
-// to the historical append-and-copy body, field by field with ==: the same
-// multiset per bucket, sorted and summed the same way, gives bit-identical
-// rows.
+// TestTableIIIMatchesReference holds TableIII's two-pass, one-buffer body,
+// and a JobPass's block-filled fold, to the historical append-and-copy
+// body, field by field with ==: the same multiset per bucket, sorted and
+// summed the same way, gives bit-identical rows. Every tenth trial has
+// enough jobs for the pass's buckets to fill several blocks.
 func TestTableIIIMatchesReference(t *testing.T) {
 	rng := randx.NewStream(19)
 	all := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	index, err := NewDeviceIndex(DefaultConfig(opPeriod))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for trial := 0; trial < 200; trial++ {
 		use := all
 		if trial%2 == 1 { // leave some buckets empty
@@ -155,18 +160,33 @@ func TestTableIIIMatchesReference(t *testing.T) {
 			}
 		}
 		n := rng.Intn(400)
-		if trial == 2 {
+		switch {
+		case trial == 2:
 			n = 0
+		case trial%10 == 5:
+			n = 8*minutesBlock + rng.Intn(8*minutesBlock)
 		}
 		jobs := randomJobs(rng, n, use)
-		got, want := TableIII(jobs), tableIIIOracle(jobs)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d rows, oracle %d", trial, len(got), len(want))
+		pass := index.NewJobPass()
+		for _, j := range jobs {
+			pass.Add(j)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d (buckets %v), row %d:\n got  %+v\n want %+v", trial, use, i, got[i], want[i])
+		want := tableIIIOracle(jobs)
+		for _, got := range []struct {
+			path string
+			rows []TableIIIRow
+		}{{"TableIII", TableIII(jobs)}, {"JobPass", pass.TableIII()}} {
+			if len(got.rows) != len(want) {
+				t.Fatalf("trial %d, %s: %d rows, oracle %d", trial, got.path, len(got.rows), len(want))
 			}
+			for i := range want {
+				if got.rows[i] != want[i] {
+					t.Fatalf("trial %d (buckets %v), %s row %d:\n got  %+v\n want %+v", trial, use, got.path, i, got.rows[i], want[i])
+				}
+			}
+		}
+		if got, want := pass.JobStats(7, 5), ComputeJobStats(jobs, 7, 5); got != want {
+			t.Fatalf("trial %d: JobPass statistics %+v, ComputeJobStats %+v", trial, got, want)
 		}
 	}
 }

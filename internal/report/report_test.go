@@ -2,6 +2,8 @@ package report
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -123,5 +125,43 @@ func TestWriteAllAndComparison(t *testing.T) {
 		if !strings.Contains(cmp, want) {
 			t.Fatalf("comparison missing %q:\n%s", want, cmp)
 		}
+	}
+}
+
+// TestComparisonTableIIIRows checks the per-bucket elapsed-time rows: the
+// paper column comes from the workload calibration, the measured one from
+// Table III.
+func TestComparisonTableIIIRows(t *testing.T) {
+	res := smallResults(t)
+	res.TableIII[0].MeanMin, res.TableIII[0].P50Min = 87.81, 20.3
+	var buf bytes.Buffer
+	if err := WriteComparison(&buf, res); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(buf.String(), "\n")
+	find := func(metric string) []string {
+		for _, l := range lines {
+			if strings.HasPrefix(l, metric+"  ") {
+				return strings.Fields(strings.TrimPrefix(l, metric))
+			}
+		}
+		t.Fatalf("comparison has no %q row:\n%s", metric, buf.String())
+		return nil
+	}
+	b := workload.DefaultBuckets()[0]
+	for _, c := range []struct {
+		metric string
+		want   []string
+	}{
+		{"Table III 1 GPUs mean elapsed (min)", []string{fmt.Sprintf("%.2f", b.MeanMin), "87.81", fmt.Sprintf("%.2f", 87.81/b.MeanMin)}},
+		{"Table III 1 GPUs median elapsed (min)", []string{fmt.Sprintf("%.2f", b.MedianMin), "20.30", fmt.Sprintf("%.2f", 20.3/b.MedianMin)}},
+	} {
+		if got := find(c.metric); !slices.Equal(got, c.want) {
+			t.Fatalf("%s: cells %q, want %q", c.metric, got, c.want)
+		}
+	}
+	for _, bucket := range workload.DefaultBuckets() {
+		find("Table III " + bucket.Name + " GPUs mean elapsed (min)")
+		find("Table III " + bucket.Name + " GPUs median elapsed (min)")
 	}
 }

@@ -83,22 +83,31 @@ const jobArenaSize = 4096
 // table's small growth steps without reserving much for a small DB.
 const textHint = 1024
 
-// dbLoader carries the allocation state of one LoadDB run: an interner for
-// the small recurring vocabularies (names, users, partitions, node names), a
-// table sharing one JobText per distinct (name, user, partition), arenas for
-// the Job records and the JobTexts so rows don't allocate one object each,
-// the placement table, and the scratch a new placement is parsed into.
+// dbLoader is the one sacct row parser and its state. Every row it parses
+// lands in the scratch record row, which the next row overwrites. Names,
+// users, partitions and node names come from one interner of those small
+// vocabularies. A loader made by newDBLoader also retains: LoadDB's texts
+// and placements come from tables sharing one JobText per distinct (name,
+// user, partition) and one Placement per distinct allocation, and its
+// records from an arena. A scanning loader (ScanDB's) keeps no table: a
+// row's text and placement are scratch values too.
 type dbLoader struct {
-	in     *intern.Interner
+	in       *intern.Interner
+	row      Job       // the record of the row just parsed
+	rowText  JobText   // a scanning loader's row text
+	rowPlace Placement // a scanning loader's row placement
+	place    Placement // scanPlacement's scratch
+	ints     []int
+
+	// Retention, nil on a scanning loader.
 	seed   maphash.Seed
 	texts  map[uint64]*JobText // by the hash of the row's "name|user|partition"
 	arena  []Job
 	tarena []JobText
 	places *placeTable
-	place  Placement // parsePlacement's scratch
-	ints   []int
 }
 
+// newDBLoader returns a retaining loader, LoadDB's.
 func newDBLoader() *dbLoader {
 	return &dbLoader{in: intern.New(), seed: maphash.MakeSeed(),
 		texts: make(map[uint64]*JobText, textHint), places: newPlaceTable()}
@@ -139,25 +148,52 @@ func estimateDBRows(r io.Reader) int {
 	return int(n)
 }
 
-// LoadDB parses a dump produced by DumpDB.
+// ScanDB parses a dump produced by DumpDB and calls fn on each row's record
+// in file order, stopping at the first error, which it returns unwrapped
+// when fn's. The record, its Text and its Place are scratch that the next
+// row overwrites: fn must copy what it keeps. Once each name, user,
+// partition and node has been seen, a canonical row allocates nothing, so a
+// pass over the database holds one row at a time.
 //
 // The row parser works field-by-field on the scanner's byte view — no
 // per-line string copy — with fixed-layout fast paths for the timestamp and
 // integer columns that fall back to time.Parse/strconv on anything
 // non-canonical, so accept/reject semantics and error text match the
-// historical strings-based parser exactly.
+// historical strings-based parser exactly. An empty input holds no rows;
+// blank lines after the header are skipped.
+func ScanDB(r io.Reader, fn func(*Job) error) error {
+	return (&dbLoader{in: intern.New()}).scan(r, fn)
+}
+
+// LoadDB parses a dump produced by DumpDB into records it keeps: ScanDB's
+// rows, each copied into an arena, with texts and placements shared through
+// the loader's tables.
 func LoadDB(r io.Reader) ([]*Job, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
 	ld := newDBLoader()
 	jobs := make([]*Job, 0, estimateDBRows(r))
+	err := ld.scan(r, func(row *Job) error {
+		j := &carve(&ld.arena, 1, jobArenaSize)[0]
+		*j = *row
+		jobs = append(jobs, j)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return jobs, nil
+}
+
+// scan is ScanDB over the loader's own state.
+func (ld *dbLoader) scan(r io.Reader, fn func(*Job) error) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
 		line := sc.Bytes()
 		if lineNo == 1 {
 			if !bytes.Equal(line, dbHeaderBytes) {
-				return nil, fmt.Errorf("slurmsim: unexpected DB header %q", line)
+				return fmt.Errorf("slurmsim: unexpected DB header %q", line)
 			}
 			continue
 		}
@@ -166,14 +202,13 @@ func LoadDB(r io.Reader) ([]*Job, error) {
 		}
 		j, err := ld.parseRow(line)
 		if err != nil {
-			return nil, fmt.Errorf("slurmsim: line %d: %w", lineNo, err)
+			return fmt.Errorf("slurmsim: line %d: %w", lineNo, err)
 		}
-		jobs = append(jobs, j)
+		if err := fn(j); err != nil {
+			return err
+		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return jobs, nil
+	return sc.Err()
 }
 
 // splitDBFields splits a row on '|' into the 12 sacct columns. n is the true
@@ -264,6 +299,7 @@ func timeRangeErr(column string, value []byte) error {
 
 func fitsInt32(v int) bool { return v >= math.MinInt32 && v <= math.MaxInt32 }
 
+// parseRow parses one row into the loader's scratch record.
 func (ld *dbLoader) parseRow(line []byte) (*Job, error) {
 	var f [12][]byte
 	if n, ok := splitDBFields(line, &f); !ok {
@@ -325,7 +361,7 @@ func (ld *dbLoader) parseRow(line []byte) (*Job, error) {
 	case !fitsInt32(exit):
 		return nil, rangeErr("exit code", f[9][:ci], math.MinInt32, math.MaxInt32)
 	}
-	j := &carve(&ld.arena, 1, jobArenaSize)[0]
+	j := &ld.row
 	*j = Job{
 		Text:     ld.text(line[len(f[0])+1:][:len(f[1])+len(f[2])+len(f[3])+2], &f),
 		ID:       int32(id),
@@ -341,13 +377,17 @@ func (ld *dbLoader) parseRow(line []byte) (*Job, error) {
 	return j, nil
 }
 
-// text returns the loader's shared JobText for a row's name, user and
-// partition columns f[1], f[2] and f[3]; span is the row's
-// "name|user|partition" bytes. The table holds one text per hash of span,
-// checked field by field, so a hit costs one hash and no allocation. A text
-// whose hash another text already holds (a 64-bit collision) is not shared,
-// only carved anew for each of its rows.
+// text returns the JobText for a row's name, user and partition columns
+// f[1], f[2] and f[3]; span is the row's "name|user|partition" bytes. A
+// scanning loader fills its scratch text. A retaining loader's table holds
+// one text per hash of span, checked field by field, so a hit costs one
+// hash and no allocation. A text whose hash another text already holds (a
+// 64-bit collision) is not shared, only carved anew for each of its rows.
 func (ld *dbLoader) text(span []byte, f *[12][]byte) *JobText {
+	if ld.texts == nil {
+		ld.rowText = JobText{Name: ld.in.Intern(f[1]), User: ld.in.Intern(f[2]), Partition: ld.in.Intern(f[3])}
+		return &ld.rowText
+	}
 	h := maphash.Bytes(ld.seed, span)
 	t := ld.texts[h]
 	if t != nil && t.Name == string(f[1]) && t.User == string(f[2]) && t.Partition == string(f[3]) {
@@ -361,20 +401,23 @@ func (ld *dbLoader) text(span []byte, f *[12][]byte) *JobText {
 	return n
 }
 
-// parsePlacement returns the loader's shared placement for a Placement
-// field. A field seen before costs one hash and one re-encoding of the entry
-// it is checked against. Otherwise the canonical Placement.String encoding —
+// parsePlacement returns the placement for a Placement field: a scanning
+// loader's scratch, or a retaining loader's shared value. A field the table
+// has seen before costs one hash and one re-encoding of the entry it is
+// checked against. Otherwise the canonical Placement.String encoding —
 // "node:i,j;node:k" with plain digit runs and strictly ascending node names —
-// is parsed straight off the bytes into scratch and interned. Any deviation
-// restarts the whole field through the exported ParsePlacement, so the
-// loader keeps its tolerance (signed indices, leading spaces, any part
-// order) and its exact errors.
+// is parsed straight off the bytes into scratch (and interned when
+// retaining). Any deviation restarts the whole field through the exported
+// ParsePlacement, so the loader keeps its tolerance (signed indices, leading
+// spaces, any part order) and its exact errors.
 func (ld *dbLoader) parsePlacement(b []byte) (*Placement, error) {
 	if len(b) == 0 {
 		return nil, nil
 	}
-	if p := ld.places.lookup(b); p != nil {
-		return p, nil
+	if ld.places != nil {
+		if p := ld.places.lookup(b); p != nil {
+			return p, nil
+		}
 	}
 	p, ok := ld.scanPlacement(b)
 	if !ok {
@@ -382,6 +425,10 @@ func (ld *dbLoader) parsePlacement(b []byte) (*Placement, error) {
 		if p, err = ParsePlacement(string(b)); err != nil { // cold corrupt-input fallback
 			return nil, err
 		}
+	}
+	if ld.places == nil {
+		ld.rowPlace = p
+		return &ld.rowPlace, nil
 	}
 	return ld.places.intern(p), nil
 }
