@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -216,19 +217,13 @@ func TestJobDBPassMatchesLoadDB(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			var dbReader *bytes.Reader
+			var db io.Reader // nil: no job DB
 			dbPath := ""
 			if c.db != nil {
-				dbReader = bytes.NewReader([]byte(*c.db))
+				db = strings.NewReader(*c.db)
 				dbPath = writeDB(t, []byte(*c.db))
 			}
-			var viaLogs *core.Results
-			var errLogs error
-			if dbReader == nil {
-				viaLogs, errLogs = core.AnalyzeLogs(bytes.NewReader(logs), nil, d.repairs, d.cpu, pipeCfg())
-			} else {
-				viaLogs, errLogs = core.AnalyzeLogs(bytes.NewReader(logs), dbReader, d.repairs, d.cpu, pipeCfg())
-			}
+			viaLogs, errLogs := core.AnalyzeLogs(bytes.NewReader(logs), db, d.repairs, d.cpu, pipeCfg())
 			viaFiles, errFiles := d.analyzeFiles(pat, dbPath, pipeCfg(), core.IngestConfig{})
 			filesErr := c.err
 			if c.filesErr != "" {
