@@ -118,22 +118,22 @@ stress-check:
 # (split-log vs single-stream equivalence, per-node splits, concatenation
 # property trials, evshard round-trip, cache invalidation) plus an
 # end-to-end determinism check — deltasim writes a dataset, its syslog is
-# split in two and, separately, into one file per node (time-ordered files
-# that interleave in time), and xidstat runs single-file, sharded-cold, and
-# sharded-warm; all reports must be byte-identical and the warm run must
-# hit the cache without re-running Stage I. Mirrors the CI ingest job;
-# docs/ingest.md has the contracts.
+# split into 8 parts and, separately, into one file per node (time-ordered
+# files that interleave in time), and xidstat runs single-file,
+# sharded-cold at 2 workers (so each worker parses several shards into the
+# storage the one before left it), and sharded-warm; all reports must be
+# byte-identical and the warm run must hit the cache without re-running
+# Stage I. Mirrors the CI ingest job; docs/ingest.md has the contracts.
 ingest-check:
 	$(GO) test -count=1 ./internal/ingest/ ./internal/cliflags/
 	$(GO) build -o bin/xidstat ./cmd/xidstat
 	$(GO) build -o bin/deltasim ./cmd/deltasim
 	rm -rf ingest-tmp && mkdir -p ingest-tmp/cache
 	bin/deltasim -out ingest-tmp -seed 7 -scale 0.02 -nojobs
-	half=$$(($$(wc -l < ingest-tmp/syslog.txt) / 2)); \
-	head -n $$half ingest-tmp/syslog.txt > ingest-tmp/part_000.log; \
-	tail -n +$$(($$half + 1)) ingest-tmp/syslog.txt > ingest-tmp/part_001.log
+	split -n l/8 -d -a 3 --additional-suffix=.log ingest-tmp/syslog.txt ingest-tmp/part_
+	test $$(ls ingest-tmp/part_*.log | wc -l) -eq 8
 	bin/xidstat -logs ingest-tmp/syslog.txt > ingest-tmp/single.txt
-	bin/xidstat -logs 'ingest-tmp/part_*.log' -cache-dir ingest-tmp/cache > ingest-tmp/cold.txt
+	bin/xidstat -logs 'ingest-tmp/part_*.log' -cache-dir ingest-tmp/cache -workers 2 > ingest-tmp/cold.txt
 	bin/xidstat -logs 'ingest-tmp/part_*.log' -cache-dir ingest-tmp/cache > ingest-tmp/warm.txt
 	cmp ingest-tmp/single.txt ingest-tmp/cold.txt
 	cmp ingest-tmp/cold.txt ingest-tmp/warm.txt

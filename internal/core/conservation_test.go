@@ -24,7 +24,10 @@ func physicalLines(b []byte) int {
 
 // checkLineConservation asserts Stage I's line identities on one run: every
 // raw line is exactly one of an Xid record, a malformed line or a skipped
-// one, and every record is one Stage II input event.
+// one, every record is one Stage II input event, on a sharded run every
+// event is counted by exactly one shard record, whether the shard was
+// parsed, encoded into its cache image or served from the cache, and
+// Stage II keeps at most the events it read.
 func checkLineConservation(t *testing.T, what string, res *core.Results, lines int) {
 	t.Helper()
 	st := res.Extract
@@ -38,6 +41,18 @@ func checkLineConservation(t *testing.T, what string, res *core.Results, lines i
 	if res.RawEvents != st.XIDLines {
 		t.Errorf("%s: Stage II read %d events from %d Xid lines", what, res.RawEvents, st.XIDLines)
 	}
+	if res.Shards != nil {
+		sum := 0
+		for _, sh := range res.Shards {
+			sum += sh.Events
+		}
+		if sum != res.RawEvents {
+			t.Errorf("%s: the shard records hold %d events, Stage II read %d", what, sum, res.RawEvents)
+		}
+	}
+	if res.CoalescedEvents > res.RawEvents {
+		t.Errorf("%s: Stage II kept %d of %d events", what, res.CoalescedEvents, res.RawEvents)
+	}
 	if st.XIDLines == 0 || st.Skipped == 0 {
 		t.Errorf("%s: vacuous run, stats %+v", what, st)
 	}
@@ -45,8 +60,9 @@ func checkLineConservation(t *testing.T, what string, res *core.Results, lines i
 
 // TestStageILineConservation checks the line identities on strict and
 // lenient runs over one stream and over shards, with a cold and a warm
-// cache (a strict hit's statistics come from its entry), on a clean log and
-// on one damaged by logfuzz.
+// cache (a strict cold shard reaches Stage II from the image its parse
+// encoded, a strict hit's statistics come from its entry), on a clean log
+// and on one damaged by logfuzz.
 func TestStageILineConservation(t *testing.T) {
 	d := loadDBDataset(t, 1)
 	damaged, _, err := logfuzz.Corrupt(d.logs, logfuzz.Config{

@@ -19,25 +19,34 @@ import (
 // TestSegmentsBytesPerEvent bounds what ExtractSegments allocates per
 // event on the benchmark's inputs: seed 1 at scale 0.05 (60,510 events,
 // counted from the shard records), split into 8 shards, parsed with no
-// cache (cold) and served from a filled one (warm). Stage I's buffers are
-// its output, so a cold run allocates about one 48-byte event each plus
-// the scan's own; a warm run decodes nothing, and allocates only the
-// entries' bytes and string tables, which its runs stream from. A run
-// that copies or decodes its events lands far above the bounds. Measured
-// with Go 1.24 on linux/amd64: 61.0 B/event cold and 10.1 warm; 58.6 warm
-// while each hit was decoded into an event slice, 86.9 and 86.7 while the
-// event was 72 bytes and each shard's hash allocated its own read buffer,
-// and 201.6 and 158.8 when every run also copied its events into one
-// exact-size slice. Each bound is the measurement plus 15%; under the
-// race detector a warm run measures 14.5 (warmBound).
+// cache (cold), parsed with an empty one (cold-cached) and served from a
+// filled one (warm). Stage I's buffers are its output, so a cold run
+// allocates about one 48-byte event each plus the scan's own; a
+// cold-cached run encodes each shard as its parse returns and hands the
+// shard's blocks to the next shard its worker parses, so it allocates the
+// images, which its runs stream from, and about one shard's blocks per
+// worker; a warm run decodes nothing, and allocates only the entries'
+// bytes and string tables. A run that copies or decodes its events lands
+// far above the bounds. Measured with Go 1.24 on linux/amd64: 54.4
+// B/event cold, 30.1 cold-cached and 10.1 warm; 61.0 cold while each
+// shard's scan made its own reader, and 83.2 cold-cached while every
+// parsed shard kept its blocks and its entry was encoded from them after
+// the parse phase into a growing buffer; 58.6 warm while each hit was
+// decoded into an event slice, 86.9 and 86.7 while the event was 72 bytes
+// and each shard's hash allocated its own read buffer, and 201.6 and
+// 158.8 when every run also copied its events into one exact-size slice.
+// The cold bound is 70 (61.0 plus 15%) and each other bound is its
+// measurement plus 15%; under the race detector a warm run measures 14.5
+// and a cold-cached one 39.0 (warmBound, coldCachedBound).
 func TestSegmentsBytesPerEvent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates a 0.05-scale fleet")
 	}
 	plan := benchShards(t, 8)
-	perEvent := func(cache *ingest.Cache) float64 {
+	perEvent := func(newCache func() *ingest.Cache) float64 {
 		var b []float64
 		for range 5 {
+			cache := newCache()
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&before)
@@ -59,11 +68,14 @@ func TestSegmentsBytesPerEvent(t *testing.T) {
 	if _, err := ingest.ExtractSegments(plan, ingest.Options{Workers: 2, Cache: cache}); err != nil {
 		t.Fatal(err)
 	}
+	noCache := func() *ingest.Cache { return nil }
+	emptyCache := func() *ingest.Cache { return ingest.NewCache(t.TempDir()) }
+	filledCache := func() *ingest.Cache { return cache }
 	for _, c := range []struct {
 		name  string
-		cache *ingest.Cache
+		cache func() *ingest.Cache
 		bound float64
-	}{{"cold", nil, 70}, {"warm", cache, warmBound}} {
+	}{{"cold", noCache, 70}, {"cold-cached", emptyCache, coldCachedBound}, {"warm", filledCache, warmBound}} {
 		got := perEvent(c.cache)
 		t.Logf("%s: %.1f B/event", c.name, got)
 		if got > c.bound {
@@ -74,7 +86,7 @@ func TestSegmentsBytesPerEvent(t *testing.T) {
 
 // benchShards simulates seed 1 at scale 0.05, emits its raw log and writes
 // it as n shard files of equal line counts, returning their plan.
-func benchShards(t *testing.T, n int) ingest.Plan {
+func benchShards(t testing.TB, n int) ingest.Plan {
 	t.Helper()
 	sim, err := cluster.New(calib.NewScenario(1, 0.05).Cluster)
 	if err != nil {

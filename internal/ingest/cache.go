@@ -140,22 +140,18 @@ func (c *Cache) open(source string, sourceDigest [digestLen]byte, decode bool) (
 	return e, events, CacheHit
 }
 
-// store writes source's cache entry atomically (temp file + rename): p's
-// header fields, stamped with the cache's parser-config digest, and the
-// events of segs, read in order as one stream, in Stage II order (p.Events
-// is not read). order is the sort scratch, returned for reuse. A failed
+// store writes img, an image encoded for source under this cache's key,
+// as source's cache entry, atomically (temp file + rename). A failed
 // store is reported but leaves no partial entry behind.
-func (c *Cache) store(source string, p *Payload, segs [][]xid.Event, order []uint64) ([]uint64, error) {
-	p.ConfigDigest = c.Key.digest()
+func (c *Cache) store(source string, img []byte) error {
 	if err := os.MkdirAll(c.Dir, 0o755); err != nil {
-		return order, fmt.Errorf("ingest: cache dir: %w", err)
+		return fmt.Errorf("ingest: cache dir: %w", err)
 	}
 	dst := c.entryPath(source)
 	tmp, err := os.CreateTemp(c.Dir, filepath.Base(dst)+".tmp*")
 	if err != nil {
-		return order, fmt.Errorf("ingest: cache temp: %w", err)
+		return fmt.Errorf("ingest: cache temp: %w", err)
 	}
-	img, order := encodeShard(p, segs, order)
 	_, werr := tmp.Write(img)
 	cerr := tmp.Close()
 	if werr == nil {
@@ -166,7 +162,7 @@ func (c *Cache) store(source string, p *Payload, segs [][]xid.Event, order []uin
 	}
 	if werr != nil {
 		_ = os.Remove(tmp.Name())
-		return order, fmt.Errorf("ingest: cache store %s: %w", dst, werr)
+		return fmt.Errorf("ingest: cache store %s: %w", dst, werr)
 	}
-	return order, nil
+	return nil
 }

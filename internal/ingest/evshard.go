@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"gpuresilience/internal/coalesce"
 	"gpuresilience/internal/syslog"
@@ -89,6 +91,12 @@ func (t *stringTable) intern(s string) uint64 {
 	return i
 }
 
+// reset empties the table for the next image, keeping its storage.
+func (t *stringTable) reset() {
+	clear(t.idx)
+	t.vals = t.vals[:0]
+}
+
 // putUvarint appends v to b as an unsigned varint.
 func putUvarint(b []byte, v uint64) []byte {
 	var tmp [binary.MaxVarintLen64]byte
@@ -138,21 +146,81 @@ func timeBits(t xid.Time) uint64 { return uint64(t) ^ 1<<63 }
 // Every multi-byte integer is a varint except the fixed-width header,
 // column lengths and trailer; event columns are column-major (all times,
 // then all node indices, ...) so same-typed values compress, and the
-// lengths let a reader walk all five in step, one event at a time.
+// lengths let a reader walk all five in step, one event at a time. The
+// image is returned in a slice of exactly its size.
 func EncodeShard(p *Payload) []byte {
-	img, _ := encodeShard(p, [][]xid.Event{p.Events}, nil)
+	img, _ := new(encoder).encode(p, [][]xid.Event{p.Events})
 	return img
 }
 
-// encodeShard is EncodeShard with the events taken from segs, read in
-// order as one stream, instead of p.Events: the bytes are those of
-// EncodeShard over the segments' concatenation. order is the scratch the
-// Stage II sort fills; it is returned for the next call to reuse.
-func encodeShard(p *Payload, segs [][]xid.Event, order []uint64) ([]byte, []uint64) {
-	order = coalesce.Order(order, segs)
+// encoder is the .evshard encoder's storage, kept from one image to the
+// next: the Stage II sort index, each event's two string-table indexes
+// in that order, and the two string tables.
+type encoder struct {
+	order          []uint64
+	refs           []tableRefs
+	nodes, details stringTable
+}
+
+// tableRefs is one event's node and detail table indexes; no shard holds
+// 2^32 events.
+type tableRefs struct{ node, detail uint32 }
+
+// uvarintLen is how many bytes putUvarint writes for v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// varintLen is how many bytes putVarint writes for v.
+func varintLen(v int64) int { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
+
+// tableLen is how many bytes a string table takes in an image.
+func tableLen(vals []string) int {
+	n := uvarintLen(uint64(len(vals)))
+	for _, s := range vals {
+		n += uvarintLen(uint64(len(s))) + len(s)
+	}
+	return n
+}
+
+// encode is EncodeShard with the events taken from segs, read in order as
+// one stream, instead of p.Events: the bytes are those of EncodeShard
+// over the segments' concatenation. One pass over the sorted events
+// interns their strings and sizes every column, so the image is
+// allocated once, at its exact size. encode also returns the image as a
+// checked entry built from the encoder's own tables and column offsets,
+// so a cursor can read the image back without decoding or checksumming
+// it. The segments are not read again once encode returns.
+func (enc *encoder) encode(p *Payload, segs [][]xid.Event) ([]byte, *entry) {
+	enc.order = coalesce.Order(enc.order, segs)
 	at := func(q uint64) *xid.Event { return &segs[q>>32][uint32(q)] }
-	// Size guess: header+trailer plus ~8 bytes per event across columns.
-	buf := make([]byte, 0, 128+8*numCols+len(p.SourcePath)+8*len(order))
+	nodes, details := &enc.nodes, &enc.details
+	nodes.reset()
+	details.reset()
+	enc.refs = slices.Grow(enc.refs[:0], len(enc.order))
+	var colLen [numCols]int
+	prev := uint64(0)
+	for _, q := range enc.order {
+		ev := at(q)
+		r := tableRefs{uint32(nodes.intern(ev.Node)), uint32(details.intern(ev.Detail))}
+		enc.refs = append(enc.refs, r)
+		t := timeBits(ev.Time)
+		colLen[colTime] += uvarintLen(t - prev)
+		prev = t
+		colLen[colNode] += uvarintLen(uint64(r.node))
+		colLen[colGPU] += varintLen(int64(ev.GPU))
+		colLen[colCode] += varintLen(int64(ev.Code))
+		colLen[colDetail] += uvarintLen(uint64(r.detail))
+	}
+	size := len(evshardMagic) + 4 + 2*digestLen +
+		uvarintLen(uint64(len(p.SourcePath))) + len(p.SourcePath) +
+		varintLen(int64(p.Stats.Lines)) + varintLen(int64(p.Stats.XIDLines)) +
+		varintLen(int64(p.Stats.Skipped)) + varintLen(int64(p.Stats.Malformed)) +
+		uvarintLen(uint64(len(enc.order))) + tableLen(nodes.vals) + tableLen(details.vals) +
+		8*numCols + digestLen
+	for _, n := range colLen {
+		size += n
+	}
+
+	buf := make([]byte, 0, size)
 	buf = append(buf, evshardMagic[:]...)
 	buf = binary.LittleEndian.AppendUint32(buf, FormatVersion)
 	buf = append(buf, p.SourceDigest[:]...)
@@ -162,45 +230,41 @@ func encodeShard(p *Payload, segs [][]xid.Event, order []uint64) ([]byte, []uint
 	buf = putVarint(buf, int64(p.Stats.XIDLines))
 	buf = putVarint(buf, int64(p.Stats.Skipped))
 	buf = putVarint(buf, int64(p.Stats.Malformed))
-	buf = putUvarint(buf, uint64(len(order)))
-
-	var nodes, details stringTable
-	for _, q := range order {
-		nodes.intern(at(q).Node)
-		details.intern(at(q).Detail)
-	}
-	for _, t := range [2]stringTable{nodes, details} {
+	buf = putUvarint(buf, uint64(len(enc.order)))
+	for _, t := range [2]*stringTable{nodes, details} {
 		buf = putUvarint(buf, uint64(len(t.vals)))
 		for _, s := range t.vals {
 			buf = putString(buf, s)
 		}
 	}
-	lengths := len(buf)
-	buf = append(buf, make([]byte, 8*numCols)...)
+	for _, n := range colLen {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
+	}
+	e := &entry{head: *p, count: len(enc.order), nodes: slices.Clone(nodes.vals), details: slices.Clone(details.vals)}
+	e.head.Events = nil
 	for col := range numCols {
 		start := len(buf)
 		prev := uint64(0)
-		for _, q := range order {
-			ev := at(q)
+		for k, q := range enc.order {
 			switch col {
 			case colTime:
-				t := timeBits(ev.Time)
+				t := timeBits(at(q).Time)
 				buf = putUvarint(buf, t-prev)
 				prev = t
 			case colNode:
-				buf = putUvarint(buf, nodes.intern(ev.Node))
+				buf = putUvarint(buf, uint64(enc.refs[k].node))
 			case colGPU:
-				buf = putVarint(buf, int64(ev.GPU))
+				buf = putVarint(buf, int64(at(q).GPU))
 			case colCode:
-				buf = putVarint(buf, int64(ev.Code))
+				buf = putVarint(buf, int64(at(q).Code))
 			case colDetail:
-				buf = putUvarint(buf, details.intern(ev.Detail))
+				buf = putUvarint(buf, uint64(enc.refs[k].detail))
 			}
 		}
-		binary.LittleEndian.PutUint64(buf[lengths+8*col:], uint64(len(buf)-start))
+		e.cols[col] = buf[start:len(buf):len(buf)]
 	}
 	sum := sha256.Sum256(buf)
-	return append(buf, sum[:]...), order
+	return append(buf, sum[:]...), e
 }
 
 // decoder is a bounds-checked cursor over the varint section of a shard.

@@ -54,22 +54,26 @@ type ShardInfo struct {
 // Result is a Stage I run's output: the event stream, aggregate scan
 // statistics, and the per-shard records (nil for a stream).
 type Result struct {
-	// Segments is the parsed events as Stage I filled them, never copied:
-	// each parsed shard's chunk slices or scan blocks, in plan order, each
-	// shard's in source-line order. Stage II reads them in time order
-	// without modifying them. They are the caller's alone: every cache
-	// store has finished reading them.
+	// Segments is the events of the shards parsed without a cache as
+	// Stage I filled them, never copied: each shard's chunk slices or scan
+	// blocks, in plan order, each shard's in source-line order. Stage II
+	// reads them in time order without modifying them. They are the
+	// caller's alone.
 	Segments [][]xid.Event
-	// Runs holds the cache hits in plan order, each placed among Segments
-	// by its At: a cursor over its checked entry that yields the shard's
-	// events in Stage II order, one at a time, with no decoded slice.
+	// Runs holds the cached shards in plan order, each placed among
+	// Segments by its At: a cursor over the shard's checked .evshard image
+	// that yields its events in Stage II order, one at a time, with no
+	// decoded slice. A cache hit's image is the stored entry; a shard
+	// parsed with a cache configured is encoded as soon as its parse
+	// returns, and its image is both its run and the entry the run stores.
 	// Segments and Runs in plan order are exactly Stage I over the files'
-	// concatenation, each hit's events stably sorted, which Stage II
-	// (coalesce.Merge) cannot tell apart. Each run can be read once.
+	// concatenation, each cached shard's events stably sorted, which
+	// Stage II (coalesce.Merge) cannot tell apart. Each run can be read
+	// once.
 	Runs []coalesce.Run
-	// Events is the whole stream in plan order, each cache hit's events in
-	// Stage II order. Only Extract sets it, and leaves Segments and Runs
-	// nil.
+	// Events is the whole stream in plan order, each cached shard's events
+	// in Stage II order. Only Extract sets it, and leaves Segments and
+	// Runs nil.
 	Events []xid.Event
 	// Stats sums every shard's scan statistics.
 	Stats syslog.ExtractStats
@@ -83,10 +87,13 @@ type Result struct {
 // shardState is the per-shard scratch the extraction phases fill in.
 type shardState struct {
 	file obs.FileDigest // the shard's size and content hash; zero until hashed
-	// segs holds a parsed shard's events as Stage I handed them over, and
-	// hit a cache hit's checked entry; events counts them.
+	// segs holds an uncached parsed shard's events as Stage I handed them
+	// over, and hit a cached shard's checked entry: the cache's, or the
+	// image a parse encoded, kept in img until it is stored. events counts
+	// them.
 	segs    [][]xid.Event
 	hit     *entry
+	img     []byte
 	events  int
 	stats   syslog.ExtractStats
 	report  *syslog.IngestionReport
@@ -146,19 +153,23 @@ func (res *Result) concat(workers int) []xid.Event {
 }
 
 // ExtractSegments runs Stage I over every shard in the plan and returns
-// the results in plan order: the parsed events as segments, the cache
-// hits as runs. Cached shards are checked in full once, while probing,
-// and are not parsed or decoded; the rest parse concurrently on the
-// pooled byte parsers (bounded by opt.Workers) and, once every shard has
-// parsed, are written back to the cache; a run that fails stores no
-// entry, and a store that fails (an unwritable cache directory) is
-// counted and never fails the run. The event stream and statistics are
-// identical at any worker count, and equal a single run over the shards'
-// concatenation in plan order, up to the order of each hit's events.
+// the results in plan order: with a cache, every shard as a run, without
+// one the parsed events as segments. Cache hits are checked in full once,
+// while probing, and are not parsed or decoded; the rest parse
+// concurrently on the pooled byte parsers (bounded by opt.Workers), each
+// parse worker handing its scan storage from one shard to the next. With
+// a cache, a parsed shard is encoded as soon as its parse returns, its
+// events give way to the image, and once every shard has parsed the
+// images are written to the cache; a run that fails stores no entry, and
+// a store that fails (an unwritable cache directory) is counted and never
+// fails the run. The event stream and statistics are identical at any
+// worker count, and equal a single run over the shards' concatenation in
+// plan order, up to the order of each cached shard's events.
 //
 // When opt.Obs is enabled the run records the ingest.shards gauge, the
 // cache.{hit,miss,invalidated,bypass,write,write_failed} counters, a per-shard
-// stage1.shard.N span for every parsed shard, and the usual umbrella
+// stage1.shard.N span for every parsed shard (from its open to its
+// encode), and the usual umbrella
 // stage1.extract / stage1.lenient span — only when at least one shard
 // actually parsed, so a fully cache-warm run is recognizable by that
 // span's absence.
@@ -258,27 +269,20 @@ func ExtractSegments(plan Plan, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// storeShards writes the listed shards' events to the cache, in
-// parallel, each worker taking every workers-th shard and reusing one
-// sort index across them. It counts cache.write for each entry written
-// and cache.write_failed for each entry a failed store (an unwritable
+// storeShards writes the listed shards' images to the cache, in
+// parallel. It counts cache.write for each entry written and
+// cache.write_failed for each entry a failed store (an unwritable
 // directory, a full disk) left unwritten: the cache is an optimization,
-// so a store never fails the run.
+// so a store never fails the run, which goes on from the images in
+// memory.
 func storeShards(plan Plan, states []shardState, shards []int, opt Options) {
-	workers := min(parallel.Resolve(opt.Workers), len(shards))
-	_ = parallel.ForEach(workers, workers, func(w int) error {
-		var order []uint64
-		for k := w; k < len(shards); k += workers {
-			i := shards[k]
-			st := &states[i]
-			p := &Payload{SourceDigest: st.sourceDigest(), SourcePath: plan.Shards[i].Path, Stats: st.stats}
-			var err error
-			if order, err = opt.Cache.store(plan.Shards[i].Path, p, st.segs, order); err != nil {
-				opt.Obs.Counter("cache.write_failed").Add(1)
-				continue
-			}
-			opt.Obs.Counter("cache.write").Add(1)
+	_ = parallel.ForEach(len(shards), opt.Workers, func(k int) error {
+		i := shards[k]
+		if err := opt.Cache.store(plan.Shards[i].Path, states[i].img); err != nil {
+			opt.Obs.Counter("cache.write_failed").Add(1)
+			return nil
 		}
+		opt.Obs.Counter("cache.write").Add(1)
 		return nil
 	})
 }
@@ -308,7 +312,7 @@ func concatShards(shards [][]xid.Event) []xid.Event {
 func ExtractReader(r io.Reader, opt Options) (*Result, error) {
 	s1 := startStage1(opt)
 	var st shardState
-	_, err := s1.parse(r, opt.engine(opt.Workers, s1.meter(), s1.alloc, opt.LenientOptions), &st)
+	_, err := s1.parse(r, opt.engine(opt.Workers, s1.meter(), s1.alloc, opt.LenientOptions), nil, &st)
 	s1.end(int64(st.stats.Lines), int64(st.events))
 	return &Result{Segments: st.segs, Stats: st.stats, Ingestion: st.report}, err
 }
@@ -357,16 +361,17 @@ func (s stage1) meter() parallel.WorkerMeter {
 	return s.sp.ObserveWorker
 }
 
-// parse runs the engine over one source into st's segments and adds the
-// bytes it read to the span, returning that count for a per-shard span.
-func (s stage1) parse(src io.Reader, eo syslog.Options, st *shardState) (int64, error) {
+// parse runs the engine over one source into st's segments, on u's scan
+// storage (nil for its own), and adds the bytes it read to the span,
+// returning that count for a per-shard span.
+func (s stage1) parse(src io.Reader, eo syslog.Options, u *syslog.Reuse, st *shardState) (int64, error) {
 	var cr *obs.CountingReader
 	if s.sp != nil {
 		cr = obs.NewCountingReader(src)
 		src = cr
 	}
 	var err error
-	st.stats, st.report, err = syslog.ExtractBatches(src, eo, func(b []xid.Event) error {
+	st.stats, st.report, err = u.ExtractBatches(src, eo, func(b []xid.Event) error {
 		st.segs = append(st.segs, b)
 		st.events += len(b)
 		return nil
@@ -393,11 +398,21 @@ func (s stage1) end(lines, events int64) {
 	s.reg.Counter("stage1.alloc_bytes").Add(s.alloc.Bytes)
 }
 
+// shardWorker is one parse goroutine's storage, handed from each shard
+// it parses to the next: the scan's reader and event blocks, and the
+// .evshard encoder's.
+type shardWorker struct {
+	scan syslog.Reuse
+	enc  encoder
+}
+
 // parseShards runs Stage I over the listed shards. A single-shard plan
 // keeps the whole worker budget for chunk-level parallelism inside the
 // file (the pre-sharding fast path); a multi-shard plan parallelizes
 // across files with line-at-a-time per-file scans, which keeps every
-// shard's output and statistics chunking-independent.
+// shard's output and statistics chunking-independent. With a cache, each
+// shard is encoded as soon as its parse returns (encodeParsed), and its
+// event blocks go back to the worker's storage for the next shard.
 func parseShards(plan Plan, states []shardState, toParse []int, opt Options) error {
 	s1 := startStage1(opt)
 	meter := s1.meter()
@@ -414,12 +429,28 @@ func parseShards(plan Plan, states []shardState, toParse []int, opt Options) err
 	// one applies to the whole run only.
 	lopt := opt.LenientOptions
 	lopt.MaxBadFrac = 0
+	cacheable := opt.Cache != nil && !opt.Lenient
 
+	// The free list holds one set of storage per concurrent parse: a parse
+	// takes a set, or makes one when none is free, and puts it back.
+	free := make(chan *shardWorker, min(parallel.Resolve(outerWorkers), len(toParse)))
 	allocs := make([]intern.Stats, len(toParse))
 	err := parallel.ForEachMeter(len(toParse), outerWorkers, outerMeter, func(k int) error {
 		i := toParse[k]
 		st := &states[i]
 		shard := plan.Shards[i]
+		var w *shardWorker
+		select {
+		case w = <-free:
+		default:
+			w = new(shardWorker)
+		}
+		defer func() { free <- w }()
+		var ssp *obs.Span
+		if s1.sp != nil {
+			ssp = opt.Obs.StartSpan(fmt.Sprintf("stage1.shard.%03d", shard.Ordinal))
+			defer ssp.End()
+		}
 		f, err := os.Open(shard.Path)
 		if err != nil {
 			return err
@@ -434,20 +465,19 @@ func parseShards(plan Plan, states []shardState, toParse []int, opt Options) err
 			hr = obs.NewHashingReader(f)
 			src = hr
 		}
-		n, err := s1.parse(src, opt.engine(innerWorkers, meter, &allocs[k], lopt), st)
+		n, err := s1.parse(src, opt.engine(innerWorkers, meter, &allocs[k], lopt), &w.scan, st)
 		if err != nil {
 			return fmt.Errorf("ingest: shard %s: %w", shard.Path, err)
 		}
 		if hr != nil {
 			st.file = hr.Digest()
 		}
-		if s1.sp != nil {
-			ssp := opt.Obs.StartSpan(fmt.Sprintf("stage1.shard.%03d", shard.Ordinal))
-			ssp.AddIn(int64(st.stats.Lines))
-			ssp.AddOut(int64(st.events))
-			ssp.AddBytes(n)
-			ssp.End()
+		if cacheable {
+			encodeParsed(w, st, shard.Path, opt.Cache)
 		}
+		ssp.AddIn(int64(st.stats.Lines))
+		ssp.AddOut(int64(st.events))
+		ssp.AddBytes(n)
 		return nil
 	})
 	var lines, events int64
@@ -460,4 +490,14 @@ func parseShards(plan Plan, states []shardState, toParse []int, opt Options) err
 	}
 	s1.end(lines, events)
 	return err
+}
+
+// encodeParsed turns a parsed shard into its cache image, encoded under
+// the cache's key on w's encoder, and the checked entry its run reads;
+// the shard's event blocks go back to w's scan storage.
+func encodeParsed(w *shardWorker, st *shardState, path string, cache *Cache) {
+	p := &Payload{SourceDigest: st.sourceDigest(), ConfigDigest: cache.Key.digest(), SourcePath: path, Stats: st.stats}
+	st.img, st.hit = w.enc.encode(p, st.segs)
+	w.scan.Recycle(st.segs)
+	st.segs = nil
 }

@@ -384,6 +384,57 @@ func TestCacheColdThenWarm(t *testing.T) {
 	}
 }
 
+// TestShardSpansTimeTheirParse: each stage1.shard.N span runs from the
+// shard's open to the end of its encode, so its wall time is above zero
+// and at most the stage1.extract span's that holds it, the shard spans
+// together cover at least half of that span (the parses are nearly all
+// of it), and each counts its shard's lines and events; without a cache
+// and with an empty one, at 1 and 2 workers. A span started after its
+// shard's parse returned covered under 1%.
+func TestShardSpansTimeTheirParse(t *testing.T) {
+	data := orderedLog(600, 43)
+	_, plan := writeShards(t, splitLines(data, 4, rand.New(rand.NewSource(47))))
+	for _, workers := range []int{1, 2} {
+		for _, cached := range []bool{false, true} {
+			ctx := fmt.Sprintf("workers=%d cached=%t", workers, cached)
+			opt := Options{Workers: workers, Obs: obs.New()}
+			if cached {
+				opt.Cache = NewCache(t.TempDir())
+			}
+			res, err := ExtractSegments(plan, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := opt.Obs.Snapshot()
+			spans := map[string]obs.SpanSnapshot{}
+			for _, sp := range snap.Spans {
+				spans[sp.Name] = sp
+			}
+			total, ok := spans["stage1.extract"]
+			if !ok {
+				t.Fatalf("%s: no stage1.extract span in %v", ctx, spanNames(snap))
+			}
+			var sum int64
+			for i, sh := range plan.Shards {
+				sp, ok := spans[fmt.Sprintf("stage1.shard.%03d", sh.Ordinal)]
+				if !ok {
+					t.Fatalf("%s: no span for shard %d", ctx, i)
+				}
+				sum += sp.WallNs
+				if sp.WallNs <= 0 || sp.WallNs > total.WallNs {
+					t.Fatalf("%s: shard %d span wall %d ns, stage1.extract %d ns", ctx, i, sp.WallNs, total.WallNs)
+				}
+				if sp.Out != int64(res.Shards[i].Events) || sp.In == 0 {
+					t.Fatalf("%s: shard %d span in %d out %d, shard has %d events", ctx, i, sp.In, sp.Out, res.Shards[i].Events)
+				}
+			}
+			if 2*sum < total.WallNs {
+				t.Fatalf("%s: shard spans cover %d of stage1.extract's %d ns", ctx, sum, total.WallNs)
+			}
+		}
+	}
+}
+
 // outOfRangeLines are well-formed Xid lines dated outside the event
 // record's int64-nanosecond range, one past each end.
 const outOfRangeLines = "2300-01-01T00:00:00.000000Z gpub001 kernel: NVRM: Xid (PCI:0000:07:00): 79, pid=1, name=p, year 2300\n" +
@@ -417,7 +468,7 @@ func TestCacheOutOfRangeTimestampsColdWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameEvents(t, cold.Events, flat(ref), "cold vs the log without the two lines")
+	sameEvents(t, cold.Events, stageIIOrder(flat(ref)), "cold vs the log without the two lines")
 	want := ref.Stats
 	want.Lines += 2
 	want.Malformed += 2
@@ -713,8 +764,10 @@ func TestLenientMergedBudgets(t *testing.T) {
 // over in blockLen-sized blocks. Streams just short of, exactly at, just past and several blocks
 // past a block boundary must come out whole and in the order the engine's
 // own callback yields them — through ExtractReader, and through a
-// three-shard Extract whose every shard holds the boundary count, cold and
-// then served from the cache.
+// three-shard Extract whose every shard holds the boundary count, at 1
+// and 2 workers: without a cache, then cold and warm with one, where each
+// shard's events come in Stage II order and a cold parse refills the
+// blocks an earlier shard of its worker left behind.
 func TestEventBlockBoundaries(t *testing.T) {
 	for _, n := range []int{blockLen - 1, blockLen, blockLen + 1, 3*blockLen + 7} {
 		data := orderedLog(3*n, uint64(n))
@@ -745,32 +798,39 @@ func TestEventBlockBoundaries(t *testing.T) {
 		}
 
 		_, plan := writeShards(t, [][]byte{part, data[cut(n):cut(2*n)], data[cut(2*n):]})
-		cache := NewCache(t.TempDir())
-		for _, pass := range []string{"cold", "warm"} {
-			got, err := Extract(plan, Options{Workers: 2, Cache: cache})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, sh := range got.Shards {
-				if sh.Events != n || (pass == "warm") != (sh.Outcome == CacheHit) {
-					t.Fatalf("n=%d %s: shard %+v", n, pass, sh)
+		for _, workers := range []int{1, 2} {
+			cache := NewCache(t.TempDir())
+			for _, pass := range []string{"uncached", "cold", "warm"} {
+				opt := Options{Workers: workers, Cache: cache}
+				if pass == "uncached" {
+					opt.Cache = nil
 				}
+				got, err := Extract(plan, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, sh := range got.Shards {
+					if sh.Events != n || (pass == "warm") != (sh.Outcome == CacheHit) {
+						t.Fatalf("n=%d workers=%d %s: shard %+v", n, workers, pass, sh)
+					}
+				}
+				cached := func(int) bool { return pass != "uncached" }
+				sameEvents(t, got.Events, hitOrder(want, got.Shards, cached), fmt.Sprintf("n=%d workers=%d %s shards", n, workers, pass))
 			}
-			hit := func(int) bool { return pass == "warm" }
-			sameEvents(t, got.Events, hitOrder(want, got.Shards, hit), fmt.Sprintf("n=%d %s shards", n, pass))
 		}
 	}
 }
 
-// TestSegmentsMatchPerShardRuns: ExtractSegments hands over every parsed
-// shard's events as Stage I filled them and every cache hit as one run in
-// Stage II order, in plan order, and writes each parsed shard's cache
-// entry from its segments. For cold, warm and mixed three-shard plans,
+// TestSegmentsMatchPerShardRuns: without a cache ExtractSegments hands
+// over every shard's events as Stage I filled them; with one, every
+// shard, hit or parsed, is one run in Stage II order read from its
+// .evshard image, in plan order, and each parsed shard's image is the
+// entry it writes. For uncached, cold, warm and mixed three-shard plans,
 // with shards below, across and well past a block boundary, at 1 and 4
 // workers: the segments and runs read in plan order are the per-shard
-// ExtractReader runs concatenated, each hit's stably sorted; a cache hit
-// is its shard's one run and adds no segment; and every .evshard entry is
-// byte-equal to EncodeShard of its shard's own parse.
+// ExtractReader runs concatenated, each cached shard's stably sorted; a
+// cached shard adds no segment; and every .evshard entry is byte-equal to
+// EncodeShard of its shard's own parse.
 func TestSegmentsMatchPerShardRuns(t *testing.T) {
 	parts := [][]byte{orderedLog(blockLen+1, 11), orderedLog(5, 12), orderedLog(2*blockLen+3, 13)}
 	_, plan := writeShards(t, parts)
@@ -790,9 +850,13 @@ func TestSegmentsMatchPerShardRuns(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 4} {
-		for _, mode := range []string{"cold", "warm", "mixed"} {
+		for _, mode := range []string{"uncached", "cold", "warm", "mixed"} {
 			ctx := fmt.Sprintf("workers=%d %s", workers, mode)
 			cache := NewCache(t.TempDir())
+			opt := Options{Workers: workers, Cache: cache}
+			if mode == "uncached" {
+				opt.Cache = nil
+			}
 			var fill Plan
 			switch mode {
 			case "warm":
@@ -805,16 +869,15 @@ func TestSegmentsMatchPerShardRuns(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			got, err := ExtractSegments(plan, Options{Workers: workers, Cache: cache})
+			got, err := ExtractSegments(plan, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			hit := func(i int) bool { return mode == "warm" || (mode == "mixed" && i == 1) }
-			hits, segs := 0, 0
-			for i := range parts {
-				if hit(i) {
-					hits++
-				}
+			cached := func(int) bool { return opt.Cache != nil }
+			runs, segs := 0, 0
+			if opt.Cache != nil {
+				runs = len(parts)
 			}
 			for _, r := range got.Runs {
 				if r.At > len(got.Segments) {
@@ -824,15 +887,18 @@ func TestSegmentsMatchPerShardRuns(t *testing.T) {
 			for _, seg := range got.Segments {
 				segs += len(seg)
 			}
-			sameEvents(t, flat(got), hitOrder(want, got.Shards, hit), ctx)
+			sameEvents(t, flat(got), hitOrder(want, got.Shards, cached), ctx)
 			if got.Events != nil {
 				t.Fatalf("%s: ExtractSegments set Events", ctx)
 			}
-			if len(got.Runs) != hits {
-				t.Fatalf("%s: %d runs from %d cache hits", ctx, len(got.Runs), hits)
+			if len(got.Runs) != runs {
+				t.Fatalf("%s: %d runs, want %d", ctx, len(got.Runs), runs)
 			}
-			if mode == "warm" && segs != 0 {
-				t.Fatalf("%s: %d events in segments with every shard a cache hit", ctx, segs)
+			if opt.Cache != nil && segs != 0 {
+				t.Fatalf("%s: %d events in segments with every shard cached", ctx, segs)
+			}
+			if opt.Cache == nil {
+				continue
 			}
 			for i, sh := range got.Shards {
 				if hit(i) != (sh.Outcome == CacheHit) {
@@ -902,7 +968,9 @@ func TestCacheOutOfOrderEntryInvalidated(t *testing.T) {
 // TestUnwritableCacheDirIsCountedBypass: when the cache directory cannot
 // be created, here because its parent is a regular file, every shard
 // counts a cache.miss and a cache.write_failed, none a cache.write, and
-// the run returns what a run with no cache returns, at 1 and 4 workers.
+// the run goes on from the images in memory: it returns what a run with
+// no cache returns, each shard's events in Stage II order, at 1 and 4
+// workers.
 func TestUnwritableCacheDirIsCountedBypass(t *testing.T) {
 	data := orderedLog(60, 31)
 	dir, plan := writeShards(t, splitLines(data, 3, rand.New(rand.NewSource(37))))
@@ -922,7 +990,7 @@ func TestUnwritableCacheDirIsCountedBypass(t *testing.T) {
 		if counters["cache.miss"] != k || counters["cache.write_failed"] != k || counters["cache.write"] != 0 {
 			t.Fatalf("workers=%d: counters %+v", workers, counters)
 		}
-		sameEvents(t, got.Events, want.Events, fmt.Sprintf("workers=%d", workers))
+		sameEvents(t, got.Events, hitOrder(want.Events, want.Shards, allShards), fmt.Sprintf("workers=%d", workers))
 		if got.Stats != want.Stats {
 			t.Fatalf("workers=%d: stats %+v, want %+v", workers, got.Stats, want.Stats)
 		}

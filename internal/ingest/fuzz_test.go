@@ -33,7 +33,9 @@ func fuzzSeedLogs(f *testing.F) [][]byte {
 // path come back exactly, and the events as their stable sort into Stage
 // II order — and a cache store's encoding from segments, here one per
 // event with empty ones between, is byte-equal to EncodeShard over their
-// concatenation.
+// concatenation, in a slice of exactly its size, by an encoder that wrote
+// another image before; the entry that encoder returns reads back the
+// decoded events.
 func FuzzEvshardRoundTrip(f *testing.F) {
 	for _, seed := range fuzzSeedLogs(f) {
 		f.Add(seed)
@@ -55,12 +57,32 @@ func FuzzEvshardRoundTrip(f *testing.F) {
 		for i := range p.Events {
 			segs = append(segs, nil, p.Events[i:i+1])
 		}
-		if fromSegs, _ := encodeShard(p, segs, nil); !bytes.Equal(fromSegs, img) {
-			t.Fatal("encoding from segments differs from EncodeShard")
+		// The parse path's encoder, its storage left over from another
+		// image, and the entry it hands Stage II without a decode.
+		enc := new(encoder)
+		other := samplePayload()
+		enc.encode(other, [][]xid.Event{other.Events})
+		fromSegs, e := enc.encode(p, segs)
+		if !bytes.Equal(fromSegs, img) || len(fromSegs) != cap(fromSegs) {
+			t.Fatal("encoding from segments differs from EncodeShard or is not exact-size")
 		}
 		got, err := DecodeShard(img)
 		if err != nil {
 			t.Fatalf("round trip decode: %v", err)
+		}
+		if h := e.head; h.SourceDigest != got.SourceDigest || h.ConfigDigest != got.ConfigDigest ||
+			h.SourcePath != got.SourcePath || h.Stats != got.Stats || h.Events != nil || e.count != len(got.Events) {
+			t.Fatalf("encoder's entry %+v with %d events, decoded %+v", h, e.count, got)
+		}
+		c := e.cursor()
+		var ev xid.Event
+		for i := range got.Events {
+			if !c.Next(&ev) || ev != got.Events[i] {
+				t.Fatalf("encoder's entry event %d: %+v, decoded %+v", i, ev, got.Events[i])
+			}
+		}
+		if c.Next(&ev) {
+			t.Fatal("encoder's entry holds more events than the image")
 		}
 		if got.SourceDigest != p.SourceDigest || got.ConfigDigest != p.ConfigDigest ||
 			got.SourcePath != p.SourcePath || got.Stats != p.Stats {

@@ -2,5 +2,9 @@
 
 package ingest_test
 
-// warmBound is TestSegmentsBytesPerEvent's warm bound.
-const warmBound = 11.6
+// warmBound and coldCachedBound are TestSegmentsBytesPerEvent's warm and
+// cold-with-a-cache bounds.
+const (
+	warmBound       = 11.6
+	coldCachedBound = 34.6
+)

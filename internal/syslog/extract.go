@@ -67,7 +67,7 @@ type Options struct {
 // IngestionReport.stats). The report is returned in lenient mode only,
 // non-nil even alongside an error.
 func Extract(r io.Reader, opt Options, fn func(xid.Event) error) (ExtractStats, *IngestionReport, error) {
-	return extract(r, opt, fn, nil)
+	return extract(r, opt, fn, nil, nil)
 }
 
 // ExtractBatches is Extract that hands the events over in batches the
@@ -78,21 +78,72 @@ func Extract(r io.Reader, opt Options, fn func(xid.Event) error) (ExtractStats, 
 // stream ends, so an error fn returns stops that scan only at a block
 // boundary. No batch is empty.
 func ExtractBatches(r io.Reader, opt Options, fn func([]xid.Event) error) (ExtractStats, *IngestionReport, error) {
-	return extract(r, opt, nil, fn)
+	return extract(r, opt, nil, fn, nil)
+}
+
+// Reuse is the one-worker scan's storage, carried from one ExtractBatches
+// run to the next by a caller that parses sources in turn on one
+// goroutine: the reader that buffers the input, and the blocks of earlier
+// runs handed back with Recycle. The zero value is ready to use.
+type Reuse struct {
+	reader *bufio.Reader
+	blocks [][]xid.Event
+}
+
+// ExtractBatches is the package's ExtractBatches with u's storage: the
+// one-worker scan reads through u's reader, reset onto r, and fills the
+// recycled blocks, each up to its capacity, before it allocates new ones.
+// The chunked path does not use u.
+func (u *Reuse) ExtractBatches(r io.Reader, opt Options, fn func([]xid.Event) error) (ExtractStats, *IngestionReport, error) {
+	return extract(r, opt, nil, fn, u)
+}
+
+// Recycle hands batches a run delivered back for a later run to
+// overwrite; the caller reads them no more.
+func (u *Reuse) Recycle(batches [][]xid.Event) {
+	u.blocks = append(u.blocks, batches...)
+}
+
+// readerFor returns a buffered reader over r: u's own, reset onto r, or a
+// new one when u is nil.
+func (u *Reuse) readerFor(r io.Reader) *bufio.Reader {
+	if u == nil {
+		return bufio.NewReaderSize(r, scanBufBytes)
+	}
+	if u.reader == nil {
+		u.reader = bufio.NewReaderSize(r, scanBufBytes)
+	} else {
+		u.reader.Reset(r)
+	}
+	return u.reader
+}
+
+// block returns an empty block to fill: a recycled one, or a new one of
+// blockLen events when u is nil or holds none.
+func (u *Reuse) block() []xid.Event {
+	if u == nil || len(u.blocks) == 0 {
+		return make([]xid.Event, 0, blockLen)
+	}
+	last := len(u.blocks) - 1
+	b := u.blocks[last][:0]
+	u.blocks[last] = nil
+	u.blocks = u.blocks[:last]
+	return b
 }
 
 // extract is Extract with one of its two consumers set: each gets every
-// event, batch gets them a batch at a time.
-func extract(r io.Reader, opt Options, each func(xid.Event) error, batch func([]xid.Event) error) (ExtractStats, *IngestionReport, error) {
+// event, batch gets them a batch at a time. u is the one-worker scan's
+// storage, nil for its own.
+func extract(r io.Reader, opt Options, each func(xid.Event) error, batch func([]xid.Event) error, u *Reuse) (ExtractStats, *IngestionReport, error) {
 	s := newReportState(opt.Lenient)
 	var err error
 	switch {
 	case parallel.Resolve(opt.Workers) > 1:
 		err = extractChunked(r, s, opt, each, batch)
 	case batch != nil:
-		err = scanBlocks(r, s, opt, batch)
+		err = scanBlocks(u.readerFor(r), s, opt, u, batch)
 	default:
-		err = meteredScan(r, s, opt, each)
+		err = meteredScan(u.readerFor(r), s, opt, each)
 	}
 	if err == nil {
 		err = s.checkBudgets(true)
@@ -104,25 +155,26 @@ func extract(r io.Reader, opt Options, each func(xid.Event) error, batch func([]
 }
 
 // meteredScan is scan, timed against worker 0 when opt.Meter is set.
-func meteredScan(r io.Reader, s *reportState, opt Options, fn func(xid.Event) error) error {
+func meteredScan(br *bufio.Reader, s *reportState, opt Options, fn func(xid.Event) error) error {
 	if opt.Meter == nil {
-		return scan(r, s, opt.Alloc, fn)
+		return scan(br, s, opt.Alloc, fn)
 	}
 	start := time.Now() //lint:allow determinism stage span metering measures real elapsed time
-	err := scan(r, s, opt.Alloc, fn)
+	err := scan(br, s, opt.Alloc, fn)
 	opt.Meter(0, time.Since(start)) //lint:allow determinism stage span metering measures real elapsed time
 	return err
 }
 
 // scanBlocks is the one-worker scan for a batch consumer: events gather
-// in blockLen blocks, each made at full capacity, so no block regrows. A
-// run that stops early still hands over the block it was filling.
-func scanBlocks(r io.Reader, s *reportState, opt Options, batch func([]xid.Event) error) error {
+// in blocks that are each filled to their capacity, recycled ones from u
+// first and then new ones of blockLen, so no block regrows. A run that
+// stops early still hands over the block it was filling.
+func scanBlocks(br *bufio.Reader, s *reportState, opt Options, u *Reuse, batch func([]xid.Event) error) error {
 	var blk []xid.Event
-	err := meteredScan(r, s, opt, func(ev xid.Event) error {
+	err := meteredScan(br, s, opt, func(ev xid.Event) error {
 		if len(blk) == cap(blk) {
 			full := blk
-			blk = make([]xid.Event, 0, blockLen)
+			blk = u.block()
 			if len(full) > 0 {
 				if err := batch(full); err != nil {
 					return err
@@ -157,14 +209,13 @@ func tooLong(line int) error {
 	return fmt.Errorf("syslog: line %d longer than %d bytes (corrupt log?)", line, MaxLineBytes)
 }
 
-// scan is the line-at-a-time Stage I: the one-worker path, and the
-// reference the chunked path is fuzzed against. A line that fits the
+// scan is the line-at-a-time Stage I over br: the one-worker path, and
+// the reference the chunked path is fuzzed against. A line that fits the
 // reader's buffer is parsed in place, and one whole-stream interner makes
 // repeated node names and details cost a single allocation each.
-func scan(r io.Reader, s *reportState, alloc *intern.Stats, fn func(xid.Event) error) error {
+func scan(br *bufio.Reader, s *reportState, alloc *intern.Stats, fn func(xid.Event) error) error {
 	in := getInterner()
 	defer releaseInterner(in, alloc)
-	br := bufio.NewReaderSize(r, scanBufBytes)
 	var (
 		long []byte // assembles lines longer than br's buffer; reused
 		ev   xid.Event

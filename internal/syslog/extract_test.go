@@ -154,6 +154,60 @@ func TestExtractBatchesMatchesExtract(t *testing.T) {
 	}
 }
 
+// TestReuseRefillsRecycledBlocks: runs that share a Reuse deliver the
+// stream ExtractBatches does, and a one-worker run fills the blocks the
+// run before it recycled, each to its capacity, before it makes new ones:
+// a second source that fits in the first one's blocks allocates no block
+// and no reader. The chunked path ignores the Reuse.
+func TestReuseRefillsRecycledBlocks(t *testing.T) {
+	first := buildLog(t, 6000, 3)
+	second := buildLog(t, 2500, 5)
+	var u Reuse
+	run := func(data []byte, workers int) [][]xid.Event {
+		t.Helper()
+		want, wantSt := collectSequential(t, data)
+		var got []xid.Event
+		var batches [][]xid.Event
+		st, _, err := u.ExtractBatches(bytes.NewReader(data), Options{Workers: workers}, func(b []xid.Event) error {
+			batches = append(batches, b)
+			got = append(got, b...)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st != wantSt || !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: %d events, stats %+v; want %d, %+v", workers, len(got), st, len(want), wantSt)
+		}
+		return batches
+	}
+	recycled := run(first, 1)
+	owned := map[*xid.Event]bool{}
+	for _, b := range recycled {
+		owned[&b[:1][0]] = true
+	}
+	u.Recycle(recycled)
+	reader := u.reader
+	refilled := run(second, 1)
+	for i, b := range refilled {
+		if !owned[&b[:1][0]] {
+			t.Fatalf("block %d of %d is new, with %d recycled blocks to fill", i, len(refilled), len(recycled))
+		}
+		if i < len(refilled)-1 && len(b) != cap(b) {
+			t.Fatalf("block %d of %d holds %d of %d events", i, len(refilled), len(b), cap(b))
+		}
+	}
+	if u.reader != reader {
+		t.Fatal("the second run made its own reader")
+	}
+	u.Recycle(refilled)
+	for _, b := range run(first, 4) {
+		if owned[&b[:1][0]] {
+			t.Fatal("the chunked path filled a recycled block")
+		}
+	}
+}
+
 // TestParseChunkSizesForRecords: a chunk's event slice is Stage I's output
 // and outlives the chunk, so it is sized by the chunk's Xid literals, not
 // its lines. A chunk that is mostly noise gets room for its records only.
