@@ -150,9 +150,9 @@ func Restore(window time.Duration, entries []KeyState, raw, kept int) (*Coalesce
 
 // Compare is the canonical Stage II event order: (time, node, gpu, code).
 // It is the only ordering in the pipeline: Stage I hands events over in
-// source order, and Stage II (Segments, Events, and AppendKeptThrough in
-// the streaming engine's seal) offers them to the coalescer in Compare
-// order, with input position breaking full ties.
+// source order, and Stage II (Merge, Events, and AppendKeptThrough in the
+// streaming engine's seal) offers them to the coalescer in Compare order,
+// with input position breaking full ties.
 func Compare(a, b xid.Event) int { return compare(&a, &b) }
 
 // compare is Compare without copying the events, for the index sort.
@@ -188,11 +188,11 @@ func (c *Coalescer) AppendKeptThrough(dst, pending []xid.Event, cutoff time.Time
 	return dst
 }
 
-// appendKept is the step under AppendKeptThrough and Segments: it offers
+// appendKept is the step under AppendKeptThrough and Events: it offers
 // the events of segs, read in order as one stream, that are at or before
 // through (MaxTime takes them all) and appends the kept ones to
 // dst. The index scratch is passed in and handed back, so a one-off
-// Coalescer (Segments) keeps none and stays off the heap.
+// Coalescer (Events) keeps none and stays off the heap.
 func (c *Coalescer) appendKept(dst []xid.Event, order []uint64, segs [][]xid.Event, through xid.Time) ([]xid.Event, []uint64) {
 	order = sortIndex(order, segs, through)
 	kept := order[:0]
@@ -243,11 +243,11 @@ func sortIndex(order []uint64, segs [][]xid.Event, through xid.Time) []uint64 {
 // at is the event at position p of segs.
 func at(segs [][]xid.Event, p uint64) *xid.Event { return &segs[p>>32][uint32(p)] }
 
-// Segments is Stage II over events held in segments, read in order as one
-// stream: it coalesces them with a fresh Coalescer, the step of
-// AppendKeptThrough without a cutoff, and returns the kept events in
-// Compare order, in a slice of their own. The segments are not modified.
-func Segments(segs [][]xid.Event, window time.Duration) ([]xid.Event, error) {
+// Events is Stage II over one batch: it coalesces events with a fresh
+// Coalescer, the step of AppendKeptThrough without a cutoff, and returns
+// the kept events in Compare order, in a slice of their own. The events
+// are not modified.
+func Events(events []xid.Event, window time.Duration) ([]xid.Event, error) {
 	// The key map grows from empty: distinct keys are far fewer than
 	// events (272 of 60,510 at scale 0.05), so sizing it by the event
 	// count would reserve far more than it fills.
@@ -255,14 +255,8 @@ func Segments(segs [][]xid.Event, window time.Duration) ([]xid.Event, error) {
 	if err != nil {
 		return nil, err
 	}
-	kept, _ := c.appendKept(nil, nil, segs, xid.MaxTime)
+	kept, _ := c.appendKept(nil, nil, [][]xid.Event{events}, xid.MaxTime)
 	return kept, nil
-}
-
-// Events is Segments over one batch: Stage II over events the caller
-// keeps, which it does not modify.
-func Events(events []xid.Event, window time.Duration) ([]xid.Event, error) {
-	return Segments([][]xid.Event{events}, window)
 }
 
 // EventsParallel is Events with a worker count, which is ignored: Stage II

@@ -3,10 +3,12 @@ package coalesce
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 
 	"gpuresilience/internal/randx"
 	"gpuresilience/internal/xid"
@@ -208,16 +210,16 @@ func TestEventsSteadyStateAllocs(t *testing.T) {
 // bytes make one event (a coarse time, so same-instant ties are common,
 // and a key drawn from few nodes, GPUs and codes; Detail tags its input
 // position, so full ties show any reordering) and decide where the
-// segment ends, and whether it is one of the segments marked in runs;
+// segment ends, and whether it is one of the segments marked in marked;
 // empty segments can fall anywhere. all is the segments' concatenation.
-func fuzzSegments(data []byte) (segs [][]xid.Event, all []xid.Event, runs []bool) {
+func fuzzSegments(data []byte) (segs [][]xid.Event, all []xid.Event, marked []bool) {
 	base := time.Date(2023, 6, 1, 0, 0, 0, 0, time.UTC)
 	codes := []xid.Code{xid.MMU, xid.DBE, xid.NVLink}
 	cur := []xid.Event{}
 	for i := 0; i+2 < len(data); i += 3 {
 		a, b, s := data[i], data[i+1], data[i+2]
 		if s&4 != 0 {
-			segs, runs = append(segs, nil), append(runs, s&16 != 0) // an empty segment before this event
+			segs, marked = append(segs, nil), append(marked, s&16 != 0) // an empty segment before this event
 		}
 		ev := xid.Event{
 			Time:   xid.Time(base.Add(time.Duration(a%32) * 1500 * time.Millisecond).UnixNano()),
@@ -229,10 +231,10 @@ func fuzzSegments(data []byte) (segs [][]xid.Event, all []xid.Event, runs []bool
 		cur = append(cur, ev)
 		all = append(all, ev)
 		if s&3 == 0 {
-			segs, runs, cur = append(segs, cur), append(runs, s&8 != 0), []xid.Event{}
+			segs, marked, cur = append(segs, cur), append(marked, s&8 != 0), []xid.Event{}
 		}
 	}
-	return append(segs, cur), all, append(runs, len(data) > 0 && data[len(data)-1]&32 != 0)
+	return append(segs, cur), all, append(marked, len(data) > 0 && data[len(data)-1]&32 != 0)
 }
 
 // sliceCursor reads a slice's events in order.
@@ -246,73 +248,30 @@ func (c *sliceCursor) Next(ev *xid.Event) bool {
 	return true
 }
 
-// FuzzStage2Runs: Merge over a segmentation of events, some segments
-// handed over as runs of their events stably sorted into Stage II order,
-// placed where the segments were, equals the oracle over the events'
-// concatenation at Δt 0 and at DefaultWindow, whichever segments are runs
-// and however many runs share a place. The input decodes as in
-// FuzzStage2Segments, with two more bits of each third byte marking the
-// segment it closes, or the empty one it opens, as a run.
-func FuzzStage2Runs(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 8, 0, 0, 0, 3, 5, 2, 0, 0, 12})
-	f.Add([]byte{0, 0, 8, 0, 0, 8, 0, 0, 0, 0, 0, 24, 0, 0, 0})
-	f.Add([]byte{9, 1, 0, 2, 1, 9, 2, 1, 0, 9, 1, 3, 7, 7, 0x3f})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		segs, all, marked := fuzzSegments(data)
-		var plain [][]xid.Event
-		var runs []Run
-		for i, seg := range segs {
-			if !marked[i] {
-				plain = append(plain, seg)
-				continue
-			}
-			sorted := sliceCursor(slices.Clone(seg))
-			slices.SortStableFunc(sorted, Compare)
-			runs = append(runs, Run{At: len(plain), Len: len(seg), Cursor: &sorted})
-		}
-		for _, window := range []time.Duration{0, DefaultWindow} {
-			want, err := oracleEvents(all, window)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Each window reads fresh cursors.
-			fresh := slices.Clone(runs)
-			for j, r := range fresh {
-				c := slices.Clone(*r.Cursor.(*sliceCursor))
-				fresh[j].Cursor = (*sliceCursor)(&c)
-			}
-			got, err := Merge(plain, fresh, window)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
-				t.Fatalf("window %v over %d segments and %d runs: got %v, want %v", window, len(plain), len(runs), got, want)
-			}
-		}
-	})
+// presorted is a run of events stably sorted into Stage II order, read
+// from a copy, the way a cache hit hands over its shard.
+func presorted(events []xid.Event) Run {
+	sorted := sliceCursor(slices.Clone(events))
+	slices.SortStableFunc(sorted, Compare)
+	return Run{Len: len(sorted), Cursor: &sorted}
 }
 
-// Merge rejects a run placed past the segments or before an earlier run.
-func TestMergeRejectsMisplacedRuns(t *testing.T) {
-	segs := [][]xid.Event{randomEvents(1, 3)}
-	for _, runs := range [][]Run{
-		{{At: 2, Cursor: new(sliceCursor)}},
-		{{At: -1, Cursor: new(sliceCursor)}},
-		{{At: 1, Cursor: new(sliceCursor)}, {At: 0, Cursor: new(sliceCursor)}},
-	} {
-		if _, err := Merge(segs, runs, DefaultWindow); err == nil {
-			t.Fatalf("runs placed at %v accepted", runs)
+// merged is Merge's kept blocks joined, after checking that every block
+// but the last is full.
+func merged(t *testing.T, blocks [][]xid.Event) []xid.Event {
+	t.Helper()
+	for i, b := range blocks {
+		if len(b) > keptBlock || (i < len(blocks)-1 && len(b) != keptBlock) {
+			t.Fatalf("block %d of %d holds %d events", i, len(blocks), len(b))
 		}
 	}
+	return slices.Concat(blocks...)
 }
 
-// FuzzStage2Segments: Stage II over events held in segments equals the
-// oracle over their concatenation, at Δt 0 and at DefaultWindow. Each
-// three input bytes make one event (a coarse time, so same-instant ties
-// are common, and a key drawn from few nodes, GPUs and codes; Detail tags
-// its input position, so full ties show any reordering) and decide where
-// the segment ends; empty segments can fall anywhere.
+// FuzzStage2Segments: Merge over one Sorted run of events held in
+// segments equals the oracle over their concatenation, at Δt 0 and at
+// DefaultWindow, and leaves the segments as they were. The input decodes
+// as fuzzSegments says; empty segments can fall anywhere.
 func FuzzStage2Segments(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 1, 0, 0, 0, 3, 5, 2, 0, 0, 4})
@@ -321,18 +280,18 @@ func FuzzStage2Segments(f *testing.F) {
 		segs, all, _ := fuzzSegments(data)
 		orig := make([][]xid.Event, len(segs))
 		for i, seg := range segs {
-			orig[i] = append([]xid.Event(nil), seg...)
+			orig[i] = slices.Clone(seg)
 		}
 		for _, window := range []time.Duration{0, DefaultWindow} {
 			want, err := oracleEvents(all, window)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := Segments(segs, window)
+			blocks, err := Merge([]Run{Sorted(segs)}, window)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
+			if got := merged(t, blocks); len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
 				t.Fatalf("window %v over %d segments: got %v, want %v", window, len(segs), got, want)
 			}
 			for i := range segs {
@@ -342,4 +301,136 @@ func FuzzStage2Segments(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzStage2Runs: Merge over several runs equals the oracle over the runs'
+// concatenation in plan order, at Δt 0 and at DefaultWindow. Each marked
+// segment is a presorted run, as a cache hit is; each stretch of unmarked
+// segments between them is one Sorted run over that segmentation, as a
+// parsed stream is. The input decodes as in FuzzStage2Segments, with two
+// more bits of each third byte marking the segment it closes, or the
+// empty one it opens.
+func FuzzStage2Runs(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 8, 0, 0, 0, 3, 5, 2, 0, 0, 12})
+	f.Add([]byte{0, 0, 8, 0, 0, 8, 0, 0, 0, 0, 0, 24, 0, 0, 0})
+	f.Add([]byte{9, 1, 0, 2, 1, 9, 2, 1, 0, 9, 1, 3, 7, 7, 0x3f})
+	f.Add([]byte{9, 1, 0, 2, 1, 20, 2, 1, 0, 9, 1, 3, 7, 7, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		segs, _, marked := fuzzSegments(data)
+		for _, window := range []time.Duration{0, DefaultWindow} {
+			// Each window reads fresh cursors.
+			var runs []Run
+			var all []xid.Event
+			for i := 0; i < len(segs); {
+				if marked[i] {
+					runs = append(runs, presorted(segs[i]))
+					all = append(all, segs[i]...)
+					i++
+					continue
+				}
+				j := i
+				for j < len(segs) && !marked[j] {
+					all = append(all, segs[j]...)
+					j++
+				}
+				runs = append(runs, Sorted(segs[i:j]))
+				i = j
+			}
+			want, err := oracleEvents(all, window)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blocks, err := Merge(runs, window)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := merged(t, blocks); len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
+				t.Fatalf("window %v over %d runs: got %v, want %v", window, len(runs), got, want)
+			}
+		}
+	})
+}
+
+// Merge over many kept events fills full blocks and equals the oracle over
+// the runs' concatenation, with runs of both kinds.
+func TestMergeMatchesOracle(t *testing.T) {
+	events := randomEvents(41, 9000)
+	for _, window := range []time.Duration{0, DefaultWindow} {
+		runs := []Run{
+			Sorted([][]xid.Event{events[:1000], nil, events[1000:2500]}),
+			presorted(events[2500:6000]),
+			{Cursor: new(sliceCursor)},
+			Sorted([][]xid.Event{events[6000:]}),
+		}
+		want, err := oracleEvents(events, window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks, err := Merge(runs, window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := merged(t, blocks); !reflect.DeepEqual(got, want) {
+			t.Fatalf("window %v: Merge kept %d events, the oracle %d", window, len(got), len(want))
+		}
+	}
+	if _, err := Merge(nil, -time.Second); err == nil {
+		t.Fatal("negative window accepted")
+	}
+}
+
+// TestMergeAllocationFloor: Merge copies each kept event once, into its
+// blocks, so over runs that allocate nothing as they are read it
+// allocates at most mergeSlack × kept × the size of an event, plus
+// mergeFixed bytes: the last block's unused tail (under 16 KiB), the
+// Coalescer with its key map, the heap of run heads and the block list.
+// The bound is measured as runtime.MemStats TotalAlloc over repeated
+// calls, on 20,000 tie-heavy events in eight presorted runs (72 keys,
+// 5,672 kept at DefaultWindow). With Go 1.24 that reads 1.06 × kept ×
+// 48 bytes, everything included. A join of the blocks into one slice, or
+// any second copy of the kept events, adds a whole kept × 48 bytes and
+// fails.
+func TestMergeAllocationFloor(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes the allocation count")
+	}
+	const (
+		mergeSlack = 1.1
+		mergeFixed = 32 << 10
+		calls      = 20
+	)
+	events := randomEvents(43, 20000)
+	var parts [][]xid.Event
+	for i := 0; i < len(events); i += len(events) / 8 {
+		parts = append(parts, events[i:min(i+len(events)/8, len(events))])
+	}
+	inputs := make([][]Run, calls+1)
+	for k := range inputs {
+		for _, p := range parts {
+			inputs[k] = append(inputs[k], presorted(p))
+		}
+	}
+	blocks, err := Merge(inputs[calls], DefaultWindow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := len(slices.Concat(blocks...))
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for k := range calls {
+		if _, err := Merge(inputs[k], DefaultWindow); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	per := float64(after.TotalAlloc-before.TotalAlloc) / calls
+	floor := float64(kept) * float64(unsafe.Sizeof(xid.Event{}))
+	t.Logf("Merge: %.0f B/call for %d kept events (%.3f × kept × event size)", per, kept, per/floor)
+	if per > mergeSlack*floor+mergeFixed {
+		t.Fatalf("Merge allocates %.0f B/call for %d kept events, want at most %.1f × %.0f + %d",
+			per, kept, mergeSlack, floor, mergeFixed)
+	}
 }

@@ -181,19 +181,25 @@ type Results struct {
 // events is neither modified nor copied: Stage II sorts an index of it.
 func Analyze(events []xid.Event, jobs []*slurmsim.Job, repairs []time.Duration,
 	cpu workload.CPURecord, cfg PipelineConfig) (*Results, error) {
-	return analyze([][]xid.Event{events}, nil, jobs, repairs, cpu, cfg)
+	return analyze([]coalesce.Run{coalesce.Sorted([][]xid.Event{events})}, jobs, repairs, cpu, cfg)
 }
 
-// analyze is Analyze over events held in segments and runs, read in order
-// as one stream (Stage I's output as it filled it, and the cache hits; see
-// coalesce.Merge).
-func analyze(segs [][]xid.Event, runs []coalesce.Run, jobs []*slurmsim.Job, repairs []time.Duration,
+// analyze is Analyze over Stage II's input held in runs, read in order as
+// one stream (see coalesce.Merge).
+func analyze(runs []coalesce.Run, jobs []*slurmsim.Job, repairs []time.Duration,
 	cpu workload.CPURecord, cfg PipelineConfig) (*Results, error) {
-	coalesced, raw, err := stage2(segs, runs, cfg)
+	blocks, raw, err := stage2(runs, cfg)
 	if err != nil {
 		return nil, err
 	}
-	res, err := AnalyzeCoalesced(coalesced, jobs, repairs, cpu, cfg)
+	s, err := NewStageIII(jobs, repairs, cpu, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.addBlocks(blocks); err != nil {
+		return nil, err
+	}
+	res, err := s.Results()
 	if err != nil {
 		return nil, err
 	}
@@ -201,45 +207,35 @@ func analyze(segs [][]xid.Event, runs []coalesce.Run, jobs []*slurmsim.Job, repa
 	return res, nil
 }
 
-// stage2 validates cfg and coalesces the segments and runs. raw is the
-// Stage II input count.
-func stage2(segs [][]xid.Event, runs []coalesce.Run, cfg PipelineConfig) (coalesced []xid.Event, raw int, err error) {
+// stage2 validates cfg and coalesces the runs into Merge's kept blocks.
+// raw is the Stage II input count.
+func stage2(runs []coalesce.Run, cfg PipelineConfig) (blocks [][]xid.Event, raw int, err error) {
 	if err := cfg.validate(); err != nil {
 		return nil, 0, err
-	}
-	for _, s := range segs {
-		raw += len(s)
 	}
 	for _, r := range runs {
 		raw += r.Len
 	}
 	sp2 := cfg.Obs.StartSpan("stage2.coalesce")
-	coalesced, err = coalesce.Merge(segs, runs, cfg.CoalesceWindow)
+	blocks, err = coalesce.Merge(runs, cfg.CoalesceWindow)
 	if err != nil {
 		return nil, 0, err
 	}
 	sp2.AddIn(int64(raw))
-	sp2.AddOut(int64(len(coalesced)))
+	for _, b := range blocks {
+		sp2.AddOut(int64(len(b)))
+	}
 	sp2.End()
-	return coalesced, raw, nil
+	return blocks, raw, nil
 }
 
-// AnalyzeCoalesced runs Stage III over Stage II's output: coalesced events
-// in the canonical order of coalesce.Compare. Analyze calls it after Stage
-// II. It is one StageIII fold of the whole stream, the same body the
-// streaming engine folds batch by batch. It sets Results.RawEvents to
-// len(coalesced), which a caller replaces with its own Stage II input
-// count.
-func AnalyzeCoalesced(coalesced []xid.Event, jobs []*slurmsim.Job, repairs []time.Duration,
-	cpu workload.CPURecord, cfg PipelineConfig) (*Results, error) {
-	s, err := NewStageIII(jobs, repairs, cpu, cfg)
-	if err != nil {
-		return nil, err
+// stage2Runs is Stage I's output as Stage II's input: the cached shards'
+// runs, or one Sorted run over the segments.
+func stage2Runs(ext *ingest.Result) []coalesce.Run {
+	if len(ext.Runs) > 0 {
+		return ext.Runs
 	}
-	if err := s.Add(coalesced); err != nil {
-		return nil, err
-	}
-	return s.Results()
+	return []coalesce.Run{coalesce.Sorted(ext.Segments)}
 }
 
 // Row returns the Table I row for a group.
@@ -301,7 +297,7 @@ func analyzeRaw(stage1 func() (*ingest.Result, error), jobDB io.Reader, repairs 
 	if err != nil {
 		return nil, fmt.Errorf("core: stage I: %w", err)
 	}
-	coalesced, raw, err := stage2(ext.Segments, ext.Runs, cfg)
+	blocks, raw, err := stage2(stage2Runs(ext), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -309,7 +305,7 @@ func analyzeRaw(stage1 func() (*ingest.Result, error), jobDB io.Reader, repairs 
 	if err != nil {
 		return nil, err
 	}
-	if err := s.Add(coalesced); err != nil {
+	if err := s.addBlocks(blocks); err != nil {
 		return nil, err
 	}
 	if err := s.scanJobDB(jobDB, cpu); err != nil {
@@ -434,7 +430,7 @@ func EndToEnd(cfg EndToEndConfig) (*EndToEndResult, error) {
 	if cfg.KeepRawEvents {
 		out.RawEvents = slices.Concat(ext.res.Segments...)
 	}
-	res, err := analyze(ext.res.Segments, ext.res.Runs, truth.Jobs, repairs, truth.CPU, cfg.Pipeline)
+	res, err := analyze(stage2Runs(ext.res), truth.Jobs, repairs, truth.CPU, cfg.Pipeline)
 	if err != nil {
 		return nil, err
 	}

@@ -138,27 +138,37 @@ func (s *StageIII) scanJobDB(jobDB io.Reader, cpu workload.CPURecord) error {
 // than the last event added before it. A batch out of that order is
 // rejected whole, before anything is folded.
 func (s *StageIII) Add(coalesced []xid.Event) error {
-	prev, hasPrev := s.last, s.events > 0
-	for i, ev := range coalesced {
-		if hasPrev && coalesce.Compare(prev, ev) > 0 {
-			return fmt.Errorf("core: stage III: event %d of the batch (%v %s gpu %d xid %d) precedes the one before it",
-				i, ev.Time, ev.Node, ev.GPU, int(ev.Code))
+	return s.addBlocks([][]xid.Event{coalesced})
+}
+
+// addBlocks is Add over one batch held in blocks, read in order as one
+// stream: the kept blocks coalesce.Merge returns.
+func (s *StageIII) addBlocks(blocks [][]xid.Event) error {
+	prev, n := s.last, s.events
+	for _, b := range blocks {
+		for _, ev := range b {
+			if n > 0 && coalesce.Compare(prev, ev) > 0 {
+				return fmt.Errorf("core: stage III: event %d of the batch (%v %s gpu %d xid %d) precedes the one before it",
+					n-s.events, ev.Time, ev.Node, ev.GPU, int(ev.Code))
+			}
+			prev = ev
+			n++
 		}
-		prev, hasPrev = ev, true
 	}
-	if len(coalesced) == 0 {
+	if n == s.events {
 		return nil
 	}
 	sp := s.cfg.Obs.StartSpan("stage3.stats")
-	for _, ev := range coalesced {
-		s.pre.add(ev)
-		s.op.add(ev)
+	for _, b := range blocks {
+		for _, ev := range b {
+			s.pre.add(ev)
+			s.op.add(ev)
+		}
+		s.index.Add(b)
 	}
-	sp.AddIn(int64(len(coalesced)))
+	sp.AddIn(int64(n - s.events))
 	sp.End()
-	s.index.Add(coalesced)
-	s.events += len(coalesced)
-	s.last = prev
+	s.events, s.last = n, prev
 	return nil
 }
 

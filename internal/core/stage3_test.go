@@ -64,10 +64,18 @@ func loadFoldFixture(t *testing.T) foldFixture {
 	return foldVal
 }
 
-// analyze is the batch reference: AnalyzeCoalesced over a prefix.
+// analyze is the batch reference: one StageIII fold of a prefix, one Add
+// and then Results.
 func (f foldFixture) analyze(t *testing.T, events []xid.Event) *core.Results {
 	t.Helper()
-	res, err := core.AnalyzeCoalesced(events, f.out.Truth.Jobs, f.repairs, f.out.Truth.CPU, pipeCfg())
+	s, err := core.NewStageIII(f.out.Truth.Jobs, f.repairs, f.out.Truth.CPU, pipeCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Add(events); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Results()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,14 +84,26 @@ func (f foldFixture) analyze(t *testing.T, events []xid.Event) *core.Results {
 
 // TestStageIIIAnySplitMatchesBatch is the fold's property: however the
 // coalesced stream is cut into Add batches, and however often Results is
-// called between them, the Results equal AnalyzeCoalesced over the same
-// events — at the end and at every intermediate prefix checked.
+// called between them, the Results equal one Add of the same events — at
+// the end and at every intermediate prefix checked. Analyze over the raw
+// events, which folds Stage II's kept blocks, gives them too.
 func TestStageIIIAnySplitMatchesBatch(t *testing.T) {
 	f := loadFoldFixture(t)
 	want := f.analyze(t, f.events)
 	if want.TableII.EncounteredAny == 0 || want.PreSummary.OutlierErrors == 0 {
 		t.Fatalf("fixture exercises neither Table II nor the outlier rule: %+v / %+v",
 			want.TableII, want.PreSummary)
+	}
+	batch, err := core.Analyze(f.out.RawEvents, f.out.Truth.Jobs, f.repairs, f.out.Truth.CPU, pipeCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if batch.RawEvents != len(f.out.RawEvents) {
+		t.Fatalf("Analyze counted %d raw events, want %d", batch.RawEvents, len(f.out.RawEvents))
+	}
+	batch.RawEvents = want.RawEvents
+	if !reflect.DeepEqual(batch, want) {
+		t.Fatal("Analyze over the raw events differs from one Add of the coalesced events")
 	}
 	n := len(f.events)
 
@@ -127,7 +147,7 @@ func TestStageIIIAnySplitMatchesBatch(t *testing.T) {
 					t.Fatal(err)
 				}
 				if pre := f.analyze(t, f.events[:hi]); !reflect.DeepEqual(got, pre) {
-					t.Fatalf("after batch %d (prefix %d): Results differ from AnalyzeCoalesced", i, hi)
+					t.Fatalf("after batch %d (prefix %d): Results differ from one Add of the prefix", i, hi)
 				}
 			}
 			got, err := s.Results()
@@ -135,7 +155,7 @@ func TestStageIIIAnySplitMatchesBatch(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%d batches: Results differ from AnalyzeCoalesced\n got %+v\nwant %+v", len(cuts), got, want)
+				t.Fatalf("%d batches: Results differ from one Add\n got %+v\nwant %+v", len(cuts), got, want)
 			}
 		})
 	}

@@ -274,22 +274,17 @@ type decoder struct {
 
 // uvarint reads one unsigned varint, failing on truncation or overflow.
 func (d *decoder) uvarint(what string) (uint64, error) {
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
+	v, ok := d.next()
+	if !ok {
 		return 0, formatErrf("truncated or overlong %s varint", what)
 	}
-	d.b = d.b[n:]
 	return v, nil
 }
 
 // varint reads one zigzag-encoded signed varint.
 func (d *decoder) varint(what string) (int64, error) {
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		return 0, formatErrf("truncated or overlong %s varint", what)
-	}
-	d.b = d.b[n:]
-	return v, nil
+	u, err := d.uvarint(what)
+	return unzigzag(u), err
 }
 
 // next reads one unsigned varint, reporting false on truncation or

@@ -54,22 +54,22 @@ type ShardInfo struct {
 // Result is a Stage I run's output: the event stream, aggregate scan
 // statistics, and the per-shard records (nil for a stream).
 type Result struct {
-	// Segments is the events of the shards parsed without a cache as
-	// Stage I filled them, never copied: each shard's chunk slices or scan
-	// blocks, in plan order, each shard's in source-line order. Stage II
-	// reads them in time order without modifying them. They are the
-	// caller's alone.
+	// Segments is the events of an extraction without a cache, or of a
+	// lenient one, which bypasses it, as Stage I filled them, never
+	// copied: each shard's chunk slices or scan blocks, in plan order,
+	// each shard's in source-line order. Stage II reads them in time
+	// order without modifying them. They are the caller's alone.
 	Segments [][]xid.Event
-	// Runs holds the cached shards in plan order, each placed among
-	// Segments by its At: a cursor over the shard's checked .evshard image
-	// that yields its events in Stage II order, one at a time, with no
-	// decoded slice. A cache hit's image is the stored entry; a shard
-	// parsed with a cache configured is encoded as soon as its parse
-	// returns, and its image is both its run and the entry the run stores.
-	// Segments and Runs in plan order are exactly Stage I over the files'
-	// concatenation, each cached shard's events stably sorted, which
-	// Stage II (coalesce.Merge) cannot tell apart. Each run can be read
-	// once.
+	// Runs holds every shard of a strict run with a cache, in plan order:
+	// a cursor over the shard's checked .evshard image that yields its
+	// events in Stage II order, one at a time, with no decoded slice. A
+	// cache hit's image is the stored entry; a shard parsed with a cache
+	// configured is encoded as soon as its parse returns, and its image is
+	// both its run and the entry the run stores. The runs in plan order
+	// are exactly Stage I over the files' concatenation, each shard's
+	// events stably sorted, which Stage II (coalesce.Merge) cannot tell
+	// apart. Each run can be read once. ExtractSegments sets Segments or
+	// Runs, never both.
 	Runs []coalesce.Run
 	// Events is the whole stream in plan order, each cached shard's events
 	// in Stage II order. Only Extract sets it, and leaves Segments and
@@ -108,9 +108,9 @@ func (st *shardState) sourceDigest() [digestLen]byte {
 	return sum
 }
 
-// Extract is ExtractSegments with the segments and the cache hits'
-// decoded runs concatenated into Result.Events, in plan order: a forward
-// kept for the benchmark harness.
+// Extract is ExtractSegments with the segments, or the runs decoded,
+// concatenated into Result.Events, in plan order: a forward kept for the
+// benchmark harness.
 func Extract(plan Plan, opt Options) (*Result, error) {
 	res, err := ExtractSegments(plan, opt)
 	if res != nil {
@@ -119,33 +119,21 @@ func Extract(plan Plan, opt Options) (*Result, error) {
 	return res, err
 }
 
-// concat reads the result's segments and runs into one stream, in plan
-// order, decoding the runs in parallel on at most workers goroutines;
-// with no runs it is concatShards over the segments.
+// concat reads the result's segments or runs into one stream, in plan
+// order: the segments through concatShards, the runs decoded in parallel
+// on at most workers goroutines.
 func (res *Result) concat(workers int) []xid.Event {
 	if len(res.Runs) == 0 {
 		return concatShards(res.Segments)
 	}
-	n := 0
-	for _, sh := range res.Shards {
-		n += sh.Events
-	}
-	events := make([]xid.Event, 0, n)
-	at := make([]int, len(res.Runs)) // where each run's events start
-	done := 0
+	at := make([]int, len(res.Runs)+1) // where each run's events start
 	for j, r := range res.Runs {
-		for _, seg := range res.Segments[done:r.At] {
-			events = append(events, seg...)
-		}
-		done, at[j] = r.At, len(events)
-		events = events[:len(events)+r.Len]
+		at[j+1] = at[j] + r.Len
 	}
-	for _, seg := range res.Segments[done:] {
-		events = append(events, seg...)
-	}
+	events := make([]xid.Event, at[len(res.Runs)])
 	_ = parallel.ForEach(len(res.Runs), workers, func(j int) error {
-		for k := range res.Runs[j].Len {
-			res.Runs[j].Cursor.Next(&events[at[j]+k])
+		for k := at[j]; k < at[j+1]; k++ {
+			res.Runs[j].Cursor.Next(&events[k])
 		}
 		return nil
 	})
@@ -153,16 +141,16 @@ func (res *Result) concat(workers int) []xid.Event {
 }
 
 // ExtractSegments runs Stage I over every shard in the plan and returns
-// the results in plan order: with a cache, every shard as a run, without
-// one the parsed events as segments. Cache hits are checked in full once,
-// while probing, and are not parsed or decoded; the rest parse
-// concurrently on the pooled byte parsers (bounded by opt.Workers), each
-// parse worker handing its scan storage from one shard to the next. With
-// a cache, a parsed shard is encoded as soon as its parse returns, its
-// events give way to the image, and once every shard has parsed the
-// images are written to the cache; a run that fails stores no entry, and
-// a store that fails (an unwritable cache directory) is counted and never
-// fails the run. The event stream and statistics are identical at any
+// the results in plan order: with a cache on a strict run, every shard as
+// a run, otherwise the parsed events as segments. Cache hits are checked
+// in full once, while probing, and are not parsed or decoded; the rest
+// parse concurrently on the pooled byte parsers (bounded by
+// opt.Workers), each parse worker handing its scan storage from one
+// shard to the next. With a cache, a parsed shard is encoded as soon as
+// its parse returns, its events give way to the image, and once every
+// shard has parsed the images are written to the cache; a run that fails
+// stores no entry, and a store that fails (an unwritable cache
+// directory) is counted and never fails the run. The event stream and statistics are identical at any
 // worker count, and equal a single run over the shards' concatenation in
 // plan order, up to the order of each cached shard's events.
 //
@@ -242,7 +230,7 @@ func ExtractSegments(plan Plan, opt Options) (*Result, error) {
 	for i := range states {
 		st := &states[i]
 		if st.hit != nil {
-			res.Runs = append(res.Runs, coalesce.Run{At: len(res.Segments), Len: st.events, Cursor: st.hit.cursor()})
+			res.Runs = append(res.Runs, coalesce.Run{Len: st.events, Cursor: st.hit.cursor()})
 		}
 		res.Segments = append(res.Segments, st.segs...)
 		res.Stats.Lines += st.stats.Lines
