@@ -150,9 +150,18 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
+	cp, err := decodeCheckpoint(data)
+	if err != nil {
+		return nil, fmt.Errorf("stream: checkpoint %s: %w", path, err)
+	}
+	return cp, nil
+}
+
+// decodeCheckpoint is LoadCheckpoint over the file's bytes.
+func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	var cp Checkpoint
 	if err := json.Unmarshal(data, &cp); err != nil {
-		return nil, fmt.Errorf("stream: checkpoint %s: %w", path, err)
+		return nil, err
 	}
 	return &cp, nil
 }
