@@ -173,27 +173,31 @@ func compare(a, b *xid.Event) int {
 // watermark. It offers the events of pending at or before cutoff to the
 // coalescer in Compare order, pending position breaking full ties, which is
 // the order a stable sort of those events gives. It appends the kept ones
-// to dst in that order and returns dst. pending is never modified: the
-// sort runs over an index of one 8-byte position per event, which the
-// coalescer keeps for its next call, and only kept events are copied.
-// Calls one after another coalesce as one pass over all their events
-// when every event a call offers is later than every event the calls
-// before it offered, which is the streaming watermark's guarantee.
-func (c *Coalescer) AppendKeptThrough(dst, pending []xid.Event, cutoff time.Time) []xid.Event {
+// to dst in that order and returns how many it kept. pending is never
+// modified: the sort runs over an index of one 8-byte position per event,
+// which the coalescer keeps for its next call, and only kept events are
+// copied. Calls one after another coalesce as one pass over all their
+// events when every event a call offers is later than every event the
+// calls before it offered, which is the streaming watermark's guarantee.
+func (c *Coalescer) AppendKeptThrough(dst *Blocks, pending Blocks, cutoff time.Time) int {
 	through, ok := xid.Latest(cutoff)
 	if !ok {
-		return dst
+		return 0
 	}
-	dst, c.order = c.appendKept(dst, c.order, [][]xid.Event{pending}, through)
-	return dst
+	kept := c.keep(c.order, pending, through)
+	for _, p := range kept {
+		dst.Append(*at(pending, p), nil)
+	}
+	c.order = kept[:0]
+	return len(kept)
 }
 
-// appendKept is the step under AppendKeptThrough and Events: it offers
-// the events of segs, read in order as one stream, that are at or before
-// through (MaxTime takes them all) and appends the kept ones to
-// dst. The index scratch is passed in and handed back, so a one-off
+// keep is the step under AppendKeptThrough and Events: it offers the
+// events of segs, read in order as one stream, that are at or before
+// through (MaxTime takes them all) and returns the positions of the kept
+// ones, in order's array. The index scratch is passed in, so a one-off
 // Coalescer (Events) keeps none and stays off the heap.
-func (c *Coalescer) appendKept(dst []xid.Event, order []uint64, segs [][]xid.Event, through xid.Time) ([]xid.Event, []uint64) {
+func (c *Coalescer) keep(order []uint64, segs [][]xid.Event, through xid.Time) []uint64 {
 	order = sortIndex(order, segs, through)
 	kept := order[:0]
 	for _, p := range order {
@@ -201,11 +205,7 @@ func (c *Coalescer) appendKept(dst []xid.Event, order []uint64, segs [][]xid.Eve
 			kept = append(kept, p)
 		}
 	}
-	dst = slices.Grow(dst, len(kept))
-	for _, p := range kept {
-		dst = append(dst, *at(segs, p))
-	}
-	return dst, order[:0]
+	return kept
 }
 
 // Order fills order with the positions of the events of segs, read in
@@ -255,8 +255,13 @@ func Events(events []xid.Event, window time.Duration) ([]xid.Event, error) {
 	if err != nil {
 		return nil, err
 	}
-	kept, _ := c.appendKept(nil, nil, [][]xid.Event{events}, xid.MaxTime)
-	return kept, nil
+	segs := [][]xid.Event{events}
+	kept := c.keep(nil, segs, xid.MaxTime)
+	out := slices.Grow([]xid.Event(nil), len(kept))
+	for _, p := range kept {
+		out = append(out, *at(segs, p))
+	}
+	return out, nil
 }
 
 // EventsParallel is Events with a worker count, which is ignored: Stage II

@@ -48,9 +48,9 @@ func (c *sortedCursor) Next(ev *xid.Event) bool {
 // Merge is Stage II over runs, read in order as one stream. A heap merges
 // the runs on (Compare, run index), so the events reach the coalescer in
 // the order a stable sort of the runs' concatenation gives. Merge returns
-// the kept events in Compare order, in blocks of at most keptBlock events
-// that are its own: each kept event is copied once, into its block.
-func Merge(runs []Run, window time.Duration) ([][]xid.Event, error) {
+// the kept events in Compare order, in Blocks of its own: each kept event
+// is copied once, into its block.
+func Merge(runs []Run, window time.Duration) (Blocks, error) {
 	c, err := New(window)
 	if err != nil {
 		return nil, err
@@ -66,17 +66,10 @@ func Merge(runs []Run, window time.Duration) ([][]xid.Event, error) {
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		h.down(i)
 	}
-	// The kept count is known only at the end, and growing one slice to
-	// it would allocate several times its size, so the kept events fill
-	// fixed blocks.
-	var blocks [][]xid.Event
+	var blocks Blocks
 	for len(h) > 0 {
 		if c.Add(h[0].ev) {
-			if len(blocks) == 0 || len(blocks[len(blocks)-1]) == keptBlock {
-				blocks = append(blocks, make([]xid.Event, 0, keptBlock))
-			}
-			last := &blocks[len(blocks)-1]
-			*last = append(*last, h[0].ev)
+			blocks.Append(h[0].ev, nil)
 		}
 		if !runs[h[0].run].Cursor.Next(&h[0].ev) {
 			h[0] = h[len(h)-1]
@@ -86,13 +79,6 @@ func Merge(runs []Run, window time.Duration) ([][]xid.Event, error) {
 	}
 	return blocks, nil
 }
-
-// keptBlock is how many kept events one of Merge's blocks holds. The Go
-// runtime puts an 8-byte header before an object over 512 bytes that
-// holds pointers, so 341 events of 48 bytes fill the 16 KiB size class
-// to within 8 bytes, where 256 would round up to 13,568 bytes, 10% of
-// them unused.
-const keptBlock = 341
 
 // head is the next event of one of Merge's runs.
 type head struct {

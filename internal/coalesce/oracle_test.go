@@ -149,10 +149,12 @@ func TestEventsParallelEmpty(t *testing.T) {
 	}
 }
 
-// AppendKeptThrough sealing one arrival-order buffer behind rising
-// cutoffs, the way the streaming engine seals its pending events, keeps
-// exactly what one Events call over the whole stream keeps, and leaves the
-// buffer as it was.
+// AppendKeptThrough sealing one arrival-order buffer of blocks behind
+// rising cutoffs, the way the streaming engine seals its pending events,
+// keeps exactly what one Events call over the whole stream keeps, and
+// leaves the buffer as it was. DropThrough then removes what each seal
+// took, keeping the rest in arrival order and recycling whole blocks, and
+// the sealed events fill whole blocks.
 func TestAppendKeptThroughAcrossSeals(t *testing.T) {
 	events := randomEvents(21, 3000)
 	want, err := Events(events, DefaultWindow)
@@ -163,24 +165,36 @@ func TestAppendKeptThroughAcrossSeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pending := append([]xid.Event(nil), events...)
-	var got []xid.Event
+	var pending, got Blocks
+	var spare [][]xid.Event
+	for _, ev := range events {
+		pending.Append(ev, &spare)
+	}
+	rest := slices.Clone(events)
 	for cutoff := events[0].Time.Time().Truncate(24 * time.Hour); len(pending) > 0; cutoff = cutoff.Add(37 * time.Second) {
-		before := append([]xid.Event(nil), pending...)
-		got = c.AppendKeptThrough(got, pending, cutoff)
+		before := pending.Clone()
+		kept := c.AppendKeptThrough(&got, pending, cutoff)
 		if !reflect.DeepEqual(pending, before) {
 			t.Fatalf("cutoff %v: AppendKeptThrough modified its input", cutoff)
 		}
-		keep := pending[:0]
-		for _, ev := range pending {
-			if ev.Time.Time().After(cutoff) {
-				keep = append(keep, ev)
+		through, _ := xid.Latest(cutoff)
+		rest = slices.DeleteFunc(rest, func(ev xid.Event) bool { return ev.Time <= through })
+		dropped := pending.DropThrough(through, &spare)
+		if got := slices.Concat(pending...); len(got) != len(rest) || (len(rest) > 0 && !reflect.DeepEqual(got, rest)) {
+			t.Fatalf("cutoff %v: DropThrough left %d events, want the %d after the cutoff in arrival order", cutoff, len(got), len(rest))
+		}
+		merged(t, pending)
+		if dropped < kept || pending.Len()+dropped != before.Len() {
+			t.Fatalf("cutoff %v: kept %d and dropped %d of %d, leaving %d", cutoff, kept, dropped, before.Len(), pending.Len())
+		}
+		for _, blk := range spare {
+			if len(blk) != 0 || cap(blk) != keptBlock || slices.ContainsFunc(blk[:cap(blk)], func(ev xid.Event) bool { return ev != xid.Event{} }) {
+				t.Fatalf("cutoff %v: a spare block holds events", cutoff)
 			}
 		}
-		pending = keep
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("sealed AppendKeptThrough kept %d events, one Events call %d", len(got), len(want))
+	if all := merged(t, got); !reflect.DeepEqual(all, want) {
+		t.Fatalf("sealed AppendKeptThrough kept %d events, one Events call %d", len(all), len(want))
 	}
 }
 

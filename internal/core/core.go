@@ -196,7 +196,7 @@ func analyze(runs []coalesce.Run, jobs []*slurmsim.Job, repairs []time.Duration,
 	if err != nil {
 		return nil, err
 	}
-	if err := s.addBlocks(blocks); err != nil {
+	if err := s.Add(blocks...); err != nil {
 		return nil, err
 	}
 	res, err := s.Results()
@@ -209,7 +209,7 @@ func analyze(runs []coalesce.Run, jobs []*slurmsim.Job, repairs []time.Duration,
 
 // stage2 validates cfg and coalesces the runs into Merge's kept blocks.
 // raw is the Stage II input count.
-func stage2(runs []coalesce.Run, cfg PipelineConfig) (blocks [][]xid.Event, raw int, err error) {
+func stage2(runs []coalesce.Run, cfg PipelineConfig) (blocks coalesce.Blocks, raw int, err error) {
 	if err := cfg.validate(); err != nil {
 		return nil, 0, err
 	}
@@ -222,9 +222,7 @@ func stage2(runs []coalesce.Run, cfg PipelineConfig) (blocks [][]xid.Event, raw 
 		return nil, 0, err
 	}
 	sp2.AddIn(int64(raw))
-	for _, b := range blocks {
-		sp2.AddOut(int64(len(b)))
-	}
+	sp2.AddOut(int64(blocks.Len()))
 	sp2.End()
 	return blocks, raw, nil
 }
@@ -305,7 +303,7 @@ func analyzeRaw(stage1 func() (*ingest.Result, error), jobDB io.Reader, repairs 
 	if err != nil {
 		return nil, err
 	}
-	if err := s.addBlocks(blocks); err != nil {
+	if err := s.Add(blocks...); err != nil {
 		return nil, err
 	}
 	if err := s.scanJobDB(jobDB, cpu); err != nil {

@@ -133,17 +133,13 @@ func (s *StageIII) scanJobDB(jobDB io.Reader, cpu workload.CPURecord) error {
 	return nil
 }
 
-// Add folds one batch of coalesced events. The batch must continue the
-// canonical order of coalesce.Compare: sorted, and starting no earlier
-// than the last event added before it. A batch out of that order is
-// rejected whole, before anything is folded.
-func (s *StageIII) Add(coalesced []xid.Event) error {
-	return s.addBlocks([][]xid.Event{coalesced})
-}
-
-// addBlocks is Add over one batch held in blocks, read in order as one
-// stream: the kept blocks coalesce.Merge returns.
-func (s *StageIII) addBlocks(blocks [][]xid.Event) error {
+// Add folds one batch of coalesced events, held in blocks read in order
+// as one stream: one slice, or the Blocks coalesce.Merge and the streaming
+// engine hold. The batch must continue the canonical order of
+// coalesce.Compare: sorted, and starting no earlier than the last event
+// added before it. A batch out of that order is rejected whole, before
+// anything is folded.
+func (s *StageIII) Add(blocks ...[]xid.Event) error {
 	prev, n := s.last, s.events
 	for _, b := range blocks {
 		for _, ev := range b {

@@ -99,6 +99,7 @@ func Resume(cfg Config, cp *Checkpoint) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{cfg: cfg, st: cp.State.clone(), co: co, sources: make(map[string]*SourceState, len(cp.Sources)), fold: fold}
+	e.pending, e.sealed = e.st.Pending.Len(), e.st.Sealed.Len()
 	for _, src := range cp.Sources {
 		src.Offset = 0 // tailer positions are the daemon's (RestoreTailers)
 		e.sources[src.Name] = &src

@@ -28,6 +28,12 @@ type Engine struct {
 	st      State                   // guarded by mu
 	co      *coalesce.Coalescer     // guarded by mu
 	sources map[string]*SourceState // guarded by mu
+	// pending and sealed count the events of st.Pending and st.Sealed.
+	pending int // guarded by mu
+	sealed  int // guarded by mu
+	// spare holds the cleared blocks seals emptied out of st.Pending, for
+	// ConsumeLine to fill again.
+	spare [][]xid.Event // guarded by mu
 
 	foldMu sync.Mutex
 	fold   *core.StageIII // guarded by foldMu
@@ -107,7 +113,8 @@ func (e *Engine) ConsumeLine(source string, lineNo int64, line string) error {
 		return nil
 	}
 
-	e.st.Pending = append(e.st.Pending, ev)
+	e.st.Pending.Append(ev, &e.spare)
+	e.pending++
 	if !e.st.HasMaxEvent || at.After(e.st.MaxEventTime) {
 		e.st.MaxEventTime = at
 		e.st.HasMaxEvent = true
@@ -151,25 +158,19 @@ func (e *Engine) FlushAll() int {
 // precedes every event still pending or yet to arrive (all strictly after
 // cutoff) and follows every previously sealed event (all at or before the
 // previous watermark). Feeding the persistent coalescer seal after seal is
-// therefore identical to one batch coalesce over the whole stream. The
-// stable partition below then keeps the rest of pending in arrival order.
+// therefore identical to one batch coalesce over the whole stream.
+// DropThrough then keeps the rest of pending in arrival order, in its
+// leading blocks, and hands the blocks it empties to spare.
 func (e *Engine) sealThrough(cutoff time.Time) int {
 	if e.st.HasWatermark && !cutoff.After(e.st.Watermark) {
 		return 0
 	}
-	e.st.Sealed = e.co.AppendKeptThrough(e.st.Sealed, e.st.Pending, cutoff)
-	through, ok := xid.Latest(cutoff)
-	keep := e.st.Pending[:0]
-	for _, ev := range e.st.Pending {
-		if !ok || ev.Time > through {
-			keep = append(keep, ev)
-		}
+	e.sealed += e.co.AppendKeptThrough(&e.st.Sealed, e.st.Pending, cutoff)
+	sealed := 0
+	if through, ok := xid.Latest(cutoff); ok {
+		sealed = e.st.Pending.DropThrough(through, &e.spare)
 	}
-	sealed := len(e.st.Pending) - len(keep)
-	// Clearing the vacated tail keeps it from pinning the sealed events'
-	// node and detail strings.
-	clear(e.st.Pending[len(keep):])
-	e.st.Pending = keep
+	e.pending -= sealed
 	e.st.SealedRaw += sealed
 	e.st.Watermark = cutoff
 	e.st.HasWatermark = true
@@ -188,10 +189,10 @@ func (e *Engine) Status() Status {
 	return Status{
 		Watermark:       e.st.Watermark,
 		MaxEventTime:    e.st.MaxEventTime,
-		PendingEvents:   len(e.st.Pending),
+		PendingEvents:   e.pending,
 		OpenWindows:     e.co.Len(),
 		SealedRawEvents: e.st.SealedRaw,
-		SealedEvents:    len(e.st.Sealed),
+		SealedEvents:    e.sealed,
 		Extract:         e.st.Extract,
 		Quarantine:      Quarantine{Late: e.st.Quarantine.Late, Samples: slices.Clone(e.st.Quarantine.Samples)},
 		Sources:         e.sourceList(),
@@ -214,22 +215,23 @@ func (e *Engine) sourceList() []SourceState {
 // sealed prefix of the stream. It folds the events sealed since its
 // previous call into the engine's Stage III accumulator and derives the
 // tables from it. The store is already Stage II's output, coalesced and in
-// canonical order, so the fold reads it directly. Only the new suffix's
-// bounds are read under the ingest lock; the fold runs under its own lock,
-// so a long Stage III never stalls ingest.
+// canonical order, so the fold reads its blocks directly. Only the new
+// suffix's block bounds are read under the ingest lock; the fold runs
+// under its own lock, so a long Stage III never stalls ingest.
 func (e *Engine) Results() (*core.Results, error) {
 	e.foldMu.Lock()
 	defer e.foldMu.Unlock()
 	e.mu.Lock()
-	suffix := slices.Clip(e.st.Sealed[e.folded:])
+	suffix := e.st.Sealed.From(e.folded)
+	sealed := e.sealed
 	extract := e.st.Extract
 	sealedRaw := e.st.SealedRaw
 	e.mu.Unlock()
 
-	if err := e.fold.Add(suffix); err != nil {
+	if err := e.fold.Add(suffix...); err != nil {
 		return nil, err
 	}
-	e.folded += len(suffix)
+	e.folded = sealed
 	res, err := e.fold.Results()
 	if err != nil {
 		return nil, err

@@ -38,11 +38,11 @@ import (
 	"time"
 
 	"gpuresilience/internal/cluster"
+	"gpuresilience/internal/coalesce"
 	"gpuresilience/internal/core"
 	"gpuresilience/internal/slurmsim"
 	"gpuresilience/internal/syslog"
 	"gpuresilience/internal/workload"
-	"gpuresilience/internal/xid"
 )
 
 // DefaultHorizon is the default sealing horizon: how far behind the newest
@@ -130,9 +130,9 @@ type State struct {
 	// SealedRaw counts events sealed into Stage II, pre-coalescing.
 	SealedRaw int `json:"sealedRaw"`
 	// Sealed is the coalesced Stage II store in canonical order.
-	Sealed []xid.Event `json:"sealed,omitempty"`
+	Sealed coalesce.Blocks `json:"sealed,omitempty"`
 	// Pending holds unsealed events in arrival order.
-	Pending []xid.Event `json:"pending,omitempty"`
+	Pending coalesce.Blocks `json:"pending,omitempty"`
 	// Extract is the cumulative Stage I line accounting.
 	Extract syslog.ExtractStats `json:"extract"`
 	// Quarantine is the late-event record.
@@ -143,8 +143,8 @@ type State struct {
 
 // clone returns a copy of s that shares no slice with it.
 func (s State) clone() State {
-	s.Sealed = slices.Clone(s.Sealed)
-	s.Pending = slices.Clone(s.Pending)
+	s.Sealed = s.Sealed.Clone()
+	s.Pending = s.Pending.Clone()
 	s.Quarantine.Samples = slices.Clone(s.Quarantine.Samples)
 	return s
 }
