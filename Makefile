@@ -18,8 +18,9 @@ race:
 # Stage I engine's line-at-a-time vs chunked equivalence in both modes,
 # Stage II over segmented input against its copy-and-sort oracle, with and
 # without sorted runs merged in, the raw-logs path's one pass over a job DB
-# against the slice functions over LoadDB's jobs, and the compact event
-# time's JSON against time.Time's.
+# against the slice functions over LoadDB's jobs, the compact event
+# time's JSON against time.Time's, and the streaming engine's line ingest
+# against batch Stage I and II.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzExtract$$' -fuzztime 10s ./internal/syslog/
 	$(GO) test -run '^$$' -fuzz '^FuzzExtractLenient$$' -fuzztime 10s ./internal/syslog/
@@ -34,6 +35,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzStage2Segments$$' -fuzztime 10s ./internal/coalesce/
 	$(GO) test -run '^$$' -fuzz '^FuzzStage2Runs$$' -fuzztime 10s ./internal/coalesce/
 	$(GO) test -run '^$$' -fuzz '^FuzzEventTimeJSON$$' -fuzztime 10s ./internal/xid/
+	$(GO) test -run '^$$' -fuzz '^FuzzConsumeLineMatchesBatch$$' -fuzztime 10s ./internal/stream/
 
 # Regenerate every paper table and figure at full scale (~10 min).
 bench:

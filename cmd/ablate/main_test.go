@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -40,5 +42,43 @@ func TestRunBadFlag(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-x"}, &out); err == nil {
 		t.Fatal("unknown flag accepted")
+	}
+}
+
+// TestA1KeptNonIncreasing is ablation relation A1 on a simulated log:
+// greedy Δt coalescing keeps a minimum cover of each key's events by
+// windows, so Stage II never keeps more events at a wider window. At seed
+// 1, scale 0.05 the sweep falls from every raw event (60,510) at Δt = 0 to
+// 1,875 at 30 min.
+func TestA1KeptNonIncreasing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates a 0.05-scale fleet")
+	}
+	var out bytes.Buffer
+	if err := run([]string{"-seed", "1", "-scale", "0.05"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	s := out.String()
+	// The A1 rows sit between the sweep's column header and A2.
+	rows := strings.Split(strings.TrimSpace(s[strings.Index(s, "\nwindow "):strings.Index(s, "A2:")]), "\n")[1:]
+	var windows []string
+	var counts []int
+	for _, row := range rows {
+		f := strings.Fields(row)
+		n, err := strconv.Atoi(f[1])
+		if err != nil {
+			t.Fatalf("row %q: %v", row, err)
+		}
+		windows, counts = append(windows, f[0]), append(counts, n)
+	}
+	for i := 1; i < len(counts); i++ {
+		if counts[i] > counts[i-1] {
+			t.Errorf("Δt %s keeps %d events, more than the %d at %s", windows[i], counts[i], counts[i-1], windows[i-1])
+		}
+	}
+	wantWindows := []string{"0s", "1s", "5s", "30s", "1m0s", "5m0s", "30m0s"}
+	want := []int{60510, 5380, 4140, 3953, 3769, 3001, 1875}
+	if !slices.Equal(windows, wantWindows) || !slices.Equal(counts, want) {
+		t.Fatalf("A1 sweep over %v: %v, want %v over %v", windows, counts, want, wantWindows)
 	}
 }

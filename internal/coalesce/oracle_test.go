@@ -97,6 +97,30 @@ func TestEventsMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestKeptNonIncreasingInWindow is ablation relation A1: greedy Δt
+// coalescing keeps a minimum cover of each key's events by windows, so
+// Events never keeps more at a wider window, on the tie-heavy random
+// inputs over cmd/ablate's Δt grid and a few windows between its points.
+func TestKeptNonIncreasingInWindow(t *testing.T) {
+	windows := []time.Duration{0, time.Second, 2 * time.Second, 5 * time.Second, 10 * time.Second,
+		30 * time.Second, time.Minute, 2 * time.Minute, 5 * time.Minute, 30 * time.Minute}
+	for seed := uint64(1); seed <= 40; seed++ {
+		events := randomEvents(seed, int(seed*seed*7)%5000)
+		prev := len(events)
+		for _, window := range windows {
+			kept, err := Events(events, window)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(kept) > prev {
+				t.Fatalf("seed=%d n=%d: window %v keeps %d events, more than %d at a narrower one",
+					seed, len(events), window, len(kept), prev)
+			}
+			prev = len(kept)
+		}
+	}
+}
+
 // EventsParallel is Events at every worker count, including the window=0
 // "no dedup" ablation.
 func TestEventsParallelEquivalence(t *testing.T) {

@@ -90,8 +90,8 @@ func applyOutages(raw []byte, outages []OutageWindow) ([]byte, int) {
 // parsesHook is the logfuzz oracle: a line "survives" only if Stage I would
 // still accept it as a record.
 func parsesHook(line []byte) bool {
-	_, ok, err := syslog.ParseLine(string(line))
-	return ok && err == nil
+	var ev xid.Event
+	return syslog.CountLine(&syslog.ExtractStats{}, line, &ev)
 }
 
 // extractBatch runs Stage I over a log in the compiled mode. A tripped

@@ -48,9 +48,9 @@ func New(cfg Config) (*Engine, error) { return Resume(cfg, nil) }
 // ConsumeLine ingests one raw log line from a source. lineNo is the
 // 1-based line number within the source; lines at or below the source's
 // consumed high-water mark are counted as duplicates and skipped, which is
-// what makes redelivery after a checkpoint resume harmless. Lines that
-// match the Xid shape but fail field parsing are counted as malformed and
-// skipped, exactly as the batch extractor does.
+// what makes redelivery after a checkpoint resume harmless. Every other
+// line goes through batch Stage I's per-line step, syslog.CountLine; a
+// record's event keeps its node and detail as substrings of line.
 func (e *Engine) ConsumeLine(source string, lineNo int64, line string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -68,22 +68,10 @@ func (e *Engine) ConsumeLine(source string, lineNo int64, line string) error {
 	src.Bytes += int64(len(line))
 	e.st.Gen++
 
-	e.st.Extract.Lines++
-	if len(line) > syslog.MaxLineBytes {
-		// Lenient Stage I's overlong rule: counted, never parsed.
-		e.st.Extract.Malformed++
+	var ev xid.Event
+	if !syslog.CountLine(&e.st.Extract, line, &ev) {
 		return nil
 	}
-	ev, ok, err := syslog.ParseLine(line)
-	if err != nil {
-		e.st.Extract.Malformed++
-		return nil
-	}
-	if !ok {
-		e.st.Extract.Skipped++
-		return nil
-	}
-	e.st.Extract.XIDLines++
 
 	// The stream's own clocks stay time.Time, whose zero means unset.
 	at := ev.Time.Time()

@@ -1,8 +1,6 @@
 package stream
 
 import (
-	"strings"
-
 	"gpuresilience/internal/syslog"
 	"gpuresilience/internal/xid"
 )
@@ -26,12 +24,6 @@ func NewFeed(e *Engine, name string) *Feed {
 	return &Feed{engine: e, name: name}
 }
 
-// Name returns the feed's source name.
-func (f *Feed) Name() string { return f.name }
-
-// Lines returns how many lines the feed has pushed.
-func (f *Feed) Lines() int64 { return f.lineNo }
-
 // SetStart positions the feed's line counter at a checkpointed value, so a
 // resumed producer that replays its tail is absorbed as duplicates.
 func (f *Feed) SetStart(lineNo int64) { f.lineNo = lineNo }
@@ -40,20 +32,6 @@ func (f *Feed) SetStart(lineNo int64) { f.lineNo = lineNo }
 func (f *Feed) Line(line string) error {
 	f.lineNo++
 	return f.engine.ConsumeLine(f.name, f.lineNo, line)
-}
-
-// Push splits a block of newline-separated raw log text into lines and
-// pushes each, ignoring empty lines.
-func (f *Feed) Push(text string) error {
-	for _, line := range strings.Split(text, "\n") {
-		if line == "" {
-			continue
-		}
-		if err := f.Line(line); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Event formats ev the way the syslog writer does and pushes the line —

@@ -4,14 +4,13 @@ import (
 	"bufio"
 	"io"
 	"os"
-	"strings"
 
 	"gpuresilience/internal/syslog"
 )
 
-// LineFunc receives one complete log line (newline stripped) with its
-// source name and 1-based line number. Engine.ConsumeLine satisfies it via
-// a method value.
+// LineFunc receives one complete log line (newline stripped, a carriage
+// return before it kept for Stage I to drop) with its source name and
+// 1-based line number. Engine.ConsumeLine satisfies it via a method value.
 type LineFunc func(source string, lineNo int64, line string) error
 
 // Tailer follows one log file the way the daemon consumes live syslog: it
@@ -153,9 +152,6 @@ func (t *Tailer) readAvailable(fn LineFunc) (int, error) {
 				t.offset += read
 				t.dropping = !ended
 				text := string(line)
-				if len(line) <= syslog.MaxLineBytes {
-					text = strings.TrimSuffix(text, "\r")
-				}
 				line, read = line[:0], 0
 				t.lineNo++
 				if err := fn(t.path, t.lineNo, text); err != nil {

@@ -1,10 +1,9 @@
 package syslog
 
 import (
-	"errors"
 	"fmt"
-	"unicode/utf8"
 
+	"gpuresilience/internal/fasttime"
 	"gpuresilience/internal/intern"
 	"gpuresilience/internal/xid"
 )
@@ -244,34 +243,43 @@ const (
 	lineBad
 )
 
-// classifyLine classifies one complete (not overlong) line, straight off
-// the reader's byte slice, storing a record's event in *ev (passed in
-// rather than returned, so the hot loop does not copy each event through
-// every layer). Order matters: parse first — a well-shaped record is
-// accepted even if its free-text detail carries damaged bytes — then flag
-// unreadable non-matching lines as non-UTF-8, and only then fall through to
-// noise. Event strings come from the interner, so the caller may reuse
-// line's backing array immediately.
-func classifyLine(line []byte, in *intern.Interner, ev *xid.Event) (LineClass, lineKind) {
-	var (
-		ok  bool
-		err error
-	)
-	*ev, ok, err = parseLineBytes(line, in)
-	if err != nil {
-		var pe *ParseError
-		if errors.As(err, &pe) {
-			return pe.Class, lineBad
-		}
-		return ClassBadTimestamp, lineBad
+// classify is Stage I's one per-line step, which the scan, the chunk
+// parser and, through CountLine, the streaming engine run on every line
+// (newline stripped, so it holds none). A line longer than max is
+// ClassOverlong, never parsed. Otherwise one trailing CR is dropped; a line
+// of the Xid shape is a record, whose event goes to *ev, or corruption of
+// its bad field's class (a record is accepted even if its free-text detail
+// carries damaged bytes); any other line is ClassNonUTF8 corruption if it
+// is not valid UTF-8, and noise if it is.
+func classify[T fasttime.ByteSeq](line T, max int, in *intern.Interner, ev *xid.Event) (LineClass, lineKind) {
+	if len(line) > max {
+		return ClassOverlong, lineBad
 	}
-	if ok {
+	line = trimCR(line)
+	rec, ok, err := parseLine(line, in)
+	switch {
+	case err != nil:
+		return err.(*ParseError).Class, lineBad
+	case ok:
+		*ev = rec
 		return 0, lineRecord
-	}
-	if !utf8.Valid(line) {
+	case !validUTF8(line):
 		return ClassNonUTF8, lineBad
 	}
 	return 0, lineNoise
+}
+
+// CountLine is classify for a caller that takes lines one at a time, the
+// streaming engine: it counts the line in st by the strict accounting rule
+// (ExtractStats.count), and a line longer than MaxLineBytes is Malformed
+// rather than fatal. It reports whether the line is a record, whose event
+// it stores in *ev: a string line's node and detail are its substrings, a
+// byte line's are copies.
+func CountLine[T fasttime.ByteSeq](st *ExtractStats, line T, ev *xid.Event) bool {
+	st.Lines++
+	class, kind := classify(line, MaxLineBytes, nil, ev)
+	st.count(kind, class, 1)
+	return kind == lineRecord
 }
 
 // truncateSample bounds a line to the quarantine sample size.
@@ -282,9 +290,9 @@ func truncateSample(line []byte) []byte {
 	return line
 }
 
-// trimCR drops one trailing carriage return, as bufio.ScanLines does, so
-// CR-LF logs classify identically on every path.
-func trimCR(line []byte) []byte {
+// trimCR drops one trailing carriage return, so CR-LF logs classify
+// identically on every path.
+func trimCR[T fasttime.ByteSeq](line T) T {
 	if n := len(line); n > 0 && line[n-1] == '\r' {
 		return line[:n-1]
 	}
@@ -293,21 +301,34 @@ func trimCR(line []byte) []byte {
 
 // stats projects the report onto the ExtractStats shape, in both modes.
 // Lenient stats count every corrupt line as Malformed and only clean
-// non-Xid lines as Skipped. Strict mode holds that a line which does not
-// look like a record is noise however unreadable it is, so there non-UTF-8
-// lines move from Malformed to Skipped.
+// non-Xid lines as Skipped; strict stats follow ExtractStats.count.
 func (r *IngestionReport) stats(strict bool) ExtractStats {
-	st := ExtractStats{
-		Lines:     r.Lines,
-		XIDLines:  r.Records,
-		Skipped:   r.Noise,
-		Malformed: r.BadTotal,
+	if !strict {
+		return ExtractStats{Lines: r.Lines, XIDLines: r.Records, Skipped: r.Noise, Malformed: r.BadTotal}
 	}
-	if strict {
-		st.Skipped += r.Bad[ClassNonUTF8]
-		st.Malformed -= r.Bad[ClassNonUTF8]
+	st := ExtractStats{Lines: r.Lines}
+	st.count(lineRecord, 0, r.Records)
+	st.count(lineNoise, 0, r.Noise)
+	for c, n := range r.Bad {
+		st.count(lineBad, LineClass(c), n)
 	}
 	return st
+}
+
+// count adds n lines of one kind and class to st by the strict accounting
+// rule: a record is an Xid line and noise is Skipped; a corrupt line is
+// Malformed, overlong included, unless it is non-UTF-8, because a line that
+// does not look like a record is noise however unreadable it is. The
+// caller counts Lines.
+func (st *ExtractStats) count(kind lineKind, class LineClass, n int) {
+	switch {
+	case kind == lineRecord:
+		st.XIDLines += n
+	case kind == lineNoise || class == ClassNonUTF8:
+		st.Skipped += n
+	default:
+		st.Malformed += n
+	}
 }
 
 // reportState is one scan's running accounting, in either mode: the
@@ -347,17 +368,12 @@ func (s *reportState) fresh() reportState {
 // delivered.
 func (s *reportState) line(line []byte, in *intern.Interner, ev *xid.Event) lineKind {
 	s.rep.Lines++
-	if len(line) > s.opt.MaxLineBytes {
-		s.record(ClassOverlong, line)
-		return lineBad
-	}
-	line = trimCR(line)
-	class, kind := classifyLine(line, in, ev)
+	class, kind := classify(line, s.opt.MaxLineBytes, in, ev)
 	switch kind {
 	case lineNoise:
 		s.rep.Noise++
 	case lineBad:
-		s.record(class, line)
+		s.record(class, trimCR(line))
 	}
 	return kind
 }

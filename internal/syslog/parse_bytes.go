@@ -3,6 +3,7 @@ package syslog
 import (
 	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"gpuresilience/internal/fasttime"
 	"gpuresilience/internal/intern"
@@ -268,11 +269,12 @@ func parseLineCore[T fasttime.ByteSeq](line T) (f xidFields, ts xid.Time, gpu, c
 	return
 }
 
-// parseLineBytes is ParseLine over a scanner-owned byte slice: zero
-// allocations for noise lines, and the event's strings come from the
-// interner, so the caller may reuse (or pool) line's backing array as soon
-// as the call returns. Precondition: line contains no '\n'.
-func parseLineBytes(line []byte, in *intern.Interner) (ev xid.Event, ok bool, err error) {
+// parseLine is ParseLine over either line type, less its newline check
+// (see splitXidLine's precondition). The event's node and detail are
+// substrings of a string line, and copies of a byte line interned in in,
+// so the caller may reuse a byte line's array as soon as the call returns.
+// Lines the Xid shape does not match allocate nothing.
+func parseLine[T fasttime.ByteSeq](line T, in *intern.Interner) (ev xid.Event, ok bool, err error) {
 	f, ts, gpu, code, shaped, perr := parseLineCore(line)
 	if !shaped {
 		return xid.Event{}, false, nil
@@ -282,9 +284,26 @@ func parseLineBytes(line []byte, in *intern.Interner) (ev xid.Event, ok bool, er
 	}
 	return xid.Event{
 		Time:   ts,
-		Node:   in.Intern(line[f.nodeLo:f.nodeHi]),
+		Node:   eventText(line[f.nodeLo:f.nodeHi], in),
 		GPU:    int32(gpu),
 		Code:   xid.Code(code),
-		Detail: in.Intern(line[f.detailLo:]),
+		Detail: eventText(line[f.detailLo:], in),
 	}, true, nil
+}
+
+// eventText is an event string cut from a line: the substring itself from
+// a string line, an interned copy from a byte line.
+func eventText[T fasttime.ByteSeq](s T, in *intern.Interner) string {
+	if b, ok := any(s).([]byte); ok {
+		return in.Intern(b)
+	}
+	return string(s)
+}
+
+// validUTF8 reports whether s is valid UTF-8.
+func validUTF8[T fasttime.ByteSeq](s T) bool {
+	if b, ok := any(s).([]byte); ok {
+		return utf8.Valid(b)
+	}
+	return utf8.ValidString(string(s))
 }

@@ -138,8 +138,8 @@ func oracleCorpus() []string {
 	return lines
 }
 
-// checkEquivalence holds ParseLine, parseLineBytes, and the regex oracle to
-// identical classification of one line.
+// checkEquivalence holds ParseLine, parseLine over the line's bytes, and
+// the regex oracle to identical classification of one line.
 func checkEquivalence(t *testing.T, line string) {
 	t.Helper()
 	oev, ook, oerr := parseLineOracle(line)
@@ -156,13 +156,12 @@ func checkEquivalence(t *testing.T, line string) {
 	if strings.IndexByte(line, '\n') >= 0 {
 		return
 	}
-	in := intern.New()
-	bev, bok, berr := parseLineBytes([]byte(line), in)
+	bev, bok, berr := parseLine([]byte(line), intern.New())
 	if bok != ook || bev != oev {
-		t.Fatalf("parseLineBytes diverges from oracle on %q:\n got %+v ok=%v\nwant %+v ok=%v",
+		t.Fatalf("parseLine over bytes diverges from oracle on %q:\n got %+v ok=%v\nwant %+v ok=%v",
 			line, bev, bok, oev, ook)
 	}
-	compareParseErr(t, line, "parseLineBytes", berr, oerr)
+	compareParseErr(t, line, "parseLine over bytes", berr, oerr)
 }
 
 func compareParseErr(t *testing.T, line, who string, got, want error) {

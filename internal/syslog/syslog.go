@@ -243,7 +243,7 @@ const (
 type ExtractStats struct {
 	Lines     int // total lines scanned
 	XIDLines  int // lines matching the Xid pattern
-	Malformed int // Xid-looking lines that failed field parsing
+	Malformed int // corrupt lines: a bad Xid field or overlong; lenient mode adds non-UTF-8
 	Skipped   int // non-Xid lines (noise)
 }
 
@@ -265,18 +265,5 @@ func ParseLine(line string) (ev xid.Event, ok bool, err error) {
 		// The anchored pattern can never match across a newline.
 		return xid.Event{}, false, nil
 	}
-	f, ts, gpu, code, shaped, perr := parseLineCore(line)
-	if !shaped {
-		return xid.Event{}, false, nil
-	}
-	if perr != nil {
-		return xid.Event{}, false, perr
-	}
-	return xid.Event{
-		Time:   ts,
-		Node:   line[f.nodeLo:f.nodeHi],
-		GPU:    int32(gpu),
-		Code:   xid.Code(code),
-		Detail: line[f.detailLo:],
-	}, true, nil
+	return parseLine(line, nil)
 }
