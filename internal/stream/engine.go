@@ -49,8 +49,9 @@ func New(cfg Config) (*Engine, error) { return Resume(cfg, nil) }
 // 1-based line number within the source; lines at or below the source's
 // consumed high-water mark are counted as duplicates and skipped, which is
 // what makes redelivery after a checkpoint resume harmless. Every other
-// line goes through batch Stage I's per-line step, syslog.CountLine; a
-// record's event keeps its node and detail as substrings of line.
+// line goes through batch Stage I's per-line step, syslog.CountLine, which
+// skips a line that holds a newline; a record's event keeps its node and
+// detail as substrings of line.
 func (e *Engine) ConsumeLine(source string, lineNo int64, line string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -250,34 +250,42 @@ const (
 // of the Xid shape is a record, whose event goes to *ev, or corruption of
 // its bad field's class (a record is accepted even if its free-text detail
 // carries damaged bytes); any other line is ClassNonUTF8 corruption if it
-// is not valid UTF-8, and noise if it is.
-func classify[T fasttime.ByteSeq](line T, max int, in *intern.Interner, ev *xid.Event) (LineClass, lineKind) {
+// is not valid UTF-8, and noise if it is. It also returns the line as it
+// classified it, the CR dropped unless the line is overlong, which is the
+// quarantine sample of a corrupt line.
+func classify[T fasttime.ByteSeq](line T, max int, in *intern.Interner, ev *xid.Event) (T, LineClass, lineKind) {
 	if len(line) > max {
-		return ClassOverlong, lineBad
+		return line, ClassOverlong, lineBad
 	}
-	line = trimCR(line)
+	if n := len(line); n > 0 && line[n-1] == '\r' {
+		line = line[:n-1]
+	}
 	rec, ok, err := parseLine(line, in)
 	switch {
 	case err != nil:
-		return err.(*ParseError).Class, lineBad
+		return line, err.(*ParseError).Class, lineBad
 	case ok:
 		*ev = rec
-		return 0, lineRecord
+		return line, 0, lineRecord
 	case !validUTF8(line):
-		return ClassNonUTF8, lineBad
+		return line, ClassNonUTF8, lineBad
 	}
-	return 0, lineNoise
+	return line, 0, lineNoise
 }
 
 // CountLine is classify for a caller that takes lines one at a time, the
 // streaming engine: it counts the line in st by the strict accounting rule
 // (ExtractStats.count), and a line longer than MaxLineBytes is Malformed
-// rather than fatal. It reports whether the line is a record, whose event
-// it stores in *ev: a string line's node and detail are its substrings, a
-// byte line's are copies.
+// rather than fatal. A line that holds a newline, which no split line does,
+// is noise as in ParseLine: a record never spans lines. CountLine reports
+// whether the line is a record, whose event it stores in *ev: a string
+// line's node and detail are its substrings, a byte line's are copies.
 func CountLine[T fasttime.ByteSeq](st *ExtractStats, line T, ev *xid.Event) bool {
 	st.Lines++
-	class, kind := classify(line, MaxLineBytes, nil, ev)
+	class, kind := LineClass(0), lineNoise
+	if len(line) > MaxLineBytes || !hasNewline(line) {
+		_, class, kind = classify(line, MaxLineBytes, nil, ev)
+	}
 	st.count(kind, class, 1)
 	return kind == lineRecord
 }
@@ -286,15 +294,6 @@ func CountLine[T fasttime.ByteSeq](st *ExtractStats, line T, ev *xid.Event) bool
 func truncateSample(line []byte) []byte {
 	if len(line) > quarantineSampleBytes {
 		line = line[:quarantineSampleBytes]
-	}
-	return line
-}
-
-// trimCR drops one trailing carriage return, so CR-LF logs classify
-// identically on every path.
-func trimCR[T fasttime.ByteSeq](line T) T {
-	if n := len(line); n > 0 && line[n-1] == '\r' {
-		return line[:n-1]
 	}
 	return line
 }
@@ -368,12 +367,12 @@ func (s *reportState) fresh() reportState {
 // delivered.
 func (s *reportState) line(line []byte, in *intern.Interner, ev *xid.Event) lineKind {
 	s.rep.Lines++
-	class, kind := classify(line, s.opt.MaxLineBytes, in, ev)
+	sample, class, kind := classify(line, s.opt.MaxLineBytes, in, ev)
 	switch kind {
 	case lineNoise:
 		s.rep.Noise++
 	case lineBad:
-		s.record(class, trimCR(line))
+		s.record(class, sample)
 	}
 	return kind
 }

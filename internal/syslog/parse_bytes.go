@@ -1,7 +1,9 @@
 package syslog
 
 import (
+	"bytes"
 	"strconv"
+	"strings"
 	"time"
 	"unicode/utf8"
 
@@ -86,7 +88,7 @@ type xidFields struct {
 
 // splitXidLine structurally matches one line against the Xid shape.
 // Precondition: line contains no '\n' (line-split input never does;
-// ParseLine pre-checks its string argument).
+// ParseLine and CountLine pre-check their argument).
 func splitXidLine[T fasttime.ByteSeq](line T) (f xidFields, ok bool) {
 	n := len(line)
 	// (\S+) timestamp, terminated by a literal space.
@@ -306,4 +308,12 @@ func validUTF8[T fasttime.ByteSeq](s T) bool {
 		return utf8.Valid(b)
 	}
 	return utf8.ValidString(string(s))
+}
+
+// hasNewline reports whether s holds a '\n'.
+func hasNewline[T fasttime.ByteSeq](s T) bool {
+	if b, ok := any(s).([]byte); ok {
+		return bytes.IndexByte(b, '\n') >= 0
+	}
+	return strings.IndexByte(string(s), '\n') >= 0
 }

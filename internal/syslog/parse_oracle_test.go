@@ -152,6 +152,26 @@ func checkEquivalence(t *testing.T, line string) {
 	}
 	compareParseErr(t, line, "ParseLine", err, oerr)
 
+	// CountLine, the streaming engine's step, counts the line as the oracle
+	// classifies it, over either type, a line holding a newline included.
+	// It drops a trailing CR first, which the oracle does not.
+	if !strings.HasSuffix(line, "\r") {
+		want := ExtractStats{Lines: 1, XIDLines: 1}
+		if !ook {
+			want = ExtractStats{Lines: 1, Skipped: 1}
+		}
+		if oerr != nil {
+			want = ExtractStats{Lines: 1, Malformed: 1}
+		}
+		var st, bst ExtractStats
+		var cev, bcev xid.Event
+		rec, brec := CountLine(&st, line, &cev), CountLine(&bst, []byte(line), &bcev)
+		if st != want || bst != want || rec && cev != oev || brec && bcev != oev {
+			t.Fatalf("CountLine diverges from oracle on %q: counts %+v and %+v over bytes, want %+v",
+				line, st, bst, want)
+		}
+	}
+
 	// The byte parser sees line-split input only, which never contains \n.
 	if strings.IndexByte(line, '\n') >= 0 {
 		return
